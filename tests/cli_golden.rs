@@ -1,0 +1,130 @@
+//! Golden-file tests for the `pacq` grid commands: every `sweep --param`
+//! form and `dse --pareto`, spawned as the real binary so argv parsing,
+//! rendering and exit status are pinned together. Also, the grid table
+//! must not depend on the report cache (cold or warm store) or on the
+//! compute backend; only the `cache:` footer line may differ.
+//!
+//! To regenerate after an *intentional* output change:
+//!
+//! ```text
+//! cargo build --release -p pacq --bin pacq
+//! for p in grid batch dup width; do
+//!     ./target/release/pacq sweep --param $p --shape m16n256k256 \
+//!         > tests/golden/cli/sweep_$p.txt
+//! done
+//! ./target/release/pacq dse --shape m16n256k256 --pareto > tests/golden/cli/dse_pareto.txt
+//! ```
+
+use std::path::PathBuf;
+use std::process::Command;
+
+const SHAPE: &str = "m16n256k256";
+
+fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Runs `pacq` from the workspace root with no inherited knobs and
+/// returns its stdout, failing on a nonzero exit.
+fn pacq(args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_pacq"))
+        .args(args)
+        .current_dir(workspace_root())
+        .env_remove("PACQ_JOBS")
+        .env_remove("PACQ_BACKEND")
+        .output()
+        .unwrap_or_else(|e| panic!("spawn pacq: {e}"));
+    assert!(
+        output.status.success(),
+        "pacq {args:?} exited with {:?}\nstderr:\n{}",
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).expect("pacq stdout is UTF-8")
+}
+
+fn assert_matches(what: &str, actual: &str, golden: &str) {
+    if actual != golden {
+        // Name the first diverging line so the failure reads like a diff
+        // hunk, not two multi-KiB blobs.
+        let line = actual
+            .lines()
+            .zip(golden.lines())
+            .take_while(|(a, b)| a == b)
+            .count();
+        panic!(
+            "{what}: stdout drifted from golden at line {}\n  golden: {:?}\n  actual: {:?}\n\
+             (regenerate per the header of tests/cli_golden.rs if intentional)",
+            line + 1,
+            golden.lines().nth(line).unwrap_or("<eof>"),
+            actual.lines().nth(line).unwrap_or("<eof>"),
+        );
+    }
+}
+
+/// Splits the session-local `cache:` footer off a grid table.
+fn split_cache_footer(out: &str) -> (String, Vec<&str>) {
+    let (footer, table): (Vec<&str>, Vec<&str>) =
+        out.lines().partition(|l| l.starts_with("cache:"));
+    (table.iter().map(|l| format!("{l}\n")).collect(), footer)
+}
+
+const GRID: &str = include_str!("golden/cli/sweep_grid.txt");
+
+#[test]
+fn sweep_forms_are_pinned() {
+    for (param, golden) in [
+        ("grid", GRID),
+        ("batch", include_str!("golden/cli/sweep_batch.txt")),
+        ("dup", include_str!("golden/cli/sweep_dup.txt")),
+        ("width", include_str!("golden/cli/sweep_width.txt")),
+    ] {
+        let out = pacq(&["sweep", "--param", param, "--shape", SHAPE]);
+        assert_matches(&format!("sweep --param {param}"), &out, golden);
+    }
+}
+
+#[test]
+fn builtin_equivalent_template_reproduces_the_grid() {
+    let out = pacq(&[
+        "sweep",
+        "--param",
+        "grid",
+        "--shape",
+        SHAPE,
+        "--arch-template",
+        "examples/arch/volta_like.toml",
+    ]);
+    assert_matches("sweep --param grid --arch-template volta_like", &out, GRID);
+}
+
+#[test]
+fn dse_pareto_is_pinned() {
+    let out = pacq(&["dse", "--shape", SHAPE, "--pareto"]);
+    assert_matches(
+        "dse --pareto",
+        &out,
+        include_str!("golden/cli/dse_pareto.txt"),
+    );
+}
+
+#[test]
+fn grid_table_is_cache_and_backend_invariant() {
+    let dir = std::env::temp_dir().join(format!("pacq-cli-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_string_lossy().into_owned();
+    let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
+
+    let cold = pacq(&[&grid[..], &["--cache", &store]].concat());
+    let warm = pacq(&[&grid[..], &["--cache", &store]].concat());
+    let batched = pacq(&[&grid[..], &["--backend", "batched"]].concat());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (cold, cold_footer) = split_cache_footer(&cold);
+    let (warm, warm_footer) = split_cache_footer(&warm);
+    assert_eq!(cold_footer, ["cache: 0 hits, 36 misses"]);
+    assert_eq!(warm_footer, ["cache: 36 hits, 0 misses"]);
+    assert_matches("cold --cache grid", &cold, GRID);
+    assert_matches("warm --cache grid", &warm, GRID);
+    assert_matches("--backend batched grid", &batched, GRID);
+}
