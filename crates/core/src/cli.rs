@@ -4,13 +4,12 @@
 //! dependency set to the numeric essentials (see DESIGN.md §8).
 
 use crate::backend::take_backend_flag;
-use crate::dse::{run_dse, DseAxes, DsePlan};
+use crate::dse::{run_dse, DseAxes, DseJob, DseOutcome, DsePlan, DseRow};
 use crate::par;
 use crate::params::parse_params;
 use crate::report::{Comparison, GemmReport};
 use crate::roofline;
 use crate::runner::GemmRunner;
-use crate::sweep::{run_sweep, SweepPlan};
 use core::fmt::Write as _;
 use pacq_arch::ArchTemplate;
 use pacq_cache::{ReportCache, Shard, SweepCheckpoint};
@@ -22,7 +21,6 @@ use pacq_simt::{
     octet_schedule, simulate, Architecture, GemmShape, OctetPipeline, SmConfig, Workload,
 };
 use pacq_trace::{ChromeTrace, Json, RunManifest};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Usage text shown by `pacq help` and on errors.
@@ -33,13 +31,16 @@ USAGE:
   pacq analyze --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
                [--group g128|g256|g32x4|g64x4|gK] [--dup 1|2|4] [--width 4|8|16]
                [--json]
-  pacq compare --shape mMnNkK [--precision int4|int2] [--group ...]
-  pacq sweep --param batch|dup|width|grid --shape mMnNkK [--precision int4|int2]
+  pacq compare --shape mMnNkK [--precision int4|int2] [--group ...] [--dup ...]
+               [--width ...]
+  pacq sweep --param grid --shape mMnNkK [--group ...] [--dup ...] [--width ...]
              [--shard i/N] [--checkpoint FILE]
-  pacq dse --shape mMnNkK [--param axis=v1,v2,...]... [--pareto] [--shard i/N]
-           [--checkpoint FILE]
+  pacq sweep --param batch|dup|width --shape mMnNkK [--precision int4|int2]
+             [--group ...] [--dup ...] [--width ...]
+  pacq dse --shape mMnNkK [--param axis=v1,v2,...]... [--group ...] [--pareto]
+           [--shard i/N] [--checkpoint FILE]
   pacq exec --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
-            [--group ...] [--check] [--json]
+            [--group ...] [--dup ...] [--width ...] [--check]
   pacq cache stats|clear|verify --dir DIR
   pacq audit [--activity] [--tolerance X] [--activity-scale S]
   pacq trace --out trace.json [--arch ...] [--precision ...] [--dup ...] [--width ...]
@@ -77,22 +78,21 @@ Table I machine, bit for bit), examples/arch/pacq.toml and
 examples/arch/input_stationary.toml (dataflow = \"is\": the activation
 tile held in the tensor-core buffers across the n loop).
 
-`pacq sweep --param grid` runs the full batch × architecture ×
-precision grid for the layer; --shard i/N slices it into N disjoint
+`pacq sweep` runs fixed presets of the dse axes through the same grid
+engine: --param grid is the full batch × architecture × precision grid
+for the layer (the dse defaults); --shard i/N slices it into N disjoint
 index classes (for split runs), and --checkpoint FILE records completed
-jobs so an interrupted sweep resumes where it stopped.
+jobs so an interrupted sweep resumes where it stopped. --param batch
+pairs std and PacQ over batch sizes 16..512, --param dup varies the
+adder-tree duplication (1, 2, 4) and --param width the DP width (4, 8,
+16) at the --shape batch.
 
 `pacq dse` grid-searches design points over the template (or builtin)
 machine: repeated --param flags name the axes — batch=16,32
 arch=std,packedk,is,pacq precision=int4,int2 width=4,8,16 dup=1,2,4
 group=g128,g64 — and every unnamed axis keeps its default (the
 sweep-grid product over the machine's own width/dup and g128, so a
-flag-less dse reproduces `sweep --param grid` bit for bit). The
-mapping axis searches warp-tile loop orders instead of naming
-architectures directly: --param mapping=mnk,nkm,knm (permutations of
-mnk, optionally @16x16 — the only executable warp tile) derives each
-point's dataflow from the innermost loop (inner m = packedk, inner
-n = is, inner k = pacq) and conflicts with --param arch. --pareto
+flag-less dse runs the same points as `sweep --param grid`). --pareto
 prints the non-dominated (cycles, energy) front as a stable table
 (ties keep every point, rows ordered by cycles/energy/id) and records
 it in the --metrics manifest (kind \"dse.pareto\"). --shard,
@@ -100,6 +100,9 @@ it in the --metrics manifest (kind \"dse.pareto\"). --shard,
 --cache, checkpoint-resumed rows are rehydrated from the store so
 best-EDP/Pareto rankings stay complete (otherwise they are flagged
 partial).
+
+A flag a command does not use is a usage error naming the flag and
+the command, never silently ignored.
 
 `pacq exec` functionally executes one GEMM through the bit-accurate
 datapath on deterministic synthetic data, printing a result digest and
@@ -401,13 +404,20 @@ struct Options {
     width: Option<usize>,
     json: bool,
     check: bool,
+    pareto: bool,
     params: Vec<String>,
     out: Option<String>,
     shard: Shard,
     checkpoint: Option<String>,
 }
 
-fn parse_options(args: &[String], require_shape: bool) -> PacqResult<Options> {
+/// Parses `args` against `accepted`, the space-separated flags
+/// `pacq {command}` honours.
+/// Any other flag is a usage error naming the flag and the command, so a
+/// flag the command would ignore never looks accepted. `--shape` is
+/// required whenever it is accepted.
+fn parse_options(args: &[String], command: &str, accepted: &str) -> PacqResult<Options> {
+    let accepts = |flag: &str| accepted.split(' ').any(|f| f == flag);
     let mut shape = None;
     let mut precision = WeightPrecision::Int4;
     let mut arch = None;
@@ -416,6 +426,7 @@ fn parse_options(args: &[String], require_shape: bool) -> PacqResult<Options> {
     let mut width = None;
     let mut json = false;
     let mut check = false;
+    let mut pareto = false;
     let mut params = Vec::new();
     let mut out = None;
     let mut shard = Shard::FULL;
@@ -423,6 +434,9 @@ fn parse_options(args: &[String], require_shape: bool) -> PacqResult<Options> {
 
     let mut it = args.iter().map(String::as_str).peekable();
     while let Some(flag) = it.next() {
+        if !accepts(flag) {
+            return Err(err(format!("`{flag}` does not apply to `pacq {command}`")));
+        }
         let mut value = |name: &str| -> PacqResult<&str> {
             it.next()
                 .ok_or_else(|| err(format!("missing value for {name}")))
@@ -452,6 +466,7 @@ fn parse_options(args: &[String], require_shape: bool) -> PacqResult<Options> {
             }
             "--json" => json = true,
             "--check" => check = true,
+            "--pareto" => pareto = true,
             "--param" => params.push(value("--param")?.to_string()),
             "--out" => out = Some(value("--out")?.to_string()),
             "--shard" => shard = Shard::parse(value("--shard")?)?,
@@ -460,10 +475,12 @@ fn parse_options(args: &[String], require_shape: bool) -> PacqResult<Options> {
         }
     }
 
-    let shape = match (shape, require_shape) {
-        (Some(s), _) => s,
-        (None, false) => GemmShape::M16N16K16,
-        (None, true) => return Err(err("--shape is required (e.g. --shape m16n4096k4096)")),
+    let shape = match shape {
+        Some(s) => s,
+        None if accepts("--shape") => {
+            return Err(err("--shape is required (e.g. --shape m16n4096k4096)"))
+        }
+        None => GemmShape::M16N16K16,
     };
     Ok(Options {
         shape,
@@ -474,6 +491,7 @@ fn parse_options(args: &[String], require_shape: bool) -> PacqResult<Options> {
         width,
         json,
         check,
+        pareto,
         params,
         out,
         shard,
@@ -650,7 +668,11 @@ fn exec(
     backend: Backend,
     template: Option<&ArchTemplate>,
 ) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
+    let opts = parse_options(
+        args,
+        "exec",
+        "--shape --arch --precision --group --dup --width --check",
+    )?;
     let arch = resolve_arch(opts.arch, template)?;
     let _span = pacq_trace::span("cli.exec");
     let (m, n, k) = (opts.shape.m, opts.shape.n, opts.shape.k);
@@ -735,7 +757,11 @@ fn analyze(
     cache: Option<&Arc<ReportCache>>,
     template: Option<&ArchTemplate>,
 ) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
+    let opts = parse_options(
+        args,
+        "analyze",
+        "--shape --arch --precision --group --dup --width --json",
+    )?;
     let arch = resolve_arch(opts.arch, template)?;
     let runner = runner_for(&opts, cache, template)?;
     let report = runner.analyze(arch, Workload::new(opts.shape, opts.precision))?;
@@ -751,12 +777,7 @@ fn compare(
     cache: Option<&Arc<ReportCache>>,
     template: Option<&ArchTemplate>,
 ) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
-    if opts.arch.is_some() {
-        return Err(err(
-            "compare always runs all three architectures; drop --arch",
-        ));
-    }
+    let opts = parse_options(args, "compare", "--shape --precision --group --dup --width")?;
     // With a template, compare runs all three dataflows on the
     // template's *machine* (capacities, datapath, energies) — the
     // template's own dataflow triple picks none of them out.
@@ -791,13 +812,21 @@ fn compare(
     Ok(out)
 }
 
+/// `pacq sweep --param grid|batch|dup|width`: fixed presets of the dse
+/// axes, each run through the one grid engine ([`crate::dse`]) and
+/// rendered as its own table. Only the grid form is sharded and
+/// resumable; the others pin one layer point and vary one knob.
 fn sweep(
     args: &[String],
     cache: Option<&Arc<ReportCache>>,
     backend: Backend,
     template: Option<&ArchTemplate>,
 ) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
+    let opts = parse_options(
+        args,
+        "sweep",
+        "--shape --param --precision --group --dup --width --shard --checkpoint",
+    )?;
     // Shared --param validation (duplicates, empty value lists) before
     // the sweep-specific shape check.
     let specs = parse_params(&opts.params)?;
@@ -813,49 +842,77 @@ fn sweep(
         }
         _ => return Err(err("sweep takes exactly one --param")),
     };
-    if param != "grid" && (opts.shard != Shard::FULL || opts.checkpoint.is_some()) {
-        return Err(err(
-            "--shard and --checkpoint apply to `sweep --param grid` only",
-        ));
-    }
+    // Each form honours its own flags; checking them against that list
+    // makes a flag the form would ignore a usage error.
+    let form_flags = match param {
+        "grid" => "--shape --param --group --dup --width --shard --checkpoint",
+        "batch" => "--shape --param --precision --group --dup --width",
+        "dup" => "--shape --param --precision --group --width",
+        "width" => "--shape --param --precision --group --dup",
+        other => return Err(err(format!("unknown sweep parameter `{other}`"))),
+    };
+    parse_options(args, &format!("sweep --param {param}"), form_flags)?;
+
+    let base = runner_for(&opts, cache, template)?.with_backend(backend);
+    let cfg = *base.config();
+    let grid = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
+    let (m, precision) = (opts.shape.m, vec![opts.precision]);
+    let axes = match param {
+        "batch" => DseAxes {
+            arch: vec![Architecture::StandardDequant, Architecture::Pacq],
+            precision,
+            ..grid
+        },
+        "dup" => DseAxes {
+            batch: vec![m],
+            arch: vec![Architecture::Pacq],
+            precision,
+            dup: vec![1, 2, 4],
+            ..grid
+        },
+        "width" => DseAxes {
+            batch: vec![m],
+            arch: vec![Architecture::Pacq, Architecture::PackedK],
+            precision,
+            width: vec![4, 8, 16],
+            ..grid
+        },
+        _ => grid,
+    };
+    let outcome = run_grid(
+        &base,
+        &axes,
+        &opts,
+        "core.sweep",
+        [
+            "sweep.jobs.total",
+            "sweep.jobs.selected",
+            "sweep.jobs.skipped",
+            "sweep.jobs.executed",
+        ],
+    )?;
+    // Only the grid form takes --checkpoint, so every other form's rows
+    // all carry reports.
+    let reported: Vec<(&DseJob, &GemmReport)> = outcome
+        .rows
+        .iter()
+        .filter_map(|r| r.report.as_ref().map(|rep| (&r.job, rep)))
+        .collect();
+
     let mut out = String::new();
     match param {
         // The sharded, resumable batch×architecture×precision grid
         // (DESIGN.md §12). Rows print in grid order; jobs other shards
         // own are omitted, checkpointed jobs print as `done (resumed)`.
         "grid" => {
-            let runner = runner_for(&opts, cache, template)?.with_backend(backend);
-            let plan = SweepPlan::batch_grid(opts.shape.n, opts.shape.k);
-            // The checkpoint is bound to grid × machine × template ×
-            // backend: resuming a half-done sweep under any other runner
-            // is a typed mismatch, never a silent skip.
-            let checkpoint = match &opts.checkpoint {
-                Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(&runner))?),
-                None => None,
-            };
-            let outcome = run_sweep(&runner, &plan, opts.shard, checkpoint.as_ref())?;
-            let _ = writeln!(
-                out,
-                "{:<24} {:>14} {:>14} {:>14}",
-                "job", "cycles", "energy (uJ)", "EDP (pJ*s)"
-            );
-            for row in &outcome.rows {
-                match &row.report {
-                    Some(r) => {
-                        let _ = writeln!(
-                            out,
-                            "{:<24} {:>14} {:>14.2} {:>14.6}",
-                            row.job.id(),
-                            r.stats.total_cycles,
-                            r.total_energy_pj() / 1e6,
-                            r.edp_pj_s,
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "{:<24} {:>14}", row.job.id(), "done (resumed)");
-                    }
-                }
-            }
+            write_grid_rows(&mut out, "job", 24, &outcome.rows, |job| {
+                format!(
+                    "{}:{}:{}",
+                    pacq_cache::arch_token(job.arch),
+                    pacq_cache::precision_token(job.workload.precision),
+                    job.workload.shape
+                )
+            });
             let t = outcome.tally;
             let _ = writeln!(
                 out,
@@ -866,32 +923,16 @@ fn sweep(
                 let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
             }
         }
-        // Each arm renders its sweep points into rows on the worker pool
-        // (ordered collect), so the printed table is identical at any
-        // `--jobs` setting.
+        // Rows alternate std, PacQ per batch size.
         "batch" => {
             let _ = writeln!(
                 out,
                 "{:<8} {:>14} {:>14} {:>14}",
                 "batch", "PacQ cycles", "speedup v std", "EDP reduction"
             );
-            let runner = runner_for(&opts, cache, template)?.with_backend(backend);
-            let points: Vec<(Architecture, Workload)> = [16usize, 32, 64, 128, 256, 512]
-                .iter()
-                .flat_map(|&m| {
-                    let wl = Workload::new(
-                        GemmShape::new(m, opts.shape.n, opts.shape.k),
-                        opts.precision,
-                    );
-                    [
-                        (Architecture::StandardDequant, wl),
-                        (Architecture::Pacq, wl),
-                    ]
-                })
-                .collect();
-            for pair in runner.analyze_sweep(&points)?.chunks(2) {
-                let [std, pq] = pair else {
-                    // chunks(2) over an even point list always yields pairs.
+            for pair in reported.chunks(2) {
+                let [(_, std), (_, pq)] = pair else {
+                    // chunks(2) over an even row list always yields pairs.
                     continue;
                 };
                 let _ = writeln!(
@@ -910,129 +951,143 @@ fn sweep(
                 "{:<6} {:>14} {:>16}",
                 "dup", "PacQ cycles", "TC power (units)"
             );
-            let width = resolve_config(&opts, template).dp_width;
-            let rows: Vec<PacqResult<String>> = vec![1usize, 2, 4]
-                .into_par_iter()
-                .map(|dup| {
-                    let mut o = opts_clone(&opts);
-                    o.dup = Some(dup);
-                    let runner = runner_for(&o, cache, template)?.with_backend(backend);
-                    let r = runner.analyze(
-                        Architecture::Pacq,
-                        Workload::new(opts.shape, opts.precision),
-                    )?;
-                    let unit = pacq_energy::GemmUnit::ParallelDp {
-                        width,
-                        duplication: dup,
-                    };
-                    Ok(format!(
-                        "{:<6} {:>14} {:>16.2}\n",
-                        dup,
-                        r.stats.total_cycles,
-                        unit.power_units()
-                    ))
-                })
-                .collect();
-            for row in rows {
-                out.push_str(&row?);
+            for (job, r) in &reported {
+                let unit = pacq_energy::GemmUnit::ParallelDp {
+                    width: job.width,
+                    duplication: job.dup,
+                };
+                let _ = writeln!(
+                    out,
+                    "{:<6} {:>14} {:>16.2}",
+                    job.dup,
+                    r.stats.total_cycles,
+                    unit.power_units()
+                );
             }
         }
-        "width" => {
+        // Rows are every PacQ width, then every P(B_x)_k width.
+        _ => {
             let _ = writeln!(
                 out,
                 "{:<8} {:>14} {:>14}",
                 "width", "PacQ cycles", "P(B)k cycles"
             );
-            let rows: Vec<PacqResult<String>> = vec![4usize, 8, 16]
-                .into_par_iter()
-                .map(|width| {
-                    let mut o = opts_clone(&opts);
-                    o.width = Some(width);
-                    let runner = runner_for(&o, cache, template)?.with_backend(backend);
-                    let wl = Workload::new(opts.shape, opts.precision);
-                    let pq = runner.analyze(Architecture::Pacq, wl)?;
-                    let pk = runner.analyze(Architecture::PackedK, wl)?;
-                    Ok(format!(
-                        "DP-{:<5} {:>14} {:>14}\n",
-                        width, pq.stats.total_cycles, pk.stats.total_cycles
-                    ))
-                })
-                .collect();
-            for row in rows {
-                out.push_str(&row?);
+            let (pacq, packed_k) = reported.split_at(reported.len() / 2);
+            for ((job, pq), (_, pk)) in pacq.iter().zip(packed_k) {
+                let _ = writeln!(
+                    out,
+                    "DP-{:<5} {:>14} {:>14}",
+                    job.width, pq.stats.total_cycles, pk.stats.total_cycles
+                );
             }
         }
-        other => return Err(err(format!("unknown sweep parameter `{other}`"))),
     }
     Ok(out)
 }
 
-/// `pacq dse`: grid-searches design points (batch × architecture-or-
-/// mapping × precision × width × dup × group) over the template (or
-/// builtin) machine, with the sweep machinery — sharding, checkpoint
-/// resume bound to the (grid × machine × template × backend) digest,
-/// report caching — reused wholesale. See [`crate::dse`]. With
-/// `--pareto` the non-dominated (cycles, energy) set is printed as a
-/// stable table and recorded in the `--metrics` manifest.
-fn dse(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    // `--pareto` is dse-only, so it is split off before the shared
-    // option parser (which would reject it for every other command).
-    let mut pareto = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let hit = *a == "--pareto";
-            pareto |= hit;
-            !hit
-        })
-        .cloned()
-        .collect();
-    let opts = parse_options(&args, true)?;
-    if opts.arch.is_some() || opts.dup.is_some() || opts.width.is_some() {
-        return Err(err(
-            "dse searches architectures/dup/width via --param (e.g. --param arch=std,pacq); \
-             the single-value flags don't apply",
-        ));
-    }
-    let base = runner_for(&opts, cache, template)?.with_backend(backend);
-    let cfg = *base.config();
-    let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
-    axes.apply(&parse_params(&opts.params)?)?;
-    let plan = DsePlan::enumerate(&axes, opts.shape.n, opts.shape.k);
+/// Enumerates `axes` over the `--shape` layer and runs the grid under
+/// `span`, honouring `--shard` and `--checkpoint`; the tally lands in
+/// the command's own `counters`.
+fn run_grid(
+    base: &GemmRunner,
+    axes: &DseAxes,
+    opts: &Options,
+    span: &'static str,
+    counters: [&'static str; 4],
+) -> PacqResult<DseOutcome> {
+    let plan = DsePlan::enumerate(axes, opts.shape.n, opts.shape.k);
+    // The checkpoint is bound to grid × machine × template × backend:
+    // resuming a half-done run under any other runner is a typed
+    // mismatch, never a silent skip.
     let checkpoint = match &opts.checkpoint {
-        Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(&base))?),
+        Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(base))?),
         None => None,
     };
-    let outcome = run_dse(&base, &plan, opts.shard, checkpoint.as_ref())?;
+    let outcome = {
+        let _span = pacq_trace::span(span);
+        run_dse(base, &plan, opts.shard, checkpoint.as_ref())?
+    };
+    let t = outcome.tally;
+    for (name, count) in counters
+        .into_iter()
+        .zip([t.total, t.selected, t.skipped, t.executed])
+    {
+        pacq_trace::add_counter(name, count as u64);
+    }
+    Ok(outcome)
+}
 
-    let mut out = String::new();
+/// Writes a grid table: a header, then one row per job with its cycles,
+/// energy and EDP — or `done (resumed)` for a checkpointed job whose
+/// report is not in the cache.
+fn write_grid_rows(
+    out: &mut String,
+    first_column: &str,
+    width: usize,
+    rows: &[DseRow],
+    id: impl Fn(&DseJob) -> String,
+) {
     let _ = writeln!(
         out,
-        "{:<32} {:>14} {:>14} {:>14}",
-        "design point", "cycles", "energy (uJ)", "EDP (pJ*s)"
+        "{first_column:<width$} {:>14} {:>14} {:>14}",
+        "cycles", "energy (uJ)", "EDP (pJ*s)"
     );
-    for row in &outcome.rows {
+    for row in rows {
         match &row.report {
             Some(r) => {
                 let _ = writeln!(
                     out,
-                    "{:<32} {:>14} {:>14.2} {:>14.6}",
-                    row.job.id(),
+                    "{:<width$} {:>14} {:>14.2} {:>14.6}",
+                    id(&row.job),
                     r.stats.total_cycles,
                     r.total_energy_pj() / 1e6,
                     r.edp_pj_s,
                 );
             }
             None => {
-                let _ = writeln!(out, "{:<32} {:>14}", row.job.id(), "done (resumed)");
+                let _ = writeln!(out, "{:<width$} {:>14}", id(&row.job), "done (resumed)");
             }
         }
     }
+}
+
+/// `pacq dse`: grid-searches design points (batch × architecture ×
+/// precision × width × dup × group) over the template (or builtin)
+/// machine through the one grid engine — sharding, checkpoint resume
+/// bound to the (grid × machine × template × backend) digest, report
+/// caching. See [`crate::dse`]. With `--pareto` the non-dominated
+/// (cycles, energy) set is printed as a stable table and recorded in
+/// the `--metrics` manifest.
+fn dse(
+    args: &[String],
+    cache: Option<&Arc<ReportCache>>,
+    backend: Backend,
+    template: Option<&ArchTemplate>,
+) -> PacqResult<String> {
+    let opts = parse_options(
+        args,
+        "dse",
+        "--shape --param --group --shard --checkpoint --pareto",
+    )?;
+    let base = runner_for(&opts, cache, template)?.with_backend(backend);
+    let cfg = *base.config();
+    let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
+    axes.apply(&parse_params(&opts.params)?)?;
+    let outcome = run_grid(
+        &base,
+        &axes,
+        &opts,
+        "core.dse",
+        [
+            "dse.jobs.total",
+            "dse.jobs.selected",
+            "dse.jobs.skipped",
+            "dse.jobs.executed",
+        ],
+    )?;
+
+    let mut out = String::new();
+    write_grid_rows(&mut out, "design point", 32, &outcome.rows, DseJob::id);
     // Rankings must never silently drop rows: resumed rows are
     // rehydrated from --cache inside run_dse; any still left without a
     // report makes every ranking line explicitly partial.
@@ -1053,7 +1108,7 @@ fn dse(
             best.edp_pj_s
         );
     }
-    if pareto {
+    if opts.pareto {
         let points: Vec<crate::pareto::ParetoPoint> = outcome
             .rows
             .iter()
@@ -1500,7 +1555,7 @@ fn audit_roofline(n: usize, k: usize, bits: u32) -> PacqResult<u64> {
 /// pipeline and writes the cycle-resolved activity as Chrome trace_event
 /// JSON (1 trace microsecond = 1 SM cycle).
 fn trace(args: &[String], template: Option<&ArchTemplate>) -> PacqResult<String> {
-    let opts = parse_options(args, false)?;
+    let opts = parse_options(args, "trace", "--arch --precision --dup --width --out")?;
     let arch = resolve_arch(opts.arch, template)?;
     let out = opts
         .out
@@ -1542,23 +1597,6 @@ fn trace(args: &[String], template: Option<&ArchTemplate>) -> PacqResult<String>
         replay.cycles,
         replay.fetch_stall_cycles,
     ))
-}
-
-fn opts_clone(o: &Options) -> Options {
-    Options {
-        shape: o.shape,
-        precision: o.precision,
-        arch: o.arch,
-        group: o.group,
-        dup: o.dup,
-        width: o.width,
-        json: o.json,
-        check: o.check,
-        params: o.params.clone(),
-        out: o.out.clone(),
-        shard: o.shard,
-        checkpoint: o.checkpoint.clone(),
-    }
 }
 
 fn report_text(r: &GemmReport) -> String {
@@ -2036,7 +2074,11 @@ mod tests {
     fn shard_and_checkpoint_are_grid_only() {
         let err = run(&argv("sweep --param batch --shape m16n256k256 --shard 1/2")).unwrap_err();
         assert!(err.is_usage(), "{err}");
-        assert!(err.to_string().contains("grid"), "{err}");
+        assert!(
+            err.to_string()
+                .contains("`--shard` does not apply to `pacq sweep --param batch`"),
+            "{err}"
+        );
         for bad in ["0/4", "5/4", "+1/4", "1of4", "1/0"] {
             let mut args = argv("sweep --param grid --shape m16n256k256 --shard");
             args.push(bad.to_string());
@@ -2123,6 +2165,46 @@ mod tests {
     }
 
     #[test]
+    fn flags_a_command_would_ignore_are_usage_errors() {
+        // Every row used to exit 0 with the flag silently dropped. The
+        // error names both the flag and the command.
+        const SHAPE: &str = "--shape m16n256k256";
+        for (command, rest, flag) in [
+            ("dse", SHAPE, "--precision int2"),
+            ("dse", SHAPE, "--arch pacq"),
+            ("dse", SHAPE, "--dup 4"),
+            ("dse", SHAPE, "--width 8"),
+            ("sweep --param grid", SHAPE, "--precision int2"),
+            ("sweep", "--param grid --shape m16n256k256", "--arch std"),
+            ("sweep", "--param grid --shape m16n256k256", "--pareto"),
+            ("sweep", "--param batch --shape m16n256k256", "--json"),
+            ("sweep", "--param batch --shape m16n256k256", "--check"),
+            ("sweep --param batch", SHAPE, "--checkpoint f"),
+            ("sweep --param dup", SHAPE, "--dup 4"),
+            ("sweep --param width", SHAPE, "--width 8"),
+            ("analyze", SHAPE, "--shard 1/2"),
+            ("analyze", SHAPE, "--checkpoint f"),
+            ("analyze", SHAPE, "--param x"),
+            ("analyze", SHAPE, "--out y"),
+            ("analyze", SHAPE, "--check"),
+            ("compare", SHAPE, "--arch pacq"),
+            ("compare", SHAPE, "--json"),
+            ("exec", SHAPE, "--json"),
+            ("trace", "--out t.json", "--shape m16n16k16"),
+            ("trace", "--out t.json", "--group g64"),
+        ] {
+            let err = run(&argv(&format!("{command} {rest} {flag}"))).unwrap_err();
+            let name = flag.split(' ').next().unwrap_or(flag);
+            assert_eq!(err.exit_code(), 2, "{command} {flag}: {err}");
+            assert!(
+                err.to_string()
+                    .contains(&format!("`{name}` does not apply to `pacq {command}`")),
+                "{command} {flag}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn sweep_param_duplicates_and_value_lists_are_usage_errors() {
         // The --param regression table (alongside the --jobs cases
         // above): every row used to be accepted silently.
@@ -2140,32 +2222,6 @@ mod tests {
             let err = run(&argv(cmd)).unwrap_err();
             assert!(err.is_usage(), "{cmd}: {err}");
             assert_eq!(err.exit_code(), 2, "{cmd}");
-        }
-    }
-
-    #[test]
-    fn dse_defaults_reproduce_the_grid_sweep_rows() {
-        let dse = run(&argv("dse --shape m16n256k256")).expect("runs");
-        let grid = run(&argv("sweep --param grid --shape m16n256k256")).expect("runs");
-        assert!(dse.contains("dse: 36 points"), "{dse}");
-        assert!(dse.contains("best EDP"), "{dse}");
-        // Every dse row's numbers appear in the grid sweep's output:
-        // same jobs, same machine, same bits. Columns are aligned
-        // differently, so compare whitespace-split number tuples.
-        let grid_rows: Vec<Vec<&str>> = grid
-            .lines()
-            .map(|l| l.split_whitespace().skip(1).collect())
-            .collect();
-        let is_row = |l: &&str| {
-            l.strip_prefix('b')
-                .is_some_and(|r| r.starts_with(|c: char| c.is_ascii_digit()))
-        };
-        for line in dse.lines().filter(is_row) {
-            let numbers: Vec<&str> = line.split_whitespace().skip(1).take(3).collect();
-            assert!(
-                grid_rows.iter().any(|r| r.starts_with(&numbers)),
-                "dse row `{line}` not in grid output:\n{grid}"
-            );
         }
     }
 
@@ -2201,14 +2257,20 @@ mod tests {
         let second = run(&args).expect("resume");
         assert!(second.contains("resumed 4, executed 0"), "{second}");
         // A different search over the same checkpoint is a typed error.
-        let mut other = argv("dse --shape m16n256k256 --param batch=16 --param arch=pacq");
-        other.extend(["--checkpoint".to_string(), path.clone()]);
-        let err = run(&other).unwrap_err();
-        assert_eq!(err.exit_code(), 4, "{err}");
-        assert!(
-            err.to_string().contains("belongs to a different run"),
-            "{err}"
-        );
+        // So is the same search over a different layer.
+        for other in [
+            "dse --shape m16n256k256 --param batch=16 --param arch=pacq",
+            "dse --shape m16n512k512 --param batch=16,32 --param arch=pacq",
+        ] {
+            let mut other = argv(other);
+            other.extend(["--checkpoint".to_string(), path.clone()]);
+            let err = run(&other).unwrap_err();
+            assert_eq!(err.exit_code(), 4, "{err}");
+            assert!(
+                err.to_string().contains("belongs to a different run"),
+                "{err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -2220,27 +2282,6 @@ mod tests {
         let alias =
             run(&argv("analyze --shape m16n256k256 --arch input-stationary")).expect("runs");
         assert_eq!(out, alias);
-    }
-
-    #[test]
-    fn dse_mapping_axis_searches_loop_orders() {
-        let out = run(&argv(
-            "dse --shape m16n256k256 --param batch=16 --param mapping=mnk,mkn,nkm",
-        ))
-        .expect("runs");
-        assert!(out.contains("dse: 6 points"), "{out}");
-        assert!(out.contains(":pacq:") && out.contains(":mnk"), "{out}");
-        assert!(out.contains(":is:") && out.contains(":mkn"), "{out}");
-        assert!(out.contains(":packedk:") && out.contains(":nkm"), "{out}");
-        // mapping conflicts with arch; bad loop orders are usage errors.
-        for bad in [
-            "dse --shape m16n256k256 --param mapping=mnk --param arch=pacq",
-            "dse --shape m16n256k256 --param mapping=mnx",
-            "dse --shape m16n256k256 --param mapping=mnk@8x8",
-        ] {
-            let e = run(&argv(bad)).unwrap_err();
-            assert!(e.is_usage(), "{bad}: {e}");
-        }
     }
 
     #[test]

@@ -1,28 +1,39 @@
-//! The design-space-exploration engine behind `pacq dse`.
+//! The one grid engine, behind `pacq dse` and every `pacq sweep` form.
 //!
-//! Where `pacq sweep --param grid` walks one fixed batch × architecture
-//! × precision grid over the hardcoded machine, `pacq dse` grid-searches
-//! *design points*: batch sizes, dataflows (architectures), weight
-//! precisions, DP widths, adder-tree duplications and group geometries,
-//! all over a machine described by an architecture template (or the
-//! builtin Volta-like configuration). It reuses the sweep machinery
-//! wholesale — `--shard i/N` residue classes, `--checkpoint FILE`
-//! resume bound to the (grid × machine × template × backend) digest,
-//! the `--cache DIR` report store, the rayon worker pool — so dse runs
-//! are interruptible, splittable and memoized the same way sweeps are.
+//! A grid is the product of the search axes in [`DseAxes`]: batch
+//! sizes, dataflows (architectures), weight precisions, DP widths,
+//! adder-tree duplications and group geometries, all over a machine
+//! described by an architecture template (or the builtin Volta-like
+//! configuration). `pacq dse` names axes with repeated
+//! `--param name=v1,v2,...` flags (see [`crate::params`]); every axis
+//! the user does not name keeps its default, the `sweep --param grid`
+//! batch × architecture × precision product. Each `pacq sweep --param`
+//! form is a fixed preset of the same axes with its own table.
 //!
-//! Axes are spelled as repeated `--param name=v1,v2,...` flags (see
-//! [`crate::params`]); every axis the user does not name keeps its
-//! default, which is chosen so that a flag-less `pacq dse` over a
-//! committed builtin-equivalent template enumerates exactly the
-//! `sweep --param grid` jobs and reproduces its reports bit for bit.
+//! Three orthogonal mechanisms make big grids cheap to run and safe to
+//! interrupt:
+//!
+//! - **sharding** ([`Shard`], `--shard i/N`): each invocation owns a
+//!   residue class of job indices, so N machines (or N CI lanes) split
+//!   one grid with no coordination beyond the flag;
+//! - **checkpointing** ([`SweepCheckpoint`], `--checkpoint FILE`): an
+//!   append-only record of completed job ids, bound to the (grid ×
+//!   machine × template × backend) digest, so a killed run resumes
+//!   where it stopped;
+//! - **result caching** ([`pacq_cache::ReportCache`], `--cache DIR`,
+//!   attached to the runner): completed points are memoized
+//!   content-addressed, so even a checkpoint-less re-run pays only
+//!   lookups, and checkpoint-resumed rows rehydrate their reports.
+//!
+//! All three compose with the rayon worker pool: selection and
+//! skip-filtering happen up front, execution fans out in parallel, and
+//! rows come back in grid order regardless of completion order.
 
 use rayon::prelude::*;
 
 use crate::params::ParamSpec;
 use crate::report::GemmReport;
 use crate::runner::GemmRunner;
-use crate::sweep::SweepTally;
 use pacq_cache::{grid_digest, Shard, SweepCheckpoint};
 use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::WeightPrecision;
@@ -31,105 +42,6 @@ use pacq_simt::{Architecture, GemmShape, Workload};
 
 fn err(msg: impl Into<String>) -> PacqError {
     PacqError::usage(msg)
-}
-
-/// A tile-mapping coordinate: one loop-order permutation of the m/n/k
-/// warp-tile walk, optionally qualified by a warp-tile shape.
-///
-/// The innermost loop decides which operand stays resident in the
-/// tensor-core buffers while the other two stream, so each permutation
-/// canonicalizes onto one of the simulated stationarity classes:
-///
-/// - inner `m` — B fixed while m varies: weight-stationary, the
-///   `P(B_x)_k` machine ([`Architecture::PackedK`]);
-/// - inner `n` — A fixed while n varies: input-stationary
-///   ([`Architecture::InputStationary`]);
-/// - inner `k` — C accumulates in place: output-stationary, PacQ
-///   ([`Architecture::Pacq`]).
-///
-/// Two permutations sharing an innermost loop (e.g. `mnk` and `nmk`)
-/// differ only in which *outer* tile loop advances first; the per-tile
-/// traffic and timing counters are identical, so the search prices them
-/// as counter-equivalent duplicates — visible as repeated rows, which
-/// the Pareto front's id tie-break keeps deterministic.
-///
-/// The optional `@MxN` suffix names the warp-tile shape. Only `@16x16`
-/// is legal: the datapath executes `mma.m16n16k16` warp tiles as a 2×2
-/// grid of 8×8 octets, so any other shape has no octet decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mapping {
-    /// The loop order, outermost first — a permutation of `[m, n, k]`
-    /// stored as the three ASCII letters.
-    perm: [u8; 3],
-}
-
-impl Mapping {
-    /// Parses `perm[@MxN]`, e.g. `mnk`, `knm@16x16`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PacqError::Usage`] when the permutation is not one of
-    /// the six orderings of `mnk`, or the warp-tile suffix names any
-    /// shape other than `16x16`.
-    pub fn parse(text: &str) -> PacqResult<Mapping> {
-        let (perm_text, tile) = match text.split_once('@') {
-            Some((p, t)) => (p, Some(t)),
-            None => (text, None),
-        };
-        if let Some(tile) = tile {
-            if tile != "16x16" {
-                return Err(err(format!(
-                    "--param mapping: warp tile `@{tile}` is not executable — the datapath \
-                     runs mma.m16n16k16 warp tiles (a 2x2 grid of 8x8 octets), so only \
-                     @16x16 is legal"
-                )));
-            }
-        }
-        let bytes = perm_text.as_bytes();
-        let mut seen = [false; 3];
-        if bytes.len() == 3 {
-            for &b in bytes {
-                match b {
-                    b'm' => seen[0] = true,
-                    b'n' => seen[1] = true,
-                    b'k' => seen[2] = true,
-                    _ => {}
-                }
-            }
-        }
-        if seen != [true; 3] {
-            return Err(err(format!(
-                "--param mapping: `{perm_text}` is not a loop order; expected a permutation \
-                 of `mnk` (e.g. mnk, nkm), optionally with `@16x16`"
-            )));
-        }
-        Ok(Mapping {
-            perm: [bytes[0], bytes[1], bytes[2]],
-        })
-    }
-
-    /// The stationarity class this loop order canonicalizes onto (see
-    /// the type docs for the innermost-loop derivation).
-    pub fn architecture(&self) -> Architecture {
-        match self.perm[2] {
-            b'm' => Architecture::PackedK,
-            b'n' => Architecture::InputStationary,
-            _ => Architecture::Pacq,
-        }
-    }
-}
-
-impl core::fmt::Display for Mapping {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        for &b in &self.perm {
-            f.write_str(match b {
-                b'm' => "m",
-                b'n' => "n",
-                _ => "k",
-            })?;
-        }
-        Ok(())
-    }
 }
 
 /// The search axes of one dse invocation. Axis order inside each list
@@ -149,19 +61,12 @@ pub struct DseAxes {
     pub dup: Vec<usize>,
     /// Quantization group geometries.
     pub group: Vec<GroupShape>,
-    /// Tile mappings (loop orders). Empty means the axis is off and the
-    /// `arch` axis drives the architecture loop; non-empty, each mapping
-    /// derives its architecture from its innermost loop and `arch` must
-    /// not also be named (the two would fight over the same coordinate).
-    pub mapping: Vec<Mapping>,
 }
 
 impl DseAxes {
     /// The default axes over a base machine: the `sweep --param grid`
     /// batch × architecture × precision product, with width / dup /
-    /// group pinned to the machine's own values — so a flag-less dse
-    /// over a builtin-equivalent template reproduces the grid sweep's
-    /// reports bit for bit.
+    /// group pinned to the machine's own values.
     pub fn defaults(base_width: usize, base_dup: usize, base_group: GroupShape) -> DseAxes {
         DseAxes {
             batch: vec![16, 32, 64, 128, 256, 512],
@@ -174,7 +79,6 @@ impl DseAxes {
             width: vec![base_width],
             dup: vec![base_dup],
             group: vec![base_group],
-            mapping: Vec::new(),
         }
     }
 
@@ -187,14 +91,6 @@ impl DseAxes {
     /// the corresponding single-flag parser, so `--param arch=pacq`
     /// accepts exactly what `--arch pacq` does).
     pub fn apply(&mut self, specs: &[ParamSpec]) -> PacqResult<()> {
-        let named = |axis: &str| specs.iter().any(|s| s.name == axis);
-        if named("arch") && named("mapping") {
-            return Err(err(
-                "--param arch conflicts with --param mapping: a mapping's innermost loop \
-                 already determines the architecture (inner m = packedk, inner n = is, \
-                 inner k = pacq); name one axis or the other",
-            ));
-        }
         for spec in specs {
             if spec.values.is_empty() {
                 return Err(err(format!(
@@ -256,15 +152,10 @@ impl DseAxes {
                         .map(|v| crate::cli::parse_group(v))
                         .collect::<PacqResult<Vec<GroupShape>>>()?;
                 }
-                "mapping" => {
-                    self.mapping = values
-                        .iter()
-                        .map(|v| Mapping::parse(v))
-                        .collect::<PacqResult<Vec<Mapping>>>()?;
-                }
                 other => {
                     return Err(err(format!(
-                        "--param {other}: unknown dse axis (batch, arch, precision, width, dup, group, mapping)"
+                        "--param {other}: unknown dse axis \
+                         (batch, arch, precision, width, dup, group)"
                     )))
                 }
             }
@@ -287,17 +178,13 @@ pub struct DseJob {
     pub dup: usize,
     /// Quantization group geometry for this point.
     pub group: GroupShape,
-    /// The tile mapping this point came from, when the search ran over
-    /// the mapping axis (`arch` is then derived from it).
-    pub mapping: Option<Mapping>,
 }
 
 impl DseJob {
-    /// The job's stable id — checkpoint line format, newline-free. A
-    /// mapping-axis point appends its loop order (`...:g128:nkm`), so
-    /// two counter-equivalent permutations stay distinct rows.
+    /// The job's stable id — checkpoint line format, newline-free and
+    /// never ending with `.`.
     pub fn id(&self) -> String {
-        let mut id = format!(
+        format!(
             "b{}:{}:{}:w{}:d{}:{}",
             self.workload.shape.m,
             pacq_cache::arch_token(self.arch),
@@ -305,12 +192,7 @@ impl DseJob {
             self.width,
             self.dup,
             self.group,
-        );
-        if let Some(mapping) = &self.mapping {
-            id.push(':');
-            let _ = core::fmt::write(&mut id, format_args!("{mapping}"));
-        }
-        id
+        )
     }
 }
 
@@ -319,26 +201,17 @@ impl DseJob {
 #[derive(Debug, Clone)]
 pub struct DsePlan {
     jobs: Vec<DseJob>,
+    /// The `n×k` layer every job runs on (not part of the job ids).
+    layer: (usize, usize),
 }
 
 impl DsePlan {
     /// Enumerates the axis product over an `n×k` layer, nesting (outer
-    /// to inner) batch, arch-or-mapping, precision, width, dup, group.
-    /// With the mapping axis on, each mapping takes the arch loop's
-    /// slot and supplies its derived architecture — the default grid
-    /// (mapping off) is untouched, byte for byte.
+    /// to inner) batch, arch, precision, width, dup, group.
     pub fn enumerate(axes: &DseAxes, n: usize, k: usize) -> DsePlan {
-        let arch_points: Vec<(Architecture, Option<Mapping>)> = if axes.mapping.is_empty() {
-            axes.arch.iter().map(|&a| (a, None)).collect()
-        } else {
-            axes.mapping
-                .iter()
-                .map(|&mapping| (mapping.architecture(), Some(mapping)))
-                .collect()
-        };
         let mut jobs = Vec::new();
         for &m in &axes.batch {
-            for &(arch, mapping) in &arch_points {
+            for &arch in &axes.arch {
                 for &precision in &axes.precision {
                     for &width in &axes.width {
                         for &dup in &axes.dup {
@@ -349,7 +222,6 @@ impl DsePlan {
                                     width,
                                     dup,
                                     group,
-                                    mapping,
                                 });
                             }
                         }
@@ -357,7 +229,10 @@ impl DsePlan {
                 }
             }
         }
-        DsePlan { jobs }
+        DsePlan {
+            jobs,
+            layer: (n, k),
+        }
     }
 
     /// The search's jobs in enumeration order.
@@ -365,17 +240,24 @@ impl DsePlan {
         &self.jobs
     }
 
-    /// A digest over every job id (order-sensitive).
+    /// A digest over the layer and every job id (order-sensitive).
     pub fn digest(&self) -> String {
         let ids: Vec<String> = self.jobs.iter().map(DseJob::id).collect();
-        grid_digest(&ids.join("\n"))
+        let (n, k) = self.layer;
+        grid_digest(&format!("n{n}k{k}\n{}", ids.join("\n")))
     }
 
     /// The checkpoint binding: this search's digest plus the *base*
-    /// runner's full provenance (machine, template identity, backend —
-    /// see [`crate::sweep::SweepPlan::binding_digest`] for why job ids
-    /// alone under-bind). Per-job width/dup/group variations are
+    /// runner's full provenance ([`GemmRunner::provenance`] — machine
+    /// configuration, group geometry, numerics mode, template identity
+    /// and compute backend). Per-job width/dup/group variations are
     /// already in the job ids.
+    ///
+    /// Job ids alone under-bind: a checkpoint written under one machine
+    /// could silently satisfy a resume under another (an edited
+    /// template, a different backend), skipping every job and splicing
+    /// rows priced by two machines into one table. Binding the runner
+    /// makes that a typed [`PacqError::InvalidInput`] at open time.
     pub fn binding_digest(&self, base: &GemmRunner) -> String {
         grid_digest(&format!(
             "{grid}\n{provenance}",
@@ -412,6 +294,19 @@ pub fn best_edp(rows: &[DseRow]) -> Option<(&DseJob, &GemmReport)> {
         })
 }
 
+/// Aggregate accounting for one grid run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SweepTally {
+    /// Jobs in the full grid.
+    pub total: usize,
+    /// Jobs this shard owns.
+    pub selected: usize,
+    /// Owned jobs skipped because the checkpoint already records them.
+    pub skipped: usize,
+    /// Owned jobs actually analyzed this run.
+    pub executed: usize,
+}
+
 /// The result of [`run_dse`]: rows in enumeration order (restricted to
 /// this shard) plus the selection/skip/execution tally.
 #[derive(Debug, Clone)]
@@ -427,6 +322,10 @@ pub struct DseOutcome {
 /// base — the base's machine capacities, energy model, template
 /// identity, cache handle and backend all carry over, so cache keys and
 /// the checkpoint binding see the template behind every point.
+/// Executed jobs fan out on the rayon pool; each completed job is
+/// appended to the checkpoint before the run returns, so an interrupt
+/// after this function loses nothing. The caller records the tally
+/// under its own counter names.
 ///
 /// # Errors
 ///
@@ -438,7 +337,6 @@ pub fn run_dse(
     shard: Shard,
     checkpoint: Option<&SweepCheckpoint>,
 ) -> PacqResult<DseOutcome> {
-    let _span = pacq_trace::span("core.dse");
     let mut tally = SweepTally {
         total: plan.jobs().len(),
         ..SweepTally::default()
@@ -499,11 +397,6 @@ pub fn run_dse(
     rows.extend(skipped_rows);
     rows.sort_by_key(|(index, _)| *index);
 
-    pacq_trace::add_counter("dse.jobs.total", tally.total as u64);
-    pacq_trace::add_counter("dse.jobs.selected", tally.selected as u64);
-    pacq_trace::add_counter("dse.jobs.skipped", tally.skipped as u64);
-    pacq_trace::add_counter("dse.jobs.executed", tally.executed as u64);
-
     Ok(DseOutcome {
         rows: rows.into_iter().map(|(_, row)| row).collect(),
         tally,
@@ -514,35 +407,34 @@ pub fn run_dse(
 mod tests {
     use super::*;
     use crate::params::parse_params;
-    use crate::sweep::{run_sweep, SweepPlan};
 
     fn default_axes() -> DseAxes {
         DseAxes::defaults(4, 2, GroupShape::G128)
     }
 
     #[test]
-    fn default_axes_reproduce_the_grid_sweep_bit_for_bit() {
-        // The reproduction contract: a flag-less dse over the builtin
-        // machine enumerates exactly the sweep --param grid jobs and
-        // prices them identically.
-        let runner = GemmRunner::new();
-        let plan = DsePlan::enumerate(&default_axes(), 256, 256);
-        let grid = SweepPlan::batch_grid(256, 256);
-        assert_eq!(plan.jobs().len(), grid.jobs().len());
+    fn default_grid_is_deterministic_and_fully_enumerated() {
+        let a = DsePlan::enumerate(&default_axes(), 256, 256);
+        let b = DsePlan::enumerate(&default_axes(), 256, 256);
+        assert_eq!(a.jobs().len(), 6 * 3 * 2);
+        assert_eq!(a.digest(), b.digest());
+        // Ids are unique (they double as checkpoint records), newline-free
+        // and never end with the record terminator.
+        let mut ids: Vec<String> = a.jobs().iter().map(DseJob::id).collect();
+        assert!(ids
+            .iter()
+            .all(|id| !id.contains('\n') && !id.ends_with('.')));
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), a.jobs().len());
+    }
 
-        let dse = run_dse(&runner, &plan, Shard::FULL, None).unwrap();
-        let sweep = run_sweep(&runner, &grid, Shard::FULL, None).unwrap();
-        for (d, s) in dse.rows.iter().zip(&sweep.rows) {
-            let (dr, sr) = (d.report.as_ref().unwrap(), s.report.as_ref().unwrap());
-            assert_eq!(d.job.arch, s.job.arch);
-            assert_eq!(d.job.workload, s.job.workload);
-            assert_eq!(dr.stats, sr.stats);
-            assert_eq!(dr.edp_pj_s.to_bits(), sr.edp_pj_s.to_bits());
-            assert_eq!(
-                dr.total_energy_pj().to_bits(),
-                sr.total_energy_pj().to_bits()
-            );
-        }
+    #[test]
+    fn digest_is_order_sensitive() {
+        let grid = DsePlan::enumerate(&default_axes(), 256, 256);
+        let mut reversed = grid.clone();
+        reversed.jobs.reverse();
+        assert_ne!(grid.digest(), reversed.digest());
     }
 
     #[test]
@@ -595,6 +487,9 @@ mod tests {
 
     #[test]
     fn checkpoint_binding_covers_the_base_runner() {
+        // A checkpoint written under one (grid × machine × template ×
+        // backend) must refuse to resume under any other with a typed
+        // error — not silently skip jobs priced by a different machine.
         use pacq_fp16::Backend;
         let path =
             std::env::temp_dir().join(format!("pacq-dse-binding-{}.ckpt", std::process::id()));
@@ -606,112 +501,48 @@ mod tests {
         for other in [
             GemmRunner::new().with_backend(Backend::Batched),
             GemmRunner::new().with_template_digest("deadbeef"),
+            GemmRunner::new().with_config(pacq_simt::SmConfig {
+                adder_tree_duplication: 4,
+                ..pacq_simt::SmConfig::volta_like()
+            }),
         ] {
-            let e = SweepCheckpoint::open(&path, &plan.binding_digest(&other)).unwrap_err();
+            let digest = plan.binding_digest(&other);
+            assert_ne!(digest, plan.binding_digest(&base));
+            let e = SweepCheckpoint::open(&path, &digest).unwrap_err();
             assert_eq!(e.exit_code(), 4, "{e}");
+            assert!(e.to_string().contains("checkpoint"), "{e}");
         }
+        // And a different n×k grid over the same runner also refuses.
+        let other_grid = DsePlan::enumerate(&default_axes(), 512, 512);
+        assert!(SweepCheckpoint::open(&path, &other_grid.binding_digest(&base)).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn mapping_axis_parses_loop_orders_and_derives_the_dataflow() {
-        for (text, arch) in [
-            ("mnk", Architecture::Pacq),
-            ("nmk", Architecture::Pacq),
-            ("mkn", Architecture::InputStationary),
-            ("kmn", Architecture::InputStationary),
-            ("nkm", Architecture::PackedK),
-            ("knm", Architecture::PackedK),
-            ("knm@16x16", Architecture::PackedK),
-        ] {
-            let m = Mapping::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            assert_eq!(m.architecture(), arch, "{text}");
-        }
-        for bad in [
-            "mn",
-            "mnkk",
-            "mnx",
-            "abc",
-            "",
-            "mnk@8x8",
-            "mnk@16x32",
-            "@16x16",
-        ] {
-            let e = Mapping::parse(bad).unwrap_err();
-            assert!(e.is_usage(), "{bad}: {e}");
-        }
-        // The warp-tile error names the constraint.
-        let e = Mapping::parse("mnk@8x8").unwrap_err();
-        assert!(e.to_string().contains("mma.m16n16k16"), "{e}");
-    }
-
-    #[test]
-    fn mapping_axis_enumerates_and_conflicts_with_arch() {
-        let mut axes = default_axes();
-        axes.batch = vec![16];
-        let specs = parse_params(&["mapping=mnk,mkn,nkm".to_string()]).unwrap();
-        axes.apply(&specs).unwrap();
-        let plan = DsePlan::enumerate(&axes, 256, 256);
-        // 1 batch × 3 mappings × 2 precisions.
-        assert_eq!(plan.jobs().len(), 6);
-        let ids: Vec<String> = plan.jobs().iter().map(DseJob::id).collect();
-        assert!(
-            ids[0].starts_with("b16:pacq:int4:w4:d2:g128:mnk"),
-            "{}",
-            ids[0]
-        );
-        assert!(ids.iter().any(|i| i.ends_with(":mkn")), "{ids:?}");
-        assert!(ids.iter().any(|i| i.contains(":is:")), "{ids:?}");
-        assert!(ids.iter().any(|i| i.contains(":packedk:")), "{ids:?}");
-
-        // mapping + arch fight over the same coordinate: usage error.
-        let mut axes = default_axes();
-        let specs = parse_params(&["mapping=mnk".to_string(), "arch=pacq".to_string()]).unwrap();
-        let e = axes.apply(&specs).unwrap_err();
-        assert!(e.is_usage(), "{e}");
-        assert!(e.to_string().contains("mapping"), "{e}");
-    }
-
-    #[test]
-    fn counter_equivalent_permutations_price_identically() {
-        // `mnk` and `nmk` share the innermost k loop: same stationarity
-        // class, so the search prices them as duplicates of PacQ.
-        let mut axes = default_axes();
-        axes.batch = vec![16];
-        axes.precision = vec![pacq_fp16::WeightPrecision::Int4];
-        axes.apply(&parse_params(&["mapping=mnk,nmk".to_string()]).unwrap())
-            .unwrap();
-        let plan = DsePlan::enumerate(&axes, 256, 256);
-        let out = run_dse(&GemmRunner::new(), &plan, Shard::FULL, None).unwrap();
-        let [a, b] = &out.rows[..] else {
-            panic!("expected 2 rows, got {}", out.rows.len())
-        };
-        assert_ne!(a.job.id(), b.job.id());
-        let (ra, rb) = (a.report.as_ref().unwrap(), b.report.as_ref().unwrap());
-        assert_eq!(ra.stats, rb.stats);
-        assert_eq!(ra.edp_pj_s.to_bits(), rb.edp_pj_s.to_bits());
-    }
-
-    #[test]
     fn best_edp_breaks_ties_by_job_id() {
-        // Two counter-equivalent permutations produce bit-identical
-        // EDPs; the winner must be the lexicographically first id, not
-        // whichever row a thread finished first.
-        let mut axes = default_axes();
-        axes.batch = vec![16];
-        axes.precision = vec![pacq_fp16::WeightPrecision::Int4];
-        axes.apply(&parse_params(&["mapping=nmk,mnk".to_string()]).unwrap())
+        // Rows sharing one report tie on EDP bit for bit; the winner must
+        // be the lexicographically first id, not whichever row a thread
+        // finished first.
+        let plan = DsePlan::enumerate(&default_axes(), 256, 256);
+        let report = GemmRunner::new()
+            .analyze(Architecture::Pacq, plan.jobs()[0].workload)
             .unwrap();
-        let plan = DsePlan::enumerate(&axes, 256, 256);
-        let out = run_dse(&GemmRunner::new(), &plan, Shard::FULL, None).unwrap();
-        let (job, _) = best_edp(&out.rows).unwrap();
-        assert!(job.id().ends_with(":mnk"), "{}", job.id());
+        let rows: Vec<DseRow> = plan.jobs()[..6]
+            .iter()
+            .map(|&job| DseRow {
+                job,
+                report: Some(report.clone()),
+            })
+            .collect();
+        let first = rows.iter().map(|r| r.job.id()).min().unwrap();
+        let (job, _) = best_edp(&rows).unwrap();
+        assert_eq!(job.id(), first);
 
-        // And reversing row order must not move the winner.
-        let mut reversed = out.rows.clone();
+        // Reversing row order must not move the winner.
+        let mut reversed = rows.clone();
         reversed.reverse();
         let (again, _) = best_edp(&reversed).unwrap();
-        assert_eq!(again.id(), job.id());
+        assert_eq!(again.id(), first);
 
         assert!(best_edp(&[]).is_none());
     }

@@ -67,14 +67,12 @@ pub mod report;
 pub mod roofline;
 pub mod runner;
 pub mod serve;
-pub mod sweep;
 
-pub use dse::{best_edp, run_dse, DseAxes, DseJob, DseOutcome, DsePlan, DseRow, Mapping};
+pub use dse::{best_edp, run_dse, DseAxes, DseJob, DseOutcome, DsePlan, DseRow};
 pub use pareto::{pareto_front, ParetoPoint};
 pub use report::{Comparison, GemmReport};
 pub use runner::GemmRunner;
 pub use serve::{ServeOptions, ServeSummary, Server};
-pub use sweep::{run_sweep, SweepJob, SweepOutcome, SweepPlan, SweepRow, SweepTally};
 
 // The result-cache and sharding layer (`--cache`, `--shard`,
 // `--checkpoint`; DESIGN.md §12).

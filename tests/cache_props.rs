@@ -1,5 +1,5 @@
 //! Property tests for the content-addressed report cache and the
-//! sharded sweep engine (DESIGN.md §12): a cache hit must be
+//! sharded grid engine (DESIGN.md §12): a cache hit must be
 //! bit-identical to a fresh computation, a damaged entry must be a miss
 //! (never an error), and shard slices must partition the grid exactly.
 
@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pacq::{
-    run_sweep, Architecture, GemmRunner, GemmShape, ReportCache, Shard, SweepJob, SweepPlan,
-    Workload,
+    run_dse, Architecture, DseAxes, DseJob, DsePlan, GemmRunner, GemmShape, GroupShape,
+    ReportCache, Shard, Workload,
 };
 use pacq_fp16::WeightPrecision;
 use proptest::prelude::*;
@@ -261,20 +261,20 @@ proptest! {
     }
 }
 
-/// The partition property holds end-to-end through `run_sweep`: three
-/// shards of the real batch grid execute disjoint job sets whose union
+/// The partition property holds end-to-end through `run_dse`: three
+/// shards of the default (`sweep --param grid`) preset execute disjoint job sets whose union
 /// is the full plan.
 #[test]
 fn sweep_shards_reunite_to_the_full_grid() {
-    let plan = SweepPlan::batch_grid(64, 64);
+    let plan = DsePlan::enumerate(&DseAxes::defaults(4, 2, GroupShape::G128), 64, 64);
     let runner = GemmRunner::new();
     let mut union: Vec<String> = Vec::new();
     for index in 1..=3 {
-        let out = run_sweep(&runner, &plan, Shard { index, count: 3 }, None).unwrap();
+        let out = run_dse(&runner, &plan, Shard { index, count: 3 }, None).unwrap();
         assert_eq!(out.tally.selected, out.tally.executed);
         union.extend(out.rows.iter().map(|r| r.job.id()));
     }
-    let mut expected: Vec<String> = plan.jobs().iter().map(SweepJob::id).collect();
+    let mut expected: Vec<String> = plan.jobs().iter().map(DseJob::id).collect();
     union.sort();
     expected.sort();
     assert_eq!(union, expected);
