@@ -10,6 +10,7 @@ use crate::params::parse_params;
 use crate::report::{Comparison, GemmReport};
 use crate::roofline;
 use crate::runner::GemmRunner;
+use crate::sweep::SweepForm;
 use core::fmt::Write as _;
 use pacq_arch::ArchTemplate;
 use pacq_cache::{ReportCache, Shard, SweepCheckpoint};
@@ -812,10 +813,9 @@ fn compare(
     Ok(out)
 }
 
-/// `pacq sweep --param grid|batch|dup|width`: fixed presets of the dse
-/// axes, each run through the one grid engine ([`crate::dse`]) and
-/// rendered as its own table. Only the grid form is sharded and
-/// resumable; the others pin one layer point and vary one knob.
+/// `pacq sweep --param grid|batch|dup|width`: runs the form's preset
+/// ([`SweepForm`]) through the one grid engine and renders it as the
+/// form's own table.
 fn sweep(
     args: &[String],
     cache: Option<&Arc<ReportCache>>,
@@ -844,41 +844,18 @@ fn sweep(
     };
     // Each form honours its own flags; checking them against that list
     // makes a flag the form would ignore a usage error.
-    let form_flags = match param {
-        "grid" => "--shape --param --group --dup --width --shard --checkpoint",
-        "batch" => "--shape --param --precision --group --dup --width",
-        "dup" => "--shape --param --precision --group --width",
-        "width" => "--shape --param --precision --group --dup",
-        other => return Err(err(format!("unknown sweep parameter `{other}`"))),
-    };
-    parse_options(args, &format!("sweep --param {param}"), form_flags)?;
+    let form = SweepForm::parse(param)?;
+    parse_options(args, &format!("sweep --param {param}"), form.flags())?;
 
     let base = runner_for(&opts, cache, template)?.with_backend(backend);
     let cfg = *base.config();
-    let grid = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
-    let (m, precision) = (opts.shape.m, vec![opts.precision]);
-    let axes = match param {
-        "batch" => DseAxes {
-            arch: vec![Architecture::StandardDequant, Architecture::Pacq],
-            precision,
-            ..grid
-        },
-        "dup" => DseAxes {
-            batch: vec![m],
-            arch: vec![Architecture::Pacq],
-            precision,
-            dup: vec![1, 2, 4],
-            ..grid
-        },
-        "width" => DseAxes {
-            batch: vec![m],
-            arch: vec![Architecture::Pacq, Architecture::PackedK],
-            precision,
-            width: vec![4, 8, 16],
-            ..grid
-        },
-        _ => grid,
-    };
+    let axes = form.axes(
+        cfg.dp_width,
+        cfg.adder_tree_duplication,
+        opts.group,
+        opts.shape.m,
+        opts.precision,
+    );
     let outcome = run_grid(
         &base,
         &axes,
@@ -900,11 +877,11 @@ fn sweep(
         .collect();
 
     let mut out = String::new();
-    match param {
+    match form {
         // The sharded, resumable batch×architecture×precision grid
         // (DESIGN.md §12). Rows print in grid order; jobs other shards
         // own are omitted, checkpointed jobs print as `done (resumed)`.
-        "grid" => {
+        SweepForm::Grid => {
             write_grid_rows(&mut out, "job", 24, &outcome.rows, |job| {
                 format!(
                     "{}:{}:{}",
@@ -924,7 +901,7 @@ fn sweep(
             }
         }
         // Rows alternate std, PacQ per batch size.
-        "batch" => {
+        SweepForm::Batch => {
             let _ = writeln!(
                 out,
                 "{:<8} {:>14} {:>14} {:>14}",
@@ -945,7 +922,7 @@ fn sweep(
                 );
             }
         }
-        "dup" => {
+        SweepForm::Dup => {
             let _ = writeln!(
                 out,
                 "{:<6} {:>14} {:>16}",
@@ -966,7 +943,7 @@ fn sweep(
             }
         }
         // Rows are every PacQ width, then every P(B_x)_k width.
-        _ => {
+        SweepForm::Width => {
             let _ = writeln!(
                 out,
                 "{:<8} {:>14} {:>14}",

@@ -67,6 +67,7 @@ pub mod report;
 pub mod roofline;
 pub mod runner;
 pub mod serve;
+pub mod sweep;
 
 pub use dse::{best_edp, run_dse, DseAxes, DseJob, DseOutcome, DsePlan, DseRow};
 pub use pareto::{pareto_front, ParetoPoint};

@@ -1,292 +1,123 @@
-//! The sharded, resumable sweep engine behind `pacq sweep --param grid`.
-//!
-//! A sweep is a deterministically ordered list of `(architecture,
-//! workload)` jobs. Three orthogonal mechanisms make big grids cheap to
-//! run and safe to interrupt:
-//!
-//! - **sharding** ([`Shard`], `--shard i/N`): each invocation owns a
-//!   residue class of job indices, so N machines (or N CI lanes) split
-//!   one grid with no coordination beyond the flag;
-//! - **checkpointing** ([`SweepCheckpoint`], `--checkpoint FILE`): an
-//!   append-only record of completed job ids, bound to this grid's
-//!   digest, so a killed sweep resumes where it stopped;
-//! - **result caching** ([`pacq_cache::ReportCache`], `--cache DIR`,
-//!   attached to the runner): completed points are memoized
-//!   content-addressed, so even a checkpoint-less re-run pays only
-//!   lookups.
-//!
-//! All three compose with the rayon worker pool: selection and
-//! skip-filtering happen up front, execution fans out in parallel, and
-//! rows come back in grid order regardless of completion order.
+//! The `pacq sweep --param grid|batch|dup|width` forms: fixed presets of
+//! the dse axes ([`DseAxes`]), each run through the one grid engine
+//! ([`crate::dse::run_dse`]). Only the grid form is sharded and
+//! resumable; the others pin one layer point and vary one knob.
 
-use rayon::prelude::*;
-
-use crate::report::GemmReport;
-use crate::runner::GemmRunner;
-use pacq_cache::{grid_digest, Shard, SweepCheckpoint};
-use pacq_error::PacqResult;
+use crate::dse::DseAxes;
+use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::WeightPrecision;
-use pacq_simt::{Architecture, Workload};
+use pacq_quant::GroupShape;
+use pacq_simt::Architecture;
 
-/// One sweep point: a stable id plus the `(architecture, workload)`
-/// pair it analyzes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepJob {
-    /// The architecture to simulate.
-    pub arch: Architecture,
-    /// The workload.
-    pub workload: Workload,
+/// One `pacq sweep --param` form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepForm {
+    /// The sharded, resumable batch × architecture × precision grid.
+    Grid,
+    /// Every batch size, std vs PacQ, at one precision.
+    Batch,
+    /// PacQ at one layer point over adder-tree duplications {1, 2, 4}.
+    Dup,
+    /// PacQ and `P(B_x)_k` at one layer point over DP widths {4, 8, 16}.
+    Width,
 }
 
-impl SweepJob {
-    /// The job's stable id — the line format used in checkpoint files,
-    /// so it must be newline-free and never end with `.`.
-    pub fn id(&self) -> String {
-        format!(
-            "{}:{}:m{}n{}k{}",
-            pacq_cache::arch_token(self.arch),
-            pacq_cache::precision_token(self.workload.precision),
-            self.workload.shape.m,
-            self.workload.shape.n,
-            self.workload.shape.k
-        )
-    }
-}
-
-/// A fully enumerated sweep grid with a content digest binding
-/// checkpoints to it.
-#[derive(Debug, Clone)]
-pub struct SweepPlan {
-    jobs: Vec<SweepJob>,
-}
-
-impl SweepPlan {
-    /// Builds a plan over an explicit job list (order is significant:
-    /// it defines job indices for sharding and row order in results).
-    pub fn new(jobs: Vec<SweepJob>) -> SweepPlan {
-        SweepPlan { jobs }
-    }
-
-    /// The `--param grid` plan over an `n×k` layer: batch sizes
-    /// {16, 32, 64, 128, 256, 512} × three architectures × two weight
-    /// precisions, in that nesting order.
-    pub fn batch_grid(n: usize, k: usize) -> SweepPlan {
-        let mut jobs = Vec::new();
-        for &m in &[16usize, 32, 64, 128, 256, 512] {
-            for &arch in &[
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::Pacq,
-            ] {
-                for &precision in &[WeightPrecision::Int4, WeightPrecision::Int2] {
-                    jobs.push(SweepJob {
-                        arch,
-                        workload: Workload::new(pacq_simt::GemmShape::new(m, n, k), precision),
-                    });
-                }
-            }
-        }
-        SweepPlan { jobs }
-    }
-
-    /// [`SweepPlan::batch_grid`] over the Llama2-7B FFN projection
-    /// (n = k = 4096).
-    pub fn default_grid() -> SweepPlan {
-        SweepPlan::batch_grid(4096, 4096)
-    }
-
-    /// The grid's jobs in index order.
-    pub fn jobs(&self) -> &[SweepJob] {
-        &self.jobs
-    }
-
-    /// A digest over every job id, binding checkpoint files to exactly
-    /// this grid (any change in contents *or order* changes the digest).
-    pub fn digest(&self) -> String {
-        let ids: Vec<String> = self.jobs.iter().map(SweepJob::id).collect();
-        grid_digest(&ids.join("\n"))
-    }
-
-    /// The digest a checkpoint file is bound to: the grid digest plus
-    /// the full provenance of the runner executing it
-    /// ([`GemmRunner::provenance`] — machine configuration, group
-    /// geometry, numerics mode, architecture template identity and
-    /// compute backend).
+impl SweepForm {
+    /// Parses a bare `--param` name.
     ///
-    /// [`SweepPlan::digest`] alone only covers job ids, so a checkpoint
-    /// written under one machine could silently satisfy a resume under
-    /// another (different `--dup`, an edited template, a different
-    /// backend) — the resumed run would skip every job and splice rows
-    /// priced by two different machines into one table. Binding the
-    /// runner makes that a typed [`pacq_error::PacqError::InvalidInput`]
-    /// at open time instead.
-    pub fn binding_digest(&self, runner: &GemmRunner) -> String {
-        grid_digest(&format!(
-            "{grid}\n{provenance}",
-            grid = self.digest(),
-            provenance = runner.provenance()
-        ))
-    }
-}
-
-/// One completed (or skipped) row of a sweep run.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// The job this row answers.
-    pub job: SweepJob,
-    /// The report, or `None` when the job was already checkpointed as
-    /// done and no attached `--cache` store still holds its report
-    /// (skipped jobs are rehydrated from the cache when possible, so
-    /// summaries over a resumed run stay complete).
-    pub report: Option<GemmReport>,
-}
-
-/// Aggregate accounting for one sweep invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SweepTally {
-    /// Jobs in the full grid.
-    pub total: usize,
-    /// Jobs this shard owns.
-    pub selected: usize,
-    /// Owned jobs skipped because the checkpoint already records them.
-    pub skipped: usize,
-    /// Owned jobs actually analyzed this run.
-    pub executed: usize,
-}
-
-/// The result of [`run_sweep`]: per-job rows (in grid order, restricted
-/// to this shard's jobs) plus the tally.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// This shard's rows, in grid order.
-    pub rows: Vec<SweepRow>,
-    /// Selection/skip/execution accounting.
-    pub tally: SweepTally,
-}
-
-/// Runs `plan` through `runner`, honoring the shard slice and, when
-/// given, the resume checkpoint. Executed jobs fan out on the rayon
-/// pool; rows return in grid order. Each completed job is appended to
-/// the checkpoint before the run returns, so an interrupt after this
-/// function loses nothing.
-///
-/// # Errors
-///
-/// Returns the first failing job's error in grid order (no partial
-/// outcome), or a checkpoint I/O error.
-pub fn run_sweep(
-    runner: &GemmRunner,
-    plan: &SweepPlan,
-    shard: Shard,
-    checkpoint: Option<&SweepCheckpoint>,
-) -> PacqResult<SweepOutcome> {
-    let _span = pacq_trace::span("core.sweep");
-    let mut tally = SweepTally {
-        total: plan.jobs().len(),
-        ..SweepTally::default()
-    };
-
-    // Partition up front: selection and checkpoint lookup are cheap and
-    // sequential; only analysis fans out.
-    let mut skipped_rows = Vec::new();
-    let mut to_run = Vec::new();
-    for (index, job) in plan.jobs().iter().enumerate() {
-        if !shard.selects(index) {
-            continue;
-        }
-        tally.selected += 1;
-        let done = checkpoint.is_some_and(|c| c.is_done(&job.id()));
-        if done {
-            tally.skipped += 1;
-            // The first pass usually left the report in the --cache
-            // store; rehydrate rather than losing the row's numbers.
-            let report = runner.cached_report(job.arch, job.workload);
-            skipped_rows.push((index, SweepRow { job: *job, report }));
-        } else {
-            tally.executed += 1;
-            to_run.push((index, *job));
+    /// # Errors
+    ///
+    /// Returns [`PacqError::Usage`] for any other name.
+    pub fn parse(name: &str) -> PacqResult<SweepForm> {
+        match name {
+            "grid" => Ok(SweepForm::Grid),
+            "batch" => Ok(SweepForm::Batch),
+            "dup" => Ok(SweepForm::Dup),
+            "width" => Ok(SweepForm::Width),
+            other => Err(PacqError::usage(format!(
+                "unknown sweep parameter `{other}`"
+            ))),
         }
     }
 
-    let reports: Vec<PacqResult<(usize, SweepRow)>> = to_run
-        .into_par_iter()
-        .map(|(index, job)| {
-            let report = runner.analyze(job.arch, job.workload)?;
-            if let Some(c) = checkpoint {
-                c.mark_done(&job.id())?;
-            }
-            Ok((
-                index,
-                SweepRow {
-                    job,
-                    report: Some(report),
-                },
-            ))
-        })
-        .collect();
+    /// The flags this form honours; any other flag would be ignored, so
+    /// the CLI rejects it.
+    pub fn flags(self) -> &'static str {
+        match self {
+            SweepForm::Grid => "--shape --param --group --dup --width --shard --checkpoint",
+            SweepForm::Batch => "--shape --param --precision --group --dup --width",
+            SweepForm::Dup => "--shape --param --precision --group --width",
+            SweepForm::Width => "--shape --param --precision --group --dup",
+        }
+    }
 
-    let mut rows = reports
-        .into_iter()
-        .collect::<PacqResult<Vec<(usize, SweepRow)>>>()?;
-    rows.extend(skipped_rows);
-    rows.sort_by_key(|(index, _)| *index);
-
-    pacq_trace::add_counter("sweep.jobs.total", tally.total as u64);
-    pacq_trace::add_counter("sweep.jobs.selected", tally.selected as u64);
-    pacq_trace::add_counter("sweep.jobs.skipped", tally.skipped as u64);
-    pacq_trace::add_counter("sweep.jobs.executed", tally.executed as u64);
-
-    Ok(SweepOutcome {
-        rows: rows.into_iter().map(|(_, row)| row).collect(),
-        tally,
-    })
+    /// The form's axes over a base machine's width/dup and group
+    /// geometry; `m` and `precision` pin the single-point forms (the
+    /// grid form ignores both).
+    pub fn axes(
+        self,
+        base_width: usize,
+        base_dup: usize,
+        group: GroupShape,
+        m: usize,
+        precision: WeightPrecision,
+    ) -> DseAxes {
+        let grid = DseAxes::defaults(base_width, base_dup, group);
+        let precision = vec![precision];
+        match self {
+            SweepForm::Grid => grid,
+            SweepForm::Batch => DseAxes {
+                arch: vec![Architecture::StandardDequant, Architecture::Pacq],
+                precision,
+                ..grid
+            },
+            SweepForm::Dup => DseAxes {
+                batch: vec![m],
+                arch: vec![Architecture::Pacq],
+                precision,
+                dup: vec![1, 2, 4],
+                ..grid
+            },
+            SweepForm::Width => DseAxes {
+                batch: vec![m],
+                arch: vec![Architecture::Pacq, Architecture::PackedK],
+                precision,
+                width: vec![4, 8, 16],
+                ..grid
+            },
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dse::{run_dse, DseJob, DsePlan};
+    use crate::runner::GemmRunner;
+    use pacq_cache::{Shard, SweepCheckpoint};
 
-    #[test]
-    fn default_grid_is_deterministic_and_fully_enumerated() {
-        let a = SweepPlan::batch_grid(256, 256);
-        let b = SweepPlan::batch_grid(256, 256);
-        assert_eq!(a.jobs().len(), 6 * 3 * 2);
-        assert_eq!(a.digest(), b.digest());
-        // Ids are unique (they double as checkpoint records).
-        let mut ids: Vec<String> = a.jobs().iter().map(SweepJob::id).collect();
-        ids.sort();
-        ids.dedup();
-        assert_eq!(ids.len(), a.jobs().len());
-        // And newline-free with no trailing terminator ambiguity.
-        assert!(ids
-            .iter()
-            .all(|id| !id.contains('\n') && !id.ends_with('.')));
-    }
-
-    #[test]
-    fn digest_is_order_sensitive() {
-        let grid = SweepPlan::batch_grid(256, 256);
-        let mut reversed = grid.jobs().to_vec();
-        reversed.reverse();
-        assert_ne!(grid.digest(), SweepPlan::new(reversed).digest());
+    /// The `sweep --param grid` plan over the builtin machine.
+    fn grid_plan(n: usize, k: usize) -> DsePlan {
+        let axes = SweepForm::Grid.axes(4, 2, GroupShape::G128, 16, WeightPrecision::Int4);
+        DsePlan::enumerate(&axes, n, k)
     }
 
     #[test]
     fn shards_partition_and_reunite_the_grid() {
-        let plan = SweepPlan::batch_grid(256, 256);
+        let plan = grid_plan(256, 256);
         let runner = GemmRunner::new();
-        let full = run_sweep(&runner, &plan, Shard::FULL, None).unwrap();
+        let full = run_dse(&runner, &plan, Shard::FULL, None).unwrap();
         assert_eq!(full.tally.executed, plan.jobs().len());
 
         let n = 3;
         let mut union: Vec<String> = Vec::new();
         for i in 1..=n {
             let shard = Shard { index: i, count: n };
-            let out = run_sweep(&runner, &plan, shard, None).unwrap();
+            let out = run_dse(&runner, &plan, shard, None).unwrap();
             assert_eq!(out.tally.selected, out.tally.executed);
             union.extend(out.rows.iter().map(|r| r.job.id()));
         }
-        let mut expected: Vec<String> = plan.jobs().iter().map(SweepJob::id).collect();
+        let mut expected: Vec<String> = plan.jobs().iter().map(DseJob::id).collect();
         union.sort();
         expected.sort();
         assert_eq!(union, expected, "shards must union to the full grid");
@@ -297,17 +128,17 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("pacq-sweep-resume-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let plan = SweepPlan::batch_grid(256, 256);
+        let plan = grid_plan(256, 256);
         let runner = GemmRunner::new();
 
         let first = {
             let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-            run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
+            run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
         };
         assert_eq!(first.tally.executed, plan.jobs().len());
 
         let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-        let second = run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
+        let second = run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
         assert_eq!(second.tally.executed, 0);
         assert_eq!(second.tally.skipped, plan.jobs().len());
         assert!(second.rows.iter().all(|r| r.report.is_none()));
@@ -323,15 +154,15 @@ mod tests {
             std::env::temp_dir().join(format!("pacq-sweep-rehydrate-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let plan = SweepPlan::batch_grid(256, 256);
+        let plan = grid_plan(256, 256);
         let cache = Arc::new(pacq_cache::ReportCache::open(&dir).unwrap());
         let runner = GemmRunner::new().with_cache(Arc::clone(&cache));
         let first = {
             let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-            run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
+            run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap()
         };
         let ckpt = SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap();
-        let second = run_sweep(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
+        let second = run_dse(&runner, &plan, Shard::FULL, Some(&ckpt)).unwrap();
         assert_eq!(second.tally.executed, 0);
         assert_eq!(second.tally.skipped, plan.jobs().len());
         for (f, s) in first.rows.iter().zip(&second.rows) {
@@ -353,7 +184,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("pacq-sweep-binding-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let plan = SweepPlan::batch_grid(256, 256);
+        let plan = grid_plan(256, 256);
         let runner = GemmRunner::new();
         drop(SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap());
 
@@ -374,7 +205,7 @@ mod tests {
         }
 
         // And a different grid over the same runner also refuses.
-        let other_grid = SweepPlan::batch_grid(512, 512);
+        let other_grid = grid_plan(512, 512);
         assert!(SweepCheckpoint::open(&path, &other_grid.binding_digest(&runner)).is_err());
         let _ = std::fs::remove_file(&path);
     }
