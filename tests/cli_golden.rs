@@ -1,5 +1,6 @@
-//! Golden-file tests for the `pacq` grid commands: every `sweep --param`
-//! form and `dse --pareto`, spawned as the real binary so argv parsing,
+//! Golden-file tests for the `pacq` commands: single-point `analyze`
+//! (text and `--json`), `compare`, every `sweep --param` form and
+//! `dse --pareto`, spawned as the real binary so argv parsing,
 //! rendering and exit status are pinned together. Also, the grid table
 //! must not depend on the report cache (cold or warm store) or on the
 //! compute backend; only the `cache:` footer line may differ.
@@ -13,6 +14,11 @@
 //!         > tests/golden/cli/sweep_$p.txt
 //! done
 //! ./target/release/pacq dse --shape m16n256k256 --pareto > tests/golden/cli/dse_pareto.txt
+//! ./target/release/pacq analyze --shape m16n4096k4096 --arch pacq > tests/golden/cli/analyze.txt
+//! ./target/release/pacq analyze --shape m16n4096k4096 --arch pacq --json \
+//!     > tests/golden/cli/analyze_json.txt
+//! ./target/release/pacq compare --shape m16n11008k4096 --precision int2 \
+//!     > tests/golden/cli/compare_int2.txt
 //! ```
 
 use std::path::PathBuf;
@@ -105,6 +111,32 @@ fn dse_pareto_is_pinned() {
         "dse --pareto",
         &out,
         include_str!("golden/cli/dse_pareto.txt"),
+    );
+}
+
+#[test]
+fn analyze_and_compare_are_pinned() {
+    let analyze = ["analyze", "--shape", "m16n4096k4096", "--arch", "pacq"];
+    assert_matches(
+        "analyze",
+        &pacq(&analyze),
+        include_str!("golden/cli/analyze.txt"),
+    );
+    assert_matches(
+        "analyze --json",
+        &pacq(&[&analyze[..], &["--json"]].concat()),
+        include_str!("golden/cli/analyze_json.txt"),
+    );
+    assert_matches(
+        "compare --precision int2",
+        &pacq(&[
+            "compare",
+            "--shape",
+            "m16n11008k4096",
+            "--precision",
+            "int2",
+        ]),
+        include_str!("golden/cli/compare_int2.txt"),
     );
 }
 

@@ -148,3 +148,43 @@ fn weight_storage_shrinks_as_advertised() {
     let ratio = fp16_bits / packed.storage_bits() as f64;
     assert!((3.5..4.0).contains(&ratio), "compression ratio = {ratio}");
 }
+
+/// Cache keys and dse job ids are on-disk formats: existing stores and
+/// checkpoints must keep hitting, so every (architecture × precision)
+/// pair is pinned byte for byte.
+#[test]
+fn cache_keys_and_dse_job_ids_are_pinned() {
+    use pacq::DseJob;
+    const CFG: &str = "pacq-cache/v1;ver=0.1.0;cfg=tc8,dpu4,dpw4,dup2,ob3072x2,rf262144,\
+                       l198304,dq4020000000000000,clk41b7d78400000000,dram7ff0000000000000;\
+                       shape=m16n4096k4096";
+    const ARCH_ID: &str = "arch=builtin;em=buf3faeb851eb851eb8,rf3fe3333333333333,\
+                           l1400783ddb1a48e37,dram4049000000000000";
+    use Architecture::{InputStationary, PackedK, Pacq, StandardDequant};
+    use WeightPrecision::{Int2, Int4};
+    let runner = GemmRunner::new();
+    let archs = [
+        (StandardDequant, "std"),
+        (PackedK, "packedk"),
+        (InputStationary, "is"),
+        (Pacq, "pacq"),
+    ];
+    for (arch, a) in archs {
+        for (precision, p, bits) in [(Int4, "int4", 4), (Int2, "int2", 2)] {
+            let workload = Workload::new(GemmShape::new(16, 4096, 4096), precision);
+            assert_eq!(
+                runner.cache_key(arch, workload).canonical(),
+                format!("{CFG};wbits={bits};flow={a}:g128:rounded;{ARCH_ID}")
+            );
+            let (width, dup, group) = (4, 2, GroupShape::G128);
+            let job = DseJob {
+                arch,
+                workload,
+                width,
+                dup,
+                group,
+            };
+            assert_eq!(job.id(), format!("b16:{a}:{p}:w4:d2:g128"));
+        }
+    }
+}
