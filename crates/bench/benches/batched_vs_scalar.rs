@@ -35,10 +35,10 @@ fn bench_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_vs_scalar_m16n256k4096");
     group.throughput(Throughput::Elements((m * n * k) as u64));
     for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-        for (arch, tag) in [
-            (Architecture::Pacq, "pacq"),
-            (Architecture::PackedK, "packedk"),
-            (Architecture::StandardDequant, "std"),
+        for arch in [
+            Architecture::Pacq,
+            Architecture::PackedK,
+            Architecture::StandardDequant,
         ] {
             let base = GemmRunner::new()
                 .with_group(GroupShape::along_k(128))
@@ -47,7 +47,7 @@ fn bench_backends(c: &mut Criterion) {
             for backend in Backend::ALL {
                 let runner = base.clone().with_backend(backend);
                 group.bench_with_input(
-                    BenchmarkId::new(format!("{tag}_{precision}"), backend),
+                    BenchmarkId::new(format!("{}_{precision}", arch.token()), backend),
                     &backend,
                     |bencher, _| bencher.iter(|| black_box(runner.execute(arch, &a, &packed))),
                 );

@@ -46,31 +46,11 @@ impl Row {
     }
 }
 
-/// The short CLI token for an architecture (`--arch` vocabulary).
-fn arch_token(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::Pacq => "pacq",
-        Architecture::PackedK => "packedk",
-        Architecture::StandardDequant => "std",
-        Architecture::InputStationary => "is",
-    }
-}
-
-/// The short CLI token for a weight precision (`--precision` vocabulary).
-fn precision_token(precision: WeightPrecision) -> &'static str {
-    match precision {
-        WeightPrecision::Int4 => "int4",
-        WeightPrecision::Int2 => "int2",
-    }
-}
-
 fn run() -> PacqResult<()> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (argv, label) = take_value_flag(&argv, "--label")?;
-    let (argv, out) = take_value_flag(&argv, "--out")?;
-    let label = label.unwrap_or_else(|| "dev".to_string());
-    let out = out.unwrap_or_else(|| "BENCH_batched.json".to_string());
-    let metrics = pacq_bench::init_filtered("bench_batched", &argv)?;
+    let metrics = pacq_bench::init_with_flags("bench_batched", "--label --out")?;
+    let args = metrics.args();
+    let label = args.values("--label").last().unwrap_or("dev").to_string();
+    let out = args.values("--out").last().unwrap_or("BENCH_batched.json");
     banner(
         "bench_batched",
         "scalar vs batched backend wall time on the Llama decode grid",
@@ -123,8 +103,8 @@ fn run() -> PacqResult<()> {
                 println!(
                     "{:<16} {:>8} {:>5} {:>12.6} {:>12.6} {:>9}",
                     format!("m{m}n{n}k{k}"),
-                    arch_token(arch),
-                    precision_token(precision),
+                    arch.token(),
+                    precision.token(),
                     row.scalar_s,
                     row.batched_s,
                     times(row.speedup())
@@ -144,7 +124,7 @@ fn run() -> PacqResult<()> {
         rows.len()
     );
 
-    append_point(&out, &label, geomean, min, &rows)?;
+    append_point(out, &label, geomean, min, &rows)?;
     println!("appended trajectory point `{label}` -> {out}");
     metrics.finish()?;
     Ok(())
@@ -185,11 +165,7 @@ fn check_bits(
     if mismatches != 0 {
         return Err(PacqError::AuditMismatch {
             counter: "bench_batched.backend_bits".to_string(),
-            case: format!(
-                "m{m}n{n}k{k} {} {}",
-                precision_token(precision),
-                arch_token(arch)
-            ),
+            case: format!("m{m}n{n}k{k} {} {}", precision.token(), arch.token()),
             observed: format!("{mismatches} diverging elements"),
             expected: "0 diverging elements".to_string(),
         });
@@ -200,26 +176,6 @@ fn check_bits(
 fn geomean_speedup(rows: &[Row]) -> f64 {
     let log_sum: f64 = rows.iter().map(|r| r.speedup().ln()).sum();
     (log_sum / rows.len().max(1) as f64).exp()
-}
-
-/// Extracts `flag VALUE` / `flag=VALUE` from the argument list.
-fn take_value_flag(args: &[String], flag: &str) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::new();
-    let mut value = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == flag {
-            let v = it
-                .next()
-                .ok_or_else(|| PacqError::usage(format!("missing value for {flag}")))?;
-            value = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix(&format!("{flag}=")) {
-            value = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, value))
 }
 
 /// Parses the existing trajectory file (if any), appends one point, and
@@ -262,8 +218,8 @@ fn append_point(path: &str, label: &str, geomean: f64, min: f64, rows: &[Row]) -
                 "shape",
                 format!("m{}n{}k{}", r.shape.0, r.shape.1, r.shape.2),
             );
-            cell.set("arch", arch_token(r.arch));
-            cell.set("precision", precision_token(r.precision));
+            cell.set("arch", r.arch.token());
+            cell.set("precision", r.precision.token());
             cell.set("scalar_s", round6(r.scalar_s));
             cell.set("batched_s", round6(r.batched_s));
             cell.set("speedup", round6(r.speedup()));

@@ -21,12 +21,7 @@ fn main() -> std::process::ExitCode {
 /// The four stationarity points, in pipeline order: two
 /// weight-stationary flows, the input-stationary refactor, then the
 /// output-stationary PacQ machine.
-const ARCHS: [Architecture; 4] = [
-    Architecture::StandardDequant,
-    Architecture::PackedK,
-    Architecture::InputStationary,
-    Architecture::Pacq,
-];
+const ARCHS: [Architecture; 4] = Architecture::ALL;
 
 fn run() -> pacq::PacqResult<()> {
     let metrics = pacq_bench::init("fig_is")?;

@@ -2,26 +2,14 @@
 //!
 //! One binary per table/figure of the paper (run them with
 //! `cargo run -p pacq-bench --release --bin figN`), plus Criterion
-//! benches for the simulator and datapath kernels. This library hosts the
+//! benches for the simulator and datapath kernels. This library hosts
+//! [`init`], which gives every binary the `pacq` argument grammar and
+//! global run knobs (`--jobs`, `--metrics`, `--cache`, `--hot`,
+//! `--backend`, `--arch-template`, each as `--f V` or `--f=V`), plus
 //! small shared formatting helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Applies the shared `--jobs N` / `PACQ_JOBS` knob for a figure/table
-/// binary: reads the process arguments, installs the worker count, and
-/// returns the effective value. Sweep results are bit-identical at any
-/// setting — the knob only changes wall-clock time.
-///
-/// A malformed or zero worker count is a usage error ([`pacq::PacqError`] with
-/// exit code 2), not a silently-ignored warning: a typo'd `--jobs` must
-/// not quietly run a multi-hour sweep on the wrong pool size.
-pub fn init_jobs() -> pacq::PacqResult<usize> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, jobs) = pacq::par::take_jobs_flag(&args)?;
-    let env_jobs = pacq::par::validated_env_jobs()?;
-    Ok(pacq::par::configure_jobs(jobs.or(env_jobs)))
-}
 
 /// Run-manifest handle for a figure/table binary: [`init`] arms the
 /// process-wide observability collector when `--metrics PATH` is on the
@@ -31,108 +19,87 @@ pub fn init_jobs() -> pacq::PacqResult<usize> {
 #[must_use = "call .finish() at the end of the figure body to write the manifest"]
 pub struct Metrics {
     binary: &'static str,
-    args: Vec<String>,
+    args: pacq::args::Args,
     jobs: usize,
-    backend: pacq::Backend,
-    path: Option<String>,
-    cache: Option<std::sync::Arc<pacq::ReportCache>>,
-    template: Option<pacq::ArchTemplate>,
+    knobs: pacq::cli::Knobs,
 }
 
-/// Applies the shared `--jobs` / `--metrics` / `--cache` flags for a
-/// figure/table binary (superset of [`init_jobs`]) and returns the
-/// manifest handle.
+/// Parses the process arguments of a figure/table binary through the
+/// shared grammar and applies the global run knobs exactly as `pacq`
+/// does (`--jobs`, `--metrics`, `--cache` with `--hot`, `--backend`,
+/// `--arch-template`, and the `PACQ_JOBS`/`PACQ_BACKEND` env spellings).
+/// Any other argument is a usage error naming it and the binary.
 ///
 /// # Errors
 ///
-/// Returns a usage error ([`pacq::PacqError`], exit code 2) for a
-/// malformed or zero worker count or a `--metrics`/`--cache` flag
-/// without a value, and an I/O error (exit code 6) when the cache
-/// directory cannot be created.
+/// Returns a usage error ([`pacq::PacqError`], exit code 2) for an
+/// unknown flag or argument, a missing or malformed value, or `--hot`
+/// without `--cache`; an I/O error (exit code 6) when the cache
+/// directory cannot be created; a template error (exit code 9) when
+/// `--arch-template` names a file that does not validate.
 pub fn init(binary: &'static str) -> pacq::PacqResult<Metrics> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    init_filtered(binary, &argv)
+    init_with_flags(binary, "")
 }
 
-/// [`init`] for binaries that strip their own flags first: applies the
-/// shared `--jobs` / `--metrics` / `--cache` / `--backend` /
-/// `--arch-template` flags from the given argument list instead of
-/// re-reading the process arguments.
+/// [`init`] for a binary that also takes its own flags (the
+/// space-separated `flags`); read them from [`Metrics::args`].
 ///
 /// # Errors
 ///
-/// Same conditions as [`init`], plus template errors (exit code 9)
-/// when `--arch-template` names a file that does not validate.
-pub fn init_filtered(binary: &'static str, argv: &[String]) -> pacq::PacqResult<Metrics> {
-    let (args, path) = pacq::cli::take_metrics_flag(argv)?;
-    let (args, cache_dir) = pacq::cli::take_cache_flag(&args)?;
-    let (args, jobs) = pacq::par::take_jobs_flag(&args)?;
-    let (args, backend_flag) = pacq::backend::take_backend_flag(&args)?;
-    let (args, template_path) = pacq::cli::take_arch_template_flag(&args)?;
-    let template = match &template_path {
-        Some(p) => Some(pacq::cli::load_arch_template(p)?),
-        None => None,
-    };
-    let backend = pacq::backend::resolve_backend(backend_flag)?;
-    let env_jobs = pacq::par::validated_env_jobs()?;
-    let jobs = pacq::par::configure_jobs(jobs.or(env_jobs));
-    if path.is_some() {
+/// Same conditions as [`init`].
+pub fn init_with_flags(binary: &'static str, flags: &str) -> pacq::PacqResult<Metrics> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let accepted = format!("{} --arch-template {flags}", pacq::cli::GLOBAL_FLAGS);
+    let args = pacq::args::Args::parse(&argv, binary, &accepted)?;
+    if let Some(extra) = args.positionals().next() {
+        return Err(pacq::args::does_not_apply(extra, binary));
+    }
+    let knobs = pacq::cli::Knobs::resolve(&args)?;
+    let jobs = pacq::par::configure_jobs(knobs.jobs);
+    if knobs.metrics.is_some() {
         pacq_trace::enable();
     }
-    let cache = match cache_dir {
-        Some(dir) => Some(std::sync::Arc::new(pacq::ReportCache::open(dir)?)),
-        None => None,
-    };
     Ok(Metrics {
         binary,
         args,
         jobs,
-        backend,
-        path,
-        cache,
-        template,
+        knobs,
     })
 }
 
 impl Metrics {
-    /// The report cache to attach to runners (`--cache DIR`), if any.
+    /// The parsed arguments, for the binary's own flags.
+    pub fn args(&self) -> &pacq::args::Args {
+        &self.args
+    }
+
+    /// The report cache to attach to runners (`--cache DIR`, with any
+    /// `--hot N` tier), if any.
     pub fn cache(&self) -> Option<std::sync::Arc<pacq::ReportCache>> {
-        self.cache.clone()
+        self.knobs.cache.clone()
     }
 
     /// The functional compute backend this run selected
     /// (`--backend` / `PACQ_BACKEND`, default scalar). Attach it to
     /// runners with [`pacq::GemmRunner::with_backend`].
     pub fn backend(&self) -> pacq::Backend {
-        self.backend
+        self.knobs.backend
     }
 
     /// The validated `--arch-template` design point, if one was named.
     pub fn template(&self) -> Option<&pacq::ArchTemplate> {
-        self.template.as_ref()
+        self.knobs.template.as_ref()
     }
 
-    /// A [`pacq::GemmRunner`] carrying every shared knob of this run:
-    /// the `--cache` store, the `--backend` selection, and — when
-    /// `--arch-template` was given — the template's machine, energy
-    /// model, and content digest (so cached results are keyed to the
-    /// template, DESIGN.md §18).
+    /// A [`pacq::GemmRunner`] carrying every shared knob of this run
+    /// ([`pacq::cli::Knobs::runner`]).
     ///
     /// # Errors
     ///
     /// Returns a template error (exit code 9) when the template's
     /// energy model cannot be derived.
     pub fn runner(&self) -> pacq::PacqResult<pacq::GemmRunner> {
-        let mut runner = pacq::GemmRunner::new()
-            .with_cache_opt(self.cache())
-            .with_backend(self.backend);
-        if let Some(t) = &self.template {
-            runner = runner
-                .with_config(t.sm_config())
-                .with_energy_model(t.energy_model()?)
-                .with_template_digest(t.digest());
-        }
-        Ok(runner)
+        self.knobs.runner()
     }
 
     /// Writes the run manifest if `--metrics` was requested, draining
@@ -144,16 +111,19 @@ impl Metrics {
     /// Returns [`pacq::PacqError::Io`] (exit code 6) when the manifest
     /// cannot be written.
     pub fn finish(self) -> pacq::PacqResult<()> {
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.knobs.cache {
             println!("\ncache: {} hits, {} misses", cache.hits(), cache.misses());
         }
-        if let Some(path) = &self.path {
-            let mut manifest = pacq_trace::RunManifest::new(self.binary, &self.args);
+        if let Some(path) = &self.knobs.metrics {
+            let invocation = self
+                .args
+                .without(&format!("{} --arch-template", pacq::cli::GLOBAL_FLAGS));
+            let mut manifest = pacq_trace::RunManifest::new(self.binary, &invocation);
             manifest = manifest
                 .with_jobs(self.jobs)
                 .with_effective_jobs(rayon::current_num_threads())
-                .with_backend(self.backend.token());
-            if let Some(t) = &self.template {
+                .with_backend(self.backend().token());
+            if let Some(t) = self.template() {
                 manifest = manifest.with_arch_template(t.digest());
             }
             manifest.gather();

@@ -103,3 +103,36 @@ golden_test!(
     "CARGO_BIN_EXE_fig_activity",
     "golden/fig_activity.txt"
 );
+
+/// Runs `bin` with `args` and no inherited knobs, asserts its exit code
+/// and returns its stderr.
+fn exits(bin: &str, args: &[&str], code: i32) -> String {
+    let output = Command::new(bin)
+        .args(args)
+        .env_remove("PACQ_JOBS")
+        .env_remove("PACQ_BACKEND")
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert_eq!(output.status.code(), Some(code), "{bin} {args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn figure_binaries_take_the_pacq_knobs_and_nothing_else() {
+    let fig9 = env!("CARGO_BIN_EXE_fig9");
+    // An unknown flag is a usage error naming the flag and the binary.
+    let stderr = exits(fig9, &["--bogus"], 2);
+    assert!(
+        stderr.contains("`--bogus` does not apply to `fig9`"),
+        "{stderr}"
+    );
+    exits(env!("CARGO_BIN_EXE_table1"), &["--frobnicate", "x"], 2);
+    // --hot mounts a tier in front of --cache, exactly as on `pacq`.
+    assert!(exits(fig9, &["--hot", "4"], 2).contains("--cache"));
+    let dir = std::env::temp_dir().join(format!("pacq-fig9-hot-{}", std::process::id()));
+    exits(fig9, &["--cache", &dir.to_string_lossy(), "--hot=4"], 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    // The CI smoke step runs `fig7 --jobs 2`.
+    exits(env!("CARGO_BIN_EXE_fig7"), &["--jobs", "2"], 0);
+}

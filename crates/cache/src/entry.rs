@@ -23,44 +23,17 @@ use pacq_trace::Json;
 pub const ENTRY_SCHEMA: &str = "pacq-cache/v1";
 
 /// The stable token for an architecture, used in cache keys and entries
-/// (the `Display` form is presentation text, not a wire format).
+/// (the `Display` form is presentation text, not a wire format). The
+/// token table itself is [`Architecture::tokens`]; this function stays
+/// exported because the benchmark crate (`perfbench/`) imports it.
 pub const fn arch_token(arch: Architecture) -> &'static str {
-    match arch {
-        Architecture::StandardDequant => "std",
-        Architecture::PackedK => "packedk",
-        Architecture::Pacq => "pacq",
-        Architecture::InputStationary => "is",
-    }
+    arch.token()
 }
 
-/// Parses an [`arch_token`] back; `None` for anything else (callers
-/// turn that into their own typed error — a corrupt cache entry decodes
-/// as a miss, a malformed serve request as a protocol error).
-pub fn parse_arch_token(token: &str) -> Option<Architecture> {
-    match token {
-        "std" => Some(Architecture::StandardDequant),
-        "packedk" => Some(Architecture::PackedK),
-        "pacq" => Some(Architecture::Pacq),
-        "is" => Some(Architecture::InputStationary),
-        _ => None,
-    }
-}
-
-/// The stable token for a weight precision.
+/// The stable token for a weight precision ([`WeightPrecision::tokens`]);
+/// exported for the same reason as [`arch_token`].
 pub const fn precision_token(precision: WeightPrecision) -> &'static str {
-    match precision {
-        WeightPrecision::Int4 => "int4",
-        WeightPrecision::Int2 => "int2",
-    }
-}
-
-/// Parses a [`precision_token`] back; `None` for anything else.
-pub fn parse_precision_token(token: &str) -> Option<WeightPrecision> {
-    match token {
-        "int4" => Some(WeightPrecision::Int4),
-        "int2" => Some(WeightPrecision::Int2),
-        _ => None,
-    }
+    precision.token()
 }
 
 /// One memoized analysis result — the vocabulary-type mirror of the
@@ -207,12 +180,12 @@ impl CachedReport {
         let arch = doc
             .get("arch")
             .and_then(Json::as_str)
-            .and_then(parse_arch_token)
+            .and_then(Architecture::parse)
             .ok_or_else(|| decode_error("missing or unknown `arch` token"))?;
         let precision = doc
             .get("precision")
             .and_then(Json::as_str)
-            .and_then(parse_precision_token)
+            .and_then(WeightPrecision::parse)
             .ok_or_else(|| decode_error("missing or unknown `precision` token"))?;
 
         let shape = doc
@@ -431,17 +404,12 @@ mod tests {
 
     #[test]
     fn tokens_round_trip() {
-        for arch in [
-            Architecture::StandardDequant,
-            Architecture::PackedK,
-            Architecture::Pacq,
-            Architecture::InputStationary,
-        ] {
-            assert_eq!(parse_arch_token(arch_token(arch)), Some(arch));
+        for arch in Architecture::ALL {
+            assert_eq!(Architecture::parse(arch_token(arch)), Some(arch));
         }
         for p in [WeightPrecision::Int4, WeightPrecision::Int2] {
-            assert_eq!(parse_precision_token(precision_token(p)), Some(p));
+            assert_eq!(WeightPrecision::parse(precision_token(p)), Some(p));
         }
-        assert_eq!(parse_arch_token("volta"), None);
+        assert_eq!(Architecture::parse("volta"), None);
     }
 }

@@ -39,10 +39,7 @@ pub mod key;
 pub mod shard;
 pub mod store;
 
-pub use entry::{
-    arch_token, parse_arch_token, parse_precision_token, precision_token, CachedReport,
-    ENTRY_SCHEMA,
-};
+pub use entry::{arch_token, precision_token, CachedReport, ENTRY_SCHEMA};
 pub use hot::HotTier;
 pub use key::{config_canonical, CacheKey};
 pub use shard::{grid_digest, Shard, SweepCheckpoint, CHECKPOINT_SCHEMA};

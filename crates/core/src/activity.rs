@@ -64,10 +64,7 @@ impl UnitCalibration {
 
     /// Stable lowercase precision token (`int4` / `int2`).
     pub fn precision_token(&self) -> &'static str {
-        match self.profile.precision {
-            WeightPrecision::Int4 => "int4",
-            WeightPrecision::Int2 => "int2",
-        }
+        self.profile.precision.token()
     }
 }
 

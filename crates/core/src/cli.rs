@@ -1,9 +1,11 @@
 //! The `pacq` command-line interface (library side, so it is testable).
 //!
-//! Hand-rolled argument parsing — the workspace deliberately keeps its
-//! dependency set to the numeric essentials (see DESIGN.md §8).
+//! Every command parses argv through the one grammar in [`crate::args`]
+//! — the workspace deliberately keeps its dependency set to the numeric
+//! essentials (see DESIGN.md §8).
 
-use crate::backend::take_backend_flag;
+use crate::args::{does_not_apply, Args};
+use crate::backend::{resolve_backend, validate_backend};
 use crate::dse::{run_dse, DseAxes, DseJob, DseOutcome, DsePlan, DseRow};
 use crate::par;
 use crate::params::parse_params;
@@ -102,8 +104,10 @@ it in the --metrics manifest (kind \"dse.pareto\"). --shard,
 best-EDP/Pareto rankings stay complete (otherwise they are flagged
 partial).
 
-A flag a command does not use is a usage error naming the flag and
-the command, never silently ignored.
+Every value flag is spelled --f V or --f=V. A flag a command does not
+use is a usage error naming the flag and the command, never silently
+ignored. The figure binaries (pacq-bench) take the global flags above
+and --arch-template under the same rules.
 
 `pacq exec` functionally executes one GEMM through the bit-accurate
 datapath on deterministic synthetic data, printing a result digest and
@@ -168,116 +172,120 @@ fn err(msg: impl Into<String>) -> PacqError {
     PacqError::usage(msg)
 }
 
-/// Splits `--metrics PATH` / `--metrics=PATH` out of an argument list.
-///
-/// Shared by the `pacq` CLI and every figure binary (via `pacq-bench`):
-/// the flag enables the process-wide observability collector for the
-/// duration of the command and names the run-manifest output file.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value.
-pub fn take_metrics_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut metrics = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--metrics" {
-            let v = it
-                .next()
-                .ok_or_else(|| err("missing value for --metrics"))?;
-            metrics = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix("--metrics=") {
-            metrics = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, metrics))
+/// The run knobs every entry point accepts ([`Knobs`]); machine-simulating
+/// entry points also accept `--arch-template`.
+pub const GLOBAL_FLAGS: &str = "--metrics --cache --hot --jobs --backend";
+
+/// Every `pacq` command, each followed by the flags it accepts besides
+/// [`GLOBAL_FLAGS`]. Commands that simulate no machine (`cache`,
+/// `serve`, `loadgen`) do not list `--arch-template`: silently ignoring
+/// it would misattribute their output to the template.
+const COMMANDS: [&str; 10] = [
+    "analyze --shape --arch --precision --group --dup --width --json --arch-template",
+    "compare --shape --precision --group --dup --width --arch-template",
+    "sweep --shape --param --precision --group --dup --width --shard --checkpoint --arch-template",
+    "dse --shape --param --group --shard --checkpoint --pareto --arch-template",
+    "exec --shape --arch --precision --group --dup --width --check --arch-template",
+    "cache --dir",
+    "audit --activity --tolerance --activity-scale --arch-template",
+    "trace --arch --precision --dup --width --out --arch-template",
+    "serve --port --stdio --queue --rate --burst --max-clients",
+    "loadgen --addr --ready-log --spawn --requests --clients --window --unique --sample",
+];
+
+/// The flags `pacq <command>` accepts besides [`GLOBAL_FLAGS`]; `None`
+/// for an unknown command.
+pub(crate) fn command_flags(command: &str) -> Option<&'static str> {
+    COMMANDS
+        .into_iter()
+        .find_map(|c| c.split_once(' ').filter(|(name, _)| *name == command))
+        .map(|(_, flags)| flags)
 }
 
-/// Splits `--cache DIR` / `--cache=DIR` out of an argument list.
-///
-/// Like [`take_metrics_flag`], shared by the `pacq` CLI and the figure
-/// binaries so every entry point spells the report cache the same way.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value.
-pub fn take_cache_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut cache = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--cache" {
-            let v = it.next().ok_or_else(|| err("missing value for --cache"))?;
-            cache = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix("--cache=") {
-            cache = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((rest, cache))
+/// The global run knobs of one invocation, resolved the same way for
+/// `pacq` and every `pacq-bench` binary.
+#[derive(Debug)]
+pub struct Knobs {
+    /// `--metrics PATH`: where the run manifest goes.
+    pub metrics: Option<String>,
+    /// The `--cache DIR` store, with the `--hot N` tier mounted in front.
+    pub cache: Option<Arc<ReportCache>>,
+    /// `--jobs N`, else `PACQ_JOBS`; `None` leaves the host default.
+    pub jobs: Option<usize>,
+    /// `--backend B`, else `PACQ_BACKEND`, else scalar.
+    pub backend: Backend,
+    /// The validated `--arch-template` design point.
+    pub template: Option<ArchTemplate>,
 }
 
-/// Splits `--hot N` / `--hot=N` out of an argument list and validates
-/// the capacity with the serve-layer count validator (trimmed plain
-/// digits, at least 1). The flag mounts a bounded in-memory LRU hot
-/// tier in front of the `--cache` store, so it is rejected later when
-/// no cache directory is given.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value or with a malformed one.
-pub fn take_hot_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<usize>)> {
-    /// Upper bound on hot-tier entries; a tier bigger than this should
-    /// be the disk store.
-    const MAX_HOT_ENTRIES: u64 = 1 << 20;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut hot = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--hot" {
-            let v = it.next().ok_or_else(|| err("missing value for --hot"))?;
-            hot = Some(crate::serve::validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)? as usize);
-        } else if let Some(v) = arg.strip_prefix("--hot=") {
-            hot = Some(crate::serve::validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)? as usize);
-        } else {
-            rest.push(arg.clone());
-        }
+impl Knobs {
+    /// Resolves the knobs of a parsed argv: validates every value and
+    /// both environment spellings (even when the flag wins), requires
+    /// `--cache` under `--hot`, loads the template and opens the store.
+    /// Installs nothing process-wide.
+    ///
+    /// # Errors
+    ///
+    /// Usage errors for malformed values, I/O errors for an unreadable
+    /// template or store, template errors for an invalid template.
+    pub fn resolve(args: &Args) -> PacqResult<Knobs> {
+        /// Upper bound on hot-tier entries; a tier bigger than this
+        /// should be the disk store.
+        const MAX_HOT_ENTRIES: u64 = 1 << 20;
+        let jobs = args.last("--jobs", |v| par::validate_jobs(v, "--jobs"))?;
+        let env_jobs = par::validated_env_jobs()?;
+        let backend =
+            resolve_backend(args.last("--backend", |v| validate_backend(v, "--backend"))?)?;
+        let hot = args.last("--hot", |v| {
+            crate::serve::validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)
+        })?;
+        let template = args.last("--arch-template", load_arch_template)?;
+        let cache = match (args.values("--cache").last(), hot) {
+            (None, Some(_)) => {
+                return Err(err(
+                    "--hot mounts a memory tier in front of --cache; pass --cache DIR too",
+                ))
+            }
+            (None, None) => None,
+            (Some(dir), hot) => {
+                let store = ReportCache::open(dir)?;
+                Some(Arc::new(match hot {
+                    Some(n) => store.with_hot_tier(n as usize),
+                    None => store,
+                }))
+            }
+        };
+        Ok(Knobs {
+            metrics: args.values("--metrics").last().map(String::from),
+            cache,
+            jobs: jobs.or(env_jobs),
+            backend,
+            template,
+        })
     }
-    Ok((rest, hot))
-}
 
-/// Splits `--arch-template FILE` / `--arch-template=FILE` out of an
-/// argument list. The flag names a `pacq-arch/v1` template file
-/// replacing the builtin Volta-like machine for the command.
-///
-/// # Errors
-///
-/// Returns [`PacqError::Usage`] when the flag is present without a
-/// value.
-pub fn take_arch_template_flag(args: &[String]) -> PacqResult<(Vec<String>, Option<String>)> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut template = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--arch-template" {
-            let v = it
-                .next()
-                .ok_or_else(|| err("missing value for --arch-template"))?;
-            template = Some(v.clone());
-        } else if let Some(v) = arg.strip_prefix("--arch-template=") {
-            template = Some(v.to_string());
-        } else {
-            rest.push(arg.clone());
+    /// A [`GemmRunner`] carrying every knob of this run: the `--cache`
+    /// store, the `--backend` selection and, with `--arch-template`, the
+    /// template's machine, energy model and content digest (its
+    /// per-level energies price every report; the digest travels into
+    /// cache keys, checkpoint bindings and run provenance).
+    ///
+    /// # Errors
+    ///
+    /// Returns a template error (exit code 9) when the template's energy
+    /// model cannot be derived.
+    pub fn runner(&self) -> PacqResult<GemmRunner> {
+        let mut runner = GemmRunner::new()
+            .with_cache_opt(self.cache.clone())
+            .with_backend(self.backend);
+        if let Some(t) = &self.template {
+            runner = runner
+                .with_config(t.sm_config())
+                .with_energy_model(t.energy_model()?)
+                .with_template_digest(t.digest());
         }
+        Ok(runner)
     }
-    Ok((rest, template))
 }
 
 /// Loads, parses and validates the `--arch-template` file. I/O failures
@@ -297,105 +305,74 @@ pub fn load_arch_template(path: &str) -> PacqResult<ArchTemplate> {
 ///
 /// Returns [`PacqError::Usage`] for any unknown command, missing or
 /// malformed option, and propagates typed simulator errors.
-pub fn run(args: &[String]) -> PacqResult<String> {
-    let (args, metrics) = take_metrics_flag(args)?;
-    let (args, cache_dir) = take_cache_flag(&args)?;
-    let (args, hot) = take_hot_flag(&args)?;
-    let (args, template_path) = take_arch_template_flag(&args)?;
-    let template = match &template_path {
-        Some(path) => Some(load_arch_template(path)?),
-        None => None,
+pub fn run(argv: &[String]) -> PacqResult<String> {
+    let command = Args::first_positional(argv);
+    let (name, accepted) = match command {
+        None | Some("help" | "-h") => ("help", "--help"),
+        Some(c) => (
+            c,
+            command_flags(c).ok_or_else(|| err(format!("unknown command `{c}`")))?,
+        ),
     };
-    let (args, jobs) = par::take_jobs_flag(&args)?;
-    let (args, backend_flag) = take_backend_flag(&args)?;
-    // Like --jobs, the env spelling is validated even when the flag
-    // wins — a typo'd PACQ_BACKEND must never pass silently.
-    let env_backend = crate::backend::validated_env_backend()?;
-    let backend = backend_flag.or(env_backend).unwrap_or_default();
-    let env_jobs = par::validated_env_jobs()?;
+    let entry = command.map_or("pacq".to_string(), |c| format!("pacq {c}"));
+    let args = Args::parse(argv, &entry, &format!("{GLOBAL_FLAGS} {accepted}"))?;
+    // The command itself, plus `cache`'s action.
+    if let Some(extra) = args.positionals().nth(if name == "cache" { 2 } else { 1 }) {
+        return Err(does_not_apply(extra, &entry));
+    }
+    let knobs = Knobs::resolve(&args)?;
     // Only touch the global pool when the user asked for a count — a
     // plain invocation must not clobber a programmatically configured
     // pool (and concurrent unit tests share the process-wide setting).
-    if jobs.is_some() || env_jobs.is_some() {
-        par::configure_jobs(jobs.or(env_jobs));
+    if knobs.jobs.is_some() {
+        par::configure_jobs(knobs.jobs);
     }
-    if metrics.is_some() {
+    if knobs.metrics.is_some() {
         pacq_trace::enable();
     }
-    if hot.is_some() && cache_dir.is_none() {
-        return Err(err(
-            "--hot mounts a memory tier in front of --cache; pass --cache DIR too",
-        ));
-    }
-    let cache = match &cache_dir {
-        Some(dir) => {
-            let store = ReportCache::open(dir)?;
-            Some(Arc::new(match hot {
-                Some(n) => store.with_hot_tier(n),
-                None => store,
-            }))
-        }
-        None => None,
-    };
-    let result = dispatch(&args, cache.as_ref(), backend, template.as_ref());
-    if let Some(path) = metrics {
-        let mut manifest = RunManifest::new("pacq", &args);
-        if let Some(j) = jobs.or(env_jobs) {
+    let result = dispatch(name, &args, &knobs);
+    if let Some(path) = &knobs.metrics {
+        let invocation = args.without(&format!("{GLOBAL_FLAGS} --arch-template"));
+        let mut manifest = RunManifest::new("pacq", &invocation);
+        if let Some(j) = knobs.jobs {
             manifest = manifest.with_jobs(j);
         }
         manifest = manifest
             .with_effective_jobs(rayon::current_num_threads())
-            .with_backend(backend.token());
-        if let Some(t) = &template {
+            .with_backend(knobs.backend.token());
+        if let Some(t) = &knobs.template {
             manifest = manifest.with_arch_template(t.digest());
         }
         manifest.gather();
         pacq_trace::disable();
         if result.is_ok() {
-            manifest.write_to(&path)?;
+            manifest.write_to(path)?;
         }
     }
     result
 }
 
-fn dispatch(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let mut it = args.iter().map(String::as_str);
-    let command = it.next();
-    // Commands that don't simulate a machine have nothing to apply a
-    // template to — silently ignoring the flag would misattribute their
-    // output to the template.
-    if template.is_some() && matches!(command, Some("cache" | "serve" | "loadgen")) {
-        return Err(err(format!(
-            "--arch-template does not apply to `{}`",
-            command.unwrap_or_default()
-        )));
-    }
+fn dispatch(command: &str, args: &Args, knobs: &Knobs) -> PacqResult<String> {
     match command {
-        None | Some("help") | Some("--help") | Some("-h") => Ok(format!("{USAGE}\n")),
-        Some("analyze") => analyze(&args[1..], cache, template),
-        Some("compare") => compare(&args[1..], cache, template),
-        Some("sweep") => sweep(&args[1..], cache, backend, template),
-        Some("dse") => dse(&args[1..], cache, backend, template),
-        Some("exec") => exec(&args[1..], cache, backend, template),
-        Some("cache") => cache_cmd(&args[1..], cache),
-        Some("audit") => audit(&args[1..], cache, template),
-        Some("trace") => trace(&args[1..], template),
-        Some("serve") => crate::serve::run_cli(&args[1..], cache.map(Arc::clone), backend),
-        Some("loadgen") => crate::loadgen::run_cli(&args[1..], cache.map(Arc::clone), backend),
-        Some(other) => Err(err(format!("unknown command `{other}`"))),
+        "analyze" => analyze(args, knobs),
+        "compare" => compare(args, knobs),
+        "sweep" => sweep(args, knobs),
+        "dse" => dse(args, knobs),
+        "exec" => exec(args, knobs),
+        "cache" => cache_cmd(args, knobs.cache.as_ref()),
+        "audit" => audit(args, knobs),
+        "trace" => trace(args, knobs.template.as_ref()),
+        "serve" => crate::serve::run_cli(args, knobs.cache.clone(), knobs.backend),
+        "loadgen" => crate::loadgen::run_cli(args, knobs.cache.clone(), knobs.backend),
+        _ => Ok(format!("{USAGE}\n")),
     }
 }
 
-/// Parsed common options. `arch`, `dup` and `width` stay `None` until
-/// the user passes the flag — the effective value depends on whether an
-/// architecture template is in play (the template's datapath must not
-/// be silently clobbered by a hardcoded default), so resolution happens
-/// in [`resolve_arch`] / [`runner_for`].
+/// Parsed design-point options. `arch`, `dup` and `width` stay `None`
+/// until the user passes the flag — the effective value depends on
+/// whether an architecture template is in play (the template's datapath
+/// must not be silently clobbered by a hardcoded default), so resolution
+/// happens in [`resolve_arch`] / [`runner_for`].
 struct Options {
     shape: GemmShape,
     precision: WeightPrecision,
@@ -403,101 +380,33 @@ struct Options {
     group: GroupShape,
     dup: Option<usize>,
     width: Option<usize>,
-    json: bool,
-    check: bool,
-    pareto: bool,
-    params: Vec<String>,
-    out: Option<String>,
     shard: Shard,
     checkpoint: Option<String>,
 }
 
-/// Parses `args` against `accepted`, the space-separated flags
-/// `pacq {command}` honours.
-/// Any other flag is a usage error naming the flag and the command, so a
-/// flag the command would ignore never looks accepted. `--shape` is
-/// required whenever it is accepted.
-fn parse_options(args: &[String], command: &str, accepted: &str) -> PacqResult<Options> {
-    let accepts = |flag: &str| accepted.split(' ').any(|f| f == flag);
-    let mut shape = None;
-    let mut precision = WeightPrecision::Int4;
-    let mut arch = None;
-    let mut group = GroupShape::G128;
-    let mut dup = None;
-    let mut width = None;
-    let mut json = false;
-    let mut check = false;
-    let mut pareto = false;
-    let mut params = Vec::new();
-    let mut out = None;
-    let mut shard = Shard::FULL;
-    let mut checkpoint = None;
-
-    let mut it = args.iter().map(String::as_str).peekable();
-    while let Some(flag) = it.next() {
-        if !accepts(flag) {
-            return Err(err(format!("`{flag}` does not apply to `pacq {command}`")));
-        }
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match flag {
-            "--shape" => shape = Some(parse_shape(value("--shape")?)?),
-            "--precision" => precision = parse_precision(value("--precision")?)?,
-            "--arch" => arch = Some(parse_arch(value("--arch")?)?),
-            "--group" => group = parse_group(value("--group")?)?,
-            "--dup" => {
-                let d = value("--dup")?
-                    .parse()
-                    .map_err(|_| err("--dup expects 1, 2 or 4"))?;
-                if !matches!(d, 1 | 2 | 4) {
-                    return Err(err("--dup expects 1, 2 or 4"));
-                }
-                dup = Some(d);
-            }
-            "--width" => {
-                let w = value("--width")?
-                    .parse()
-                    .map_err(|_| err("--width expects 4, 8 or 16"))?;
-                if !matches!(w, 4 | 8 | 16) {
-                    return Err(err("--width expects 4, 8 or 16"));
-                }
-                width = Some(w);
-            }
-            "--json" => json = true,
-            "--check" => check = true,
-            "--pareto" => pareto = true,
-            "--param" => params.push(value("--param")?.to_string()),
-            "--out" => out = Some(value("--out")?.to_string()),
-            "--shard" => shard = Shard::parse(value("--shard")?)?,
-            "--checkpoint" => checkpoint = Some(value("--checkpoint")?.to_string()),
-            other => return Err(err(format!("unknown option `{other}`"))),
-        }
-    }
-
-    let shape = match shape {
-        Some(s) => s,
-        None if accepts("--shape") => {
-            return Err(err("--shape is required (e.g. --shape m16n4096k4096)"))
-        }
-        None => GemmShape::M16N16K16,
+/// Validates the design-point flags of a parsed argv (the grammar has
+/// already rejected every flag the command does not accept).
+fn parse_options(args: &Args, require_shape: bool) -> PacqResult<Options> {
+    let opts = Options {
+        shape: args
+            .last("--shape", parse_shape)?
+            .unwrap_or(GemmShape::M16N16K16),
+        precision: args
+            .last("--precision", parse_precision)?
+            .unwrap_or(WeightPrecision::Int4),
+        arch: args.last("--arch", parse_arch)?,
+        group: args
+            .last("--group", parse_group)?
+            .unwrap_or(GroupShape::G128),
+        dup: args.last("--dup", |v| parse_dup(v, "--dup"))?,
+        width: args.last("--width", |v| parse_width(v, "--width"))?,
+        shard: args.last("--shard", Shard::parse)?.unwrap_or(Shard::FULL),
+        checkpoint: args.values("--checkpoint").last().map(String::from),
     };
-    Ok(Options {
-        shape,
-        precision,
-        arch,
-        group,
-        dup,
-        width,
-        json,
-        check,
-        pareto,
-        params,
-        out,
-        shard,
-        checkpoint,
-    })
+    if require_shape && !args.has("--shape") {
+        return Err(err("--shape is required (e.g. --shape m16n4096k4096)"));
+    }
+    Ok(opts)
 }
 
 /// The architecture a single-point command simulates: the `--arch` flag
@@ -568,34 +477,25 @@ pub fn parse_shape(text: &str) -> PacqResult<GemmShape> {
     GemmShape::try_new(m, n, k)
 }
 
-/// Parses an architecture name the way `--arch` does (accepting the
-/// same aliases); shared with `pacq serve` request decoding.
+/// Parses any [`Architecture::tokens`] entry the way `--arch` does;
+/// shared with `pacq serve` request decoding and `--param arch=`.
 ///
 /// # Errors
 ///
 /// Returns [`PacqError::Usage`] for an unknown name.
 pub fn parse_arch(text: &str) -> PacqResult<Architecture> {
-    match text {
-        "std" | "standard" | "dequant" => Ok(Architecture::StandardDequant),
-        "packedk" | "packed-k" | "pbk" => Ok(Architecture::PackedK),
-        "pacq" => Ok(Architecture::Pacq),
-        "is" | "input-stationary" => Ok(Architecture::InputStationary),
-        other => Err(err(format!("unknown architecture `{other}`"))),
-    }
+    Architecture::parse(text).ok_or_else(|| err(format!("unknown architecture `{text}`")))
 }
 
-/// Parses a weight precision the way `--precision` does; shared with
-/// `pacq serve` request decoding.
+/// Parses any [`WeightPrecision::tokens`] entry the way `--precision`
+/// does; shared with `pacq serve` request decoding and
+/// `--param precision=`.
 ///
 /// # Errors
 ///
 /// Returns [`PacqError::Usage`] for an unknown name.
 pub fn parse_precision(text: &str) -> PacqResult<WeightPrecision> {
-    match text {
-        "int4" | "INT4" => Ok(WeightPrecision::Int4),
-        "int2" | "INT2" => Ok(WeightPrecision::Int2),
-        other => Err(err(format!("unknown precision `{other}`"))),
-    }
+    WeightPrecision::parse(text).ok_or_else(|| err(format!("unknown precision `{text}`")))
 }
 
 /// Parses a quantization-group name the way `--group` does; shared with
@@ -623,24 +523,47 @@ pub fn parse_group(text: &str) -> PacqResult<GroupShape> {
     }
 }
 
-fn runner_for(
-    opts: &Options,
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<GemmRunner> {
-    let mut runner = GemmRunner::new()
-        .with_config(resolve_config(opts, template))
-        .with_group(opts.group)
-        .with_cache_opt(cache.map(Arc::clone));
-    if let Some(t) = template {
-        // Bind the runner to the template: its per-level energies price
-        // every report, and its content digest travels into cache keys,
-        // checkpoint bindings and run provenance.
-        runner = runner
-            .with_energy_model(t.energy_model()?)
-            .with_template_digest(t.digest());
+/// Parses a count that must be one of `allowed`; `source` names the
+/// spelling in the error.
+fn parse_one_of(text: &str, source: &str, allowed: [usize; 3]) -> PacqResult<usize> {
+    match text.parse() {
+        Ok(v) if allowed.contains(&v) => Ok(v),
+        _ => {
+            let [a, b, c] = allowed;
+            Err(err(format!(
+                "{source} expects {a}, {b} or {c}, got `{text}`"
+            )))
+        }
     }
-    Ok(runner)
+}
+
+/// The one adder-tree duplication validator, behind `--dup D`,
+/// `pacq dse --param dup=D,...` and the serve frames' `dup` field.
+///
+/// # Errors
+///
+/// Returns [`PacqError::Usage`] naming `source` unless `text` is 1, 2
+/// or 4.
+pub fn parse_dup(text: &str, source: &str) -> PacqResult<usize> {
+    parse_one_of(text, source, [1, 2, 4])
+}
+
+/// The one DP-width validator, behind `--width W`,
+/// `pacq dse --param width=W,...` and the serve frames' `width` field.
+///
+/// # Errors
+///
+/// Returns [`PacqError::Usage`] naming `source` unless `text` is 4, 8
+/// or 16.
+pub fn parse_width(text: &str, source: &str) -> PacqResult<usize> {
+    parse_one_of(text, source, [4, 8, 16])
+}
+
+fn runner_for(opts: &Options, knobs: &Knobs) -> PacqResult<GemmRunner> {
+    Ok(knobs
+        .runner()?
+        .with_config(resolve_config(opts, knobs.template.as_ref()))
+        .with_group(opts.group))
 }
 
 /// FNV-1a over the row-major result bits: a stable fingerprint that two
@@ -663,21 +586,12 @@ fn result_digest(c: &pacq_quant::MatrixF32) -> u64 {
 /// reruns and backends see identical inputs). `--check` runs the scalar
 /// *and* batched backends, asserts bit-identity, and reports the
 /// speedup.
-fn exec(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(
-        args,
-        "exec",
-        "--shape --arch --precision --group --dup --width --check",
-    )?;
-    let arch = resolve_arch(opts.arch, template)?;
+fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
+    let opts = parse_options(args, true)?;
+    let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
     let _span = pacq_trace::span("cli.exec");
     let (m, n, k) = (opts.shape.m, opts.shape.n, opts.shape.k);
-    let runner = runner_for(&opts, cache, template)?.with_backend(backend);
+    let runner = runner_for(&opts, knobs)?;
     let mut g = SynthGenerator::new((m ^ (n << 8) ^ (k << 16)) as u64 | 1);
     let a = g.llm_activations(m, k).to_f16();
     let w = g.llm_weights(k, n);
@@ -706,7 +620,7 @@ fn exec(
     record.set("backend", runner.backend().token());
     record.set("digest", format!("{digest:016x}"));
 
-    if opts.check {
+    if args.has("--check") {
         // Run the *other* backend on the same inputs: results must agree
         // to the bit (the tentpole contract), and the ratio of wall
         // times is the measured speedup.
@@ -753,36 +667,24 @@ fn exec(
     Ok(out)
 }
 
-fn analyze(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(
-        args,
-        "analyze",
-        "--shape --arch --precision --group --dup --width --json",
-    )?;
-    let arch = resolve_arch(opts.arch, template)?;
-    let runner = runner_for(&opts, cache, template)?;
+fn analyze(args: &Args, knobs: &Knobs) -> PacqResult<String> {
+    let opts = parse_options(args, true)?;
+    let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
+    let runner = runner_for(&opts, knobs)?;
     let report = runner.analyze(arch, Workload::new(opts.shape, opts.precision))?;
-    if opts.json {
+    if args.has("--json") {
         Ok(report_json(&report))
     } else {
         Ok(report_text(&report))
     }
 }
 
-fn compare(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(args, "compare", "--shape --precision --group --dup --width")?;
+fn compare(args: &Args, knobs: &Knobs) -> PacqResult<String> {
+    let opts = parse_options(args, true)?;
     // With a template, compare runs all three dataflows on the
     // template's *machine* (capacities, datapath, energies) — the
     // template's own dataflow triple picks none of them out.
-    let runner = runner_for(&opts, cache, template)?;
+    let runner = runner_for(&opts, knobs)?;
     let wl = Workload::new(opts.shape, opts.precision);
     let cmp = Comparison::new(vec![
         runner.analyze(Architecture::StandardDequant, wl)?,
@@ -816,20 +718,11 @@ fn compare(
 /// `pacq sweep --param grid|batch|dup|width`: runs the form's preset
 /// ([`SweepForm`]) through the one grid engine and renders it as the
 /// form's own table.
-fn sweep(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(
-        args,
-        "sweep",
-        "--shape --param --precision --group --dup --width --shard --checkpoint",
-    )?;
+fn sweep(args: &Args, knobs: &Knobs) -> PacqResult<String> {
+    let opts = parse_options(args, true)?;
     // Shared --param validation (duplicates, empty value lists) before
-    // the sweep-specific shape check.
-    let specs = parse_params(&opts.params)?;
+    // the sweep-specific form check.
+    let specs = parse_params(args.values("--param"))?;
     let param = match specs.as_slice() {
         [] => return Err(err("--param is required for sweep")),
         [spec] if spec.values.is_empty() => spec.name.as_str(),
@@ -845,9 +738,12 @@ fn sweep(
     // Each form honours its own flags; checking them against that list
     // makes a flag the form would ignore a usage error.
     let form = SweepForm::parse(param)?;
-    parse_options(args, &format!("sweep --param {param}"), form.flags())?;
+    args.restrict(
+        &format!("pacq sweep --param {param}"),
+        &format!("{GLOBAL_FLAGS} --arch-template {}", form.flags()),
+    )?;
 
-    let base = runner_for(&opts, cache, template)?.with_backend(backend);
+    let base = runner_for(&opts, knobs)?;
     let cfg = *base.config();
     let axes = form.axes(
         cfg.dp_width,
@@ -885,8 +781,8 @@ fn sweep(
             write_grid_rows(&mut out, "job", 24, &outcome.rows, |job| {
                 format!(
                     "{}:{}:{}",
-                    pacq_cache::arch_token(job.arch),
-                    pacq_cache::precision_token(job.workload.precision),
+                    job.arch.token(),
+                    job.workload.precision.token(),
                     job.workload.shape
                 )
             });
@@ -896,7 +792,7 @@ fn sweep(
                 "grid: {} jobs, shard {} selected {}, resumed {}, executed {}",
                 t.total, opts.shard, t.selected, t.skipped, t.executed
             );
-            if let Some(c) = cache {
+            if let Some(c) = &knobs.cache {
                 let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
             }
         }
@@ -1035,21 +931,12 @@ fn write_grid_rows(
 /// caching. See [`crate::dse`]. With `--pareto` the non-dominated
 /// (cycles, energy) set is printed as a stable table and recorded in
 /// the `--metrics` manifest.
-fn dse(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    backend: Backend,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let opts = parse_options(
-        args,
-        "dse",
-        "--shape --param --group --shard --checkpoint --pareto",
-    )?;
-    let base = runner_for(&opts, cache, template)?.with_backend(backend);
+fn dse(args: &Args, knobs: &Knobs) -> PacqResult<String> {
+    let opts = parse_options(args, true)?;
+    let base = runner_for(&opts, knobs)?;
     let cfg = *base.config();
     let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
-    axes.apply(&parse_params(&opts.params)?)?;
+    axes.apply(&parse_params(args.values("--param"))?)?;
     let outcome = run_grid(
         &base,
         &axes,
@@ -1085,7 +972,7 @@ fn dse(
             best.edp_pj_s
         );
     }
-    if opts.pareto {
+    if args.has("--pareto") {
         let points: Vec<crate::pareto::ParetoPoint> = outcome
             .rows
             .iter()
@@ -1142,12 +1029,12 @@ fn dse(
         t.selected,
         t.skipped,
         t.executed,
-        match template {
+        match &knobs.template {
             Some(tpl) => format!("; template {} ({})", tpl.name, tpl.digest()),
             None => "; builtin machine".to_string(),
         }
     );
-    if let Some(c) = cache {
+    if let Some(c) = &knobs.cache {
         let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
     }
     Ok(out)
@@ -1157,32 +1044,21 @@ fn dse(
 /// a content-addressed report cache directory. `verify` exits nonzero
 /// (typed, exit code 4) when any entry fails its integrity walk, so CI
 /// can gate on store health.
-fn cache_cmd(args: &[String], ambient: Option<&Arc<ReportCache>>) -> PacqResult<String> {
-    let mut action = None;
-    let mut dir = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(arg) = it.next() {
-        match arg {
-            "stats" | "clear" | "verify" if action.is_none() => action = Some(arg.to_string()),
-            "--dir" => {
-                dir = Some(
-                    it.next()
-                        .ok_or_else(|| err("missing value for --dir"))?
-                        .to_string(),
-                )
-            }
-            other => return Err(err(format!("unknown cache argument `{other}`"))),
-        }
-    }
-    let action = action.ok_or_else(|| err("cache wants an action: stats, clear or verify"))?;
+fn cache_cmd(args: &Args, ambient: Option<&Arc<ReportCache>>) -> PacqResult<String> {
+    // The action is the positional after the command.
+    let action = match args.positionals().nth(1) {
+        Some(action @ ("stats" | "clear" | "verify")) => action,
+        Some(other) => return Err(does_not_apply(other, "pacq cache")),
+        None => return Err(err("cache wants an action: stats, clear or verify")),
+    };
     // `--dir DIR` names the store; the global `--cache DIR` flag works
     // too, so `pacq cache stats --cache DIR` reads naturally.
-    let store = match (dir, ambient) {
+    let store = match (args.values("--dir").last(), ambient) {
         (Some(d), _) => ReportCache::open(d)?,
         (None, Some(c)) => ReportCache::open(c.dir())?,
         (None, None) => return Err(err("cache wants --dir DIR (or the global --cache DIR)")),
     };
-    match action.as_str() {
+    match action {
         "stats" => {
             let s = store.stats()?;
             Ok(format!(
@@ -1231,43 +1107,22 @@ fn cache_cmd(args: &[String], ambient: Option<&Arc<ReportCache>>) -> PacqResult<
 /// reference scan. With `--cache DIR`, priced reports go through (and
 /// into) the store, so the audit doubles as a check that cached reports
 /// satisfy the same invariants as fresh ones.
-fn audit(
-    args: &[String],
-    cache: Option<&Arc<ReportCache>>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<String> {
-    let mut activity = false;
-    let mut tolerance_flag = None;
-    let mut scale = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match flag {
-            "--activity" => activity = true,
-            "--tolerance" => {
-                let t: f64 = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| err("--tolerance expects a number"))?;
-                if !(t > 0.0 && t.is_finite()) {
-                    return Err(err(format!(
-                        "--tolerance must be positive and finite, got {t}"
-                    )));
-                }
-                tolerance_flag = Some(t);
-            }
-            "--activity-scale" => {
-                let s: f64 = value("--activity-scale")?
-                    .parse()
-                    .map_err(|_| err("--activity-scale expects a number"))?;
-                scale = Some(s);
-            }
-            other => return Err(err(format!("unknown audit option `{other}`"))),
+fn audit(args: &Args, knobs: &Knobs) -> PacqResult<String> {
+    let (cache, template) = (knobs.cache.as_ref(), knobs.template.as_ref());
+    let tolerance_flag = args.last("--tolerance", |v| {
+        let t: f64 = v.parse().map_err(|_| err("--tolerance expects a number"))?;
+        if !(t > 0.0 && t.is_finite()) {
+            return Err(err(format!(
+                "--tolerance must be positive and finite, got {t}"
+            )));
         }
-    }
-    if activity {
+        Ok(t)
+    })?;
+    let scale = args.last("--activity-scale", |v| {
+        v.parse::<f64>()
+            .map_err(|_| err("--activity-scale expects a number"))
+    })?;
+    if args.has("--activity") {
         return audit_activity(tolerance_flag, scale, template);
     }
     if tolerance_flag.is_some() || scale.is_some() || template.is_some() {
@@ -1285,21 +1140,14 @@ fn audit(
         GemmShape::new(24, 48, 48), // ragged m only
         GemmShape::new(16, 256, 256),
     ];
-    let archs = [
-        Architecture::StandardDequant,
-        Architecture::PackedK,
-        Architecture::InputStationary,
-        Architecture::Pacq,
-    ];
-    let precisions = [WeightPrecision::Int4, WeightPrecision::Int2];
     let mut cases = 0u64;
     let mut checks = 0u64;
     for width in [4usize, 8] {
         let mut cfg = SmConfig::volta_like();
         cfg.dp_width = width;
         for shape in shapes {
-            for arch in archs {
-                for precision in precisions {
+            for arch in Architecture::ALL {
+                for precision in WeightPrecision::ALL {
                     checks += audit_point(shape, arch, precision, &cfg, group, cache)?;
                     cases += 1;
                 }
@@ -1531,12 +1379,12 @@ fn audit_roofline(n: usize, k: usize, bits: u32) -> PacqResult<u64> {
 /// `pacq trace`: replays one warp-tile octet through the event-driven
 /// pipeline and writes the cycle-resolved activity as Chrome trace_event
 /// JSON (1 trace microsecond = 1 SM cycle).
-fn trace(args: &[String], template: Option<&ArchTemplate>) -> PacqResult<String> {
-    let opts = parse_options(args, "trace", "--arch --precision --dup --width --out")?;
+fn trace(args: &Args, template: Option<&ArchTemplate>) -> PacqResult<String> {
+    let opts = parse_options(args, false)?;
     let arch = resolve_arch(opts.arch, template)?;
-    let out = opts
-        .out
-        .clone()
+    let out = args
+        .values("--out")
+        .last()
         .ok_or_else(|| err("--out PATH is required for trace"))?;
     let cfg = resolve_config(&opts, template);
     let schedule = octet_schedule(arch, opts.precision, &cfg);
@@ -1567,7 +1415,7 @@ fn trace(args: &[String], template: Option<&ArchTemplate>) -> PacqResult<String>
     chrome.set_metadata("precision", Json::from(opts.precision.to_string()));
     chrome.set_metadata("cycles", Json::from(replay.cycles));
     chrome.set_metadata("time_units", Json::from("1 trace microsecond = 1 SM cycle"));
-    chrome.write_to(&out)?;
+    chrome.write_to(out)?;
     Ok(format!(
         "wrote Chrome trace: {} events over {} cycles ({} stall) -> {out}\n",
         events.len(),
@@ -1654,6 +1502,13 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// `argv(cmd)` followed by `tail` verbatim (paths may hold spaces).
+    fn with(cmd: &str, tail: &[&str]) -> Vec<String> {
+        let mut args = argv(cmd);
+        args.extend(tail.iter().map(|s| s.to_string()));
+        args
     }
 
     #[test]
@@ -1877,34 +1732,19 @@ mod tests {
         let path = tmp_path("audit-template").replace(".json", ".toml");
         std::fs::write(&path, template.render()).unwrap();
         // The pinned (absurdly tight) tolerance governs the check.
-        let e = run(&[
-            "audit".to_string(),
-            "--activity".to_string(),
-            "--arch-template".to_string(),
-            path.clone(),
-        ])
-        .unwrap_err();
+        let e = run(&with("audit --activity --arch-template", &[&path])).unwrap_err();
         assert_eq!(e.exit_code(), 7, "{e}");
         // An explicit --tolerance on top of the pinned one conflicts.
-        let e = run(&[
-            "audit".to_string(),
-            "--activity".to_string(),
-            "--tolerance".to_string(),
-            "4".to_string(),
-            "--arch-template".to_string(),
-            path.clone(),
-        ])
+        let e = run(&with(
+            "audit --activity --tolerance 4 --arch-template",
+            &[&path],
+        ))
         .unwrap_err();
         assert_eq!(e.exit_code(), 2, "{e}");
         assert!(e.to_string().contains("conflicts"), "{e}");
         // A template without --activity still does not apply to the
         // replay audit.
-        let e = run(&[
-            "audit".to_string(),
-            "--arch-template".to_string(),
-            path.clone(),
-        ])
-        .unwrap_err();
+        let e = run(&with("audit --arch-template", &[&path])).unwrap_err();
         assert_eq!(e.exit_code(), 2, "{e}");
         std::fs::remove_file(&path).ok();
     }
@@ -1912,16 +1752,8 @@ mod tests {
     #[test]
     fn trace_writes_chrome_trace_json() {
         let path = tmp_path("trace");
-        let out = run(&[
-            "trace".to_string(),
-            "--arch".to_string(),
-            "pacq".to_string(),
-            "--precision".to_string(),
-            "int2".to_string(),
-            "--out".to_string(),
-            path.clone(),
-        ])
-        .expect("trace runs");
+        let out =
+            run(&with("trace --arch pacq --precision int2 --out", &[&path])).expect("trace runs");
         assert!(out.contains("wrote Chrome trace"), "{out}");
         let text = std::fs::read_to_string(&path).expect("trace file exists");
         let doc = pacq_trace::Json::parse(&text).expect("valid JSON");
@@ -1941,12 +1773,10 @@ mod tests {
     fn metrics_flag_writes_a_schema_valid_manifest() {
         let _guard = crate::par::test_lock();
         let path = tmp_path("metrics");
-        let out = run(&[
-            "analyze".to_string(),
-            "--shape".to_string(),
-            "m16n256k256".to_string(),
-            format!("--metrics={path}"),
-        ])
+        let out = run(&with(
+            "analyze --shape m16n256k256",
+            &[&format!("--metrics={path}")],
+        ))
         .expect("analyze runs");
         assert!(out.contains("total cycles"));
         let text = std::fs::read_to_string(&path).expect("manifest exists");
@@ -2008,40 +1838,25 @@ mod tests {
     fn sweep_grid_resumes_from_checkpoint() {
         let path = tmp_path("ckpt");
         std::fs::remove_file(&path).ok();
-        let first = run(&[
-            "sweep".to_string(),
-            "--param".to_string(),
-            "grid".to_string(),
-            "--shape".to_string(),
-            "m16n256k256".to_string(),
-            "--checkpoint".to_string(),
-            path.clone(),
-        ])
+        let first = run(&with(
+            "sweep --param grid --shape m16n256k256 --checkpoint",
+            &[&path],
+        ))
         .expect("first pass runs");
         assert!(first.contains("executed 36"), "{first}");
-        let second = run(&[
-            "sweep".to_string(),
-            "--param".to_string(),
-            "grid".to_string(),
-            "--shape".to_string(),
-            "m16n256k256".to_string(),
-            "--checkpoint".to_string(),
-            path.clone(),
-        ])
+        let second = run(&with(
+            "sweep --param grid --shape m16n256k256 --checkpoint",
+            &[&path],
+        ))
         .expect("resume runs");
         assert!(second.contains("done (resumed)"), "{second}");
         assert!(second.contains("resumed 36, executed 0"), "{second}");
         // A checkpoint written for a different grid must be a typed
         // error, not a silent fresh start.
-        let err = run(&[
-            "sweep".to_string(),
-            "--param".to_string(),
-            "grid".to_string(),
-            "--shape".to_string(),
-            "m16n512k512".to_string(),
-            "--checkpoint".to_string(),
-            path.clone(),
-        ])
+        let err = run(&with(
+            "sweep --param grid --shape m16n512k512 --checkpoint",
+            &[&path],
+        ))
         .unwrap_err();
         assert!(err.to_string().contains("checkpoint"), "{err}");
         std::fs::remove_file(&path).ok();
@@ -2057,9 +1872,11 @@ mod tests {
             "{err}"
         );
         for bad in ["0/4", "5/4", "+1/4", "1of4", "1/0"] {
-            let mut args = argv("sweep --param grid --shape m16n256k256 --shard");
-            args.push(bad.to_string());
-            let err = run(&args).unwrap_err();
+            let err = run(&with(
+                "sweep --param grid --shape m16n256k256 --shard",
+                &[bad],
+            ))
+            .unwrap_err();
             assert!(err.is_usage(), "--shard {bad}: {err}");
         }
     }
@@ -2067,12 +1884,7 @@ mod tests {
     #[test]
     fn cache_flag_memoizes_and_subcommands_manage_the_store() {
         let dir = tmp_dir("cache");
-        let cached = |cmd: &str| {
-            let mut args = argv(cmd);
-            args.push("--cache".to_string());
-            args.push(dir.clone());
-            run(&args)
-        };
+        let cached = |cmd: &str| run(&with(&format!("{cmd} --cache"), &[&dir]));
         let cold = cached("analyze --shape m16n256k256 --arch pacq").expect("cold run");
         let warm = cached("analyze --shape m16n256k256 --arch pacq").expect("warm run");
         assert_eq!(cold, warm, "cached report must render identically");
@@ -2097,13 +1909,7 @@ mod tests {
         let healed = cached("analyze --shape m16n256k256 --arch pacq").expect("recomputes");
         assert_eq!(healed, cold);
 
-        let cleared = run(&[
-            "cache".to_string(),
-            "clear".to_string(),
-            "--dir".to_string(),
-            dir.clone(),
-        ])
-        .expect("clear");
+        let cleared = run(&with("cache clear --dir", &[&dir])).expect("clear");
         assert!(cleared.contains("removed"), "{cleared}");
         assert!(run(&argv("cache stats")).is_err(), "--dir is required");
         assert!(cached("cache frobnicate").is_err());
@@ -2120,21 +1926,17 @@ mod tests {
 
         let dir = tmp_dir("hotcli");
         for bad in ["0", "-1", "4.0", "nope", ""] {
-            let mut args = argv("analyze --shape m16n256k256 --cache");
-            args.push(dir.clone());
-            args.push(format!("--hot={bad}"));
+            let args = with(
+                "analyze --shape m16n256k256 --cache",
+                &[&dir, &format!("--hot={bad}")],
+            );
             let err = run(&args).unwrap_err();
             assert_eq!(err.exit_code(), 2, "--hot {bad}: {err}");
         }
 
         // With a store, --hot N is accepted (both spellings) and the
         // warm run renders identically to the cold one.
-        let hot = |cmd: &str| {
-            let mut args = argv(cmd);
-            args.extend(["--cache".to_string(), dir.clone(), "--hot".to_string()]);
-            args.push("8".to_string());
-            run(&args)
-        };
+        let hot = |cmd: &str| run(&with(&format!("{cmd} --cache"), &[&dir, "--hot", "8"]));
         let cold = hot("analyze --shape m16n256k256 --arch pacq").expect("cold run");
         let warm = hot("analyze --shape m16n256k256 --arch pacq").expect("warm run");
         assert_eq!(cold, warm);
@@ -2227,8 +2029,7 @@ mod tests {
         let path = tmp_path("dse-ckpt");
         std::fs::remove_file(&path).ok();
         let base = "dse --shape m16n256k256 --param batch=16,32 --param arch=pacq";
-        let mut args = argv(base);
-        args.extend(["--checkpoint".to_string(), path.clone()]);
+        let args = with(&format!("{base} --checkpoint"), &[&path]);
         let first = run(&args).expect("first pass");
         assert!(first.contains("executed 4"), "{first}");
         let second = run(&args).expect("resume");
@@ -2239,9 +2040,7 @@ mod tests {
             "dse --shape m16n256k256 --param batch=16 --param arch=pacq",
             "dse --shape m16n512k512 --param batch=16,32 --param arch=pacq",
         ] {
-            let mut other = argv(other);
-            other.extend(["--checkpoint".to_string(), path.clone()]);
-            let err = run(&other).unwrap_err();
+            let err = run(&with(&format!("{other} --checkpoint"), &[&path])).unwrap_err();
             assert_eq!(err.exit_code(), 4, "{err}");
             assert!(
                 err.to_string().contains("belongs to a different run"),
@@ -2283,9 +2082,7 @@ mod tests {
         // The front lands in the --metrics manifest as a dse.pareto
         // record.
         let path = tmp_path("pareto-manifest");
-        let mut args = argv(base);
-        args.push(format!("--metrics={path}"));
-        run(&args).expect("runs with metrics");
+        run(&with(base, &[&format!("--metrics={path}")])).expect("runs with metrics");
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = pacq_trace::Json::parse(&text).unwrap();
         let results = doc.get("results").and_then(|r| r.as_arr()).unwrap();
@@ -2313,12 +2110,7 @@ mod tests {
         let ckpt = tmp_path("dse-rehydrate-ckpt");
         std::fs::remove_file(&ckpt).ok();
         let base = "dse --shape m16n256k256 --param batch=16,32 --param arch=pacq,is --pareto";
-        let with = |extra: &[&str]| {
-            let mut a = argv(base);
-            a.extend(extra.iter().map(|s| s.to_string()));
-            a.extend(["--checkpoint".to_string(), ckpt.clone()]);
-            a
-        };
+        let with = |extra: &[&str]| with(base, &[extra, &["--checkpoint", &ckpt]].concat());
         let first = run(&with(&["--cache", &dir])).expect("first pass");
         assert!(first.contains("executed 8"), "{first}");
         let best_line = |s: &str| {
@@ -2360,18 +2152,21 @@ mod tests {
     #[test]
     fn arch_template_flag_reproduces_the_builtin_machine() {
         let path = write_template("volta", &crate::ArchTemplate::volta_like().render());
-        let mut args = argv("analyze --shape m16n256k256 --arch std");
-        let builtin = run(&args).expect("builtin runs");
-        args = argv("analyze --shape m16n256k256");
-        args.extend(["--arch-template".to_string(), path.clone()]);
-        let templated = run(&args).expect("template runs");
+        let builtin = run(&argv("analyze --shape m16n256k256 --arch std")).expect("builtin runs");
+        let templated = run(&with(
+            "analyze --shape m16n256k256 --arch-template",
+            &[&path],
+        ))
+        .expect("runs");
         assert_eq!(
             builtin, templated,
             "the volta-like template must reproduce the hardcoded report bit for bit"
         );
         // The template pins the dataflow: --arch conflicts.
-        let mut conflict = argv("analyze --shape m16n256k256 --arch pacq");
-        conflict.extend(["--arch-template".to_string(), path.clone()]);
+        let conflict = with(
+            "analyze --shape m16n256k256 --arch pacq --arch-template",
+            &[&path],
+        );
         let err = run(&conflict).unwrap_err();
         assert!(err.is_usage(), "{err}");
         assert!(err.to_string().contains("pins"), "{err}");
@@ -2381,35 +2176,24 @@ mod tests {
     #[test]
     fn arch_template_errors_are_typed() {
         // Missing file: I/O error, exit 6.
-        let err = run(&[
-            "analyze".to_string(),
-            "--shape".to_string(),
-            "m16n16k16".to_string(),
-            "--arch-template".to_string(),
-            "/nonexistent/x.toml".to_string(),
-        ])
+        let err = run(&argv(
+            "analyze --shape m16n16k16 --arch-template /nonexistent/x.toml",
+        ))
         .unwrap_err();
         assert_eq!(err.exit_code(), 6, "{err}");
         // Broken template: typed template error, exit 9, naming the file.
         let path = write_template("broken", "schema = \"pacq-arch/v1\"\nname = \"x\"\n");
-        let err = run(&[
-            "analyze".to_string(),
-            "--shape".to_string(),
-            "m16n16k16".to_string(),
-            format!("--arch-template={path}"),
-        ])
+        let err = run(&with(
+            "analyze --shape m16n16k16",
+            &[&format!("--arch-template={path}")],
+        ))
         .unwrap_err();
         assert_eq!(err.exit_code(), 9, "{err}");
         assert!(err.to_string().contains(&path), "{err}");
         std::fs::remove_file(&path).ok();
         // Commands with no machine to describe reject the flag.
         let path = write_template("volta2", &crate::ArchTemplate::volta_like().render());
-        let err = run(&[
-            "audit".to_string(),
-            "--arch-template".to_string(),
-            path.clone(),
-        ])
-        .unwrap_err();
+        let err = run(&with("audit --arch-template", &[&path])).unwrap_err();
         assert!(err.is_usage(), "{err}");
         std::fs::remove_file(&path).ok();
         // And a missing value is a usage error.
@@ -2425,16 +2209,8 @@ mod tests {
         let path = write_template("evolving", &template.render());
 
         let sweep_args = |tpl: &str| {
-            let mut a = argv("sweep --param grid --shape m16n256k256");
-            a.extend([
-                "--cache".to_string(),
-                dir.clone(),
-                "--checkpoint".to_string(),
-                ckpt.clone(),
-                "--arch-template".to_string(),
-                tpl.to_string(),
-            ]);
-            a
+            let flags = [dir.as_str(), "--checkpoint", &ckpt, "--arch-template", tpl];
+            with("sweep --param grid --shape m16n256k256 --cache", &flags)
         };
         let first = run(&sweep_args(&path)).expect("first pass");
         assert!(first.contains("executed 36"), "{first}");
@@ -2454,18 +2230,50 @@ mod tests {
 
         // Without the stale checkpoint the run proceeds — and gets zero
         // cache hits, because the template digest is in every key.
-        let mut fresh = argv("sweep --param grid --shape m16n256k256");
-        fresh.extend([
-            "--cache".to_string(),
-            dir.clone(),
-            "--arch-template".to_string(),
-            path.clone(),
-        ]);
-        let out = run(&fresh).expect("edited template runs");
+        let fresh = with("sweep --param grid --shape m16n256k256 --cache", &[&dir]);
+        let out = run(&[fresh, with("--arch-template", &[&path])].concat())
+            .expect("edited template runs");
         assert!(out.contains("cache: 0 hits, 36 misses"), "{out}");
 
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&ckpt).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_value_flag_takes_both_spellings() {
+        // For every value flag of every command, `--f=V` parses the
+        // same as `--f V`; a switch given `=V` is a usage error.
+        for (command, flags) in COMMANDS.map(|c| c.split_once(' ').unwrap()) {
+            let entry = format!("pacq {command}");
+            let accepted = format!("{GLOBAL_FLAGS} {flags}");
+            for flag in accepted.split_whitespace() {
+                let joined = Args::parse(&argv(&format!("{command} {flag}=V")), &entry, &accepted);
+                if crate::args::takes_value(flag) {
+                    let split =
+                        Args::parse(&argv(&format!("{command} {flag} V")), &entry, &accepted);
+                    assert_eq!(joined.unwrap(), split.unwrap(), "{entry} {flag}");
+                } else {
+                    let e = joined.unwrap_err();
+                    assert_eq!(e.exit_code(), 2, "{entry} {flag}: {e}");
+                }
+            }
+        }
+        // End to end: per-command flags take `=V` too, and a flag a
+        // command does not take still names the command.
+        assert_eq!(
+            run(&argv("analyze --shape=m16n256k256 --arch=is")).unwrap(),
+            run(&argv("analyze --shape m16n256k256 --arch is")).unwrap()
+        );
+        let e = run(&argv("audit --shape=m16n16k16")).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("`--shape` does not apply to `pacq audit`"),
+            "{e}"
+        );
+        let dir = tmp_dir("dir-equals");
+        let stats = run(&with("cache stats", &[&format!("--dir={dir}")])).unwrap();
+        assert!(stats.contains("0 entries"), "{stats}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -131,19 +131,13 @@ impl DseAxes {
                 "width" => {
                     self.width = values
                         .iter()
-                        .map(|v| match v.parse() {
-                            Ok(w @ (4 | 8 | 16)) => Ok(w),
-                            _ => Err(err(format!("--param width: `{v}` must be 4, 8 or 16"))),
-                        })
+                        .map(|v| crate::cli::parse_width(v, "--param width"))
                         .collect::<PacqResult<Vec<usize>>>()?;
                 }
                 "dup" => {
                     self.dup = values
                         .iter()
-                        .map(|v| match v.parse() {
-                            Ok(d @ (1 | 2 | 4)) => Ok(d),
-                            _ => Err(err(format!("--param dup: `{v}` must be 1, 2 or 4"))),
-                        })
+                        .map(|v| crate::cli::parse_dup(v, "--param dup"))
                         .collect::<PacqResult<Vec<usize>>>()?;
                 }
                 "group" => {
@@ -187,8 +181,8 @@ impl DseJob {
         format!(
             "b{}:{}:{}:w{}:d{}:{}",
             self.workload.shape.m,
-            pacq_cache::arch_token(self.arch),
-            pacq_cache::precision_token(self.workload.precision),
+            self.arch.token(),
+            self.workload.precision.token(),
             self.width,
             self.dup,
             self.group,

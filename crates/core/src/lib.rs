@@ -55,6 +55,7 @@
 )]
 
 pub mod activity;
+pub mod args;
 pub mod backend;
 pub mod cli;
 pub mod dse;

@@ -31,6 +31,7 @@
 //! [`Server`] on an ephemeral port, sharing this invocation's
 //! `--cache`/`--hot`/`--backend`, and drain it when the run ends).
 
+use crate::args::Args;
 use crate::cli;
 use crate::runner::GemmRunner;
 use crate::serve::{validate_serve_count, ServeOptions, Server};
@@ -100,13 +101,12 @@ fn proto(message: impl Into<String>) -> PacqError {
 // The deterministic point mix
 // ---------------------------------------------------------------------
 
-/// One evaluation point in the mix: the wire tokens it is requested
-/// with and the typed values the in-process reference recomputes from.
+/// One evaluation point in the mix: the shape token and the typed
+/// values the request spells by their canonical tokens and the
+/// in-process reference recomputes from.
 #[derive(Debug, Clone)]
 struct MixPoint {
     shape: String,
-    arch_token: &'static str,
-    precision_token: &'static str,
     arch: Architecture,
     precision: WeightPrecision,
 }
@@ -115,26 +115,16 @@ struct MixPoint {
 /// (every point is a distinct cache key by shape alone), cycling the
 /// three architectures and both precisions for datapath variety.
 fn point_mix(unique: usize) -> Vec<MixPoint> {
-    const ARCHS: [(&str, Architecture); 3] = [
-        ("pacq", Architecture::Pacq),
-        ("std", Architecture::StandardDequant),
-        ("packedk", Architecture::PackedK),
-    ];
-    const PRECS: [(&str, WeightPrecision); 2] = [
-        ("int4", WeightPrecision::Int4),
-        ("int2", WeightPrecision::Int2),
+    const ARCHS: [Architecture; 3] = [
+        Architecture::Pacq,
+        Architecture::StandardDequant,
+        Architecture::PackedK,
     ];
     (0..unique)
-        .map(|i| {
-            let (arch_token, arch) = ARCHS[i % ARCHS.len()];
-            let (precision_token, precision) = PRECS[i % PRECS.len()];
-            MixPoint {
-                shape: format!("m{}n256k256", 16 * (i + 1)),
-                arch_token,
-                precision_token,
-                arch,
-                precision,
-            }
+        .map(|i| MixPoint {
+            shape: format!("m{}n256k256", 16 * (i + 1)),
+            arch: ARCHS[i % ARCHS.len()],
+            precision: WeightPrecision::ALL[i % WeightPrecision::ALL.len()],
         })
         .collect()
 }
@@ -145,8 +135,8 @@ fn request_line(id: u64, point: &MixPoint) -> String {
     frame.set("op", "analyze");
     frame.set("id", id);
     frame.set("shape", point.shape.as_str());
-    frame.set("arch", point.arch_token);
-    frame.set("precision", point.precision_token);
+    frame.set("arch", point.arch.token());
+    frame.set("precision", point.precision.token());
     frame.render_line()
 }
 
@@ -363,58 +353,33 @@ enum Target {
 /// connection failures and lost replies; audit-class for a sampled
 /// report that differs from in-process computation.
 pub fn run_cli(
-    args: &[String],
+    args: &Args,
     cache: Option<Arc<ReportCache>>,
     backend: Backend,
 ) -> PacqResult<String> {
     let usage = |msg: &str| PacqError::usage(msg.to_string());
-    let mut target: Option<Target> = None;
-    let mut set_target = |t: Target| -> PacqResult<()> {
-        if target.is_some() {
-            return Err(PacqError::usage(
-                "pass exactly one of --addr, --ready-log, --spawn".to_string(),
-            ));
-        }
-        target = Some(t);
-        Ok(())
-    };
-    let mut requests = DEFAULT_REQUESTS;
-    let mut clients = DEFAULT_CLIENTS;
-    let mut window = DEFAULT_WINDOW;
-    let mut unique = DEFAULT_UNIQUE;
-    let mut sample = DEFAULT_SAMPLE;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| PacqError::usage(format!("missing value for {name}")))
-        };
-        match flag {
-            "--addr" => set_target(Target::Addr(value("--addr")?.to_string()))?,
-            "--ready-log" => set_target(Target::ReadyLog(value("--ready-log")?.to_string()))?,
-            "--spawn" => set_target(Target::Spawn)?,
-            "--requests" => {
-                requests = validate_serve_count(value("--requests")?, "--requests", MAX_REQUESTS)?;
-            }
-            "--clients" => {
-                clients = validate_serve_count(value("--clients")?, "--clients", MAX_CLIENTS)?;
-            }
-            "--window" => {
-                window = validate_serve_count(value("--window")?, "--window", MAX_WINDOW)?;
-            }
-            "--unique" => {
-                unique = validate_serve_count(value("--unique")?, "--unique", MAX_UNIQUE)?;
-            }
-            "--sample" => {
-                sample = validate_serve_count(value("--sample")?, "--sample", MAX_SAMPLE)?;
-            }
-            other => {
-                return Err(PacqError::usage(format!(
-                    "unknown loadgen option `{other}`"
-                )))
-            }
-        }
+    let mut targets = args
+        .values("--addr")
+        .map(|a| Target::Addr(a.to_string()))
+        .chain(
+            args.values("--ready-log")
+                .map(|p| Target::ReadyLog(p.to_string())),
+        )
+        .chain(args.has("--spawn").then_some(Target::Spawn));
+    let target = targets.next();
+    if targets.next().is_some() {
+        return Err(usage("pass exactly one of --addr, --ready-log, --spawn"));
     }
+    let count = |flag: &str, default: u64, max: u64| -> PacqResult<u64> {
+        Ok(args
+            .last(flag, |v| validate_serve_count(v, flag, max))?
+            .unwrap_or(default))
+    };
+    let requests = count("--requests", DEFAULT_REQUESTS, MAX_REQUESTS)?;
+    let clients = count("--clients", DEFAULT_CLIENTS, MAX_CLIENTS)?;
+    let window = count("--window", DEFAULT_WINDOW, MAX_WINDOW)?;
+    let unique = count("--unique", DEFAULT_UNIQUE, MAX_UNIQUE)?;
+    let sample = count("--sample", DEFAULT_SAMPLE, MAX_SAMPLE)?;
     let Some(target) = target else {
         return Err(usage(
             "loadgen wants a target: --addr HOST:PORT, --ready-log FILE or --spawn",
@@ -508,7 +473,9 @@ pub fn run_cli(
                 counter: "loadgen.report_bytes".to_string(),
                 case: format!(
                     "{} {} {}",
-                    point.shape, point.arch_token, point.precision_token
+                    point.shape,
+                    point.arch.token(),
+                    point.precision.token()
                 ),
                 observed: rendering.clone(),
                 expected,
@@ -579,13 +546,22 @@ mod tests {
         text.split_whitespace().map(str::to_string).collect()
     }
 
+    /// `run_cli` on an argv read through the shared grammar.
+    fn run_argv(argv: &[String]) -> PacqResult<String> {
+        run_cli(
+            &Args::parse(argv, "pacq loadgen", cli::command_flags("loadgen").unwrap())?,
+            None,
+            Backend::Scalar,
+        )
+    }
+
     #[test]
     fn the_mix_is_deterministic_and_all_points_are_distinct() {
         let a = point_mix(48);
         let b = point_mix(48);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.shape, y.shape);
-            assert_eq!(x.arch_token, y.arch_token);
+            assert_eq!(x.arch, y.arch);
         }
         let mut shapes: Vec<&str> = a.iter().map(|p| p.shape.as_str()).collect();
         shapes.sort_unstable();
@@ -628,18 +604,16 @@ mod tests {
             "--spawn --frobnicate",  // unknown flag
             "--addr",                // missing value
         ] {
-            let err = run_cli(&argv(bad), None, Backend::Scalar).unwrap_err();
+            let err = run_argv(&argv(bad)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "`{bad}`: {err}");
         }
     }
 
     #[test]
     fn spawned_smoke_run_loses_nothing_and_matches_in_process() {
-        let out = run_cli(
-            &argv("--spawn --requests 96 --clients 3 --window 4 --unique 6 --sample 6"),
-            None,
-            Backend::Scalar,
-        )
+        let out = run_argv(&argv(
+            "--spawn --requests 96 --clients 3 --window 4 --unique 6 --sample 6",
+        ))
         .expect("smoke run");
         assert!(out.contains("96 requests"), "{out}");
         assert!(out.contains("96 ok, 0 errors, 0 lost"), "{out}");

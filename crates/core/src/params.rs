@@ -38,9 +38,12 @@ fn err(msg: impl Into<String>) -> PacqError {
 /// # Errors
 ///
 /// Returns [`PacqError::Usage`] naming the offending spec.
-pub fn parse_params(specs: &[String]) -> PacqResult<Vec<ParamSpec>> {
-    let mut parsed: Vec<ParamSpec> = Vec::with_capacity(specs.len());
+pub fn parse_params(
+    specs: impl IntoIterator<Item = impl AsRef<str>>,
+) -> PacqResult<Vec<ParamSpec>> {
+    let mut parsed: Vec<ParamSpec> = Vec::new();
     for spec in specs {
+        let spec = spec.as_ref();
         let (name, values) = match spec.split_once('=') {
             Some((name, list)) => {
                 let values: Vec<String> = list.split(',').map(str::to_string).collect();
@@ -51,7 +54,7 @@ pub fn parse_params(specs: &[String]) -> PacqResult<Vec<ParamSpec>> {
                 }
                 (name, values)
             }
-            None => (spec.as_str(), Vec::new()),
+            None => (spec, Vec::new()),
         };
         if name.is_empty()
             || !name

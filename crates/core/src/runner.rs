@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use crate::report::GemmReport;
-use pacq_cache::{arch_token, config_canonical, CacheKey, CachedReport, ReportCache};
+use pacq_cache::{config_canonical, CacheKey, CachedReport, ReportCache};
 use pacq_error::PacqResult;
 use pacq_fp16::{Backend, NumericsMode, WeightPrecision};
 use pacq_quant::{GroupShape, MatrixF16, MatrixF32, PackDim, PackedMatrix, RtnQuantizer};
@@ -264,10 +264,7 @@ impl GemmRunner {
             group = self.group,
             numerics = self.numerics_token(),
             arch = self.arch_id(),
-            backend = match self.backend {
-                Backend::Scalar => "scalar",
-                Backend::Batched => "batched",
-            },
+            backend = self.backend.token(),
         )
     }
 
@@ -284,12 +281,7 @@ impl GemmRunner {
     /// geometry, numerics mode — and the architecture identity
     /// ([`GemmRunner::arch_id`]).
     pub fn cache_key(&self, arch: Architecture, workload: Workload) -> CacheKey {
-        let dataflow = format!(
-            "{}:{}:{}",
-            arch_token(arch),
-            self.group,
-            self.numerics_token()
-        );
+        let dataflow = format!("{}:{}:{}", arch.token(), self.group, self.numerics_token());
         CacheKey::new(
             &self.config,
             workload.shape,
@@ -565,12 +557,7 @@ mod tests {
         let mut g = SynthGenerator::new(23);
         let a = g.llm_activations(4, 64).to_f16();
         let w = g.llm_weights(64, 16);
-        for arch in [
-            Architecture::StandardDequant,
-            Architecture::PackedK,
-            Architecture::Pacq,
-            Architecture::InputStationary,
-        ] {
+        for arch in Architecture::ALL {
             let scalar = GemmRunner::new().with_group(GroupShape::along_k(32));
             let batched = scalar.clone().with_backend(Backend::Batched);
             assert_eq!(batched.backend(), Backend::Batched);

@@ -36,6 +36,7 @@
 //!   replies flush, then the server exits. Supervisors should send the
 //!   frame (or close stdin) rather than SIGKILL.
 
+use crate::args::Args;
 use crate::cli;
 use crate::runner::GemmRunner;
 use pacq_cache::ReportCache;
@@ -487,16 +488,10 @@ fn parse_spec(doc: &Json, base: PointSpec) -> PacqResult<PointSpec> {
         spec.group = cli::parse_group(text)?;
     }
     if let Some(dup) = field_usize(doc, "dup")? {
-        if !matches!(dup, 1 | 2 | 4) {
-            return Err(PacqError::usage("`dup` expects 1, 2 or 4"));
-        }
-        spec.dup = dup;
+        spec.dup = cli::parse_dup(&dup.to_string(), "`dup`")?;
     }
     if let Some(width) = field_usize(doc, "width")? {
-        if !matches!(width, 4 | 8 | 16) {
-            return Err(PacqError::usage("`width` expects 4, 8 or 16"));
-        }
-        spec.width = width;
+        spec.width = cli::parse_width(&width.to_string(), "`width`")?;
     }
     Ok(spec)
 }
@@ -684,12 +679,13 @@ fn worker_loop(jobs: &Arc<Mutex<Receiver<Job>>>, state: &Arc<ServerState>) {
 // Connection handling (reader/writer side)
 // ---------------------------------------------------------------------
 
+/// Writes each frame with its newline in one `write_all`: a separate
+/// 1-byte newline write would sit behind Nagle until the client's
+/// delayed ACK, stalling line-reading clients ~40 ms per reply.
 fn writer_loop<W: Write>(rx: Receiver<String>, mut out: W) {
-    for line in rx {
-        let ok = out
-            .write_all(line.as_bytes())
-            .and_then(|()| out.write_all(b"\n"))
-            .and_then(|()| out.flush());
+    for mut line in rx {
+        line.push('\n');
+        let ok = out.write_all(line.as_bytes()).and_then(|()| out.flush());
         if ok.is_err() {
             break; // client gone; senders see a closed channel
         }
@@ -895,9 +891,10 @@ fn reject_conn(stream: TcpStream, max_clients: usize) {
     let e = proto(format!(
         "server is at its --max-clients capacity ({max_clients}); retry later"
     ));
+    let mut frame = error_frame(&Json::Null, &e).render_line();
+    frame.push('\n');
     let mut stream = stream;
-    let _ = stream.write_all(error_frame(&Json::Null, &e).render_line().as_bytes());
-    let _ = stream.write_all(b"\n");
+    let _ = stream.write_all(frame.as_bytes());
 }
 
 // ---------------------------------------------------------------------
@@ -1100,7 +1097,7 @@ pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64
 }
 
 /// `pacq serve (--port N | --stdio) [--queue N] [--rate N] [--burst N]
-/// [--max-clients N]` — parses the serve flags and runs the matching
+/// [--max-clients N]` — validates the serve flags and runs the matching
 /// lifecycle until drained. The `backend` comes from the global
 /// `--backend` / `PACQ_BACKEND` knob the CLI front end already
 /// resolved.
@@ -1110,52 +1107,22 @@ pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64
 /// Returns [`PacqError::Usage`] for flag errors and [`PacqError::Io`]
 /// when the TCP port cannot be bound.
 pub fn run_cli(
-    args: &[String],
+    args: &Args,
     cache: Option<Arc<ReportCache>>,
     backend: Backend,
 ) -> PacqResult<String> {
     let usage = |msg: &str| PacqError::usage(msg.to_string());
-    let mut port: Option<u16> = None;
-    let mut stdio = false;
-    let mut queue_capacity = DEFAULT_QUEUE_CAPACITY;
-    let mut rate = 0u64;
-    let mut burst: Option<u64> = None;
-    let mut max_clients = 0usize;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> PacqResult<&str> {
-            it.next()
-                .ok_or_else(|| PacqError::usage(format!("missing value for {name}")))
-        };
-        match flag {
-            "--port" => {
-                port = Some(
-                    value("--port")?
-                        .parse()
-                        .map_err(|_| usage("--port expects 0..65535"))?,
-                )
-            }
-            "--stdio" => stdio = true,
-            "--queue" => {
-                queue_capacity =
-                    validate_serve_count(value("--queue")?, "--queue", MAX_QUEUE_CAPACITY as u64)?
-                        as usize;
-            }
-            "--rate" => rate = validate_serve_count(value("--rate")?, "--rate", 1_000_000)?,
-            "--burst" => {
-                burst = Some(validate_serve_count(
-                    value("--burst")?,
-                    "--burst",
-                    1_000_000,
-                )?)
-            }
-            "--max-clients" => {
-                max_clients =
-                    validate_serve_count(value("--max-clients")?, "--max-clients", 10_000)? as usize
-            }
-            other => return Err(PacqError::usage(format!("unknown serve option `{other}`"))),
-        }
-    }
+    let port = args.last("--port", |v| {
+        v.parse::<u16>()
+            .map_err(|_| usage("--port expects 0..65535"))
+    })?;
+    let stdio = args.has("--stdio");
+    let count = |flag: &str, max: u64| args.last(flag, |v| validate_serve_count(v, flag, max));
+    let queue_capacity =
+        count("--queue", MAX_QUEUE_CAPACITY as u64)?.map_or(DEFAULT_QUEUE_CAPACITY, |n| n as usize);
+    let rate = count("--rate", 1_000_000)?.unwrap_or(0);
+    let burst = count("--burst", 1_000_000)?;
+    let max_clients = count("--max-clients", 10_000)?.unwrap_or(0) as usize;
     if burst.is_some() && rate == 0 {
         return Err(usage("--burst only makes sense together with --rate"));
     }
@@ -1461,6 +1428,10 @@ mod tests {
     #[test]
     fn serve_cli_flags_are_validated() {
         let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let run_cli = |argv: &[String], cache, backend| {
+            let args = Args::parse(argv, "pacq serve", cli::command_flags("serve").unwrap())?;
+            run_cli(&args, cache, backend)
+        };
         for bad in [
             "",
             "--port 1 --stdio",
@@ -1479,6 +1450,32 @@ mod tests {
             let err = run_cli(&argv(bad), None, Backend::Scalar).unwrap_err();
             assert!(err.is_usage(), "`{bad}`: {err}");
         }
+    }
+
+    /// A `Write` that records each `write` call.
+    #[derive(Default)]
+    struct RecordingWriter(Vec<String>);
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(String::from_utf8_lossy(buf).into_owned());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_goes_out_in_one_write_with_its_newline() {
+        let (tx, rx) = mpsc::channel();
+        for frame in ["{\"a\":1}", "{\"b\":2}", "{}"] {
+            tx.send(frame.to_string()).unwrap();
+        }
+        drop(tx);
+        let mut out = RecordingWriter::default();
+        writer_loop(rx, &mut out);
+        assert_eq!(out.0, ["{\"a\":1}\n", "{\"b\":2}\n", "{}\n"]);
     }
 
     /// The `--queue 0` boundary, pinned the same way `par.rs` pins

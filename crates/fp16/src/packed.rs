@@ -21,6 +21,32 @@ pub enum WeightPrecision {
 }
 
 impl WeightPrecision {
+    /// Every precision, in CLI-token order.
+    pub const ALL: [WeightPrecision; 2] = [WeightPrecision::Int4, WeightPrecision::Int2];
+
+    /// The one token table: the canonical token first (the wire form in
+    /// cache entries, dse job ids and serve frames), then the display
+    /// form, which `--precision` also accepts.
+    pub const fn tokens(self) -> &'static [&'static str] {
+        match self {
+            WeightPrecision::Int4 => &["int4", "INT4"],
+            WeightPrecision::Int2 => &["int2", "INT2"],
+        }
+    }
+
+    /// The canonical token (`int4` / `int2`).
+    pub const fn token(self) -> &'static str {
+        self.tokens()[0]
+    }
+
+    /// Parses any token of [`WeightPrecision::tokens`], exactly (callers
+    /// diagnose).
+    pub fn parse(token: &str) -> Option<WeightPrecision> {
+        WeightPrecision::ALL
+            .into_iter()
+            .find(|p| p.tokens().contains(&token))
+    }
+
     /// Number of weights packed into one 16-bit word (`x` in `P(B_x)_y`).
     #[inline]
     pub const fn lanes(self) -> usize {
@@ -76,10 +102,7 @@ impl WeightPrecision {
 
 impl fmt::Display for WeightPrecision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WeightPrecision::Int4 => f.write_str("INT4"),
-            WeightPrecision::Int2 => f.write_str("INT2"),
-        }
+        f.write_str(self.tokens()[1])
     }
 }
 

@@ -29,6 +29,43 @@ pub enum Architecture {
     InputStationary,
 }
 
+impl Architecture {
+    /// Every architecture, in stationarity order: the two
+    /// weight-stationary flows, input-stationary, then output-stationary
+    /// PacQ.
+    pub const ALL: [Architecture; 4] = [
+        Architecture::StandardDequant,
+        Architecture::PackedK,
+        Architecture::InputStationary,
+        Architecture::Pacq,
+    ];
+
+    /// The one token table: the canonical token first (the wire form in
+    /// cache keys, entries, dse job ids and serve frames), then the
+    /// aliases `--arch` also accepts.
+    pub const fn tokens(self) -> &'static [&'static str] {
+        match self {
+            Architecture::StandardDequant => &["std", "standard", "dequant"],
+            Architecture::PackedK => &["packedk", "packed-k", "pbk"],
+            Architecture::Pacq => &["pacq"],
+            Architecture::InputStationary => &["is", "input-stationary"],
+        }
+    }
+
+    /// The canonical token (`std` / `packedk` / `pacq` / `is`).
+    pub const fn token(self) -> &'static str {
+        self.tokens()[0]
+    }
+
+    /// Parses any token of [`Architecture::tokens`], exactly (callers
+    /// diagnose).
+    pub fn parse(token: &str) -> Option<Architecture> {
+        Architecture::ALL
+            .into_iter()
+            .find(|a| a.tokens().contains(&token))
+    }
+}
+
 impl core::fmt::Display for Architecture {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {

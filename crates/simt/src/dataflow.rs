@@ -632,12 +632,7 @@ mod tests {
         // counter equals the padded shape's, exactly — no truncated
         // traffic, no phantom partial tiles.
         let g = GroupShape::along_k(16);
-        for arch in [
-            Architecture::StandardDequant,
-            Architecture::PackedK,
-            Architecture::Pacq,
-            Architecture::InputStationary,
-        ] {
+        for arch in Architecture::ALL {
             for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
                 let ragged = simulate(
                     arch,

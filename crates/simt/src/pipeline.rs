@@ -450,12 +450,7 @@ mod tests {
     #[test]
     fn event_matches_analytic_rf_traffic() {
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-            for arch in [
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::Pacq,
-                Architecture::InputStationary,
-            ] {
+            for arch in Architecture::ALL {
                 let t = event_trace(arch, precision);
                 let a = analytic(arch, precision);
                 assert_eq!(
@@ -507,12 +502,7 @@ mod tests {
     fn event_matches_analytic_on_ragged_shapes() {
         let cfg = SmConfig::volta_like();
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-            for arch in [
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::Pacq,
-                Architecture::InputStationary,
-            ] {
+            for arch in Architecture::ALL {
                 for shape in [GemmShape::new(3, 40, 17), GemmShape::new(24, 48, 48)] {
                     let t = OctetPipeline::new().run(&octet_schedule(arch, precision, &cfg));
                     let a = simulate(
@@ -552,12 +542,7 @@ mod tests {
     fn traced_replay_is_bit_identical() {
         let cfg = SmConfig::volta_like();
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-            for arch in [
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::Pacq,
-                Architecture::InputStationary,
-            ] {
+            for arch in Architecture::ALL {
                 let schedule = octet_schedule(arch, precision, &cfg);
                 let plain = OctetPipeline::new().run(&schedule);
                 let (traced, events) = OctetPipeline::new().run_traced(&schedule);
@@ -583,12 +568,7 @@ mod tests {
     #[test]
     fn event_matches_analytic_cycles() {
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-            for arch in [
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::Pacq,
-                Architecture::InputStationary,
-            ] {
+            for arch in Architecture::ALL {
                 let t = event_trace(arch, precision);
                 let a = analytic(arch, precision);
                 let analytic_cycles = a.tc_cycles; // one warp tile, one wave
@@ -635,12 +615,7 @@ mod tests {
         for width in [4usize, 8, 16] {
             let mut cfg = SmConfig::volta_like();
             cfg.dp_width = width;
-            for arch in [
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::Pacq,
-                Architecture::InputStationary,
-            ] {
+            for arch in Architecture::ALL {
                 let schedule = octet_schedule(arch, WeightPrecision::Int4, &cfg);
                 let t = OctetPipeline::new().run(&schedule);
                 let a = simulate(

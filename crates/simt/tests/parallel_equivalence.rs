@@ -107,12 +107,7 @@ fn pack_for(arch: Architecture) -> PackDim {
 
 #[test]
 fn execute_is_bit_identical_across_job_counts() {
-    for arch in [
-        Architecture::StandardDequant,
-        Architecture::PackedK,
-        Architecture::InputStationary,
-        Architecture::Pacq,
-    ] {
+    for arch in Architecture::ALL {
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
             for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
                 let mut g = SynthGenerator::new(77);
@@ -252,12 +247,7 @@ fn assert_bits_eq_nan_loose(left: &MatrixF32, right: &MatrixF32, what: &str) {
 /// and `jobs = 4`; all four results must carry identical bits.
 #[test]
 fn batched_backend_is_bit_identical_to_scalar_across_job_counts() {
-    for arch in [
-        Architecture::StandardDequant,
-        Architecture::PackedK,
-        Architecture::InputStationary,
-        Architecture::Pacq,
-    ] {
+    for arch in Architecture::ALL {
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
             for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
                 let mut g = SynthGenerator::new(83);
@@ -308,12 +298,7 @@ fn three_way_equivalence_over_randomized_shapes() {
         let q = RtnQuantizer::new(precision, GroupShape::along_k(group))
             .quantize(&w)
             .expect("quantizes");
-        for arch in [
-            Architecture::StandardDequant,
-            Architecture::PackedK,
-            Architecture::InputStationary,
-            Architecture::Pacq,
-        ] {
+        for arch in Architecture::ALL {
             let p = PackedMatrix::pack(&q, pack_for(arch)).expect("packs");
             let what =
                 format!("trial {trial}: {arch:?} m{m} n{n} k{k} g{group} {precision} {numerics:?}");
@@ -363,12 +348,7 @@ fn three_way_equivalence_survives_frontier_activations() {
             let q = RtnQuantizer::new(precision, GroupShape::along_k(16))
                 .quantize(&w)
                 .expect("quantizes");
-            for arch in [
-                Architecture::StandardDequant,
-                Architecture::PackedK,
-                Architecture::InputStationary,
-                Architecture::Pacq,
-            ] {
+            for arch in Architecture::ALL {
                 let p = PackedMatrix::pack(&q, pack_for(arch)).expect("packs");
                 let what = format!("frontier {arch:?} {precision} {numerics:?}");
                 let run = |backend| {

@@ -72,12 +72,7 @@ proptest! {
     ) {
         let shape = GemmShape::new(16, ni * 16, ki * 16);
         let group = GroupShape::along_k(ki * 16);
-        for arch in [
-            Architecture::StandardDequant,
-            Architecture::PackedK,
-            Architecture::InputStationary,
-            Architecture::Pacq,
-        ] {
+        for arch in Architecture::ALL {
             let mut a = SmConfig::volta_like();
             a.adder_tree_duplication = dup;
             let mut b = SmConfig::volta_like();
@@ -101,12 +96,7 @@ proptest! {
         let mut cfg = SmConfig::volta_like();
         cfg.dp_width = width;
         cfg.adder_tree_duplication = dup;
-        for arch in [
-            Architecture::StandardDequant,
-            Architecture::PackedK,
-            Architecture::InputStationary,
-            Architecture::Pacq,
-        ] {
+        for arch in Architecture::ALL {
             let schedule = octet_schedule(arch, precision, &cfg);
             let t = OctetPipeline::new().run(&schedule);
             let a = simulate(

@@ -22,7 +22,7 @@
 //! ```
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 const SHAPE: &str = "m16n256k256";
 
@@ -30,16 +30,20 @@ fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Runs `pacq` from the workspace root with no inherited knobs and
-/// returns its stdout, failing on a nonzero exit.
-fn pacq(args: &[&str]) -> String {
-    let output = Command::new(env!("CARGO_BIN_EXE_pacq"))
+/// Runs `pacq` from the workspace root with no inherited knobs.
+fn spawn(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pacq"))
         .args(args)
         .current_dir(workspace_root())
         .env_remove("PACQ_JOBS")
         .env_remove("PACQ_BACKEND")
         .output()
-        .unwrap_or_else(|e| panic!("spawn pacq: {e}"));
+        .unwrap_or_else(|e| panic!("spawn pacq: {e}"))
+}
+
+/// Runs `pacq` and returns its stdout, failing on a nonzero exit.
+fn pacq(args: &[&str]) -> String {
+    let output = spawn(args);
     assert!(
         output.status.success(),
         "pacq {args:?} exited with {:?}\nstderr:\n{}",
@@ -159,4 +163,19 @@ fn grid_table_is_cache_and_backend_invariant() {
     assert_matches("cold --cache grid", &cold, GRID);
     assert_matches("warm --cache grid", &warm, GRID);
     assert_matches("--backend batched grid", &batched, GRID);
+}
+
+/// Malformed input is a usage error (exit 2) with a one-line
+/// diagnostic, never a panic backtrace.
+#[test]
+fn malformed_input_exits_2_without_a_panic() {
+    for args in [
+        &["analyze", "--shape", "m15n16k16"][..],
+        &["sweep", "--param", "batch", "--jobs", "0"],
+    ] {
+        let output = spawn(args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "pacq {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "pacq {args:?}: {stderr}");
+    }
 }
