@@ -1,9 +1,9 @@
-//! Criterion benchmarks pinning the batched SoA backend against the
+//! Criterion benchmarks pinning the batched backend against the
 //! scalar reference on the functional GEMM flows.
 //!
-//! The batched kernels (`pacq_fp16::batch`) replace the per-element
-//! softfloat classify/round chains with table conversions, branch-free
-//! mask-arithmetic rounding and LUT lane products — the speedup here is
+//! The batched kernel (`pacq_fp16::batch::tile_dot`) replaces the
+//! per-element softfloat classify/round chains with f32 column tiles,
+//! branch-free rounding and lane products by arithmetic — the speedup here is
 //! the whole point of the backend, while the equivalence suites pin
 //! that the bits never change. Expect the `batched` rows at several
 //! times the `scalar` throughput on every flow; `jobs` is held at 1 so

@@ -2,8 +2,8 @@
 //! `PACQ_BACKEND` environment variable into a [`Backend`] selection for
 //! every functional execution path.
 //!
-//! Both backends compute the same bits — the batched SoA kernels are
-//! bit-identical to the scalar datapaths (DESIGN.md §13) — so the
+//! Both backends compute the same bits — the batched column-tile kernel
+//! is bit-identical to the scalar datapaths (DESIGN.md §14) — so the
 //! selection only affects wall-clock time, exactly like `--jobs`.
 
 use pacq_error::{PacqError, PacqResult};

@@ -58,8 +58,8 @@ Every command also accepts --jobs N (worker threads for sweeps and
 functional execution; defaults to the PACQ_JOBS environment variable,
 then the host parallelism; results are bit-identical at any job count),
 --backend scalar|batched (functional compute backend; defaults to the
-PACQ_BACKEND environment variable, then `scalar`; the batched SoA
-kernels are bit-identical to the scalar reference — see DESIGN.md),
+PACQ_BACKEND environment variable, then `scalar`; the batched
+kernel is bit-identical to the scalar reference — see DESIGN.md),
 --metrics PATH (write a machine-readable JSON run manifest, schema
 pacq-metrics/v1 — see DESIGN.md §11), --cache DIR (a content-addressed
 on-disk report cache: repeated analyses of the same point become

@@ -1,57 +1,57 @@
-//! Batched structure-of-arrays kernels: the [`Backend::Batched`] fast
-//! path of the functional GEMM layer.
+//! Batched kernels: the [`Backend::Batched`] fast path of the
+//! functional GEMM layer.
 //!
 //! The scalar datapath models ([`crate::Fp16Multiplier`],
 //! [`crate::ParallelFpIntMultiplier`], [`crate::softfloat`]) pay a
 //! per-element price — shift-add significand products, branchy
 //! classify/round, one `match` per special case — that is the right
 //! shape for auditing bits but the wrong shape for sweeping thousands
-//! of GEMM points. This module re-implements the same arithmetic over
-//! contiguous lanes with three batched techniques:
+//! of GEMM points. This module re-implements the same arithmetic in
+//! f32 over whole column tiles with three techniques:
 //!
 //! 1. **Table-driven conversions** — one 64 Ki-entry fp16 → f32 table
 //!    turns every activation load into a single indexed read
-//!    ([`to_f32_table`]).
-//! 2. **Branch-free classify/round** — [`pack_rne`] converts f32 → fp16
-//!    with mask arithmetic (kept/round/sticky bits, carry folded into
-//!    the exponent field) instead of a per-element `match` over the
-//!    float classes, canonicalizing every NaN to the datapaths'
-//!    [`Fp16::NAN`]. Because a binary16 product is exact in binary32
+//!    ([`to_f32_table`], [`widen_into`]).
+//! 2. **Branch-free rounding** — [`round16`] rounds an f32 to the fp16
+//!    grid with a magic-number add/subtract instead of a per-element
+//!    `match` over the float classes, so it vectorizes; [`pack_rne`] is
+//!    the same rounding as fp16 bits (kept/round/sticky masks, carry
+//!    folded into the exponent field, NaN canonicalized to
+//!    [`Fp16::NAN`]). Because a binary16 product is exact in binary32
 //!    and binary32 carries ≥ 2·11 + 2 significand bits, rounding
 //!    through f32 is innocuous (Figueroa's double-rounding theorem), so
-//!    `pack_rne(a·b)` and `pack_rne(a+b)` are bit-identical to the
+//!    `round16(a·b)` and `round16(a+b)` are bit-identical to the
 //!    shift-add datapaths for **all** 2³² input pairs — the in-module
 //!    frontier tests and the three-way equivalence suite pin this.
-//! 3. **LUT-assisted FP-INT products** — the parallel multiplier's lane
-//!    product depends only on the 16 activation bits and the biased
-//!    lane code, so a per-precision `codes × 65536` table built from
-//!    the scalar [`crate::ParallelFpIntMultiplier`] replaces the whole
-//!    lane datapath with one `u16` load ([`product_lut`]). INT4 costs
-//!    2 MiB, INT2 512 KiB; both are built lazily on first batched use.
+//! 3. **FP-INT lane products by arithmetic** — a biased weight
+//!    `B + offset` is the exact integer `1024 + code`, so the parallel
+//!    multiplier's lane product is one fp16 multiply
+//!    `round16(A · (1024 + code))`: exact in f32 and rounded once (the
+//!    paper's Fig. 5 trick). The PacQ flow therefore runs the same
+//!    kernel as the baseline flows. [`product_lut`], the `codes × 65536`
+//!    table built from the scalar multiplier, stays as the exhaustive
+//!    oracle that pins this identity.
 //!
-//! [`BatchedBaselineDp`] and [`BatchedParallelDp`] wrap these kernels
-//! in slice-granular entry points ([`BatchedBaselineDp::dot_slice`],
-//! [`BatchedParallelDp::dot_packed_into`]) that replicate the scalar
-//! units' chunking, adder-tree pairing and accumulation order exactly —
-//! FP16 addition is non-associative, so the order IS the contract — and
-//! are therefore bit-identical to [`crate::BaselineDpUnit`] /
-//! [`crate::ParallelDpUnit`] at their default (IEEE, round-to-nearest-
-//! even) configuration in every [`NumericsMode`] × [`AccPrecision`]
-//! combination.
+//! [`tile_dot`] is the one kernel every batched flow runs: [`COLS`]
+//! output columns at once over a k-segment, with the scalar units'
+//! DP-4 chunking, adder-tree pairing and accumulation order — FP16
+//! addition is non-associative, so the order IS the contract. It is
+//! therefore bit-identical to [`crate::BaselineDpUnit`] /
+//! [`crate::ParallelDpUnit`] at width 4 with FP32 accumulation and
+//! their default (IEEE, round-to-nearest-even) multiplier, in both
+//! [`NumericsMode`]s.
 //!
-//! One caveat scopes that guarantee: when an f32/f64 *accumulator*
-//! itself turns NaN (activations containing NaN or an ∞ − ∞
-//! cancellation), both backends return NaN but the payload bits may
-//! differ — the compiler is free to commute the operands of a float
-//! add, which changes which NaN payload propagates. All fp16-domain
-//! results (products, tree sums) canonicalize to [`Fp16::NAN`] and stay
-//! bit-identical; finite results are bit-identical everywhere.
+//! One caveat scopes that guarantee: when a product, tree sum or
+//! f32/f64 accumulator turns NaN (activations containing NaN or an
+//! ∞ − ∞ cancellation), both backends return NaN but the payload bits
+//! may differ — [`round16`] does not canonicalize NaN, and the compiler
+//! is free to commute the operands of a float add, which changes which
+//! payload propagates. Finite results are bit-identical everywhere.
 
 use crate::bits::Fp16;
-use crate::dp::{AccPrecision, NumericsMode, MAX_WIDTH};
+use crate::dp::NumericsMode;
 use crate::packed::{PackedWord, WeightPrecision};
 use crate::parallel::{ParallelFpIntMultiplier, MAX_LANES};
-use pacq_error::PacqResult;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -66,8 +66,9 @@ pub enum Backend {
     /// the structural multiplier/adder models.
     #[default]
     Scalar,
-    /// The batched SoA kernels of this module: table conversions,
-    /// branch-free rounding, LUT products.
+    /// The batched kernels of this module: table conversions,
+    /// branch-free rounding, arithmetic lane products over f32 column
+    /// tiles.
     Batched,
 }
 
@@ -159,53 +160,15 @@ pub fn pack_rne(x: f32) -> Fp16 {
     Fp16::from_bits(sign | ((exp << 10) + kept + inc) as u16)
 }
 
-/// Batched fp16 multiply: bit-identical to `softfloat::mul` (and to the
-/// default [`crate::Fp16Multiplier`]) for all inputs — the product of
-/// two 11-bit significands is exact in f32, so one rounding happens.
-#[inline]
-fn mul16(table: &[f32; 1 << 16], a: Fp16, b: Fp16) -> Fp16 {
-    pack_rne(lookup(table, a) * lookup(table, b))
-}
-
-/// Batched fp16 add: bit-identical to `softfloat::add` for all inputs
-/// (f32 carries 24 ≥ 2·11 + 2 significand bits, making the double
-/// rounding innocuous; zero-sign and NaN rules coincide).
-#[inline]
-fn add16(table: &[f32; 1 << 16], a: Fp16, b: Fp16) -> Fp16 {
-    pack_rne(lookup(table, a) + lookup(table, b))
-}
-
-/// Pairwise tree reduction with the batched adder — the same adjacent-
-/// pair order as the scalar units' in-place reduction.
-#[inline]
-fn reduce_tree_batched(table: &[f32; 1 << 16], values: &mut [Fp16]) -> Fp16 {
-    let mut n = values.len();
-    if n == 0 {
-        return Fp16::ZERO;
-    }
-    while n > 1 {
-        let mut write = 0;
-        let mut read = 0;
-        while read + 1 < n {
-            values[write] = add16(table, values[read], values[read + 1]);
-            write += 1;
-            read += 2;
-        }
-        if read < n {
-            values[write] = values[read];
-            write += 1;
-        }
-        n = write;
-    }
-    values[0]
-}
-
 /// The lazily-built biased-product table for a precision: entry
 /// `[code << 16 | a_bits]` holds the fp16 bits of the parallel
 /// multiplier's lane product of activation `a_bits` with biased lane
 /// code `code`. Built directly from the scalar
 /// [`ParallelFpIntMultiplier`] (an all-lanes-same-code word, lane 0
-/// read back), so it is bit-exact by construction.
+/// read back), so it is bit-exact by construction. The kernels never
+/// read it: it is the exhaustive oracle for the arithmetic lane product
+/// `round16(A · (1024 + code))` (2 MiB for INT4, 512 KiB for INT2,
+/// built on first call).
 pub fn product_lut(precision: WeightPrecision) -> &'static [u16] {
     static INT4: OnceLock<Vec<u16>> = OnceLock::new();
     static INT2: OnceLock<Vec<u16>> = OnceLock::new();
@@ -239,219 +202,107 @@ fn build_product_lut(precision: WeightPrecision) -> Vec<u16> {
     table
 }
 
-/// Batched counterpart of [`crate::BaselineDpUnit`]: one call evaluates
-/// a whole k-slice (any multiple of the unit width) instead of one
-/// width-sized chunk, with bit-identical chunking and tree order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchedBaselineDp {
-    width: usize,
-    acc: AccPrecision,
+/// Columns per tile of the column-tile kernel: one [`TileRow`] spans
+/// two 128-bit vectors at the default x86-64 target.
+pub const COLS: usize = 8;
+
+/// One k-step of a column tile: the gathered f32 weight operands of
+/// the tile's [`COLS`] output columns.
+pub type TileRow = [f32; COLS];
+
+/// The DP width whose adder tree [`tile_dot`] models: the DP-4 units
+/// the functional GEMM flows run on.
+pub const TREE_WIDTH: usize = 4;
+
+/// Rounds an f32 to the nearest fp16 value (RNE) and returns it as an
+/// f32: `pack_rne(x).to_f32()` for every non-NaN `x`, computed without
+/// leaving the f32 domain so it vectorizes.
+///
+/// Adding `m = 2^(e + 13)` (`e` the unbiased exponent of `x`) to `|x|`
+/// puts the fp16 ulp at f32's last place, so the hardware's RNE rounds
+/// `|x| + m` to the fp16 grid and subtracting `m` again is exact. The
+/// exponent of `m` floors at `2^-1`, where the f32 ulp is the fp16
+/// subnormal step `2^-24`, and caps at `2^127`. Magnitudes at or beyond
+/// `2^16` become ∞, and the result takes `x`'s sign, so tiny negatives
+/// round to −0. A NaN stays NaN (its payload is not canonicalized).
+#[inline]
+pub fn round16(x: f32) -> f32 {
+    // RNE is symmetric, so round the magnitude and restore the sign.
+    let abs = x.to_bits() & 0x7fff_ffff;
+    let exp = (abs >> 23) as i32;
+    let m = f32::from_bits(((exp + 13).clamp(126, 254) as u32) << 23);
+    let r = (f32::from_bits(abs) + m) - m;
+    let r = if r >= 65536.0 { f32::INFINITY } else { r };
+    f32::from_bits(r.to_bits() | (x.to_bits() & 0x8000_0000))
 }
 
-impl BatchedBaselineDp {
-    /// Creates a batched baseline unit (FP32 accumulation, like
-    /// [`crate::BaselineDpUnit::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `width` is not 4, 8 or 16.
-    pub fn new(width: usize) -> PacqResult<Self> {
-        crate::dp::validate_width(width)?;
-        Ok(BatchedBaselineDp {
-            width,
-            acc: AccPrecision::Fp32,
-        })
-    }
-
-    /// Sets the accumulator precision.
-    pub fn with_acc_precision(mut self, acc: AccPrecision) -> Self {
-        self.acc = acc;
-        self
-    }
-
-    /// The unit width (4, 8 or 16).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// A whole-slice dot product: bit-identical to chaining
-    /// `BaselineDpUnit::dot_acc` over consecutive width-sized chunks of
-    /// `a`/`b` starting from accumulator `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` lengths differ or are not a multiple of
-    /// the unit width.
-    pub fn dot_slice(&self, c: f32, a: &[Fp16], b: &[Fp16]) -> f32 {
-        assert_eq!(a.len(), b.len(), "operand k-lengths must match");
-        assert!(
-            a.len().is_multiple_of(self.width),
-            "k-length {} not a multiple of DP width {}",
-            a.len(),
-            self.width
-        );
-        let table = to_f32_table();
-        let mut prod = [Fp16::ZERO; MAX_WIDTH];
-        match self.acc {
-            AccPrecision::Fp32 => {
-                let mut acc = c;
-                for (ca, cb) in a.chunks_exact(self.width).zip(b.chunks_exact(self.width)) {
-                    for (slot, (&x, &y)) in prod.iter_mut().zip(ca.iter().zip(cb)) {
-                        *slot = mul16(table, x, y);
-                    }
-                    let tree = reduce_tree_batched(table, &mut prod[..self.width]);
-                    acc += lookup(table, tree);
-                }
-                acc
-            }
-            AccPrecision::Fp16 => {
-                // The scalar chain's from_f32(to_f32(·)) round trip is the
-                // identity on fp16 values, so the accumulator can stay fp16.
-                let mut acc = Fp16::from_f32(c);
-                for (ca, cb) in a.chunks_exact(self.width).zip(b.chunks_exact(self.width)) {
-                    for (slot, (&x, &y)) in prod.iter_mut().zip(ca.iter().zip(cb)) {
-                        *slot = mul16(table, x, y);
-                    }
-                    let tree = reduce_tree_batched(table, &mut prod[..self.width]);
-                    acc = add16(table, acc, tree);
-                }
-                acc.to_f32()
-            }
-        }
+/// Widens fp16 activations to f32 through [`to_f32_table`].
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn widen_into(src: &[Fp16], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "widen lengths must match");
+    let table = to_f32_table();
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = lookup(table, s);
     }
 }
 
-/// Batched counterpart of [`crate::ParallelDpUnit`] at its default
-/// (IEEE, RNE) multiplier configuration: LUT lane products, table
-/// conversions, branch-free rounding — same chunk/tree/accumulate
-/// order, so bit-identical per-lane sums and Σ A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchedParallelDp {
-    width: usize,
-    precision: WeightPrecision,
-    acc: AccPrecision,
-    numerics: NumericsMode,
+/// The Σ A side accumulator of Eq. (1) over one k-segment: an f64 sum
+/// in k order from +0, the order of [`crate::SumAccumulator`].
+pub fn activation_sum(a: &[f32]) -> f64 {
+    a.iter().fold(0f64, |sum, &x| sum + f64::from(x))
 }
 
-impl BatchedParallelDp {
-    /// Creates a batched parallel unit (FP32 accumulation, paper-rounded
-    /// numerics — the defaults of [`crate::ParallelDpUnit::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `width` is not 4, 8 or 16.
-    pub fn new(width: usize, precision: WeightPrecision) -> PacqResult<Self> {
-        crate::dp::validate_width(width)?;
-        Ok(BatchedParallelDp {
-            width,
-            precision,
-            acc: AccPrecision::Fp32,
-            numerics: NumericsMode::PaperRounded,
-        })
-    }
-
-    /// Sets the accumulator precision.
-    pub fn with_acc_precision(mut self, acc: AccPrecision) -> Self {
-        self.acc = acc;
-        self
-    }
-
-    /// Sets the product-rounding behaviour (see [`NumericsMode`]).
-    pub fn with_numerics(mut self, numerics: NumericsMode) -> Self {
-        self.numerics = numerics;
-        self
-    }
-
-    /// The unit width (4, 8 or 16).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The weight precision.
-    pub fn precision(&self) -> WeightPrecision {
-        self.precision
-    }
-
-    /// Batched counterpart of `ParallelDpUnit::dot_packed_into`: same
-    /// signature, same contract, bit-identical lane sums and Σ A.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `b` lengths differ or are not a multiple of
-    /// the unit width.
-    pub fn dot_packed_into(
-        &self,
-        a: &[Fp16],
-        b: &[PackedWord],
-        lane_sums: &mut [f32; MAX_LANES],
-    ) -> f64 {
-        assert_eq!(a.len(), b.len(), "operand k-lengths must match");
-        assert!(
-            a.len().is_multiple_of(self.width),
-            "k-length {} not a multiple of DP width {}",
-            a.len(),
-            self.width
-        );
-        let lanes = self.precision.lanes();
-        let table = to_f32_table();
-        lane_sums[..lanes].fill(0f32);
-        let mut sum_a = 0f64;
-        match self.numerics {
-            NumericsMode::PaperRounded => {
-                let lut = product_lut(self.precision);
-                let mut lane_sums_fp16 = [Fp16::ZERO; MAX_LANES];
-                let mut col = [Fp16::ZERO; MAX_WIDTH];
-                for (ca, cb) in a.chunks_exact(self.width).zip(b.chunks_exact(self.width)) {
-                    for &ak in ca {
-                        sum_a += lookup(table, ak) as f64;
-                    }
-                    for lane in 0..lanes {
-                        for (slot, (&ak, &bk)) in col[..self.width]
-                            .iter_mut()
-                            .zip(ca.iter().zip(cb))
-                            .take(self.width)
-                        {
-                            let code = bk.biased_lane(self.precision, lane) as usize;
-                            *slot = Fp16::from_bits(lut[(code << 16) | ak.to_bits() as usize]);
-                        }
-                        let tree = reduce_tree_batched(table, &mut col[..self.width]);
-                        match self.acc {
-                            AccPrecision::Fp16 => {
-                                lane_sums_fp16[lane] = add16(table, lane_sums_fp16[lane], tree);
-                            }
-                            AccPrecision::Fp32 => {
-                                lane_sums[lane] += lookup(table, tree);
-                            }
-                        }
-                    }
-                }
-                if self.acc == AccPrecision::Fp16 {
-                    for (dst, src) in lane_sums[..lanes].iter_mut().zip(&lane_sums_fp16) {
-                        *dst = src.to_f32();
-                    }
-                }
-            }
-            NumericsMode::Wide => {
-                let mut af = [0f32; MAX_WIDTH];
-                for (ca, cb) in a.chunks_exact(self.width).zip(b.chunks_exact(self.width)) {
-                    for (slot, &ak) in af.iter_mut().zip(ca) {
-                        let v = lookup(table, ak);
-                        sum_a += v as f64;
-                        *slot = v;
-                    }
-                    for (lane, sum) in lane_sums[..lanes].iter_mut().enumerate() {
-                        for (&v, &bk) in af[..self.width].iter().zip(cb) {
-                            // The exact biased product fits f32 (22-bit
-                            // significand): 1024 + code = B + offset.
-                            let code = bk.biased_lane(self.precision, lane);
-                            *sum += v * (1024.0 + code as f32);
-                        }
-                    }
+/// The column-tile kernel: [`COLS`] dot products over one k-segment at
+/// once, activations `a` against the gathered operand tile `b`
+/// (`b[t][c]` is column `c`'s operand at k-step `t`). Each column
+/// accumulates from zero in f32.
+///
+/// * [`NumericsMode::PaperRounded`] — every product `a[t]·b[t][c]` is
+///   rounded to fp16, each [`TREE_WIDTH`]-step chunk is reduced by the
+///   DP-4 adder tree `(p0 + p1) + (p2 + p3)` with every sum rounded to
+///   fp16, and the tree result is added to the f32 accumulator. With
+///   fp16-valued operands that is [`crate::BaselineDpUnit::dot_acc`]
+///   chained over the segment at width 4; with `b = 1024 + code` it is
+///   [`crate::ParallelDpUnit`]'s lane sum (the biased product is exact
+///   in f32, so rounding it once is the multiplier's rounding unit).
+/// * [`NumericsMode::Wide`] — the exact products are summed
+///   sequentially without rounding: the `Wide` lane sums.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` differ in length or, for `PaperRounded`, the
+/// length is not a multiple of [`TREE_WIDTH`].
+pub fn tile_dot(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
+    assert_eq!(a.len(), b.len(), "operand k-lengths must match");
+    let mut acc = [0f32; COLS];
+    match numerics {
+        NumericsMode::PaperRounded => {
+            let (ca, rest) = a.as_chunks::<TREE_WIDTH>();
+            let (cb, _) = b.as_chunks::<TREE_WIDTH>();
+            assert!(
+                rest.is_empty(),
+                "k-length {} not a multiple of DP width {TREE_WIDTH}",
+                a.len()
+            );
+            for (x, w) in ca.iter().zip(cb) {
+                for (c, sum) in acc.iter_mut().enumerate() {
+                    let p = |t: usize| round16(x[t] * w[t][c]);
+                    *sum += round16(round16(p(0) + p(1)) + round16(p(2) + p(3)));
                 }
             }
         }
-        sum_a
+        NumericsMode::Wide => {
+            for (&x, w) in a.iter().zip(b) {
+                for (sum, &v) in acc.iter_mut().zip(w) {
+                    *sum += x * v;
+                }
+            }
+        }
     }
+    acc
 }
 
 #[cfg(test)]
@@ -547,20 +398,104 @@ mod tests {
         }
     }
 
+    /// The kernel's fp16 multiply and add: f32 arithmetic rounded by
+    /// [`round16`], read back as fp16 bits ([`pack_rne`] is exact on a
+    /// rounded value and canonicalizes NaN like the datapaths).
+    fn mul16(a: Fp16, b: Fp16) -> Fp16 {
+        pack_rne(round16(a.to_f32() * b.to_f32()))
+    }
+
+    fn add16(a: Fp16, b: Fp16) -> Fp16 {
+        pack_rne(round16(a.to_f32() + b.to_f32()))
+    }
+
+    /// `x` is `y` to the bit, or both are NaN.
+    fn same(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    #[test]
+    fn round16_matches_pack_rne_on_every_frontier() {
+        // For every f32 exponent, both signs and every position the
+        // rounding point can take (23 dropped bits down to none), the
+        // kept-LSB × round-bit × sticky frontiers around it.
+        let mut inputs = Vec::new();
+        for exp in 0..=0xfeu32 {
+            for drop in 1..=23u32 {
+                let half = 1u32 << (drop - 1);
+                for kept in [0, 1u32 << drop, 0x7f_ffff & !((1u32 << drop) - 1)] {
+                    for low in [0, 1, half - 1, half, half + 1, (half << 1) - 1] {
+                        let mant = (kept | low) & 0x7f_ffff;
+                        for sign in [0u32, 0x8000_0000] {
+                            inputs.push(sign | (exp << 23) | mant);
+                        }
+                    }
+                }
+            }
+        }
+        inputs.extend([0x7f80_0000, 0xff80_0000]);
+        let mut lcg = Lcg(0x5851_f42d_4c95_7f2d);
+        inputs.extend((0..1_000_000).map(|_| lcg.next_u32()));
+        for bits in inputs {
+            let x = f32::from_bits(bits);
+            if x.is_nan() {
+                continue;
+            }
+            assert_eq!(
+                round16(x).to_bits(),
+                pack_rne(x).to_f32().to_bits(),
+                "x = {x:e} ({bits:#010x})"
+            );
+        }
+    }
+
+    #[test]
+    fn round16_maps_nan_to_nan() {
+        for bits in [
+            0x7f80_0001u32,
+            0x7fc0_0000,
+            0x7fff_ffff,
+            0xffc1_2345,
+            0xff80_0001,
+        ] {
+            assert!(round16(f32::from_bits(bits)).is_nan(), "{bits:#010x}");
+        }
+    }
+
+    /// Taking the LUT out of the kernel changes no bit: the arithmetic
+    /// lane product `round16(A · (1024 + code))` is the table entry for
+    /// every activation and every code of both precisions.
+    #[test]
+    fn arithmetic_lane_product_matches_product_lut_exhaustively() {
+        for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
+            let lut = product_lut(precision);
+            for code in 0..1usize << precision.bits() {
+                for a in Fp16::all_values() {
+                    let got = round16(a.to_f32() * (1024 + code) as f32);
+                    let want = Fp16::from_bits(lut[(code << 16) | a.to_bits() as usize]).to_f32();
+                    assert!(
+                        same(got, want),
+                        "{precision} a={:#06x} code {code}: {got} vs {want}",
+                        a.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn batched_mul_and_add_match_softfloat_on_frontier_pairs() {
-        let table = to_f32_table();
         for &a in &frontier_values() {
             for &b in &frontier_values() {
                 assert_eq!(
-                    mul16(table, a, b).to_bits(),
+                    mul16(a, b).to_bits(),
                     softfloat::mul(a, b).to_bits(),
                     "mul {:#06x} × {:#06x}",
                     a.to_bits(),
                     b.to_bits()
                 );
                 assert_eq!(
-                    add16(table, a, b).to_bits(),
+                    add16(a, b).to_bits(),
                     softfloat::add(a, b).to_bits(),
                     "add {:#06x} + {:#06x}",
                     a.to_bits(),
@@ -572,21 +507,20 @@ mod tests {
 
     #[test]
     fn batched_mul_and_add_match_softfloat_on_random_pairs() {
-        let table = to_f32_table();
         let mut lcg = Lcg(7);
         for _ in 0..1_000_000 {
             let r = lcg.next_u32();
             let a = Fp16::from_bits(r as u16);
             let b = Fp16::from_bits((r >> 16) as u16);
             assert_eq!(
-                mul16(table, a, b).to_bits(),
+                mul16(a, b).to_bits(),
                 softfloat::mul(a, b).to_bits(),
                 "mul {:#06x} × {:#06x}",
                 a.to_bits(),
                 b.to_bits()
             );
             assert_eq!(
-                add16(table, a, b).to_bits(),
+                add16(a, b).to_bits(),
                 softfloat::add(a, b).to_bits(),
                 "add {:#06x} + {:#06x}",
                 a.to_bits(),
@@ -663,79 +597,101 @@ mod tests {
         (a, b, w)
     }
 
-    #[test]
-    fn batched_baseline_matches_scalar_chain() {
-        for width in [4usize, 8, 16] {
-            for acc in [AccPrecision::Fp32, AccPrecision::Fp16] {
-                let scalar = BaselineDpUnit::new(width).unwrap().with_acc_precision(acc);
-                let batched = BatchedBaselineDp::new(width)
-                    .unwrap()
-                    .with_acc_precision(acc);
-                for (seed, len) in [(1u64, 4 * width), (2, 16 * width), (3, width)] {
-                    let (a, b, _) = random_operands(seed, len);
-                    let mut want = 0.5f32;
-                    for (ca, cb) in a.chunks(width).zip(b.chunks(width)) {
-                        want = scalar.dot_acc(want, ca, cb);
-                    }
-                    let got = batched.dot_slice(0.5, &a, &b);
-                    assert!(
-                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                        "width {width} {acc:?} len {len}: {got} vs {want}"
-                    );
-                }
-                let (a, b, _) = frontier_operands(8 * width);
-                let mut want = 0f32;
-                for (ca, cb) in a.chunks(width).zip(b.chunks(width)) {
-                    want = scalar.dot_acc(want, ca, cb);
-                }
-                let got = batched.dot_slice(0.0, &a, &b);
-                assert!(
-                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                    "frontier width {width} {acc:?}: {got} vs {want}"
-                );
+    fn widen(a: &[Fp16]) -> Vec<f32> {
+        let mut out = vec![0f32; a.len()];
+        widen_into(a, &mut out);
+        out
+    }
+
+    /// A tile whose column `c` holds `column(c, t)` at k-step `t`.
+    fn tile(len: usize, column: impl Fn(usize, usize) -> f32) -> Vec<TileRow> {
+        (0..len)
+            .map(|t| std::array::from_fn(|c| column(c, t)))
+            .collect()
+    }
+
+    /// The tile kernel over fp16 operands equals the DP-4
+    /// `BaselineDpUnit::dot_acc` chain with FP32 accumulation, column
+    /// by column; each column's operand is the `b` vector rotated by a
+    /// column-dependent amount so all eight columns differ.
+    fn check_baseline(a: &[Fp16], b: &[Fp16], what: &str) {
+        let scalar = BaselineDpUnit::new(TREE_WIDTH).unwrap();
+        let column = |c: usize, t: usize| b[(t + 3 * c) % b.len()];
+        let got = tile_dot(
+            NumericsMode::PaperRounded,
+            &widen(a),
+            &tile(a.len(), |c, t| column(c, t).to_f32()),
+        );
+        for (c, &g) in got.iter().enumerate() {
+            let bc: Vec<Fp16> = (0..a.len()).map(|t| column(c, t)).collect();
+            let mut want = 0f32;
+            for (ca, cb) in a.chunks(TREE_WIDTH).zip(bc.chunks(TREE_WIDTH)) {
+                want = scalar.dot_acc(want, ca, cb);
+            }
+            assert!(same(g, want), "{what} column {c}: {g} vs {want}");
+        }
+    }
+
+    /// The tile kernel over `1024 + code` operands equals the DP-4
+    /// `ParallelDpUnit` lane sums with FP32 accumulation, and
+    /// [`activation_sum`] equals its Σ A. Column `c` reads lane
+    /// `c % lanes` of the word stream `c / lanes`; stream `s` is `w`
+    /// rotated by `s`, so INT4's two streams differ.
+    fn check_parallel(
+        precision: WeightPrecision,
+        numerics: NumericsMode,
+        a: &[Fp16],
+        w: &[PackedWord],
+        what: &str,
+    ) {
+        let lanes = precision.lanes();
+        let word = |s: usize, t: usize| w[(t + s) % w.len()];
+        let got = tile_dot(
+            numerics,
+            &widen(a),
+            &tile(a.len(), |c, t| {
+                1024.0 + word(c / lanes, t).biased_lane(precision, c % lanes) as f32
+            }),
+        );
+        let got_sum = activation_sum(&widen(a));
+        let scalar = ParallelDpUnit::new(TREE_WIDTH, 2, precision)
+            .unwrap()
+            .with_numerics(numerics);
+        for s in 0..COLS / lanes {
+            let ws: Vec<PackedWord> = (0..a.len()).map(|t| word(s, t)).collect();
+            let mut want = [0f32; MAX_LANES];
+            let want_sum = scalar.dot_packed_into(a, &ws, &mut want);
+            // NaN payloads are outside the contract (the compiler may
+            // commute float adds, changing which payload propagates).
+            assert!(
+                got_sum.to_bits() == want_sum.to_bits() || (got_sum.is_nan() && want_sum.is_nan()),
+                "ΣA {what}: {got_sum} vs {want_sum}"
+            );
+            for lane in 0..lanes {
+                let (g, s_) = (got[s * lanes + lane], want[lane]);
+                assert!(same(g, s_), "lane {lane} stream {s} {what}: {g} vs {s_}");
             }
         }
+    }
+
+    #[test]
+    fn batched_baseline_matches_scalar_chain() {
+        for (seed, len) in [(1u64, 16usize), (2, 64), (3, 4)] {
+            let (a, b, _) = random_operands(seed, len);
+            check_baseline(&a, &b, &format!("random len {len}"));
+        }
+        let (a, b, _) = frontier_operands(32);
+        check_baseline(&a, &b, "frontier");
     }
 
     #[test]
     fn batched_parallel_matches_scalar_in_every_mode() {
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
             for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
-                for acc in [AccPrecision::Fp32, AccPrecision::Fp16] {
-                    for width in [4usize, 8] {
-                        let scalar = ParallelDpUnit::new(width, 2, precision)
-                            .unwrap()
-                            .with_numerics(numerics)
-                            .with_acc_precision(acc);
-                        let batched = BatchedParallelDp::new(width, precision)
-                            .unwrap()
-                            .with_numerics(numerics)
-                            .with_acc_precision(acc);
-                        for (seed, len) in [(11u64, 4 * width), (12, 16 * width)] {
-                            let (a, _, w) = random_operands(seed, len);
-                            let mut want = [0f32; MAX_LANES];
-                            let want_sum = scalar.dot_packed_into(&a, &w, &mut want);
-                            let mut got = [0f32; MAX_LANES];
-                            let got_sum = batched.dot_packed_into(&a, &w, &mut got);
-                            // NaN payloads are outside the contract (the
-                            // compiler may commute float adds, changing
-                            // which payload propagates).
-                            assert!(
-                                got_sum.to_bits() == want_sum.to_bits()
-                                    || (got_sum.is_nan() && want_sum.is_nan()),
-                                "ΣA {precision}/{numerics:?}/{acc:?}/w{width}: \
-                                 {got_sum} vs {want_sum}"
-                            );
-                            for lane in 0..precision.lanes() {
-                                let (g, s) = (got[lane], want[lane]);
-                                assert!(
-                                    g.to_bits() == s.to_bits() || (g.is_nan() && s.is_nan()),
-                                    "lane {lane} {precision}/{numerics:?}/{acc:?}/w{width}: \
-                                     {g} vs {s}"
-                                );
-                            }
-                        }
-                    }
+                for (seed, len) in [(11u64, 16usize), (12, 64)] {
+                    let (a, _, w) = random_operands(seed, len);
+                    let what = format!("{precision}/{numerics:?} len {len}");
+                    check_parallel(precision, numerics, &a, &w, &what);
                 }
             }
         }
@@ -745,29 +701,14 @@ mod tests {
     fn batched_parallel_matches_scalar_on_frontier_activations() {
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
             for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
-                let scalar = ParallelDpUnit::new(4, 2, precision)
-                    .unwrap()
-                    .with_numerics(numerics);
-                let batched = BatchedParallelDp::new(4, precision)
-                    .unwrap()
-                    .with_numerics(numerics);
                 let (a, _, w) = frontier_operands(32);
-                let mut want = [0f32; MAX_LANES];
-                let want_sum = scalar.dot_packed_into(&a, &w, &mut want);
-                let mut got = [0f32; MAX_LANES];
-                let got_sum = batched.dot_packed_into(&a, &w, &mut got);
-                assert!(
-                    got_sum.to_bits() == want_sum.to_bits()
-                        || (got_sum.is_nan() && want_sum.is_nan()),
-                    "ΣA {precision}/{numerics:?}: {got_sum} vs {want_sum}"
+                check_parallel(
+                    precision,
+                    numerics,
+                    &a,
+                    &w,
+                    &format!("{precision}/{numerics:?}"),
                 );
-                for lane in 0..precision.lanes() {
-                    let (g, s) = (got[lane], want[lane]);
-                    assert!(
-                        g.to_bits() == s.to_bits() || (g.is_nan() && s.is_nan()),
-                        "lane {lane} {precision}/{numerics:?}: {g} vs {s}"
-                    );
-                }
             }
         }
     }

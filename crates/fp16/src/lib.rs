@@ -16,9 +16,9 @@
 //!   (Figure 5(b)–(d)), bit-exact with the reference;
 //! * [`BaselineDpUnit`] / [`ParallelDpUnit`] — DP-4/8/16 dot-product units
 //!   with the adder-tree duplication knob (Figures 8, 11, 12(a));
-//! * [`BatchedBaselineDp`] / [`BatchedParallelDp`] — the batched SoA fast
-//!   path ([`Backend::Batched`]): table conversions, branch-free rounding
-//!   and LUT lane products, bit-identical to the scalar units;
+//! * [`batch`] — the batched fast path ([`Backend::Batched`]): one f32
+//!   column-tile kernel with branch-free fp16 rounding, bit-identical to
+//!   the scalar units;
 //! * [`Int4`] / [`Int2`] / [`PackedWord`] — packed low-precision weights.
 //!
 //! ## Quick example
@@ -57,7 +57,7 @@ mod packed;
 pub mod parallel;
 pub mod softfloat;
 
-pub use batch::{Backend, BatchedBaselineDp, BatchedParallelDp};
+pub use batch::Backend;
 pub use bits::{Fp16, Fp16Class, EXP_BIAS, EXP_MAX, HIDDEN_BIT, MANT_BITS, MANT_MASK};
 pub use dp::{
     AccPrecision, BaselineDpUnit, DpResources, NumericsMode, PackedDotResult, ParallelDpUnit,

@@ -1,16 +1,18 @@
 //! Audit that the dot-product hot paths are allocation-free.
 //!
-//! The functional GEMM layer calls `dot_acc` / `dot_packed_into` (and
-//! their batched counterparts) once per output element per k-segment;
+//! The functional GEMM layer calls `dot_acc` / `dot_packed_into` once
+//! per output element per k-segment, and the batched backend's
+//! `tile_dot` once per row, segment and column tile;
 //! a single hidden `Vec` there multiplies into millions of allocator
 //! round trips per sweep point. This suite counts allocations through
 //! a wrapping global allocator and asserts the hot paths make zero —
 //! in debug builds as well as release, so a regression fails `cargo
 //! test` before it ever reaches a benchmark.
 
+use pacq_fp16::batch::{self, TileRow};
 use pacq_fp16::{
-    AccPrecision, BaselineDpUnit, BatchedBaselineDp, BatchedParallelDp, Fp16, NumericsMode,
-    PackedWord, ParallelDpUnit, WeightPrecision, MAX_LANES,
+    AccPrecision, BaselineDpUnit, Fp16, NumericsMode, PackedWord, ParallelDpUnit, WeightPrecision,
+    MAX_LANES,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -101,31 +103,23 @@ fn hot_paths_do_not_allocate() {
     assert_eq!(n, 0, "PackedDotResult::recover_into allocated");
     std::hint::black_box(out);
 
-    // Warm the lazily-built conversion and product tables: those one-off
-    // builds allocate by design, the per-call kernels must not.
-    pacq_fp16::batch::to_f32_table();
-    pacq_fp16::batch::product_lut(WeightPrecision::Int4);
-    pacq_fp16::batch::product_lut(WeightPrecision::Int2);
+    // Warm the lazily-built conversion table: that one-off build
+    // allocates by design, the per-call kernels must not.
+    batch::to_f32_table();
 
-    for acc in [AccPrecision::Fp32, AccPrecision::Fp16] {
-        let dp = BatchedBaselineDp::new(4).unwrap().with_acc_precision(acc);
-        let (n, out) = allocations_in(|| dp.dot_slice(0.0, &a, &b));
-        assert_eq!(n, 0, "BatchedBaselineDp::dot_slice ({acc:?}) allocated");
+    let mut af = vec![0f32; a.len()];
+    let tile: Vec<TileRow> = b
+        .iter()
+        .map(|x| std::array::from_fn(|c| x.to_f32() + c as f32))
+        .collect();
+    let (n, _) = allocations_in(|| batch::widen_into(&a, &mut af));
+    assert_eq!(n, 0, "batch::widen_into allocated");
+    let (n, out) = allocations_in(|| batch::activation_sum(&af));
+    assert_eq!(n, 0, "batch::activation_sum allocated");
+    std::hint::black_box(out);
+    for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
+        let (n, out) = allocations_in(|| batch::tile_dot(numerics, &af, &tile));
+        assert_eq!(n, 0, "batch::tile_dot ({numerics:?}) allocated");
         std::hint::black_box(out);
-    }
-
-    for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-        for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
-            let dp = BatchedParallelDp::new(4, precision)
-                .unwrap()
-                .with_numerics(numerics);
-            let mut lane_sums = [0f32; MAX_LANES];
-            let (n, out) = allocations_in(|| dp.dot_packed_into(&a, &w, &mut lane_sums));
-            assert_eq!(
-                n, 0,
-                "BatchedParallelDp::dot_packed_into ({precision}/{numerics:?}) allocated"
-            );
-            std::hint::black_box(out);
-        }
     }
 }

@@ -122,6 +122,15 @@ impl RtnQuantizer {
         // Pass 1: per-group range. Row bands compute partial ranges in
         // parallel; min/max merging is exact, so the merged range is
         // identical at any thread count.
+        //
+        // Both passes walk each weight row as runs of `n_size` columns,
+        // one group per run: `group_of` for row `k` is `row_groups(k)`
+        // plus the run index.
+        let groups_per_row = n_total.div_ceil(self.group.n_size);
+        let row_groups = |k: usize| {
+            let base = (k / self.group.k_size) * groups_per_row;
+            base..base + groups_per_row
+        };
         let band = k_total.div_ceil(rayon::current_num_threads().max(1)).max(1);
         let bands: Vec<(usize, usize)> = (0..k_total)
             .step_by(band)
@@ -133,11 +142,13 @@ impl RtnQuantizer {
                 let mut lo = vec![f32::INFINITY; group_count];
                 let mut hi = vec![f32::NEG_INFINITY; group_count];
                 for k in start..end {
-                    for n in 0..n_total {
-                        let g = self.group.group_of(k, n, n_total);
-                        let w = weights.get(k, n);
-                        lo[g] = lo[g].min(w);
-                        hi[g] = hi[g].max(w);
+                    let runs = weights.row(k).chunks(self.group.n_size);
+                    let groups = row_groups(k);
+                    for ((run, lo), hi) in runs.zip(&mut lo[groups.clone()]).zip(&mut hi[groups]) {
+                        for &w in run {
+                            *lo = lo.min(w);
+                            *hi = hi.max(w);
+                        }
                     }
                 }
                 (lo, hi)
@@ -190,11 +201,18 @@ impl RtnQuantizer {
                 .par_chunks_mut(n_total)
                 .enumerate()
                 .for_each(|(k, row)| {
-                    for (n, c) in row.iter_mut().enumerate() {
-                        let g = self.group.group_of(k, n, n_total);
-                        let q = (weights.get(k, n) / scales[g]).round()
-                            + (zero_points[g] as i32 - bias) as f32;
-                        *c = q.clamp(q_min, q_pos) as i8;
+                    let runs = row
+                        .chunks_mut(self.group.n_size)
+                        .zip(weights.row(k).chunks(self.group.n_size));
+                    let groups = row_groups(k);
+                    for ((codes, run), (&scale, &zp)) in
+                        runs.zip(scales[groups.clone()].iter().zip(&zero_points[groups]))
+                    {
+                        let shift = (zp as i32 - bias) as f32;
+                        for (c, &w) in codes.iter_mut().zip(run) {
+                            let q = (w / scale).round() + shift;
+                            *c = q.clamp(q_min, q_pos) as i8;
+                        }
                     }
                 });
         }
@@ -461,6 +479,73 @@ mod tests {
             assert_eq!(s, 1.0);
         }
         assert!(q.dequantize().mse(&w) < 1e-12);
+    }
+
+    /// The row-run walk of `quantize` against the plain per-element
+    /// definition (every weight looks up its own group with
+    /// `group_of`), bit for bit, on shapes whose last k- and n-groups
+    /// are partial, with 1-D and 2-D groups, in both schemes.
+    #[test]
+    fn row_runs_match_the_per_element_group_walk() {
+        let w = MatrixF32::from_fn(45, 14, |r, c| {
+            ((r * 37 + c * 11) % 29) as f32 / 9.0 - 1.5 + (c % 3) as f32 * 0.25
+        });
+        for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
+            for group in [
+                GroupShape::along_k(16),
+                GroupShape::new(8, 4),
+                GroupShape::new(45, 14),
+                GroupShape::new(64, 3),
+            ] {
+                for quantizer in [
+                    RtnQuantizer::new(precision, group),
+                    RtnQuantizer::asymmetric(precision, group),
+                ] {
+                    let q = quantizer.quantize(&w).unwrap();
+                    let (k_total, n_total) = (w.rows(), w.cols());
+                    let mut lo = vec![f32::INFINITY; q.scales().len()];
+                    let mut hi = vec![f32::NEG_INFINITY; q.scales().len()];
+                    for k in 0..k_total {
+                        for n in 0..n_total {
+                            let g = group.group_of(k, n, n_total);
+                            lo[g] = lo[g].min(w.get(k, n));
+                            hi[g] = hi[g].max(w.get(k, n));
+                        }
+                    }
+                    for (g, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
+                        let (s, z) = (q.scales()[g], q.zero_points()[g]);
+                        let (want_s, want_z) = match quantizer.scheme() {
+                            QuantScheme::Symmetric => {
+                                let m = l.abs().max(h.abs());
+                                let q_pos = precision.max_value() as f32;
+                                (
+                                    if m > 0.0 { m / q_pos } else { 1.0 },
+                                    precision.bias() as u8,
+                                )
+                            }
+                            QuantScheme::Asymmetric => {
+                                let levels = ((1i32 << precision.bits()) - 1) as f32;
+                                let range = h.max(0.0) - l.min(0.0);
+                                let s = range / levels;
+                                (s, (-l.min(0.0) / s).round().clamp(0.0, levels) as u8)
+                            }
+                        };
+                        assert_eq!(s.to_bits(), want_s.to_bits(), "{quantizer:?} group {g}");
+                        assert_eq!(z, want_z, "{quantizer:?} group {g}");
+                    }
+                    for k in 0..k_total {
+                        for n in 0..n_total {
+                            let g = group.group_of(k, n, n_total);
+                            let want = ((w.get(k, n) / q.scales()[g]).round()
+                                + (q.zero_points()[g] as i32 - precision.bias()) as f32)
+                                .clamp(precision.min_value() as f32, precision.max_value() as f32)
+                                as i8;
+                            assert_eq!(q.code(k, n), want, "{quantizer:?} ({k},{n})");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

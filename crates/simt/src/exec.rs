@@ -8,21 +8,33 @@
 
 //! # Parallel tiling
 //!
-//! All three flows (and the [`reference`] oracle) walk the output in
-//! cache-blocked `(m, n)` tiles: bands of up to [`ROW_TILE`] rows are
-//! fanned out across the rayon pool with `par_chunks_mut`, and inside a
-//! band the columns are visited in [`COL_TILE`] blocks so the per-column
-//! gather buffers stay hot while every row of the band reuses them.
+//! All three flows walk the output in `(m, n)` tiles: bands of up to
+//! [`ROW_TILE`] rows are fanned out across the rayon pool with
+//! `par_chunks_mut`, and inside a band each weight column (or column
+//! tile) is gathered once and then streamed by every row of the band.
+//!
+//! * The scalar backend visits the columns in [`COL_TILE`] blocks (PacQ:
+//!   one packed-word column at a time) and feeds each row through the
+//!   structural DP units.
+//! * The batched backend (`run_tiled`) converts the band's
+//!   activations to f32 once, then walks the columns in
+//!   `pacq_fp16::batch::COLS`-wide tiles: each tile's `[k][COLS]` f32
+//!   operand is gathered straight from the packed words, and one
+//!   `batch::tile_dot` call per row and k-segment yields `COLS` outputs.
+//!   Its scratch is one tile plus the band's activations, never a whole
+//!   k×n operand.
+//!
 //! Only whole output rows are distributed and the k-accumulation order
 //! per element is untouched, so the result is bit-identical at any
-//! thread count (`jobs = 1` and `jobs = N` agree to the last bit; see
-//! the equivalence suite in `tests/parallel_equivalence.rs`).
+//! thread count (`jobs = 1` and `jobs = N` agree to the last bit) and
+//! across backends; see the equivalence suite in
+//! `tests/parallel_equivalence.rs`.
 
 use crate::config::Architecture;
 use pacq_error::{PacqError, PacqResult};
+use pacq_fp16::batch::{self, TileRow, COLS};
 use pacq_fp16::{
-    Backend, BaselineDpUnit, BatchedBaselineDp, BatchedParallelDp, Fp16, NumericsMode, PackedWord,
-    ParallelDpUnit, MAX_LANES,
+    Backend, BaselineDpUnit, Fp16, NumericsMode, PackedWord, ParallelDpUnit, MAX_LANES,
 };
 use pacq_quant::{MatrixF16, MatrixF32, PackDim, PackedMatrix};
 use rayon::prelude::*;
@@ -58,12 +70,14 @@ pub fn execute(
 /// [`execute`] with an explicit compute backend.
 ///
 /// [`Backend::Scalar`] walks every element through the structural
-/// datapath models; [`Backend::Batched`] runs the SoA fast path of
-/// `pacq_fp16::batch` (table conversions, branch-free rounding, LUT
-/// lane products). Both tile the output identically and preserve the
-/// per-element accumulation order, so the backends are bit-identical —
-/// the three-way equivalence suite in `tests/parallel_equivalence.rs`
-/// pins scalar ≡ rayon ≡ batched on every flow.
+/// datapath models; [`Backend::Batched`] runs every flow through the
+/// one f32 column-tile kernel of `pacq_fp16::batch` (f32 activations,
+/// branch-free fp16 rounding, lane products `A × (1024 + code)` by
+/// arithmetic); the flows differ only in the gathered operand and the
+/// epilogue. Both backends distribute the same row bands and preserve
+/// the per-element accumulation order, so they are bit-identical — the
+/// three-way equivalence suite in `tests/parallel_equivalence.rs` pins
+/// scalar ≡ rayon ≡ batched on every flow.
 ///
 /// # Errors
 ///
@@ -125,7 +139,9 @@ pub fn reference(a: &MatrixF16, packed: &PackedMatrix) -> MatrixF32 {
     a.to_f32().matmul(&deq)
 }
 
-const DP_WIDTH: usize = 4;
+/// DP width of every flow's units: the scalar DP-4 and the batched
+/// kernel's adder trees.
+const DP_WIDTH: usize = batch::TREE_WIDTH;
 
 /// Upper bound on rows per parallel band (the m-extent of a tile).
 const ROW_TILE: usize = 8;
@@ -143,9 +159,7 @@ fn band_rows(m: usize) -> usize {
 /// StandardDequant: weights dequantized to FP16 storage, then a plain
 /// FP16 GEMM on the baseline DP units with f32 accumulation.
 fn run_standard(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqResult<MatrixF32> {
-    let deq = packed.unpack().dequantize().to_f16();
     let dp = BaselineDpUnit::new(DP_WIDTH)?;
-    let bdp = BatchedBaselineDp::new(DP_WIDTH)?;
     let (m, n, k) = (a.rows(), packed.n(), packed.k());
     if k % DP_WIDTH != 0 {
         return Err(PacqError::Misaligned {
@@ -154,6 +168,10 @@ fn run_standard(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqR
             multiple: DP_WIDTH,
         });
     }
+    if backend == Backend::Batched {
+        return Ok(run_tiled(TileFlow::Standard, a, packed, k));
+    }
+    let deq = packed.unpack().dequantize().to_f16();
 
     let mut out = MatrixF32::zeros(m, n);
     if m == 0 || n == 0 {
@@ -176,20 +194,12 @@ fn run_standard(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqR
                     }
                     for r in 0..rows {
                         let arow = a.row(i0 + r);
-                        chunk[r * n + j] = match backend {
-                            Backend::Scalar => {
-                                let mut acc = 0f32;
-                                for k0 in (0..k).step_by(DP_WIDTH) {
-                                    acc = dp.dot_acc(
-                                        acc,
-                                        &arow[k0..k0 + DP_WIDTH],
-                                        &bcol[k0..k0 + DP_WIDTH],
-                                    );
-                                }
-                                acc
-                            }
-                            Backend::Batched => bdp.dot_slice(0f32, arow, &bcol),
-                        };
+                        let mut acc = 0f32;
+                        for k0 in (0..k).step_by(DP_WIDTH) {
+                            acc =
+                                dp.dot_acc(acc, &arow[k0..k0 + DP_WIDTH], &bcol[k0..k0 + DP_WIDTH]);
+                        }
+                        chunk[r * n + j] = acc;
                     }
                 }
             }
@@ -202,7 +212,6 @@ fn run_standard(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqR
 /// sequentially; group scales are applied per k-segment in the epilogue.
 fn run_packed_k(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqResult<MatrixF32> {
     let dp = BaselineDpUnit::new(DP_WIDTH)?;
-    let bdp = BatchedBaselineDp::new(DP_WIDTH)?;
     let (m, n, k) = (a.rows(), packed.n(), packed.k());
     let seg = packed.group().k_size.min(k);
     if seg % DP_WIDTH != 0 {
@@ -218,6 +227,9 @@ fn run_packed_k(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqR
             extent: k,
             multiple: seg,
         });
+    }
+    if backend == Backend::Batched {
+        return Ok(run_tiled(TileFlow::PackedK, a, packed, seg));
     }
     let bias = packed.precision().bias();
 
@@ -253,22 +265,14 @@ fn run_packed_k(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqR
                         let arow = a.row(i0 + r);
                         let mut acc = 0f64;
                         for (s, s0) in (0..k).step_by(seg).enumerate() {
-                            let seg_acc = match backend {
-                                Backend::Scalar => {
-                                    let mut seg_acc = 0f32;
-                                    for k0 in (s0..s0 + seg).step_by(DP_WIDTH) {
-                                        seg_acc = dp.dot_acc(
-                                            seg_acc,
-                                            &arow[k0..k0 + DP_WIDTH],
-                                            &bcol[k0..k0 + DP_WIDTH],
-                                        );
-                                    }
-                                    seg_acc
-                                }
-                                Backend::Batched => {
-                                    bdp.dot_slice(0f32, &arow[s0..s0 + seg], &bcol[s0..s0 + seg])
-                                }
-                            };
+                            let mut seg_acc = 0f32;
+                            for k0 in (s0..s0 + seg).step_by(DP_WIDTH) {
+                                seg_acc = dp.dot_acc(
+                                    seg_acc,
+                                    &arow[k0..k0 + DP_WIDTH],
+                                    &bcol[k0..k0 + DP_WIDTH],
+                                );
+                            }
                             acc += seg_acc as f64 * scales[s] as f64;
                         }
                         chunk[r * n + j] = acc as f32;
@@ -292,7 +296,6 @@ fn run_pacq(
     let precision = packed.precision();
     let lanes = precision.lanes();
     let dp = ParallelDpUnit::new(DP_WIDTH, 2, precision)?.with_numerics(numerics);
-    let bdp = BatchedParallelDp::new(DP_WIDTH, precision)?.with_numerics(numerics);
     let (m, n, k) = (a.rows(), packed.n(), packed.k());
     let seg = packed.group().k_size.min(k);
     if seg % DP_WIDTH != 0 {
@@ -308,6 +311,9 @@ fn run_pacq(
             extent: k,
             multiple: seg,
         });
+    }
+    if backend == Backend::Batched {
+        return Ok(run_tiled(TileFlow::Pacq(numerics), a, packed, seg));
     }
     let bias = precision.bias();
     let offset = precision.fp_offset();
@@ -343,14 +349,7 @@ fn run_pacq(
                     }
                     for r in 0..rows {
                         let arow = a.row(i0 + r);
-                        let sum_a = match backend {
-                            Backend::Scalar => {
-                                dp.dot_packed_into(&arow[s0..s0 + seg], &words, &mut lane_sums)
-                            }
-                            Backend::Batched => {
-                                bdp.dot_packed_into(&arow[s0..s0 + seg], &words, &mut lane_sums)
-                            }
-                        };
+                        let sum_a = dp.dot_packed_into(&arow[s0..s0 + seg], &words, &mut lane_sums);
                         // Eq. (1) recovery gives Σ A·(q − bias); asymmetric
                         // zero points shift by (bias − z)·Σ A — absorbed by
                         // the same Σ A accumulator at zero extra hardware.
@@ -367,6 +366,196 @@ fn run_pacq(
             }
         });
     Ok(out)
+}
+
+/// What distinguishes the flows on the batched backend: the operand a
+/// column tile gathers and the epilogue that turns a row's segment sums
+/// into outputs.
+#[derive(Debug, Clone, Copy)]
+enum TileFlow {
+    /// StandardDequant: gathers the fp16-dequantized weight
+    /// `round16((q − z)·s)`; one segment spans all of k.
+    Standard,
+    /// PackedK and input-stationary: gathers the exact `q − z`; each
+    /// segment sum is scaled and accumulated in f64.
+    PackedK,
+    /// PacQ: gathers the biased `1024 + q`; each segment's lane sums are
+    /// recovered by Eq. (1) from the row's Σ A and scaled.
+    Pacq(NumericsMode),
+}
+
+/// The batched backend of every flow: one pass of the
+/// `pacq_fp16::batch` column-tile kernel per `(row, segment, tile)`.
+///
+/// Each band converts its activation rows to f32 once (and, for PacQ,
+/// their Σ A once per segment), then walks the output in [`COLS`]-wide
+/// column tiles: a tile's `[k][COLS]` f32 operand is gathered once
+/// straight from the packed words and streamed by every row of the
+/// band. The segment order and every per-element accumulation order
+/// are the scalar flows', so the result is bit-identical to them.
+///
+/// `seg` is the k-extent of one accumulation segment; it divides `k`.
+fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -> MatrixF32 {
+    let (m, n, k) = (a.rows(), packed.n(), packed.k());
+    let mut out = MatrixF32::zeros(m, n);
+    if m == 0 || n == 0 || k == 0 {
+        return out;
+    }
+    let precision = packed.precision();
+    let (bias, offset) = (
+        f64::from(precision.bias()),
+        f64::from(precision.fp_offset()),
+    );
+    let segs = k / seg;
+    let band = band_rows(m);
+    out.as_mut_slice()
+        .par_chunks_mut(n * band)
+        .enumerate()
+        .for_each(|(c, chunk)| {
+            let i0 = c * band;
+            let rows = chunk.len() / n;
+            // Per-band scratch: the band's activations in f32 (plus Σ A
+            // per row segment for PacQ), one gathered column tile, and
+            // its scales and zero points per group k-segment.
+            let mut af = vec![0f32; rows * k];
+            for (r, dst) in af.chunks_exact_mut(k).enumerate() {
+                batch::widen_into(a.row(i0 + r), dst);
+            }
+            let sums: Vec<f64> = match flow {
+                TileFlow::Pacq(_) => af.chunks_exact(seg).map(batch::activation_sum).collect(),
+                _ => Vec::new(),
+            };
+            let groups = k.div_ceil(packed.group().k_size);
+            let mut tile = vec![[0f32; COLS]; k];
+            let mut scales = vec![[0f32; COLS]; groups];
+            let mut zps = vec![[0f32; COLS]; groups];
+            for j0 in (0..n).step_by(COLS) {
+                let cols = COLS.min(n - j0);
+                gather_tile(
+                    packed,
+                    j0,
+                    cols,
+                    &mut tile,
+                    &mut scales,
+                    &mut zps,
+                    |q, z, s| match flow {
+                        TileFlow::Standard => batch::round16((q - z) * s),
+                        TileFlow::PackedK => q - z,
+                        TileFlow::Pacq(_) => 1024.0 + q,
+                    },
+                );
+                for (r, arow) in af.chunks_exact(k).enumerate() {
+                    let dst = &mut chunk[r * n + j0..r * n + j0 + cols];
+                    let segments = arow.chunks_exact(seg).zip(tile.chunks_exact(seg));
+                    match flow {
+                        TileFlow::Standard => {
+                            let sum = batch::tile_dot(NumericsMode::PaperRounded, arow, &tile);
+                            dst.copy_from_slice(&sum[..cols]);
+                        }
+                        TileFlow::PackedK => {
+                            let mut acc = [0f64; COLS];
+                            for ((x, w), sc) in segments.zip(&scales) {
+                                let sum = batch::tile_dot(NumericsMode::PaperRounded, x, w);
+                                for ((acc, &v), &s) in acc.iter_mut().zip(&sum).zip(sc) {
+                                    *acc += f64::from(v) * f64::from(s);
+                                }
+                            }
+                            for (d, &v) in dst.iter_mut().zip(&acc) {
+                                *d = v as f32;
+                            }
+                        }
+                        TileFlow::Pacq(numerics) => {
+                            let row_sums = &sums[r * segs..(r + 1) * segs];
+                            for (((x, w), (sc, zp)), &sum_a) in
+                                segments.zip(scales.iter().zip(&zps)).zip(row_sums)
+                            {
+                                let lane = batch::tile_dot(numerics, x, w);
+                                // Eq. (1) recovery, then the zero-point
+                                // shift (bias − z)·Σ A, with the f32 cast
+                                // between them exactly as the scalar flow.
+                                for (col, d) in dst.iter_mut().enumerate() {
+                                    let rec = (f64::from(lane[col]) - offset * sum_a) as f32;
+                                    *d += (f64::from(rec) + (bias - f64::from(zp[col])) * sum_a)
+                                        as f32
+                                        * sc[col];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    out
+}
+
+/// Gathers output columns `j0..j0 + cols` of `packed` into `tile`
+/// straight from the packed words: `tile[t][c] = operand(q, z, s)` for
+/// weight `(t, j0 + c)`, with `q` its biased code and `z`, `s` its
+/// group's zero point and scale (all as f32). `scales` and `zps` receive
+/// `s` and `z` per group k-segment. Columns from `cols` on are padding:
+/// they hold `operand(0, 0, 0)` and are never stored.
+fn gather_tile(
+    packed: &PackedMatrix,
+    j0: usize,
+    cols: usize,
+    tile: &mut [TileRow],
+    scales: &mut [TileRow],
+    zps: &mut [TileRow],
+    operand: impl Fn(f32, f32, f32) -> f32,
+) {
+    let precision = packed.precision();
+    let lanes = precision.lanes();
+    let bits = precision.bits();
+    let mask = (1u16 << bits) - 1;
+    let code =
+        |w: PackedWord, lane: usize| f32::from((w.to_bits() >> (bits as usize * lane)) & mask);
+    for row in tile.iter_mut() {
+        row[cols..].fill(0.0);
+    }
+    match packed.pack_dim() {
+        // `j0` and `cols` are whole words here: n is a multiple of the
+        // lane count, and so is COLS.
+        PackDim::N => {
+            for (t, row) in tile.iter_mut().enumerate() {
+                for (wc, lanes_out) in row[..cols].chunks_exact_mut(lanes).enumerate() {
+                    let w = packed.word(t, j0 / lanes + wc);
+                    for (lane, v) in lanes_out.iter_mut().enumerate() {
+                        *v = code(w, lane);
+                    }
+                }
+            }
+        }
+        PackDim::K => {
+            for (wr, rows) in tile.chunks_exact_mut(lanes).enumerate() {
+                for c in 0..cols {
+                    let w = packed.word(wr, j0 + c);
+                    for (lane, row) in rows.iter_mut().enumerate() {
+                        row[c] = code(w, lane);
+                    }
+                }
+            }
+        }
+    }
+    let gk = packed.group().k_size;
+    for (g, (rows, (sc, zp))) in tile
+        .chunks_mut(gk)
+        .zip(scales.iter_mut().zip(zps.iter_mut()))
+        .enumerate()
+    {
+        for c in 0..COLS {
+            (sc[c], zp[c]) = if c < cols {
+                let (kk, nn) = (g * gk, j0 + c);
+                (packed.scale(kk, nn), f32::from(packed.zero_point(kk, nn)))
+            } else {
+                (0.0, 0.0)
+            };
+        }
+        for row in rows {
+            for ((v, &z), &s) in row.iter_mut().zip(&*zp).zip(&*sc) {
+                *v = operand(*v, z, s);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

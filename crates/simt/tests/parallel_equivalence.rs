@@ -12,12 +12,13 @@
 //! shared lock before touching the pool and restores the host default
 //! afterwards.
 //!
-//! The suite additionally pins the *backend* contract: the batched SoA
-//! kernels (`Backend::Batched`) must agree with the scalar reference to
-//! the last bit, at every job count — a three-way scalar ≡ rayon ≡
-//! batched check over the flows, precisions, numerics modes, randomized
-//! shapes/group sizes, and the fp16 classify/round frontier inputs
-//! (subnormals, ±∞, NaN, carry-to-infinity magnitudes).
+//! The suite additionally pins the *backend* contract: the batched
+//! column-tile kernel (`Backend::Batched`) must agree with the scalar
+//! reference to the last bit, at every job count — a three-way scalar ≡
+//! rayon ≡ batched check over the flows, precisions, numerics modes,
+//! randomized shapes/group sizes, partial column tiles, and the fp16
+//! classify/round frontier inputs (subnormals, ±∞, NaN,
+//! carry-to-infinity magnitudes).
 
 use pacq_fp16::{Backend, Fp16, NumericsMode, WeightPrecision};
 use pacq_quant::{
@@ -361,6 +362,69 @@ fn three_way_equivalence_survives_frontier_activations() {
                 assert_bits_eq_nan_loose(&scalar_1, &scalar_4, &format!("{what} scalar jobs"));
                 assert_bits_eq_nan_loose(&batched_1, &batched_4, &format!("{what} batched jobs"));
                 assert_bits_eq_nan_loose(&scalar_1, &batched_1, &format!("{what} backends"));
+            }
+        }
+    }
+}
+
+/// Three-way equivalence at the edges of the batched kernel's
+/// [`COLS`]-wide column tiles: n = 12, 20, 36 at INT4 leave a partial
+/// last tile of whole 4-lane words, and n = 24, 40 at INT2 are whole
+/// tiles of one 8-lane word each. Rows m = 1 and m = 17 cover a
+/// one-row band and a ragged last band; the groups cover two segments,
+/// a single segment (group = k) and the 2-D `g[32,4]`. The standard
+/// flow runs on both pack directions, since it accepts either.
+///
+/// [`COLS`]: pacq_fp16::batch::COLS
+#[test]
+fn three_way_equivalence_covers_partial_column_tiles() {
+    const K: usize = 64;
+    let cases = [
+        (WeightPrecision::Int4, 12usize),
+        (WeightPrecision::Int4, 20),
+        (WeightPrecision::Int4, 36),
+        (WeightPrecision::Int2, 24),
+        (WeightPrecision::Int2, 40),
+    ];
+    for (precision, n) in cases {
+        for m in [1usize, 17] {
+            for group in [
+                GroupShape::along_k(32),
+                GroupShape::along_k(K),
+                GroupShape::new(32, 4),
+            ] {
+                let mut g = SynthGenerator::new((n * 100 + m) as u64);
+                let a = g.llm_activations(m, K).to_f16();
+                let w = g.llm_weights(K, n);
+                let q = RtnQuantizer::new(precision, group)
+                    .quantize(&w)
+                    .expect("quantizes");
+                let mut runs: Vec<(Architecture, PackDim, NumericsMode)> = Architecture::ALL
+                    .into_iter()
+                    .map(|arch| (arch, pack_for(arch), NumericsMode::PaperRounded))
+                    .collect();
+                runs.push((Architecture::Pacq, PackDim::N, NumericsMode::Wide));
+                runs.push((
+                    Architecture::StandardDequant,
+                    PackDim::K,
+                    NumericsMode::PaperRounded,
+                ));
+                for (arch, dim, numerics) in runs {
+                    let p = PackedMatrix::pack(&q, dim).expect("packs");
+                    let what = format!(
+                        "{arch:?} P(B)_{dim} m{m} n{n} k{K} {group} {precision} {numerics:?}"
+                    );
+                    let run = |backend| {
+                        at_1_and_4(|| {
+                            execute_with_backend(arch, &a, &p, numerics, backend).expect("executes")
+                        })
+                    };
+                    let (scalar_1, scalar_4) = run(Backend::Scalar);
+                    let (batched_1, batched_4) = run(Backend::Batched);
+                    assert_bits_eq(&scalar_1, &scalar_4, &format!("{what} scalar jobs"));
+                    assert_bits_eq(&batched_1, &batched_4, &format!("{what} batched jobs"));
+                    assert_bits_eq(&scalar_1, &batched_1, &format!("{what} backends"));
+                }
             }
         }
     }

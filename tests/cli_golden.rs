@@ -3,7 +3,9 @@
 //! `dse --pareto`, spawned as the real binary so argv parsing,
 //! rendering and exit status are pinned together. Also, the grid table
 //! must not depend on the report cache (cold or warm store) or on the
-//! compute backend; only the `cache:` footer line may differ.
+//! compute backend; only the `cache:` footer line may differ. And
+//! `exec --check` must find both backends bit-identical on every
+//! dataflow and precision.
 //!
 //! To regenerate after an *intentional* output change:
 //!
@@ -21,6 +23,7 @@
 //!     > tests/golden/cli/compare_int2.txt
 //! ```
 
+use pacq::{Architecture, WeightPrecision};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -177,5 +180,33 @@ fn malformed_input_exits_2_without_a_panic() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "pacq {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "pacq {args:?}: {stderr}");
+    }
+}
+
+/// `pacq exec --check` runs the functional GEMM on both backends in one
+/// process and exits 7 unless every output bit agrees. Every dataflow
+/// at both precisions must pass; only the bits are asserted, not the
+/// printed speed.
+#[test]
+fn exec_check_is_bit_identical_for_every_arch_and_precision() {
+    for arch in Architecture::ALL {
+        for precision in WeightPrecision::ALL {
+            let args = [
+                "exec",
+                "--shape",
+                "m16n48k256",
+                "--group",
+                "g32",
+                "--arch",
+                arch.token(),
+                "--precision",
+                precision.token(),
+                "--backend",
+                "batched",
+                "--check",
+            ];
+            let out = pacq(&args);
+            assert!(out.contains("bit-identical"), "pacq {args:?}:\n{out}");
+        }
     }
 }
