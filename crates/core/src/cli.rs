@@ -113,7 +113,9 @@ and --arch-template under the same rules.
 datapath on deterministic synthetic data, printing a result digest and
 throughput. With --check it runs *both* backends, asserts the results
 are bit-identical, and reports the batched-over-scalar speedup (also
-recorded in the --metrics manifest).
+recorded in the --metrics manifest). Each operand (m x k activations,
+k x n weights, m x n results) is capped at 2^26 elements; a larger
+shape is rejected (exit 4) before anything is allocated.
 
 `pacq audit` cross-checks the analytic dataflow engine against the
 event-driven per-octet replay on a grid of shapes (including ragged,
@@ -581,6 +583,13 @@ fn result_digest(c: &pacq_quant::MatrixF32) -> u64 {
     h
 }
 
+/// The most elements `pacq exec` synthesizes or computes per operand
+/// (`m×k` activations, `k×n` weights, `m×n` results): 2²⁶, which admits
+/// every LLaMA-2-7B projection (k4096 × n11008 is 45 M) and keeps the
+/// largest run's buffers (f32 weights, codes, words, widened
+/// activations) in the hundreds of MiB.
+pub const EXEC_MAX_ELEMENTS: u64 = 1 << 26;
+
 /// `pacq exec`: functionally executes one GEMM through the bit-accurate
 /// datapath on deterministic synthetic data (seeded from the shape, so
 /// reruns and backends see identical inputs). `--check` runs the scalar
@@ -591,6 +600,19 @@ fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
     let _span = pacq_trace::span("cli.exec");
     let (m, n, k) = (opts.shape.m, opts.shape.n, opts.shape.k);
+    for (what, rows, cols) in [("activation", m, k), ("weight", k, n), ("result", m, n)] {
+        let elements = (rows as u64).saturating_mul(cols as u64);
+        if elements > EXEC_MAX_ELEMENTS {
+            return Err(PacqError::invalid_input(
+                "pacq exec",
+                format!(
+                    "{} needs {elements} {what} elements; exec synthesizes at most \
+{EXEC_MAX_ELEMENTS} per operand",
+                    opts.shape
+                ),
+            ));
+        }
+    }
     let runner = runner_for(&opts, knobs)?;
     let mut g = SynthGenerator::new((m ^ (n << 8) ^ (k << 16)) as u64 | 1);
     let a = g.llm_activations(m, k).to_f16();
@@ -604,7 +626,7 @@ fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     };
     let (c, seconds) = timed(&runner)?;
     let digest = result_digest(&c);
-    let flops = 2.0 * (m * n * k) as f64;
+    let flops = 2.0 * m as f64 * n as f64 * k as f64;
     let gflops = flops / seconds.max(1e-12) / 1e9;
 
     let mut out = String::new();

@@ -98,21 +98,42 @@ impl PackedMatrix {
             }
         };
 
-        let mut words = Vec::with_capacity(word_rows * word_cols);
-        for wr in 0..word_rows {
-            for wc in 0..word_cols {
-                let mut bits = 0u16;
-                for lane in 0..lanes {
-                    let (kk, nn) = match pack_dim {
-                        PackDim::K => (wr * lanes + lane, wc),
-                        PackDim::N => (wr, wc * lanes + lane),
-                    };
-                    let code = (q.code(kk, nn) as i32 + precision.bias()) as u16;
-                    bits |= code << (precision.bits() as usize * lane);
+        // Words are built straight from the row-major codes: a code's
+        // biased value lands in its lane's bit field.
+        let bits = precision.bits() as usize;
+        let biased = |c: i8| (c as i32 + precision.bias()) as u16;
+        let words: Vec<PackedWord> = match pack_dim {
+            // Each word is `lanes` adjacent codes of one row.
+            PackDim::N => q
+                .codes()
+                .chunks_exact(lanes)
+                .map(|run| {
+                    let word = run
+                        .iter()
+                        .enumerate()
+                        .fold(0u16, |w, (lane, &c)| w | biased(c) << (bits * lane));
+                    PackedWord::from_bits(word)
+                })
+                .collect(),
+            // Each word row accumulates `lanes` code rows, one lane each,
+            // into a per-column word (`n.max(1)`: an n = 0 matrix has no
+            // words, but chunk sizes must be non-zero).
+            PackDim::K => {
+                let n = n.max(1);
+                let mut acc = vec![0u16; word_rows * word_cols];
+                for (wrow, rows) in acc
+                    .chunks_exact_mut(n)
+                    .zip(q.codes().chunks_exact(lanes * n))
+                {
+                    for (lane, row) in rows.chunks_exact(n).enumerate() {
+                        for (w, &c) in wrow.iter_mut().zip(row) {
+                            *w |= biased(c) << (bits * lane);
+                        }
+                    }
                 }
-                words.push(PackedWord::from_bits(bits));
+                acc.into_iter().map(PackedWord::from_bits).collect()
             }
-        }
+        };
 
         Ok(PackedMatrix {
             precision,
@@ -285,6 +306,41 @@ mod tests {
             assert_eq!(p.unpack().codes(), q.codes());
             assert_eq!(p.word_rows(), 32 / precision.lanes());
             assert_eq!(p.word_cols(), 16);
+        }
+    }
+
+    /// The words built from the row-major codes against the per-lane
+    /// definition: lane `l` of word `(wr, wc)` holds the biased code of
+    /// weight `(wr·lanes + l, wc)` (k-packed) or `(wr, wc·lanes + l)`
+    /// (n-packed) in bits `[b·l, b·(l + 1))`.
+    #[test]
+    fn words_match_the_per_lane_formula() {
+        for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
+            let lanes = precision.lanes();
+            for (k, n) in [(32, 16), (lanes, lanes), (3 * lanes, 5 * lanes)] {
+                let q = quantized(k, n, precision);
+                for dim in [PackDim::K, PackDim::N] {
+                    let p = PackedMatrix::pack(&q, dim).expect("packs");
+                    for wr in 0..p.word_rows() {
+                        for wc in 0..p.word_cols() {
+                            let mut bits = 0u16;
+                            for lane in 0..lanes {
+                                let (kk, nn) = match dim {
+                                    PackDim::K => (wr * lanes + lane, wc),
+                                    PackDim::N => (wr, wc * lanes + lane),
+                                };
+                                let code = (q.code(kk, nn) as i32 + precision.bias()) as u16;
+                                bits |= code << (precision.bits() as usize * lane);
+                            }
+                            assert_eq!(
+                                p.word(wr, wc).to_bits(),
+                                bits,
+                                "{precision} {k}x{n} via {dim}: word ({wr},{wc})"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -108,113 +108,37 @@ impl RtnQuantizer {
                 context: "RtnQuantizer::quantize",
             });
         }
-        if !weights.as_slice().iter().all(|v| v.is_finite()) {
+        // One job per k-group block of rows: a block owns its rows'
+        // codes and its `groups_per_row` scales and zero points, so
+        // blocks never interact and the result is the same at any
+        // thread count.
+        let groups_per_row = n_total.div_ceil(self.group.n_size);
+        let group_count = self.group.group_count(k_total, n_total);
+        let block_len = self.group.k_size.min(k_total) * n_total;
+        let mut codes = vec![0i8; k_total * n_total];
+        let mut scales = vec![0f32; group_count];
+        let mut zero_points = vec![0u8; group_count];
+        let blocks: Vec<_> = weights
+            .as_slice()
+            .chunks(block_len)
+            .zip(codes.chunks_mut(block_len))
+            .zip(
+                scales
+                    .chunks_mut(groups_per_row)
+                    .zip(zero_points.chunks_mut(groups_per_row)),
+            )
+            .collect();
+        let finite: Vec<bool> = blocks
+            .into_par_iter()
+            .map(|((w, codes), (scales, zero_points))| {
+                self.quantize_block(w, n_total, codes, scales, zero_points)
+            })
+            .collect();
+        // A NaN weight would otherwise poison the group range silently.
+        if !finite.into_iter().all(|f| f) {
             return Err(PacqError::NonFinite {
                 context: "RtnQuantizer::quantize",
             });
-        }
-        let group_count = self.group.group_count(k_total, n_total);
-        let q_pos = self.precision.max_value() as f32;
-        let q_min = self.precision.min_value() as f32;
-        let bias = self.precision.bias();
-        let levels = (1i32 << self.precision.bits()) - 1; // 2^b − 1
-
-        // Pass 1: per-group range. Row bands compute partial ranges in
-        // parallel; min/max merging is exact, so the merged range is
-        // identical at any thread count.
-        //
-        // Both passes walk each weight row as runs of `n_size` columns,
-        // one group per run: `group_of` for row `k` is `row_groups(k)`
-        // plus the run index.
-        let groups_per_row = n_total.div_ceil(self.group.n_size);
-        let row_groups = |k: usize| {
-            let base = (k / self.group.k_size) * groups_per_row;
-            base..base + groups_per_row
-        };
-        let band = k_total.div_ceil(rayon::current_num_threads().max(1)).max(1);
-        let bands: Vec<(usize, usize)> = (0..k_total)
-            .step_by(band)
-            .map(|s| (s, (s + band).min(k_total)))
-            .collect();
-        let partials: Vec<(Vec<f32>, Vec<f32>)> = bands
-            .into_par_iter()
-            .map(|(start, end)| {
-                let mut lo = vec![f32::INFINITY; group_count];
-                let mut hi = vec![f32::NEG_INFINITY; group_count];
-                for k in start..end {
-                    let runs = weights.row(k).chunks(self.group.n_size);
-                    let groups = row_groups(k);
-                    for ((run, lo), hi) in runs.zip(&mut lo[groups.clone()]).zip(&mut hi[groups]) {
-                        for &w in run {
-                            *lo = lo.min(w);
-                            *hi = hi.max(w);
-                        }
-                    }
-                }
-                (lo, hi)
-            })
-            .collect();
-        let mut lo = vec![f32::INFINITY; group_count];
-        let mut hi = vec![f32::NEG_INFINITY; group_count];
-        for (plo, phi) in &partials {
-            for g in 0..group_count {
-                lo[g] = lo[g].min(plo[g]);
-                hi[g] = hi[g].max(phi[g]);
-            }
-        }
-        let (scales, zero_points): (Vec<f32>, Vec<u8>) = match self.scheme {
-            QuantScheme::Symmetric => lo
-                .iter()
-                .zip(&hi)
-                .map(|(&l, &h)| {
-                    let m = l.abs().max(h.abs());
-                    (if m > 0.0 { m / q_pos } else { 1.0 }, bias as u8)
-                })
-                .unzip(),
-            QuantScheme::Asymmetric => lo
-                .iter()
-                .zip(&hi)
-                .map(|(&l, &h)| {
-                    // Extend the range to include zero so the zero point
-                    // stays inside the unsigned code range (the standard
-                    // INT4 affine convention).
-                    let l = l.min(0.0);
-                    let h = h.max(0.0);
-                    let range = h - l;
-                    if range > 0.0 {
-                        let s = range / levels as f32;
-                        let z = (-l / s).round().clamp(0.0, levels as f32) as u8;
-                        (s, z)
-                    } else {
-                        (1.0, bias as u8)
-                    }
-                })
-                .unzip(),
-        };
-
-        // Pass 2: round-to-nearest codes (stored signed; the hardware
-        // consumes `signed + bias` as the unsigned biased code). Every
-        // code depends only on its own weight, so rows fan out freely.
-        let mut codes = vec![0i8; k_total * n_total];
-        if n_total > 0 {
-            codes
-                .par_chunks_mut(n_total)
-                .enumerate()
-                .for_each(|(k, row)| {
-                    let runs = row
-                        .chunks_mut(self.group.n_size)
-                        .zip(weights.row(k).chunks(self.group.n_size));
-                    let groups = row_groups(k);
-                    for ((codes, run), (&scale, &zp)) in
-                        runs.zip(scales[groups.clone()].iter().zip(&zero_points[groups]))
-                    {
-                        let shift = (zp as i32 - bias) as f32;
-                        for (c, &w) in codes.iter_mut().zip(run) {
-                            let q = (w / scale).round() + shift;
-                            *c = q.clamp(q_min, q_pos) as i8;
-                        }
-                    }
-                });
         }
 
         Ok(QuantizedMatrix {
@@ -227,6 +151,135 @@ impl RtnQuantizer {
             zero_points,
         })
     }
+
+    /// Quantizes one k-group block: the row-major weights `w` of up to
+    /// `k_size` rows of `n` columns into `codes`, and the block's
+    /// groups (one per run of `n_size` columns) into `scales` and
+    /// `zero_points`. Returns `false`, leaving the outputs unspecified,
+    /// when any weight is NaN or infinite.
+    ///
+    /// A running column-wise min/max over the rows gives every
+    /// column's range; each run of `n_size` columns reduces to its
+    /// group's scale and zero point, which are expanded back into one
+    /// per-column scale row and shift row so the coding pass is
+    /// elementwise over each row.
+    fn quantize_block(
+        &self,
+        w: &[f32],
+        n: usize,
+        codes: &mut [i8],
+        scales: &mut [f32],
+        zero_points: &mut [u8],
+    ) -> bool {
+        let mut lo = vec![f32::INFINITY; n];
+        let mut hi = vec![f32::NEG_INFINITY; n];
+        // `v · 0` is ±0 for a finite weight and NaN otherwise; NaN sticks.
+        let mut poison = vec![0f32; n];
+        for row in w.chunks_exact(n) {
+            for (((l, h), p), &v) in lo.iter_mut().zip(&mut hi).zip(&mut poison).zip(row) {
+                *l = if v < *l { v } else { *l };
+                *h = if v > *h { v } else { *h };
+                *p += v * 0.0;
+            }
+        }
+        if poison.iter().any(|p| p.is_nan()) {
+            return false;
+        }
+
+        // Reduce each column run to its group, then expand the group's
+        // scale and code shift back over the run (in place of the
+        // column ranges, which are no longer needed).
+        let bias = self.precision.bias();
+        let runs = lo
+            .chunks_mut(self.group.n_size)
+            .zip(hi.chunks_mut(self.group.n_size));
+        for ((run_lo, run_hi), (scale, zp)) in runs.zip(scales.iter_mut().zip(zero_points)) {
+            let l = run_lo.iter().fold(f32::INFINITY, |a, &b| a.min(b));
+            let h = run_hi.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            (*scale, *zp) = self.scale_and_zero_point(l, h);
+            run_lo.fill(*scale);
+            run_hi.fill((*zp as i32 - bias) as f32);
+        }
+        let (scale_row, shift_row) = (lo, hi);
+
+        // Round-to-nearest codes (stored signed; the hardware consumes
+        // `signed + bias` as the unsigned biased code).
+        let q_min = self.precision.min_value() as f32;
+        let q_pos = self.precision.max_value() as f32;
+        for (crow, wrow) in codes.chunks_exact_mut(n).zip(w.chunks_exact(n)) {
+            for (((c, &v), &s), &shift) in crow.iter_mut().zip(wrow).zip(&scale_row).zip(&shift_row)
+            {
+                *c = rtn_code(v / s, shift, q_min, q_pos);
+            }
+        }
+        true
+    }
+
+    /// The scale and zero point (unsigned code) of a group whose
+    /// weights span `[l, h]`.
+    fn scale_and_zero_point(&self, l: f32, h: f32) -> (f32, u8) {
+        let bias = self.precision.bias() as u8;
+        match self.scheme {
+            QuantScheme::Symmetric => {
+                let m = l.abs().max(h.abs());
+                let q_pos = self.precision.max_value() as f32;
+                (if m > 0.0 { m / q_pos } else { 1.0 }, bias)
+            }
+            QuantScheme::Asymmetric => {
+                // Extend the range to include zero so the zero point
+                // stays inside the unsigned code range (the standard
+                // INT4 affine convention).
+                let levels = ((1i32 << self.precision.bits()) - 1) as f32; // 2^b − 1
+                let (l, h) = (l.min(0.0), h.max(0.0));
+                let range = h - l;
+                if range > 0.0 {
+                    let s = range / levels;
+                    (s, (-l / s).round().clamp(0.0, levels) as u8)
+                } else {
+                    (1.0, bias)
+                }
+            }
+        }
+    }
+}
+
+/// 1.5·2²³: adding it to an f32 of magnitude below 2²² rounds that
+/// value to an integer (round-half-even) and leaves the integer, in
+/// two's complement, in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// The pre-clamp bound of [`rtn_code`]: beyond `±ROUND_LIMIT` every
+/// code saturates for any shift and clamp range of an INT4/INT2 code
+/// (`|shift| + max(|lo|, |hi|) < ROUND_LIMIT`).
+const ROUND_LIMIT: f32 = 64.0;
+
+/// The RTN code `(x.round() + shift).clamp(lo, hi) as i8` for an
+/// integral `shift` and clamp range `lo ≤ hi`, on every `x` including
+/// NaN (code 0, as `NaN as i8`) and ±∞. It is branch-free so the coding
+/// loop vectorizes on plain SSE2, where `f32::round` and the saturating
+/// `as i8` do not.
+///
+/// `x` is first clamped to `±ROUND_LIMIT`, where the code is already
+/// saturated. The magic add rounds `|x|` half to even; a tie that went
+/// down (`|x| − r` exactly ½) then steps up, which is round half away
+/// from zero once `x`'s sign is restored.
+#[inline]
+fn rtn_code(x: f32, shift: f32, lo: f32, hi: f32) -> i8 {
+    // Plain compare-selects (single `minps`/`maxps`): NaN becomes the
+    // limit here and is masked to code 0 at the end.
+    let xc = if x < ROUND_LIMIT { x } else { ROUND_LIMIT };
+    let xc = if xc > -ROUND_LIMIT { xc } else { -ROUND_LIMIT };
+    let t = xc.abs();
+    let r = (t + ROUND_MAGIC) - ROUND_MAGIC;
+    let r = r + if t - r == 0.5 { 1.0 } else { 0.0 };
+    let q = r.copysign(xc) + shift;
+    let q = if q < hi { q } else { hi };
+    let q = if q > lo { q } else { lo };
+    // The clamped code is a small integer: the low byte of the magic
+    // sum is its two's-complement value.
+    let bits = (q + ROUND_MAGIC).to_bits();
+    let bits = if x.is_nan() { 0 } else { bits };
+    bits as i8
 }
 
 /// A weight matrix quantized to signed low-precision codes with per-group
@@ -481,70 +534,247 @@ mod tests {
         assert!(q.dequantize().mse(&w) < 1e-12);
     }
 
-    /// The row-run walk of `quantize` against the plain per-element
-    /// definition (every weight looks up its own group with
-    /// `group_of`), bit for bit, on shapes whose last k- and n-groups
-    /// are partial, with 1-D and 2-D groups, in both schemes.
+    /// `quantize` against the plain per-element definition (every
+    /// weight looks up its own group with `group_of`; range, scale,
+    /// zero point and code by the textbook formulas), bit for bit.
+    fn assert_matches_per_element_walk(quantizer: RtnQuantizer, w: &MatrixF32) {
+        let (precision, group) = (quantizer.precision(), quantizer.group());
+        let q = quantizer.quantize(w).unwrap();
+        let (k_total, n_total) = (w.rows(), w.cols());
+        let mut lo = vec![f32::INFINITY; q.scales().len()];
+        let mut hi = vec![f32::NEG_INFINITY; q.scales().len()];
+        for k in 0..k_total {
+            for n in 0..n_total {
+                let g = group.group_of(k, n, n_total);
+                lo[g] = lo[g].min(w.get(k, n));
+                hi[g] = hi[g].max(w.get(k, n));
+            }
+        }
+        let what = format!("{quantizer:?} on {k_total}x{n_total}");
+        for (g, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
+            let (s, z) = (q.scales()[g], q.zero_points()[g]);
+            let (want_s, want_z) = match quantizer.scheme() {
+                QuantScheme::Symmetric => {
+                    let m = l.abs().max(h.abs());
+                    let q_pos = precision.max_value() as f32;
+                    (
+                        if m > 0.0 { m / q_pos } else { 1.0 },
+                        precision.bias() as u8,
+                    )
+                }
+                QuantScheme::Asymmetric => {
+                    let levels = ((1i32 << precision.bits()) - 1) as f32;
+                    let range = h.max(0.0) - l.min(0.0);
+                    if range > 0.0 {
+                        let s = range / levels;
+                        (s, (-l.min(0.0) / s).round().clamp(0.0, levels) as u8)
+                    } else {
+                        (1.0, precision.bias() as u8)
+                    }
+                }
+            };
+            assert_eq!(s.to_bits(), want_s.to_bits(), "{what} group {g}");
+            assert_eq!(z, want_z, "{what} group {g}");
+        }
+        for k in 0..k_total {
+            for n in 0..n_total {
+                let g = group.group_of(k, n, n_total);
+                let want = ((w.get(k, n) / q.scales()[g]).round()
+                    + (q.zero_points()[g] as i32 - precision.bias()) as f32)
+                    .clamp(precision.min_value() as f32, precision.max_value() as f32)
+                    as i8;
+                assert_eq!(q.code(k, n), want, "{what} ({k},{n})");
+            }
+        }
+    }
+
+    /// Every quantizer configuration a test shape is checked under.
+    fn quantizers(group: GroupShape) -> Vec<RtnQuantizer> {
+        [WeightPrecision::Int4, WeightPrecision::Int2]
+            .into_iter()
+            .flat_map(|p| {
+                [
+                    RtnQuantizer::new(p, group),
+                    RtnQuantizer::asymmetric(p, group),
+                ]
+            })
+            .collect()
+    }
+
+    /// The k-group block walk of `quantize` against the per-element
+    /// definition: on shapes whose last k- and n-groups are partial,
+    /// with 1-D and 2-D groups and a group taller than k (one block);
+    /// on seeded random shapes and groups; on all-zero groups; and on
+    /// weights placed exactly on the `(j + ½)·s` rounding ties — in
+    /// both schemes and both precisions.
     #[test]
     fn row_runs_match_the_per_element_group_walk() {
         let w = MatrixF32::from_fn(45, 14, |r, c| {
             ((r * 37 + c * 11) % 29) as f32 / 9.0 - 1.5 + (c % 3) as f32 * 0.25
         });
+        for group in [
+            GroupShape::along_k(16),
+            GroupShape::new(8, 4),
+            GroupShape::new(45, 14),
+            GroupShape::new(64, 3),
+        ] {
+            for quantizer in quantizers(group) {
+                assert_matches_per_element_walk(quantizer, &w);
+            }
+        }
+
+        // Seeded random shapes, groups and magnitudes; every third
+        // matrix zeroes a band of rows and columns so whole groups are
+        // zero.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for case in 0..60 {
+            let (k, n) = (1 + next(70) as usize, 1 + next(20) as usize);
+            let group = GroupShape::new(1 + next(80) as usize, 1 + next(6) as usize);
+            let magnitude = [1e-3f32, 1.0, 250.0][case % 3];
+            let zero_rows = next(k as u64 + 1) as usize;
+            let zero_cols = next(n as u64 + 1) as usize;
+            let w = MatrixF32::from_fn(k, n, |r, c| {
+                let v = (next(20_001) as f32 / 10_000.0 - 1.0) * magnitude;
+                if case % 3 == 0 && r < zero_rows && c < zero_cols {
+                    0.0
+                } else {
+                    v
+                }
+            });
+            for quantizer in quantizers(group) {
+                assert_matches_per_element_walk(quantizer, &w);
+            }
+        }
+
+        // Exact ties: a column spanning [−1.75, 2.0] has the symmetric
+        // scale 2/7 and the asymmetric scale 3.75/15 = ¼ (its negation
+        // too); each carries every `(j + ½)·s` of one of them in range.
+        for s in [2.0f32 / 7.0, 0.25] {
+            let mut column = vec![-1.75f32, 2.0];
+            column.extend(
+                (-8..8)
+                    .map(|j| (j as f32 + 0.5) * s)
+                    .filter(|v| (-1.75..=2.0).contains(v)),
+            );
+            let w =
+                MatrixF32::from_fn(
+                    column.len(),
+                    2,
+                    |r, c| {
+                        if c == 0 {
+                            column[r]
+                        } else {
+                            -column[r]
+                        }
+                    },
+                );
+            for quantizer in quantizers(GroupShape::along_k(column.len())) {
+                assert_matches_per_element_walk(quantizer, &w);
+            }
+        }
+    }
+
+    /// `rtn_code` against `(x.round() + shift).clamp(lo, hi) as i8` in
+    /// each precision's clamp range, for every shift its zero points
+    /// can produce (`all_shifts`) or for the two extremes and zero.
+    fn assert_code_matches_round(x: f32, all_shifts: bool) {
         for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-            for group in [
-                GroupShape::along_k(16),
-                GroupShape::new(8, 4),
-                GroupShape::new(45, 14),
-                GroupShape::new(64, 3),
-            ] {
-                for quantizer in [
-                    RtnQuantizer::new(precision, group),
-                    RtnQuantizer::asymmetric(precision, group),
-                ] {
-                    let q = quantizer.quantize(&w).unwrap();
-                    let (k_total, n_total) = (w.rows(), w.cols());
-                    let mut lo = vec![f32::INFINITY; q.scales().len()];
-                    let mut hi = vec![f32::NEG_INFINITY; q.scales().len()];
-                    for k in 0..k_total {
-                        for n in 0..n_total {
-                            let g = group.group_of(k, n, n_total);
-                            lo[g] = lo[g].min(w.get(k, n));
-                            hi[g] = hi[g].max(w.get(k, n));
-                        }
-                    }
-                    for (g, (&l, &h)) in lo.iter().zip(&hi).enumerate() {
-                        let (s, z) = (q.scales()[g], q.zero_points()[g]);
-                        let (want_s, want_z) = match quantizer.scheme() {
-                            QuantScheme::Symmetric => {
-                                let m = l.abs().max(h.abs());
-                                let q_pos = precision.max_value() as f32;
-                                (
-                                    if m > 0.0 { m / q_pos } else { 1.0 },
-                                    precision.bias() as u8,
-                                )
-                            }
-                            QuantScheme::Asymmetric => {
-                                let levels = ((1i32 << precision.bits()) - 1) as f32;
-                                let range = h.max(0.0) - l.min(0.0);
-                                let s = range / levels;
-                                (s, (-l.min(0.0) / s).round().clamp(0.0, levels) as u8)
-                            }
-                        };
-                        assert_eq!(s.to_bits(), want_s.to_bits(), "{quantizer:?} group {g}");
-                        assert_eq!(z, want_z, "{quantizer:?} group {g}");
-                    }
-                    for k in 0..k_total {
-                        for n in 0..n_total {
-                            let g = group.group_of(k, n, n_total);
-                            let want = ((w.get(k, n) / q.scales()[g]).round()
-                                + (q.zero_points()[g] as i32 - precision.bias()) as f32)
-                                .clamp(precision.min_value() as f32, precision.max_value() as f32)
-                                as i8;
-                            assert_eq!(q.code(k, n), want, "{quantizer:?} ({k},{n})");
-                        }
-                    }
+            let (lo, hi) = (precision.min_value() as f32, precision.max_value() as f32);
+            let levels = (1i32 << precision.bits()) - 1;
+            let bias = precision.bias();
+            let zero_points: Vec<i32> = if all_shifts {
+                (0..=levels).collect()
+            } else {
+                vec![0, bias, levels]
+            };
+            for zp in zero_points {
+                let shift = (zp - bias) as f32;
+                let want = (x.round() + shift).clamp(lo, hi) as i8;
+                assert_eq!(
+                    rtn_code(x, shift, lo, hi),
+                    want,
+                    "x = {x:e} ({:#010x}), shift {shift}, {precision}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rtn_code_matches_round_and_clamp_on_the_frontier() {
+        let mut xs = vec![0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        // Every half-integer tie in (and just beyond) the pre-clamp
+        // range, with 1–2 ulps either side.
+        let limit = ROUND_LIMIT as i32;
+        for j in -limit - 2..=limit + 2 {
+            let tie = j as f32 + 0.5;
+            for d in -2i32..=2 {
+                xs.push(f32::from_bits(tie.to_bits().wrapping_add_signed(d)));
+            }
+        }
+        // The clamp edges and the limit itself, with neighbours.
+        for edge in [1.0f32, 2.0, 7.0, 8.0, 9.0, 15.0, 16.0, ROUND_LIMIT] {
+            for v in [edge, -edge] {
+                for d in -2i32..=2 {
+                    xs.push(f32::from_bits(v.to_bits().wrapping_add_signed(d)));
                 }
             }
+        }
+        // Subnormals, the normal frontier and the extremes.
+        for bits in [
+            0x0000_0001u32,
+            0x0000_0002,
+            0x0040_0000,
+            0x007f_ffff,
+            0x0080_0000,
+            0x3eff_ffff, // largest below ½
+            0x3f00_0001, // smallest above ½
+            0x4b00_0000, // 2^23
+            0x4b40_0000, // the magic constant
+            0x7f7f_ffff, // f32::MAX
+            0x7f80_0001, // a signalling NaN
+            0x7fc0_0000, // the quiet NaN
+        ] {
+            xs.push(f32::from_bits(bits));
+            xs.push(f32::from_bits(bits | 0x8000_0000));
+        }
+        for &x in &xs {
+            assert_code_matches_round(x, true);
+        }
+    }
+
+    #[test]
+    fn rtn_code_matches_round_and_clamp_on_a_seeded_sample() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..100_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let bits = (state >> 32) as u32;
+            // Alternate raw bit patterns with values in the pre-clamp
+            // range, where the rounding itself decides the code.
+            let x = if i % 2 == 0 {
+                f32::from_bits(bits)
+            } else {
+                (bits as f32 / u32::MAX as f32 - 0.5) * 3.0 * ROUND_LIMIT
+            };
+            assert_code_matches_round(x, true);
+        }
+    }
+
+    /// Every f32 bit pattern, at the extreme and zero shifts (minutes
+    /// in release: `cargo test --release -p pacq-quant -- --ignored`).
+    #[test]
+    #[ignore]
+    fn rtn_code_matches_round_and_clamp_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            assert_code_matches_round(f32::from_bits(bits), false);
         }
     }
 

@@ -8,7 +8,8 @@
 //! * `slice.par_chunks_mut(n).enumerate().for_each(..)` — the GEMM /
 //!   quantizer row fan-out,
 //! * `vec.into_par_iter().map(..).collect::<Vec<_>>()` and the same on
-//!   `Range<usize>` — order-preserving sweep fan-out,
+//!   `Range<usize>` — order-preserving sweep fan-out, plus
+//!   `map_init(..)` for per-worker scratch (the GEMM column-tile jobs),
 //! * [`ThreadPoolBuilder`] / [`current_num_threads`] — the `--jobs`
 //!   knob.
 //!
@@ -92,9 +93,28 @@ where
     O: Send,
     F: Fn(I) -> O + Sync,
 {
+    map_blocks_init(items, || (), |(), item| f(item))
+}
+
+/// [`map_blocks`] with per-block state: `init` runs once per block and
+/// every item of the block is mapped with `&mut` access to its result.
+fn map_blocks_init<I, S, O, INIT, F>(items: Vec<I>, init: INIT, f: F) -> Vec<O>
+where
+    I: Send,
+    O: Send,
+    INIT: Fn() -> S + Sync,
+    F: Fn(&mut S, I) -> O + Sync,
+{
+    let run = |block: Vec<I>| {
+        let mut state = init();
+        block
+            .into_iter()
+            .map(|item| f(&mut state, item))
+            .collect::<Vec<O>>()
+    };
     let workers = current_num_threads().max(1).min(items.len().max(1));
     if workers <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
+        return run(items);
     }
     // Ceiling split keeps blocks contiguous and within one of each other
     // in size.
@@ -108,12 +128,12 @@ where
     }
     blocks.push(rest);
 
-    let f = &f;
+    let run = &run;
     let mut out: Vec<Vec<O>> = Vec::with_capacity(blocks.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = blocks
             .into_iter()
-            .map(|b| scope.spawn(move || b.into_iter().map(f).collect::<Vec<O>>()))
+            .map(|b| scope.spawn(move || run(b)))
             .collect();
         for h in handles {
             match h.join() {
@@ -167,6 +187,22 @@ impl<T: Send> ParIter<T> {
         }
     }
 
+    /// Maps each item through `f` in parallel with per-worker scratch
+    /// state: `init` runs once per worker block (upstream rayon runs it
+    /// once per split job), never per item.
+    pub fn map_init<S, O, INIT, F>(self, init: INIT, f: F) -> ParMapInit<T, INIT, F>
+    where
+        O: Send,
+        INIT: Fn() -> S + Sync,
+        F: Fn(&mut S, T) -> O + Sync,
+    {
+        ParMapInit {
+            items: self.items,
+            init,
+            f,
+        }
+    }
+
     /// Runs `f` for each item.
     pub fn for_each<F>(self, f: F)
     where
@@ -191,6 +227,27 @@ where
     /// Collects results in input order.
     pub fn collect<C: From<Vec<O>>>(self) -> C {
         C::from(map_blocks(self.items, self.f))
+    }
+}
+
+/// A parallel iterator mapped with per-worker state; terminal `collect`
+/// preserves input order.
+pub struct ParMapInit<T: Send, INIT, F> {
+    items: Vec<T>,
+    init: INIT,
+    f: F,
+}
+
+impl<T, S, O, INIT, F> ParMapInit<T, INIT, F>
+where
+    T: Send,
+    O: Send,
+    INIT: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> O + Sync,
+{
+    /// Collects results in input order.
+    pub fn collect<C: From<Vec<O>>>(self) -> C {
+        C::from(map_blocks_init(self.items, self.init, self.f))
     }
 }
 
@@ -297,6 +354,31 @@ mod tests {
             });
             let want: Vec<u32> = (1..=97).collect();
             assert_eq!(data, want, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn map_init_preserves_order_and_inits_once_per_worker() {
+        for workers in [1, 2, 3, 8] {
+            let inits = AtomicUsize::new(0);
+            let got: Vec<usize> = with_workers(workers, || {
+                (0..37usize)
+                    .into_par_iter()
+                    .map_init(
+                        || {
+                            inits.fetch_add(1, Ordering::SeqCst);
+                            Vec::new()
+                        },
+                        |seen: &mut Vec<usize>, i| {
+                            seen.push(i);
+                            i * 3
+                        },
+                    )
+                    .collect()
+            });
+            let want: Vec<usize> = (0..37).map(|i| i * 3).collect();
+            assert_eq!(got, want, "workers={workers}");
+            assert_eq!(inits.load(Ordering::SeqCst), workers, "workers={workers}");
         }
     }
 

@@ -8,26 +8,28 @@
 
 //! # Parallel tiling
 //!
-//! All three flows walk the output in `(m, n)` tiles: bands of up to
-//! [`ROW_TILE`] rows are fanned out across the rayon pool with
-//! `par_chunks_mut`, and inside a band each weight column (or column
-//! tile) is gathered once and then streamed by every row of the band.
+//! All three flows walk the output in `(m, n)` tiles, and every weight
+//! column (or column tile) is gathered once per job and then streamed
+//! by every row of the job.
 //!
-//! * The scalar backend visits the columns in [`COL_TILE`] blocks (PacQ:
-//!   one packed-word column at a time) and feeds each row through the
-//!   structural DP units.
-//! * The batched backend (`run_tiled`) converts the band's
-//!   activations to f32 once, then walks the columns in
-//!   `pacq_fp16::batch::COLS`-wide tiles: each tile's `[k][COLS]` f32
-//!   operand is gathered straight from the packed words, and one
-//!   `batch::tile_dot` call per row and k-segment yields `COLS` outputs.
-//!   Its scratch is one tile plus the band's activations, never a whole
-//!   k×n operand.
+//! * The scalar backend fans out bands of up to [`ROW_TILE`] rows
+//!   across the rayon pool with `par_chunks_mut`, visits the columns in
+//!   [`COL_TILE`] blocks (PacQ: one packed-word column at a time) and
+//!   feeds each row through the structural DP units.
+//! * The batched backend (`run_tiled`) converts all `m` activation
+//!   rows to f32 once, then fans out over `pacq_fp16::batch::COLS`-wide
+//!   column tiles: each job gathers its tile's `[k][COLS]` f32 operand
+//!   once, straight from the packed words, and one `batch::tile_dot`
+//!   call per row and k-segment yields `COLS` outputs. Jobs return
+//!   `[rows][COLS]` blocks that are scattered into the output after
+//!   the join; with fewer tiles than workers, a tile's rows are split
+//!   over several jobs. Each worker's scratch is one tile, never a
+//!   whole k×n operand.
 //!
-//! Only whole output rows are distributed and the k-accumulation order
-//! per element is untouched, so the result is bit-identical at any
-//! thread count (`jobs = 1` and `jobs = N` agree to the last bit) and
-//! across backends; see the equivalence suite in
+//! Jobs only ever own whole output elements and the k-accumulation
+//! order per element is untouched, so the result is bit-identical at
+//! any thread count (`jobs = 1` and `jobs = N` agree to the last bit)
+//! and across backends; see the equivalence suite in
 //! `tests/parallel_equivalence.rs`.
 
 use crate::config::Architecture;
@@ -74,8 +76,8 @@ pub fn execute(
 /// one f32 column-tile kernel of `pacq_fp16::batch` (f32 activations,
 /// branch-free fp16 rounding, lane products `A × (1024 + code)` by
 /// arithmetic); the flows differ only in the gathered operand and the
-/// epilogue. Both backends distribute the same row bands and preserve
-/// the per-element accumulation order, so they are bit-identical — the
+/// epilogue. Both backends preserve the per-element accumulation order
+/// whatever work they distribute, so they are bit-identical — the
 /// three-way equivalence suite in `tests/parallel_equivalence.rs` pins
 /// scalar ≡ rayon ≡ batched on every flow.
 ///
@@ -387,12 +389,17 @@ enum TileFlow {
 /// The batched backend of every flow: one pass of the
 /// `pacq_fp16::batch` column-tile kernel per `(row, segment, tile)`.
 ///
-/// Each band converts its activation rows to f32 once (and, for PacQ,
-/// their Σ A once per segment), then walks the output in [`COLS`]-wide
-/// column tiles: a tile's `[k][COLS]` f32 operand is gathered once
-/// straight from the packed words and streamed by every row of the
-/// band. The segment order and every per-element accumulation order
-/// are the scalar flows', so the result is bit-identical to them.
+/// All `m` activation rows are widened to f32 once (and, for PacQ,
+/// their Σ A once per segment) before the fan-out. The jobs are the
+/// output's [`COLS`]-wide column tiles: a job gathers its tile's
+/// `[k][COLS]` f32 operand once, straight from the packed words, and
+/// streams every row through it into an `[m][COLS]` block; the blocks
+/// are scattered into the output after the join. When there are fewer
+/// tiles than workers, each tile's rows are split over several jobs
+/// (each then returns a block of its rows) so small-n shapes keep
+/// their parallelism. The segment order and
+/// every per-element accumulation order are the scalar flows', so the
+/// result is bit-identical to them.
 ///
 /// `seg` is the k-extent of one accumulation segment; it divides `k`.
 fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -> MatrixF32 {
@@ -407,67 +414,72 @@ fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -
         f64::from(precision.fp_offset()),
     );
     let segs = k / seg;
-    let band = band_rows(m);
-    out.as_mut_slice()
-        .par_chunks_mut(n * band)
-        .enumerate()
-        .for_each(|(c, chunk)| {
-            let i0 = c * band;
-            let rows = chunk.len() / n;
-            // Per-band scratch: the band's activations in f32 (plus Σ A
-            // per row segment for PacQ), one gathered column tile, and
-            // its scales and zero points per group k-segment.
-            let mut af = vec![0f32; rows * k];
-            for (r, dst) in af.chunks_exact_mut(k).enumerate() {
-                batch::widen_into(a.row(i0 + r), dst);
-            }
-            let sums: Vec<f64> = match flow {
-                TileFlow::Pacq(_) => af.chunks_exact(seg).map(batch::activation_sum).collect(),
-                _ => Vec::new(),
-            };
-            let groups = k.div_ceil(packed.group().k_size);
-            let mut tile = vec![[0f32; COLS]; k];
-            let mut scales = vec![[0f32; COLS]; groups];
-            let mut zps = vec![[0f32; COLS]; groups];
-            for j0 in (0..n).step_by(COLS) {
-                let cols = COLS.min(n - j0);
-                gather_tile(
-                    packed,
-                    j0,
-                    cols,
-                    &mut tile,
-                    &mut scales,
-                    &mut zps,
-                    |q, z, s| match flow {
-                        TileFlow::Standard => batch::round16((q - z) * s),
-                        TileFlow::PackedK => q - z,
-                        TileFlow::Pacq(_) => 1024.0 + q,
-                    },
-                );
-                for (r, arow) in af.chunks_exact(k).enumerate() {
-                    let dst = &mut chunk[r * n + j0..r * n + j0 + cols];
+    let mut af = vec![0f32; m * k];
+    for (r, dst) in af.chunks_exact_mut(k).enumerate() {
+        batch::widen_into(a.row(r), dst);
+    }
+    let sums: Vec<f64> = match flow {
+        TileFlow::Pacq(_) => af.chunks_exact(seg).map(batch::activation_sum).collect(),
+        _ => Vec::new(),
+    };
+
+    let tiles = n.div_ceil(COLS);
+    let row_parts = rayon::current_num_threads().max(1).div_ceil(tiles).min(m);
+    let part = m.div_ceil(row_parts);
+    let jobs: Vec<(usize, usize)> = (0..n)
+        .step_by(COLS)
+        .flat_map(|j0| (0..m).step_by(part).map(move |r0| (j0, r0)))
+        .collect();
+    let groups = k.div_ceil(packed.group().k_size);
+    // Per-worker scratch: one gathered column tile, and its scales and
+    // zero points per group k-segment.
+    let scratch = || {
+        (
+            vec![[0f32; COLS]; k],
+            vec![[0f32; COLS]; groups],
+            vec![[0f32; COLS]; groups],
+        )
+    };
+    let blocks: Vec<Vec<TileRow>> = jobs
+        .clone()
+        .into_par_iter()
+        .map_init(scratch, |(tile, scales, zps), (j0, r0)| {
+            gather_tile(
+                packed,
+                j0,
+                COLS.min(n - j0),
+                tile,
+                scales,
+                zps,
+                |q, z, s| match flow {
+                    TileFlow::Standard => batch::round16((q - z) * s),
+                    TileFlow::PackedK => q - z,
+                    TileFlow::Pacq(_) => 1024.0 + q,
+                },
+            );
+            (r0..(r0 + part).min(m))
+                .map(|r| {
+                    let arow = &af[r * k..(r + 1) * k];
                     let segments = arow.chunks_exact(seg).zip(tile.chunks_exact(seg));
                     match flow {
                         TileFlow::Standard => {
-                            let sum = batch::tile_dot(NumericsMode::PaperRounded, arow, &tile);
-                            dst.copy_from_slice(&sum[..cols]);
+                            batch::tile_dot(NumericsMode::PaperRounded, arow, tile)
                         }
                         TileFlow::PackedK => {
                             let mut acc = [0f64; COLS];
-                            for ((x, w), sc) in segments.zip(&scales) {
+                            for ((x, w), sc) in segments.zip(scales.iter()) {
                                 let sum = batch::tile_dot(NumericsMode::PaperRounded, x, w);
                                 for ((acc, &v), &s) in acc.iter_mut().zip(&sum).zip(sc) {
                                     *acc += f64::from(v) * f64::from(s);
                                 }
                             }
-                            for (d, &v) in dst.iter_mut().zip(&acc) {
-                                *d = v as f32;
-                            }
+                            acc.map(|v| v as f32)
                         }
                         TileFlow::Pacq(numerics) => {
+                            let mut dst = [0f32; COLS];
                             let row_sums = &sums[r * segs..(r + 1) * segs];
                             for (((x, w), (sc, zp)), &sum_a) in
-                                segments.zip(scales.iter().zip(&zps)).zip(row_sums)
+                                segments.zip(scales.iter().zip(zps.iter())).zip(row_sums)
                             {
                                 let lane = batch::tile_dot(numerics, x, w);
                                 // Eq. (1) recovery, then the zero-point
@@ -480,11 +492,21 @@ fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -
                                         * sc[col];
                                 }
                             }
+                            dst
                         }
                     }
-                }
-            }
-        });
+                })
+                .collect()
+        })
+        .collect();
+
+    let dst = out.as_mut_slice();
+    for ((j0, r0), block) in jobs.into_iter().zip(blocks) {
+        let cols = COLS.min(n - j0);
+        for (r, row) in (r0..).zip(&block) {
+            dst[r * n + j0..r * n + j0 + cols].copy_from_slice(&row[..cols]);
+        }
+    }
     out
 }
 

@@ -371,9 +371,12 @@ fn three_way_equivalence_survives_frontier_activations() {
 /// [`COLS`]-wide column tiles: n = 12, 20, 36 at INT4 leave a partial
 /// last tile of whole 4-lane words, and n = 24, 40 at INT2 are whole
 /// tiles of one 8-lane word each. Rows m = 1 and m = 17 cover a
-/// one-row band and a ragged last band; the groups cover two segments,
-/// a single segment (group = k) and the 2-D `g[32,4]`. The standard
-/// flow runs on both pack directions, since it accepts either.
+/// one-row band and a ragged last band on the scalar backend; at 4
+/// workers the batched backend splits m = 17 into two row parts per
+/// column tile wherever n spans fewer than 4 tiles. The groups cover
+/// two segments, a single segment (group = k) and the 2-D `g[32,4]`.
+/// The standard flow runs on both pack directions, since it accepts
+/// either.
 ///
 /// [`COLS`]: pacq_fp16::batch::COLS
 #[test]

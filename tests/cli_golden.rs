@@ -3,9 +3,10 @@
 //! `dse --pareto`, spawned as the real binary so argv parsing,
 //! rendering and exit status are pinned together. Also, the grid table
 //! must not depend on the report cache (cold or warm store) or on the
-//! compute backend; only the `cache:` footer line may differ. And
-//! `exec --check` must find both backends bit-identical on every
-//! dataflow and precision.
+//! compute backend; only the `cache:` footer line may differ, and the
+//! grid's `--metrics` manifest may differ across backends only in its
+//! run-local provenance. And `exec --check` must find both backends
+//! bit-identical on every dataflow and precision.
 //!
 //! To regenerate after an *intentional* output change:
 //!
@@ -24,6 +25,7 @@
 //! ```
 
 use pacq::{Architecture, WeightPrecision};
+use pacq_trace::Json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -166,6 +168,88 @@ fn grid_table_is_cache_and_backend_invariant() {
     assert_matches("cold --cache grid", &cold, GRID);
     assert_matches("warm --cache grid", &warm, GRID);
     assert_matches("--backend batched grid", &batched, GRID);
+}
+
+/// Removes `key` from a JSON object, returning its value.
+fn take(obj: &mut Json, key: &str) -> Option<Json> {
+    match obj {
+        Json::Obj(entries) => {
+            let at = entries.iter().position(|(k, _)| k == key)?;
+            Some(entries.remove(at).1)
+        }
+        _ => None,
+    }
+}
+
+/// The backend is a throughput knob, not a numerics knob (DESIGN.md
+/// §14): the grid sweep's `--metrics` manifests under `--backend
+/// scalar` and `--backend batched` must be equal once run-local
+/// provenance is stripped — wall-clock spans, creation time, the tool
+/// record, the counters of the cache, core and simulator layers and of
+/// executed jobs — and the recorded backend token is set aside (and
+/// checked).
+#[test]
+fn grid_manifest_is_backend_invariant() {
+    let dir = std::env::temp_dir().join(format!("pacq-cli-backend-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create manifest dir");
+    let payload = |backend: &str| -> Json {
+        let path = dir.join(format!("{backend}.json"));
+        let path = path.to_string_lossy();
+        let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
+        pacq(&[&grid[..], &["--backend", backend, "--metrics", &path]].concat());
+        let text = std::fs::read_to_string(&*path).expect("manifest written");
+        let mut d = Json::parse(&text).expect("manifest parses");
+        let invocation = match &mut d {
+            Json::Obj(entries) => entries
+                .iter_mut()
+                .find(|(k, _)| k == "invocation")
+                .map(|(_, v)| v),
+            _ => None,
+        }
+        .expect("manifest has an invocation");
+        let recorded = take(invocation, "backend");
+        assert_eq!(
+            recorded.as_ref().and_then(Json::as_str),
+            Some(backend),
+            "{path} recorded the wrong backend"
+        );
+        if let Some(Json::Arr(args)) = take(invocation, "args") {
+            let args: Vec<Json> = args
+                .into_iter()
+                .filter(|a| !matches!(a.as_str(), Some("scalar" | "batched")))
+                .collect();
+            invocation.set("args", Json::Arr(args));
+        }
+        for key in ["spans", "created_unix_s", "tool"] {
+            take(&mut d, key);
+        }
+        if let Some(Json::Obj(counters)) = take(&mut d, "counters") {
+            let kept: Vec<(String, Json)> = counters
+                .into_iter()
+                .filter(|(k, _)| {
+                    !["cache.", "core.", "simt.", "sweep.jobs.executed"]
+                        .iter()
+                        .any(|p| k.starts_with(p))
+                })
+                .collect();
+            d.set("counters", Json::Obj(kept));
+        }
+        d
+    };
+    let (scalar, batched) = (payload("scalar"), payload("batched"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        scalar
+            .get("results")
+            .and_then(Json::as_arr)
+            .is_some_and(|r| !r.is_empty()),
+        "the manifest must carry the grid's reports"
+    );
+    assert_eq!(
+        scalar.render(),
+        batched.render(),
+        "batched sweep manifest drifted from the scalar one"
+    );
 }
 
 /// Malformed input is a usage error (exit 2) with a one-line

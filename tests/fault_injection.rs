@@ -435,3 +435,35 @@ fn cli_malformed_shape_has_usage_exit_code() {
         assert_ne!(err.exit_code(), 0, "{cmd}");
     }
 }
+
+/// `pacq exec` synthesizes its operands, so an absurd shape must be
+/// refused by size before anything is allocated: a typed domain error
+/// (exit 4), not an abort or an OOM kill. Each shape exceeds the cap on
+/// one operand (activations, weights, results); the last would wrap a
+/// 64-bit element count.
+#[test]
+fn cli_exec_rejects_oversized_operands_before_allocating() {
+    let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+    for (cmd, operand) in [
+        ("exec --shape m16n16k1073741824", "activation"),
+        ("exec --shape m16n67108880k16 --backend batched", "weight"),
+        ("exec --shape m16384n8192k16 --check", "result"),
+        (
+            "exec --shape m4294967296n4294967296k4294967296",
+            "activation",
+        ),
+    ] {
+        let err = cli::run(&argv(cmd)).unwrap_err();
+        assert!(
+            matches!(err, PacqError::InvalidInput { .. }),
+            "{cmd}: {err}"
+        );
+        assert_eq!(err.exit_code(), 4, "{cmd}");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("{operand} elements")), "{cmd}: {msg}");
+        assert!(
+            msg.contains(&cli::EXEC_MAX_ELEMENTS.to_string()),
+            "{cmd}: {msg}"
+        );
+    }
+}
