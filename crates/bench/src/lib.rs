@@ -1,12 +1,11 @@
 //! # pacq-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper (run them with
-//! `cargo run -p pacq-bench --release --bin figN`), plus Criterion
-//! benches for the simulator and datapath kernels. This library hosts
+//! `cargo run -p pacq-bench --release --bin figN`). This library hosts
 //! [`init`], which gives every binary the `pacq` argument grammar and
 //! global run knobs (`--jobs`, `--metrics`, `--cache`, `--hot`,
-//! `--backend`, `--arch-template`, each as `--f V` or `--f=V`), plus
-//! small shared formatting helpers.
+//! `--arch-template`, each as `--f V` or `--f=V`), plus small shared
+//! formatting helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,8 +25,8 @@ pub struct Metrics {
 
 /// Parses the process arguments of a figure/table binary through the
 /// shared grammar and applies the global run knobs exactly as `pacq`
-/// does (`--jobs`, `--metrics`, `--cache` with `--hot`, `--backend`,
-/// `--arch-template`, and the `PACQ_JOBS`/`PACQ_BACKEND` env spellings).
+/// does (`--jobs`, `--metrics`, `--cache` with `--hot`,
+/// `--arch-template`, and the `PACQ_JOBS` env spelling).
 /// Any other argument is a usage error naming it and the binary.
 ///
 /// # Errors
@@ -38,18 +37,8 @@ pub struct Metrics {
 /// directory cannot be created; a template error (exit code 9) when
 /// `--arch-template` names a file that does not validate.
 pub fn init(binary: &'static str) -> pacq::PacqResult<Metrics> {
-    init_with_flags(binary, "")
-}
-
-/// [`init`] for a binary that also takes its own flags (the
-/// space-separated `flags`); read them from [`Metrics::args`].
-///
-/// # Errors
-///
-/// Same conditions as [`init`].
-pub fn init_with_flags(binary: &'static str, flags: &str) -> pacq::PacqResult<Metrics> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let accepted = format!("{} --arch-template {flags}", pacq::cli::GLOBAL_FLAGS);
+    let accepted = format!("{} --arch-template", pacq::cli::GLOBAL_FLAGS);
     let args = pacq::args::Args::parse(&argv, binary, &accepted)?;
     if let Some(extra) = args.positionals().next() {
         return Err(pacq::args::does_not_apply(extra, binary));
@@ -68,22 +57,10 @@ pub fn init_with_flags(binary: &'static str, flags: &str) -> pacq::PacqResult<Me
 }
 
 impl Metrics {
-    /// The parsed arguments, for the binary's own flags.
-    pub fn args(&self) -> &pacq::args::Args {
-        &self.args
-    }
-
     /// The report cache to attach to runners (`--cache DIR`, with any
     /// `--hot N` tier), if any.
     pub fn cache(&self) -> Option<std::sync::Arc<pacq::ReportCache>> {
         self.knobs.cache.clone()
-    }
-
-    /// The functional compute backend this run selected
-    /// (`--backend` / `PACQ_BACKEND`, default scalar). Attach it to
-    /// runners with [`pacq::GemmRunner::with_backend`].
-    pub fn backend(&self) -> pacq::Backend {
-        self.knobs.backend
     }
 
     /// The validated `--arch-template` design point, if one was named.
@@ -121,8 +98,7 @@ impl Metrics {
             let mut manifest = pacq_trace::RunManifest::new(self.binary, &invocation);
             manifest = manifest
                 .with_jobs(self.jobs)
-                .with_effective_jobs(rayon::current_num_threads())
-                .with_backend(self.backend().token());
+                .with_effective_jobs(rayon::current_num_threads());
             if let Some(t) = self.template() {
                 manifest = manifest.with_arch_template(t.digest());
             }

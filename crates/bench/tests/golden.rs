@@ -110,7 +110,6 @@ fn exits(bin: &str, args: &[&str], code: i32) -> String {
     let output = Command::new(bin)
         .args(args)
         .env_remove("PACQ_JOBS")
-        .env_remove("PACQ_BACKEND")
         .output()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     let stderr = String::from_utf8_lossy(&output.stderr).into_owned();

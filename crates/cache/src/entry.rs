@@ -196,8 +196,7 @@ impl CachedReport {
             get_u64(shape, "n")? as usize,
             get_u64(shape, "k")? as usize,
         );
-        let shape = GemmShape::try_new(m, n, k)
-            .map_err(|_| decode_error("shape extents must be non-zero"))?;
+        let shape = GemmShape::try_new(m, n, k).map_err(|e| decode_error(e.to_string()))?;
 
         let stats_doc = doc
             .get("stats")

@@ -146,7 +146,7 @@ impl SweepCheckpoint {
                         "SweepCheckpoint::open",
                         format!(
                             "checkpoint {} belongs to a different run \
-                             (has {digest}, this grid × machine × template × backend \
+                             (has {digest}, this grid × machine × template \
                              binding is {grid_digest}); \
                              pass a fresh --checkpoint path or delete it",
                             path.display()

@@ -21,9 +21,9 @@ use pacq_error::{PacqError, PacqResult};
 /// The flag table, first half: every flag the program knows that takes
 /// a value.
 const VALUE_FLAGS: &str = "\
-    --metrics --cache --hot --jobs --backend --arch-template \
+    --metrics --cache --hot --jobs --arch-template \
     --shape --arch --precision --group --dup --width --param --out --shard --checkpoint \
-    --dir --tolerance --activity-scale --label \
+    --dir --tolerance --activity-scale \
     --port --queue --rate --burst --max-clients \
     --addr --ready-log --requests --clients --window --unique --sample";
 

@@ -5,7 +5,6 @@
 //! essentials (see DESIGN.md §8).
 
 use crate::args::{does_not_apply, Args};
-use crate::backend::{resolve_backend, validate_backend};
 use crate::dse::{run_dse, DseAxes, DseJob, DseOutcome, DsePlan, DseRow};
 use crate::par;
 use crate::params::parse_params;
@@ -57,9 +56,6 @@ USAGE:
 Every command also accepts --jobs N (worker threads for sweeps and
 functional execution; defaults to the PACQ_JOBS environment variable,
 then the host parallelism; results are bit-identical at any job count),
---backend scalar|batched (functional compute backend; defaults to the
-PACQ_BACKEND environment variable, then `scalar`; the batched
-kernel is bit-identical to the scalar reference — see DESIGN.md),
 --metrics PATH (write a machine-readable JSON run manifest, schema
 pacq-metrics/v1 — see DESIGN.md §11), --cache DIR (a content-addressed
 on-disk report cache: repeated analyses of the same point become
@@ -111,7 +107,8 @@ and --arch-template under the same rules.
 
 `pacq exec` functionally executes one GEMM through the bit-accurate
 datapath on deterministic synthetic data, printing a result digest and
-throughput. With --check it runs *both* backends, asserts the results
+throughput of the batched column-tile kernel. With --check it also runs
+the scalar reference datapath on the same inputs, asserts the results
 are bit-identical, and reports the batched-over-scalar speedup (also
 recorded in the --metrics manifest). Each operand (m x k activations,
 k x n weights, m x n results) is capped at 2^26 elements; a larger
@@ -158,7 +155,7 @@ cycling --unique distinct evaluation points (repeats exercise the
 cache tiers). The target is --addr HOST:PORT, --ready-log FILE (polls
 a server log for the pacq-serve/v1 ready frame, as written by
 `pacq serve --port 0`), or --spawn (an in-process server sharing this
-invocation's --cache/--hot/--backend). Every request must be answered
+invocation's --cache/--hot). Every request must be answered
 exactly once (lost replies are a typed error); the first --sample
 unique points are re-evaluated in process and must match the served
 bytes exactly. Latency p50/p95/p99, a log2 histogram, and throughput
@@ -176,7 +173,7 @@ fn err(msg: impl Into<String>) -> PacqError {
 
 /// The run knobs every entry point accepts ([`Knobs`]); machine-simulating
 /// entry points also accept `--arch-template`.
-pub const GLOBAL_FLAGS: &str = "--metrics --cache --hot --jobs --backend";
+pub const GLOBAL_FLAGS: &str = "--metrics --cache --hot --jobs";
 
 /// Every `pacq` command, each followed by the flags it accepts besides
 /// [`GLOBAL_FLAGS`]. Commands that simulate no machine (`cache`,
@@ -214,8 +211,6 @@ pub struct Knobs {
     pub cache: Option<Arc<ReportCache>>,
     /// `--jobs N`, else `PACQ_JOBS`; `None` leaves the host default.
     pub jobs: Option<usize>,
-    /// `--backend B`, else `PACQ_BACKEND`, else scalar.
-    pub backend: Backend,
     /// The validated `--arch-template` design point.
     pub template: Option<ArchTemplate>,
 }
@@ -236,8 +231,6 @@ impl Knobs {
         const MAX_HOT_ENTRIES: u64 = 1 << 20;
         let jobs = args.last("--jobs", |v| par::validate_jobs(v, "--jobs"))?;
         let env_jobs = par::validated_env_jobs()?;
-        let backend =
-            resolve_backend(args.last("--backend", |v| validate_backend(v, "--backend"))?)?;
         let hot = args.last("--hot", |v| {
             crate::serve::validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)
         })?;
@@ -261,25 +254,22 @@ impl Knobs {
             metrics: args.values("--metrics").last().map(String::from),
             cache,
             jobs: jobs.or(env_jobs),
-            backend,
             template,
         })
     }
 
     /// A [`GemmRunner`] carrying every knob of this run: the `--cache`
-    /// store, the `--backend` selection and, with `--arch-template`, the
-    /// template's machine, energy model and content digest (its
-    /// per-level energies price every report; the digest travels into
-    /// cache keys, checkpoint bindings and run provenance).
+    /// store and, with `--arch-template`, the template's machine, energy
+    /// model and content digest (its per-level energies price every
+    /// report; the digest travels into cache keys, checkpoint bindings
+    /// and run provenance).
     ///
     /// # Errors
     ///
     /// Returns a template error (exit code 9) when the template's energy
     /// model cannot be derived.
     pub fn runner(&self) -> PacqResult<GemmRunner> {
-        let mut runner = GemmRunner::new()
-            .with_cache_opt(self.cache.clone())
-            .with_backend(self.backend);
+        let mut runner = GemmRunner::new().with_cache_opt(self.cache.clone());
         if let Some(t) = &self.template {
             runner = runner
                 .with_config(t.sm_config())
@@ -339,9 +329,7 @@ pub fn run(argv: &[String]) -> PacqResult<String> {
         if let Some(j) = knobs.jobs {
             manifest = manifest.with_jobs(j);
         }
-        manifest = manifest
-            .with_effective_jobs(rayon::current_num_threads())
-            .with_backend(knobs.backend.token());
+        manifest = manifest.with_effective_jobs(rayon::current_num_threads());
         if let Some(t) = &knobs.template {
             manifest = manifest.with_arch_template(t.digest());
         }
@@ -364,8 +352,8 @@ fn dispatch(command: &str, args: &Args, knobs: &Knobs) -> PacqResult<String> {
         "cache" => cache_cmd(args, knobs.cache.as_ref()),
         "audit" => audit(args, knobs),
         "trace" => trace(args, knobs.template.as_ref()),
-        "serve" => crate::serve::run_cli(args, knobs.cache.clone(), knobs.backend),
-        "loadgen" => crate::loadgen::run_cli(args, knobs.cache.clone(), knobs.backend),
+        "serve" => crate::serve::run_cli(args, knobs.cache.clone()),
+        "loadgen" => crate::loadgen::run_cli(args, knobs.cache.clone()),
         _ => Ok(format!("{USAGE}\n")),
     }
 }
@@ -569,7 +557,7 @@ fn runner_for(opts: &Options, knobs: &Knobs) -> PacqResult<GemmRunner> {
 }
 
 /// FNV-1a over the row-major result bits: a stable fingerprint that two
-/// backends (or two runs) can be compared by at a glance.
+/// runs (or the kernel and its reference) can be compared by at a glance.
 fn result_digest(c: &pacq_quant::MatrixF32) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for r in 0..c.rows() {
@@ -592,9 +580,9 @@ pub const EXEC_MAX_ELEMENTS: u64 = 1 << 26;
 
 /// `pacq exec`: functionally executes one GEMM through the bit-accurate
 /// datapath on deterministic synthetic data (seeded from the shape, so
-/// reruns and backends see identical inputs). `--check` runs the scalar
-/// *and* batched backends, asserts bit-identity, and reports the
-/// speedup.
+/// reruns see identical inputs), timing the batched column-tile kernel.
+/// `--check` also runs the scalar reference datapath on the same
+/// inputs, asserts bit-identity, and reports the speedup.
 fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let opts = parse_options(args, true)?;
     let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
@@ -632,53 +620,38 @@ fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "exec {} on {} ({}, {} backend): digest {digest:016x}, {seconds:.6} s, {gflops:.3} GFLOP/s",
+        "exec {} on {} ({}, batched kernel): digest {digest:016x}, {seconds:.6} s, {gflops:.3} GFLOP/s",
         Workload::new(opts.shape, opts.precision),
         arch,
         opts.group,
-        runner.backend(),
     );
     let mut record = Json::object();
-    record.set("backend", runner.backend().token());
     record.set("digest", format!("{digest:016x}"));
 
     if args.has("--check") {
-        // Run the *other* backend on the same inputs: results must agree
-        // to the bit (the tentpole contract), and the ratio of wall
-        // times is the measured speedup.
-        let other = runner.clone().with_backend(match runner.backend() {
-            Backend::Scalar => Backend::Batched,
-            Backend::Batched => Backend::Scalar,
-        });
-        let (c2, seconds2) = timed(&other)?;
-        let d2 = result_digest(&c2);
+        // Run the scalar reference datapath on the same inputs: results
+        // must agree to the bit, and the ratio of wall times is the
+        // measured speedup of the batched kernel.
+        let (reference, scalar_s) = timed(&runner.clone().with_backend(Backend::Scalar))?;
         for r in 0..c.rows() {
             for col in 0..c.cols() {
-                let (x, y) = (c.get(r, col), c2.get(r, col));
+                let (x, y) = (c.get(r, col), reference.get(r, col));
                 if x.to_bits() != y.to_bits() {
                     return Err(PacqError::AuditMismatch {
                         counter: "exec.backend_bits".to_string(),
-                        case: format!(
-                            "({r},{col}) under {} vs {}",
-                            runner.backend(),
-                            other.backend()
-                        ),
-                        observed: format!("{:#010x}", y.to_bits()),
-                        expected: format!("{:#010x}", x.to_bits()),
+                        case: format!("({r},{col}) under batched vs scalar"),
+                        observed: format!("{:#010x}", x.to_bits()),
+                        expected: format!("{:#010x}", y.to_bits()),
                     });
                 }
             }
         }
-        let (batched_s, scalar_s) = match runner.backend() {
-            Backend::Batched => (seconds, seconds2),
-            Backend::Scalar => (seconds2, seconds),
-        };
-        let speedup = scalar_s / batched_s.max(1e-12);
+        let speedup = scalar_s / seconds.max(1e-12);
         let _ = writeln!(
             out,
-            "check OK: {} backend bit-identical (digest {d2:016x}); batched speedup {speedup:.2}x \
-(scalar {scalar_s:.6} s, batched {batched_s:.6} s)",
-            other.backend(),
+            "check OK: scalar reference bit-identical (digest {:016x}); batched speedup \
+{speedup:.2}x (scalar {scalar_s:.6} s, batched {seconds:.6} s)",
+            result_digest(&reference),
         );
         record.set("check", "bit-identical");
         record.set("batched_speedup", speedup);
@@ -891,7 +864,7 @@ fn run_grid(
     counters: [&'static str; 4],
 ) -> PacqResult<DseOutcome> {
     let plan = DsePlan::enumerate(axes, opts.shape.n, opts.shape.k);
-    // The checkpoint is bound to grid × machine × template × backend:
+    // The checkpoint is bound to grid × machine × template:
     // resuming a half-done run under any other runner is a typed
     // mismatch, never a silent skip.
     let checkpoint = match &opts.checkpoint {
@@ -949,7 +922,7 @@ fn write_grid_rows(
 /// `pacq dse`: grid-searches design points (batch × architecture ×
 /// precision × width × dup × group) over the template (or builtin)
 /// machine through the one grid engine — sharding, checkpoint resume
-/// bound to the (grid × machine × template × backend) digest, report
+/// bound to the (grid × machine × template) digest, report
 /// caching. See [`crate::dse`]. With `--pareto` the non-dominated
 /// (cycles, energy) set is printed as a stable table and recorded in
 /// the `--metrics` manifest.
@@ -1630,49 +1603,14 @@ mod tests {
     #[test]
     fn exec_runs_and_check_pins_backend_identity() {
         let _guard = crate::par::test_lock();
-        let digest = |s: &str| {
-            s.split("digest ")
-                .nth(1)
-                .and_then(|t| t.split([',', ')']).next())
-                .map(str::to_string)
-        };
-        let scalar = run(&argv(
-            "exec --shape m16n32k128 --group g32 --backend scalar",
-        ))
-        .expect("runs");
-        assert!(scalar.contains("scalar backend"), "{scalar}");
-        let batched = run(&argv(
-            "exec --shape m16n32k128 --group g32 --backend=batched",
-        ))
-        .expect("runs");
-        assert!(batched.contains("batched backend"), "{batched}");
-        // Same inputs, same bits: the digest is backend-invariant.
-        assert_eq!(digest(&scalar), digest(&batched), "{scalar}\n{batched}");
+        let plain = run(&argv("exec --shape m16n32k128 --group g32")).expect("runs");
+        assert!(plain.contains("batched kernel"), "{plain}");
         let checked = run(&argv(
             "exec --shape m16n32k128 --arch packedk --precision int2 --group g32 --check",
         ))
         .expect("runs");
-        assert!(checked.contains("check OK"), "{checked}");
+        assert!(checked.contains("check OK: scalar reference"), "{checked}");
         assert!(checked.contains("speedup"), "{checked}");
-    }
-
-    #[test]
-    fn backend_flag_and_env_are_validated() {
-        let _guard = crate::par::test_lock();
-        let err = run(&argv("analyze --shape m16n16k16 --backend turbo")).unwrap_err();
-        assert!(err.is_usage(), "{err}");
-        assert_eq!(err.exit_code(), 2);
-        std::env::set_var(crate::backend::BACKEND_ENV, "turbo");
-        let err = run(&argv("analyze --shape m16n16k16")).unwrap_err();
-        // ...and a typo'd env var fails even when the flag would win.
-        let flagged = run(&argv("analyze --shape m16n16k16 --backend scalar"));
-        std::env::remove_var(crate::backend::BACKEND_ENV);
-        assert!(err.is_usage(), "{err}");
-        assert!(err.to_string().contains("PACQ_BACKEND"), "{err}");
-        assert!(flagged.is_err(), "env typos are never masked by the flag");
-        // A valid selection is accepted by every command.
-        let out = run(&argv("analyze --shape m16n256k256 --backend batched")).expect("runs");
-        assert!(out.contains("total cycles"), "{out}");
     }
 
     #[test]
@@ -1812,13 +1750,6 @@ mod tests {
                 .any(|r| r.get("total_cycles").is_some() && r.get("edp_pj_s").is_some()),
             "{text}"
         );
-        // The chosen backend is part of the invocation record.
-        let backend = doc
-            .get("invocation")
-            .and_then(|i| i.get("backend"))
-            .and_then(pacq_trace::Json::as_str)
-            .map(str::to_string);
-        assert_eq!(backend.as_deref(), Some("scalar"), "{text}");
         std::fs::remove_file(&path).ok();
         assert!(run(&argv("analyze --shape m16n16k16 --metrics")).is_err());
     }

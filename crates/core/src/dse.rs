@@ -18,8 +18,8 @@
 //!   one grid with no coordination beyond the flag;
 //! - **checkpointing** ([`SweepCheckpoint`], `--checkpoint FILE`): an
 //!   append-only record of completed job ids, bound to the (grid ×
-//!   machine × template × backend) digest, so a killed run resumes
-//!   where it stopped;
+//!   machine × template) digest, so a killed run resumes where it
+//!   stopped;
 //! - **result caching** ([`pacq_cache::ReportCache`], `--cache DIR`,
 //!   attached to the runner): completed points are memoized
 //!   content-addressed, so even a checkpoint-less re-run pays only
@@ -243,13 +243,13 @@ impl DsePlan {
 
     /// The checkpoint binding: this search's digest plus the *base*
     /// runner's full provenance ([`GemmRunner::provenance`] — machine
-    /// configuration, group geometry, numerics mode, template identity
-    /// and compute backend). Per-job width/dup/group variations are
-    /// already in the job ids.
+    /// configuration, group geometry, numerics mode and template
+    /// identity). Per-job width/dup/group variations are already in the
+    /// job ids.
     ///
     /// Job ids alone under-bind: a checkpoint written under one machine
     /// could silently satisfy a resume under another (an edited
-    /// template, a different backend), skipping every job and splicing
+    /// template), skipping every job and splicing
     /// rows priced by two machines into one table. Binding the runner
     /// makes that a typed [`PacqError::InvalidInput`] at open time.
     pub fn binding_digest(&self, base: &GemmRunner) -> String {
@@ -314,8 +314,8 @@ pub struct DseOutcome {
 /// Runs `plan` against the base runner, deriving each job's runner by
 /// overriding the datapath knobs (width, dup) and group geometry on the
 /// base — the base's machine capacities, energy model, template
-/// identity, cache handle and backend all carry over, so cache keys and
-/// the checkpoint binding see the template behind every point.
+/// identity and cache handle all carry over, so cache keys and the
+/// checkpoint binding see the template behind every point.
 /// Executed jobs fan out on the rayon pool; each completed job is
 /// appended to the checkpoint before the run returns, so an interrupt
 /// after this function loses nothing. The caller records the tally
@@ -481,10 +481,9 @@ mod tests {
 
     #[test]
     fn checkpoint_binding_covers_the_base_runner() {
-        // A checkpoint written under one (grid × machine × template ×
-        // backend) must refuse to resume under any other with a typed
-        // error — not silently skip jobs priced by a different machine.
-        use pacq_fp16::Backend;
+        // A checkpoint written under one (grid × machine × template)
+        // must refuse to resume under any other with a typed error —
+        // not silently skip jobs priced by a different machine.
         let path =
             std::env::temp_dir().join(format!("pacq-dse-binding-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -493,7 +492,6 @@ mod tests {
         drop(SweepCheckpoint::open(&path, &plan.binding_digest(&base)).unwrap());
 
         for other in [
-            GemmRunner::new().with_backend(Backend::Batched),
             GemmRunner::new().with_template_digest("deadbeef"),
             GemmRunner::new().with_config(pacq_simt::SmConfig {
                 adder_tree_duplication: 4,

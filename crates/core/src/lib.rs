@@ -56,7 +56,6 @@
 
 pub mod activity;
 pub mod args;
-pub mod backend;
 pub mod cli;
 pub mod dse;
 pub mod llama;

@@ -261,6 +261,12 @@ mod tests {
         for l in &layers {
             assert!(l.shape.is_tile_aligned(), "{} misaligned", l.name);
         }
+        // Every layer, even at a 64 Ki-token prefill, is far inside the
+        // simulator's MAC bound.
+        for l in llama2_7b_layers(1 << 16) {
+            let GemmShape { m, n, k } = l.shape;
+            assert!(GemmShape::try_new(m, n, k).is_ok(), "{} rejected", l.name);
+        }
     }
 
     #[test]

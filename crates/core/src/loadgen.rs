@@ -29,7 +29,7 @@
 //! server), `--ready-log FILE` (poll a server's stdout log for its
 //! ready frame — the CI pattern), or `--spawn` (bind an in-process
 //! [`Server`] on an ephemeral port, sharing this invocation's
-//! `--cache`/`--hot`/`--backend`, and drain it when the run ends).
+//! `--cache`/`--hot`, and drain it when the run ends).
 
 use crate::args::Args;
 use crate::cli;
@@ -37,7 +37,7 @@ use crate::runner::GemmRunner;
 use crate::serve::{validate_serve_count, ServeOptions, Server};
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::{Backend, WeightPrecision};
+use pacq_fp16::WeightPrecision;
 use pacq_quant::GroupShape;
 use pacq_simt::{Architecture, SmConfig, Workload};
 use pacq_trace::Json;
@@ -144,14 +144,13 @@ fn request_line(id: u64, point: &MixPoint) -> String {
 /// (`volta_like`, `dup 2`, `width 4`, `g128`) without any cache, and
 /// renders the report in the lossless `pacq-cache/v1` encoding — the
 /// exact string a conforming server must have sent.
-fn reference_line(point: &MixPoint, backend: Backend) -> PacqResult<String> {
+fn reference_line(point: &MixPoint) -> PacqResult<String> {
     let mut cfg = SmConfig::volta_like();
     cfg.adder_tree_duplication = 2;
     cfg.dp_width = 4;
     let runner = GemmRunner::new()
         .with_config(cfg)
-        .with_group(GroupShape::G128)
-        .with_backend(backend);
+        .with_group(GroupShape::G128);
     let workload = Workload::new(cli::parse_shape(&point.shape)?, point.precision);
     let report = runner.analyze(point.arch, workload)?;
     let key = runner.cache_key(point.arch, workload);
@@ -352,11 +351,7 @@ enum Target {
 /// Usage errors for flag problems; io/protocol-class errors for
 /// connection failures and lost replies; audit-class for a sampled
 /// report that differs from in-process computation.
-pub fn run_cli(
-    args: &Args,
-    cache: Option<Arc<ReportCache>>,
-    backend: Backend,
-) -> PacqResult<String> {
+pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<String> {
     let usage = |msg: &str| PacqError::usage(msg.to_string());
     let mut targets = args
         .values("--addr")
@@ -391,14 +386,7 @@ pub fn run_cli(
     let sample = sample.min(unique) as usize;
 
     let spawned = match &target {
-        Target::Spawn => Some(Server::bind(
-            "127.0.0.1:0",
-            ServeOptions {
-                backend,
-                ..ServeOptions::default()
-            },
-            cache,
-        )?),
+        Target::Spawn => Some(Server::bind("127.0.0.1:0", ServeOptions::default(), cache)?),
         Target::Addr(_) | Target::ReadyLog(_) => None,
     };
     let addr = match &target {
@@ -467,7 +455,7 @@ pub fn run_cli(
             continue;
         };
         let point = &points[slot];
-        let expected = reference_line(point, backend)?;
+        let expected = reference_line(point)?;
         if *rendering != expected {
             return Err(PacqError::AuditMismatch {
                 counter: "loadgen.report_bytes".to_string(),
@@ -551,7 +539,6 @@ mod tests {
         run_cli(
             &Args::parse(argv, "pacq loadgen", cli::command_flags("loadgen").unwrap())?,
             None,
-            Backend::Scalar,
         )
     }
 

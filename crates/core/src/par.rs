@@ -79,7 +79,8 @@ pub fn validated_env_jobs() -> PacqResult<Option<usize>> {
     validate_jobs(&raw, JOBS_ENV).map(Some)
 }
 
-/// Serializes tests that mutate the process-wide worker count.
+/// Serializes tests that set [`JOBS_ENV`] or install a process-wide
+/// `--jobs` through `cli::run`.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -106,8 +107,13 @@ mod tests {
 
     #[test]
     fn explicit_jobs_win() {
+        // `configure_jobs` installs process-wide, as `cli::run --jobs`
+        // does in the `cli` tests.
         let _guard = test_lock();
         assert_eq!(configure_jobs(Some(3)), 3);
+        // A scoped pool wins over the process-wide count on its thread.
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        assert_eq!(pool.install(rayon::current_num_threads), 2);
         assert_eq!(rayon::current_num_threads(), 3);
         // 0 restores the host default.
         configure_jobs(Some(0));

@@ -49,14 +49,15 @@ pub struct GemmRunner {
 }
 
 impl GemmRunner {
-    /// A runner with the Table I Volta-like configuration, `g128` groups
-    /// and the paper's product-rounding numerics.
+    /// A runner with the Table I Volta-like configuration, `g128` groups,
+    /// the paper's product-rounding numerics and the batched execution
+    /// kernel.
     pub fn new() -> Self {
         GemmRunner {
             config: SmConfig::volta_like(),
             group: GroupShape::G128,
             numerics: NumericsMode::PaperRounded,
-            backend: Backend::Scalar,
+            backend: Backend::Batched,
             cache: None,
             record_results: true,
             energy: None,
@@ -100,10 +101,12 @@ impl GemmRunner {
         self
     }
 
-    /// Replaces the functional compute backend. Both backends produce
-    /// bit-identical results — the choice only affects [`GemmRunner::execute`]
-    /// throughput, so it is deliberately *not* part of
-    /// [`GemmRunner::cache_key`].
+    /// Replaces the functional compute backend of
+    /// [`GemmRunner::execute`]. [`Backend::Scalar`] is the structural
+    /// reference the batched kernel is checked against (`pacq exec
+    /// --check`, the equivalence suites); both produce bit-identical
+    /// results, so the choice is part of neither
+    /// [`GemmRunner::cache_key`] nor [`GemmRunner::provenance`].
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -150,11 +153,6 @@ impl GemmRunner {
     /// The quantization group geometry.
     pub fn group(&self) -> GroupShape {
         self.group
-    }
-
-    /// The functional compute backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// Analytically simulates `workload` on `arch` and prices it.
@@ -247,24 +245,17 @@ impl GemmRunner {
 
     /// The full provenance string of this runner for checkpoint binding:
     /// the canonical machine configuration, group geometry, numerics
-    /// mode, architecture identity ([`GemmRunner::arch_id`]) and compute
-    /// backend. A sweep/dse checkpoint digests this together with the
-    /// job grid, so resuming under a different machine, template or
-    /// backend is a typed mismatch instead of a silent skip.
-    ///
-    /// The backend is deliberately part of provenance but *not* of
-    /// [`GemmRunner::cache_key`]: backends are bit-identical per point
-    /// (cache entries are shareable), but a resumed run's manifest
-    /// records one backend for the whole run, so a checkpoint must not
-    /// splice two backends into one run.
+    /// mode and architecture identity ([`GemmRunner::arch_id`]). A
+    /// sweep/dse checkpoint digests this together with the job grid, so
+    /// resuming under a different machine or template is a typed
+    /// mismatch instead of a silent skip.
     pub fn provenance(&self) -> String {
         format!(
-            "{cfg};group={group};numerics={numerics};arch={arch};backend={backend}",
+            "{cfg};group={group};numerics={numerics};arch={arch}",
             cfg = config_canonical(&self.config),
             group = self.group,
             numerics = self.numerics_token(),
             arch = self.arch_id(),
-            backend = self.backend.token(),
         )
     }
 
@@ -510,12 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn provenance_covers_machine_group_numerics_arch_and_backend() {
+    fn provenance_covers_machine_group_numerics_and_arch() {
         let base = GemmRunner::new();
         let variants = [
             GemmRunner::new().with_group(GroupShape::along_k(32)),
             GemmRunner::new().with_numerics(NumericsMode::Wide),
-            GemmRunner::new().with_backend(Backend::Batched),
             GemmRunner::new().with_template_digest("deadbeef"),
             GemmRunner::new().with_config(SmConfig {
                 adder_tree_duplication: 4,
@@ -552,15 +542,14 @@ mod tests {
 
     #[test]
     fn execute_is_backend_invariant() {
-        // The backend is a throughput knob, not a numerics knob: the
-        // batched runner must reproduce the scalar runner to the bit.
+        // The batched kernel (the default) must reproduce the scalar
+        // reference runner to the bit.
         let mut g = SynthGenerator::new(23);
         let a = g.llm_activations(4, 64).to_f16();
         let w = g.llm_weights(64, 16);
         for arch in Architecture::ALL {
-            let scalar = GemmRunner::new().with_group(GroupShape::along_k(32));
-            let batched = scalar.clone().with_backend(Backend::Batched);
-            assert_eq!(batched.backend(), Backend::Batched);
+            let batched = GemmRunner::new().with_group(GroupShape::along_k(32));
+            let scalar = batched.clone().with_backend(Backend::Scalar);
             let p = scalar
                 .quantize_and_pack(&w, WeightPrecision::Int4, arch)
                 .expect("packs");

@@ -41,7 +41,7 @@ use crate::cli;
 use crate::runner::GemmRunner;
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::{Backend, WeightPrecision};
+use pacq_fp16::WeightPrecision;
 use pacq_quant::GroupShape;
 use pacq_simt::{Architecture, SmConfig, Workload};
 use pacq_trace::Json;
@@ -86,10 +86,6 @@ pub struct ServeOptions {
     /// shared `--jobs` validator (`par.rs`), so `--jobs`/`PACQ_JOBS`
     /// govern the server exactly like every batch command.
     pub workers: usize,
-    /// Functional compute backend for served evaluations. Both backends
-    /// answer with bit-identical reports (the conformance suite pins
-    /// this), so the knob only affects throughput.
-    pub backend: Backend,
     /// Sustained per-connection admission rate in work requests per
     /// second (`--rate`); 0 disables rate limiting (the default).
     pub rate: u64,
@@ -108,7 +104,6 @@ impl Default for ServeOptions {
         ServeOptions {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             workers: rayon::current_num_threads().max(1),
-            backend: Backend::Scalar,
             rate: 0,
             burst: 0,
             max_clients: 0,
@@ -388,7 +383,6 @@ fn stats_frame(id: &Json, state: &ServerState) -> Json {
     );
     stats.set("queue_capacity", state.options.queue_capacity.to_string());
     stats.set("workers", state.options.workers.to_string());
-    stats.set("backend", state.options.backend.token());
     match &state.cache {
         Some(cache) => {
             stats.set("cache_attached", true);
@@ -578,7 +572,7 @@ fn parse_request(doc: &Json) -> PacqResult<Request> {
 // Request execution (worker side)
 // ---------------------------------------------------------------------
 
-fn point_runner(point: &Point, cache: Option<Arc<ReportCache>>, backend: Backend) -> GemmRunner {
+fn point_runner(point: &Point, cache: Option<Arc<ReportCache>>) -> GemmRunner {
     let mut cfg = SmConfig::volta_like();
     cfg.adder_tree_duplication = point.dup;
     cfg.dp_width = point.width;
@@ -590,18 +584,13 @@ fn point_runner(point: &Point, cache: Option<Arc<ReportCache>>, backend: Backend
         .with_config(cfg)
         .with_group(point.group)
         .with_cache_opt(cache)
-        .with_backend(backend)
         .without_result_recording()
 }
 
 /// Analyzes one point and renders its report in the lossless
 /// `pacq-cache/v1` encoding (the conformance contract).
-fn point_report_json(
-    point: &Point,
-    cache: Option<Arc<ReportCache>>,
-    backend: Backend,
-) -> PacqResult<Json> {
-    let runner = point_runner(point, cache, backend);
+fn point_report_json(point: &Point, cache: Option<Arc<ReportCache>>) -> PacqResult<Json> {
+    let runner = point_runner(point, cache);
     let report = runner.analyze(point.arch, point.workload)?;
     let key = runner.cache_key(point.arch, point.workload);
     Ok(report.to_cached().to_json(&key))
@@ -611,10 +600,7 @@ fn execute_request(request: &Request, state: &ServerState, id: &Json) -> PacqRes
     match request {
         Request::Analyze(point) => {
             let mut frame = ok_frame(id);
-            frame.set(
-                "report",
-                point_report_json(point, state.cache.clone(), state.options.backend)?,
-            );
+            frame.set("report", point_report_json(point, state.cache.clone())?);
             Ok(frame)
         }
         Request::Batch(points) => {
@@ -635,7 +621,7 @@ fn execute_request(request: &Request, state: &ServerState, id: &Json) -> PacqRes
             let computed = unique
                 .clone()
                 .into_par_iter()
-                .map(|p| point_report_json(&p, state.cache.clone(), state.options.backend))
+                .map(|p| point_report_json(&p, state.cache.clone()))
                 .collect::<Vec<PacqResult<Json>>>()
                 .into_iter()
                 .collect::<PacqResult<Vec<Json>>>()?;
@@ -1018,7 +1004,6 @@ impl Server {
             "queue_capacity",
             self.state.options.queue_capacity.to_string(),
         );
-        frame.set("backend", self.state.options.backend.token());
         frame
     }
 }
@@ -1050,7 +1035,6 @@ pub fn serve_stdio(
     ready.set("event", "ready");
     ready.set("workers", options.workers.to_string());
     ready.set("queue_capacity", options.queue_capacity.to_string());
-    ready.set("backend", options.backend.token());
     let _ = tx.send(ready.render_line());
 
     reader_loop(std::io::stdin().lock(), &state, &tx);
@@ -1098,19 +1082,13 @@ pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64
 
 /// `pacq serve (--port N | --stdio) [--queue N] [--rate N] [--burst N]
 /// [--max-clients N]` — validates the serve flags and runs the matching
-/// lifecycle until drained. The `backend` comes from the global
-/// `--backend` / `PACQ_BACKEND` knob the CLI front end already
-/// resolved.
+/// lifecycle until drained.
 ///
 /// # Errors
 ///
 /// Returns [`PacqError::Usage`] for flag errors and [`PacqError::Io`]
 /// when the TCP port cannot be bound.
-pub fn run_cli(
-    args: &Args,
-    cache: Option<Arc<ReportCache>>,
-    backend: Backend,
-) -> PacqResult<String> {
+pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<String> {
     let usage = |msg: &str| PacqError::usage(msg.to_string());
     let port = args.last("--port", |v| {
         v.parse::<u16>()
@@ -1128,7 +1106,6 @@ pub fn run_cli(
     }
     let options = ServeOptions {
         queue_capacity,
-        backend,
         rate,
         burst: burst.unwrap_or(rate),
         max_clients,
@@ -1428,9 +1405,9 @@ mod tests {
     #[test]
     fn serve_cli_flags_are_validated() {
         let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
-        let run_cli = |argv: &[String], cache, backend| {
+        let run_cli = |argv: &[String], cache| {
             let args = Args::parse(argv, "pacq serve", cli::command_flags("serve").unwrap())?;
-            run_cli(&args, cache, backend)
+            run_cli(&args, cache)
         };
         for bad in [
             "",
@@ -1447,7 +1424,7 @@ mod tests {
             "--max-clients 0",
             "--frobnicate",
         ] {
-            let err = run_cli(&argv(bad), None, Backend::Scalar).unwrap_err();
+            let err = run_cli(&argv(bad), None).unwrap_err();
             assert!(err.is_usage(), "`{bad}`: {err}");
         }
     }

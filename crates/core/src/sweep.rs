@@ -177,10 +177,9 @@ mod tests {
     #[test]
     fn checkpoint_binding_covers_runner_provenance() {
         // The checkpoint-binding regression: a checkpoint written under
-        // one (grid × machine × template × backend) must refuse to
+        // one (grid × machine × template) must refuse to
         // resume under any other, with a typed error — not silently
         // skip jobs priced by a different machine.
-        use pacq_fp16::Backend;
         let path =
             std::env::temp_dir().join(format!("pacq-sweep-binding-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -189,7 +188,6 @@ mod tests {
         drop(SweepCheckpoint::open(&path, &plan.binding_digest(&runner)).unwrap());
 
         let variants = [
-            GemmRunner::new().with_backend(Backend::Batched),
             GemmRunner::new().with_template_digest("deadbeef"),
             GemmRunner::new().with_config(pacq_simt::SmConfig {
                 adder_tree_duplication: 4,

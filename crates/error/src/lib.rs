@@ -11,7 +11,7 @@
 //! | exit code | class | variants |
 //! |---|---|---|
 //! | 2 | usage / argv | [`PacqError::Usage`] |
-//! | 3 | shape contract | [`PacqError::ZeroDim`], [`PacqError::ShapeMismatch`], [`PacqError::Misaligned`] |
+//! | 3 | shape contract | [`PacqError::ZeroDim`], [`PacqError::ShapeMismatch`], [`PacqError::Misaligned`], [`PacqError::ShapeTooLarge`] |
 //! | 4 | numeric domain | [`PacqError::InvalidInput`], [`PacqError::NonFinite`], [`PacqError::EmptySearchSpace`], [`PacqError::NotPositiveDefinite`] |
 //! | 5 | artifact decode | [`PacqError::Artifact`] |
 //! | 6 | filesystem / OS | [`PacqError::Io`] |
@@ -101,6 +101,16 @@ pub enum PacqError {
         extent: usize,
         /// The required divisor.
         multiple: usize,
+    },
+    /// A shape holds more multiply-accumulates than the simulator's u64
+    /// counters can count without wrapping.
+    ShapeTooLarge {
+        /// The API that rejected the shape.
+        context: &'static str,
+        /// The rejected `(m, n, k)` extents.
+        extents: (usize, usize, usize),
+        /// The most MACs (after padding to the tile grid) accepted.
+        max: u64,
     },
     /// A parameter was outside its documented domain (wrong pack
     /// dimension, unsupported width, non-positive damping, ...).
@@ -239,7 +249,8 @@ impl PacqError {
             PacqError::Usage { .. } => 2,
             PacqError::ZeroDim { .. }
             | PacqError::ShapeMismatch { .. }
-            | PacqError::Misaligned { .. } => 3,
+            | PacqError::Misaligned { .. }
+            | PacqError::ShapeTooLarge { .. } => 3,
             PacqError::InvalidInput { .. }
             | PacqError::NonFinite { .. }
             | PacqError::EmptySearchSpace { .. }
@@ -262,7 +273,8 @@ impl PacqError {
             PacqError::Usage { .. } => "usage",
             PacqError::ZeroDim { .. }
             | PacqError::ShapeMismatch { .. }
-            | PacqError::Misaligned { .. } => "shape",
+            | PacqError::Misaligned { .. }
+            | PacqError::ShapeTooLarge { .. } => "shape",
             PacqError::InvalidInput { .. }
             | PacqError::NonFinite { .. }
             | PacqError::EmptySearchSpace { .. }
@@ -302,6 +314,15 @@ impl fmt::Display for PacqError {
             } => write!(
                 f,
                 "{context}: extent {extent} is not a multiple of {multiple}"
+            ),
+            PacqError::ShapeTooLarge {
+                context,
+                extents: (m, n, k),
+                max,
+            } => write!(
+                f,
+                "{context}: m{m}n{n}k{k} holds more than {max} MACs after tile padding, \
+                 the most the simulator's 64-bit counters admit"
             ),
             PacqError::InvalidInput { context, message } => write!(f, "{context}: {message}"),
             PacqError::NonFinite { context } => {

@@ -52,48 +52,23 @@ use crate::bits::Fp16;
 use crate::dp::NumericsMode;
 use crate::packed::{PackedWord, WeightPrecision};
 use crate::parallel::{ParallelFpIntMultiplier, MAX_LANES};
-use std::fmt;
 use std::sync::OnceLock;
 
 /// Which compute backend evaluates the functional GEMM flows.
 ///
 /// Both backends produce bit-identical results (pinned by the
-/// three-way scalar ≡ rayon ≡ batched equivalence suite); the choice
-/// only trades auditability for throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// three-way scalar ≡ rayon ≡ batched equivalence suite). Every
+/// execution path runs [`Backend::Batched`]; [`Backend::Scalar`] is the
+/// auditable reference it is checked against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The scalar reference datapaths — one element at a time through
     /// the structural multiplier/adder models.
-    #[default]
     Scalar,
     /// The batched kernels of this module: table conversions,
     /// branch-free rounding, arithmetic lane products over f32 column
     /// tiles.
     Batched,
-}
-
-impl Backend {
-    /// Every backend, in CLI-token order.
-    pub const ALL: [Backend; 2] = [Backend::Scalar, Backend::Batched];
-
-    /// The CLI/env token naming this backend (`scalar` / `batched`).
-    pub const fn token(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Batched => "batched",
-        }
-    }
-
-    /// Parses an exact backend token (callers trim and diagnose).
-    pub fn parse(token: &str) -> Option<Backend> {
-        Backend::ALL.into_iter().find(|b| b.token() == token)
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
 }
 
 /// The lazily-built fp16 → f32 conversion table (64 Ki entries,
@@ -711,16 +686,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn backend_tokens_round_trip() {
-        for backend in Backend::ALL {
-            assert_eq!(Backend::parse(backend.token()), Some(backend));
-            assert_eq!(backend.to_string(), backend.token());
-        }
-        assert_eq!(Backend::parse("turbo"), None);
-        assert_eq!(Backend::parse("Scalar"), None, "tokens are exact");
-        assert_eq!(Backend::default(), Backend::Scalar);
     }
 }

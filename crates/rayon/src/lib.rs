@@ -11,7 +11,9 @@
 //!   `Range<usize>` — order-preserving sweep fan-out, plus
 //!   `map_init(..)` for per-worker scratch (the GEMM column-tile jobs),
 //! * [`ThreadPoolBuilder`] / [`current_num_threads`] — the `--jobs`
-//!   knob.
+//!   knob — and `ThreadPoolBuilder::new().num_threads(n).build()?
+//!   .install(f)`, which runs `f` at `n` workers without touching the
+//!   process-wide count.
 //!
 //! Parallelism is plain `std::thread::scope` over contiguous blocks: the
 //! item list is split into one block per worker, each worker runs its
@@ -22,20 +24,30 @@
 //! rests on.
 //!
 //! Unlike upstream rayon, [`ThreadPoolBuilder::build_global`] here is
-//! idempotent and re-configurable — tests toggle the worker count
-//! between cases to prove serial/parallel equivalence.
+//! idempotent and re-configurable. A [`ThreadPool`] owns no threads: it
+//! is a worker count that [`ThreadPool::install`] scopes to the calling
+//! thread (and to the workers its parallel calls fan out to), so tests
+//! running side by side can each pin their own count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configured global worker count; 0 means "not set, use the host".
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Errors from [`ThreadPoolBuilder::build_global`] (never produced by
-/// this shim; the signature matches upstream so call sites can `?`/log).
+thread_local! {
+    /// Worker count of the [`ThreadPool::install`] this thread runs in;
+    /// 0 outside any.
+    static INSTALLED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Errors from [`ThreadPoolBuilder::build`] and
+/// [`ThreadPoolBuilder::build_global`] (never produced by this shim;
+/// the signatures match upstream so call sites can `?`/log).
 #[derive(Debug)]
 pub struct ThreadPoolBuildError;
 
@@ -73,12 +85,63 @@ impl ThreadPoolBuilder {
         NUM_THREADS.store(self.num_threads, Ordering::SeqCst);
         Ok(())
     }
+
+    /// Builds a pool of this many workers (the host count for 0) for
+    /// [`ThreadPool::install`].
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let num_threads = match self.num_threads {
+            0 => host_threads(),
+            n => n,
+        };
+        Ok(ThreadPool { num_threads })
+    }
 }
 
-/// The number of workers parallel operations will fan out to.
+/// A worker count scoped to the closures [`ThreadPool::install`] runs.
+#[derive(Debug)]
+pub struct ThreadPool {
+    num_threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` on the calling thread with this pool's worker count:
+    /// every parallel operation inside it, nested ones included, fans
+    /// out to [`ThreadPool::current_num_threads`] workers, whatever the
+    /// process-wide count. The previous scope is restored on return,
+    /// also by a panic.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED.with(|c| c.replace(self.num_threads)));
+        op()
+    }
+
+    /// This pool's worker count.
+    pub fn current_num_threads(&self) -> usize {
+        self.num_threads
+    }
+}
+
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The number of workers parallel operations will fan out to: the
+/// installed pool's, else the process-wide count, else the host's.
 pub fn current_num_threads() -> usize {
-    match NUM_THREADS.load(Ordering::SeqCst) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    match INSTALLED.with(Cell::get) {
+        0 => match NUM_THREADS.load(Ordering::SeqCst) {
+            0 => host_threads(),
+            n => n,
+        },
         n => n,
     }
 }
@@ -112,7 +175,8 @@ where
             .map(|item| f(&mut state, item))
             .collect::<Vec<O>>()
     };
-    let workers = current_num_threads().max(1).min(items.len().max(1));
+    let threads = current_num_threads();
+    let workers = threads.max(1).min(items.len().max(1));
     if workers <= 1 || items.len() <= 1 {
         return run(items);
     }
@@ -129,11 +193,16 @@ where
     blocks.push(rest);
 
     let run = &run;
+    // Workers inherit the caller's count, so nested calls fan out as
+    // they would on the caller's thread.
+    let pool = &ThreadPool {
+        num_threads: threads,
+    };
     let mut out: Vec<Vec<O>> = Vec::with_capacity(blocks.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = blocks
             .into_iter()
-            .map(|b| scope.spawn(move || run(b)))
+            .map(|b| scope.spawn(move || pool.install(|| run(b))))
             .collect();
         for h in handles {
             match h.join() {
@@ -317,17 +386,12 @@ mod tests {
     use super::prelude::*;
     use super::*;
 
-    fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    fn with_workers<R: Send>(n: usize, f: impl FnOnce() -> R + Send) -> R {
         ThreadPoolBuilder::new()
             .num_threads(n)
-            .build_global()
-            .unwrap();
-        let r = f();
-        ThreadPoolBuilder::new()
-            .num_threads(0)
-            .build_global()
-            .unwrap();
-        r
+            .build()
+            .unwrap()
+            .install(f)
     }
 
     #[test]
@@ -394,7 +458,19 @@ mod tests {
 
     #[test]
     fn current_num_threads_tracks_builder() {
-        with_workers(6, || assert_eq!(current_num_threads(), 6));
+        with_workers(6, || {
+            assert_eq!(current_num_threads(), 6);
+            with_workers(2, || assert_eq!(current_num_threads(), 2));
+            assert_eq!(current_num_threads(), 6, "the outer scope is restored");
+            // Workers of a parallel call see the installing thread's count.
+            let seen: Vec<usize> = (0..4usize)
+                .into_par_iter()
+                .map(|_| current_num_threads())
+                .collect();
+            assert_eq!(seen, [6; 4]);
+        });
+        let pool = ThreadPoolBuilder::new().num_threads(0).build().unwrap();
+        assert!(pool.current_num_threads() >= 1, "0 is the host count");
         assert!(current_num_threads() >= 1);
     }
 

@@ -228,6 +228,20 @@ impl Default for SmConfig {
     }
 }
 
+/// The most units any one counter of [`crate::simulate`] charges per MAC
+/// of the tile-padded shape. The largest counter is `P(B_x)_k`'s
+/// register-file bits at DP-4 with INT4 weights: 23.5 per MAC (16 A bits,
+/// since every packed word re-fetches the aligned A sub-tile, plus C and
+/// B bits). Rounded up to a power of two; the dataflow test
+/// `no_counter_exceeds_the_per_mac_bound` pins it.
+pub const MAX_COUNTER_PER_MAC: u64 = 32;
+
+/// The most MACs a [`GemmShape`] may hold once padded to the warp-tile
+/// grid, 2⁵⁹ − 1: at [`MAX_COUNTER_PER_MAC`] units per MAC, no u64
+/// counter of [`crate::simulate`] can wrap. `m16n16k1073741824` holds 2³⁸
+/// MACs and the largest LLaMA-2-7B layer at batch 512 about 2³⁴.
+pub const MAX_MACS: u64 = u64::MAX / MAX_COUNTER_PER_MAC;
+
 /// The GEMM shape `C[m,n] = A[m,k] × B[k,n]` in the paper's `mXnYkZ`
 /// notation (`m16n4096k4096` is a Llama2-7B FFN layer at batch 16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -252,12 +266,28 @@ impl GemmShape {
         GemmShape { m, n, k }
     }
 
-    /// Creates a shape from untrusted extents, rejecting zeros with a
-    /// typed error instead of panicking.
+    /// Creates a shape from untrusted extents, rejecting with a typed
+    /// error instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`PacqError::ZeroDim`] for a zero extent and
+    /// [`PacqError::ShapeTooLarge`] when the tile-padded shape holds more
+    /// than [`MAX_MACS`] MACs.
     pub fn try_new(m: usize, n: usize, k: usize) -> PacqResult<Self> {
+        const CONTEXT: &str = "GemmShape::try_new";
         if m == 0 || n == 0 || k == 0 {
-            return Err(PacqError::ZeroDim {
-                context: "GemmShape::try_new",
+            return Err(PacqError::ZeroDim { context: CONTEXT });
+        }
+        let padded = |e: usize| e.div_ceil(16) as u128 * 16;
+        let macs = padded(m)
+            .checked_mul(padded(n))
+            .and_then(|mn| mn.checked_mul(padded(k)));
+        if macs.is_none_or(|macs| macs > u128::from(MAX_MACS)) {
+            return Err(PacqError::ShapeTooLarge {
+                context: CONTEXT,
+                extents: (m, n, k),
+                max: MAX_MACS,
             });
         }
         Ok(GemmShape { m, n, k })
@@ -367,6 +397,35 @@ mod tests {
         assert_eq!(ragged.warp_tiles(), padded.warp_tiles());
         let aligned = GemmShape::new(16, 4096, 4096);
         assert_eq!(aligned.padded_to_tiles(), aligned);
+    }
+
+    #[test]
+    fn try_new_bounds_the_padded_mac_count() {
+        let too_large = |m, n, k| {
+            let err = GemmShape::try_new(m, n, k).unwrap_err();
+            assert!(matches!(err, PacqError::ShapeTooLarge { .. }), "{err}");
+            assert_eq!(err.exit_code(), 3, "{err}");
+        };
+        assert!(GemmShape::try_new(16, 16, 1 << 30).is_ok());
+        // n = k = 16 leaves 2⁵⁹ / 256 = 2⁵¹ MACs' worth of rows: the last
+        // tile row below it fits, the first one at it does not.
+        let edge = (1usize << 51) - 16;
+        assert_eq!(
+            GemmShape::try_new(edge, 16, 16)
+                .unwrap()
+                .padded_to_tiles()
+                .macs(),
+            MAX_MACS - 4095
+        );
+        too_large(1 << 51, 16, 16);
+        // Padding counts: one ragged row past the edge pads into the next tile.
+        too_large(edge + 1, 16, 16);
+        too_large(1 << 62, 16, 16);
+        too_large(usize::MAX, usize::MAX, usize::MAX);
+        assert!(matches!(
+            GemmShape::try_new(0, usize::MAX, 16),
+            Err(PacqError::ZeroDim { .. })
+        ));
     }
 
     #[test]

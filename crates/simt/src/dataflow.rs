@@ -493,6 +493,7 @@ fn general_core_ops(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_COUNTER_PER_MAC;
     use pacq_error::PacqError;
 
     fn volta() -> SmConfig {
@@ -597,6 +598,88 @@ mod tests {
         assert_eq!(big.rf.a_reads, 2 * small.rf.a_reads);
         assert_eq!(big.rf.b_reads, 2 * small.rf.b_reads);
         assert_eq!(big.dram.write_bits, 2 * small.dram.write_bits);
+    }
+
+    #[test]
+    fn no_counter_exceeds_the_per_mac_bound() {
+        // Every counter, and every sum of counters the report prices,
+        // stays within MAX_COUNTER_PER_MAC per padded MAC on every flow,
+        // precision, datapath, group geometry and ragged edge.
+        let groups = [
+            GroupShape::new(1, 1),
+            GroupShape::along_k(16),
+            GroupShape::G128,
+            GroupShape::G32X4,
+        ];
+        let shapes = [(1, 1, 1), (16, 16, 16), (17, 33, 65), (48, 16, 256)];
+        for arch in Architecture::ALL {
+            for precision in WeightPrecision::ALL {
+                for (dp_width, dup) in [(4, 1), (8, 2), (16, 4)] {
+                    let cfg = SmConfig {
+                        dp_width,
+                        adder_tree_duplication: dup,
+                        ..volta()
+                    };
+                    for group in groups {
+                        for (m, n, k) in shapes {
+                            let shape = GemmShape::new(m, n, k);
+                            let s = simulate(arch, Workload::new(shape, precision), &cfg, group)
+                                .unwrap();
+                            let bound = MAX_COUNTER_PER_MAC * shape.padded_to_tiles().macs();
+                            let ops = s.ops;
+                            for (name, v) in [
+                                ("rf bits", s.rf.total_bits()),
+                                ("l1 bits", s.l1.read_bits + s.l1.write_bits),
+                                ("dram bits", s.dram.read_bits + s.dram.write_bits),
+                                ("fetches", s.fetch_instructions),
+                                ("cycles", s.total_cycles),
+                                ("scale fetches", ops.scale_fetches),
+                                ("converts", ops.inline_converts),
+                                ("fixups", ops.offset_fixups),
+                            ] {
+                                assert!(
+                                    v <= bound,
+                                    "{name} {v} > {bound}: {arch:?} {precision} DP-{dp_width} \
+                                     {group:?} m{m}n{n}k{k}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counters_at_the_largest_shape_do_not_wrap() {
+        // The largest accepted shape with n = k = 16: register-file
+        // traffic is linear in the tile rows, so it must be exactly
+        // (m / 16) times the one-tile figure — a wrapped product is not.
+        let m = (1usize << 51) - 16;
+        let edge = GemmShape::try_new(m, 16, 16).unwrap();
+        for arch in Architecture::ALL {
+            for precision in WeightPrecision::ALL {
+                let at = |shape| {
+                    simulate(
+                        arch,
+                        Workload::new(shape, precision),
+                        &volta(),
+                        GroupShape::G128,
+                    )
+                    .unwrap()
+                };
+                let (one, big) = (at(GemmShape::M16N16K16), at(edge));
+                let rows = (m / 16) as u128;
+                assert_eq!(
+                    u128::from(big.rf.total_bits()),
+                    u128::from(one.rf.total_bits()) * rows
+                );
+                assert_eq!(
+                    u128::from(big.rf.total_accesses()),
+                    u128::from(one.rf.total_accesses()) * rows
+                );
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod exec;
 pub mod pipeline;
 pub mod stats;
 
-pub use config::{Architecture, GemmShape, SmConfig, Workload};
+pub use config::{Architecture, GemmShape, SmConfig, Workload, MAX_MACS};
 pub use dataflow::simulate;
 pub use energy_model::{EnergyModel, EnergyReport, MulEnergyOverride};
 pub use exec::{execute, execute_with_backend, reference};

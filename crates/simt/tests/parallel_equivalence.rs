@@ -8,11 +8,7 @@
 //! the RTN / GPTQ / AWQ quantizers by running each computation at
 //! `jobs = 1` and `jobs = 4` and comparing raw f32 bit patterns.
 //!
-//! The job count is process-global, so every test serializes on a
-//! shared lock before touching the pool and restores the host default
-//! afterwards.
-//!
-//! The suite additionally pins the *backend* contract: the batched
+//! The suite additionally pins the batched kernel's contract: the
 //! column-tile kernel (`Backend::Batched`) must agree with the scalar
 //! reference to the last bit, at every job count — a three-way scalar ≡
 //! rayon ≡ batched check over the flows, precisions, numerics modes,
@@ -26,41 +22,18 @@ use pacq_quant::{
     PackDim, PackedMatrix, QuantizedMatrix, RtnQuantizer,
 };
 use pacq_simt::{execute, execute_with_backend, reference, Architecture};
-use std::sync::{Mutex, MutexGuard};
 
-/// Serializes pool reconfiguration across the test binary's threads.
-fn pool_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Restores the host-default pool even if a comparison panics.
-struct PoolGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for PoolGuard {
-    fn drop(&mut self) {
-        set_jobs(0);
-    }
-}
-
-fn set_jobs(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("the shim pool reconfigures freely");
-}
-
-/// Runs `f` at `jobs = 1` and `jobs = 4` and returns both results.
-fn at_1_and_4<T>(f: impl Fn() -> T) -> (T, T) {
-    let _guard = PoolGuard { _lock: pool_lock() };
-    set_jobs(1);
-    let serial = f();
-    set_jobs(4);
-    let parallel = f();
-    (serial, parallel)
+/// Runs `f` at `jobs = 1` and `jobs = 4` and returns both results. The
+/// job count is scoped to this thread, so tests run side by side.
+fn at_1_and_4<T: Send>(f: impl Fn() -> T + Send + Sync) -> (T, T) {
+    let at = |n| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .expect("the shim builds any pool")
+            .install(&f)
+    };
+    (at(1), at(4))
 }
 
 /// Asserts two f32 matrices agree to the last bit.
@@ -275,8 +248,9 @@ fn batched_backend_is_bit_identical_to_scalar_across_job_counts() {
 }
 
 /// Three-way equivalence over randomized shapes, precisions, group
-/// sizes and numerics modes — the property the backend selector relies
-/// on for every sweep point.
+/// sizes and numerics modes — the property that lets every execution
+/// path run the batched kernel and keep the scalar datapath as its
+/// reference.
 #[test]
 fn three_way_equivalence_over_randomized_shapes() {
     let mut state = 0x2545f4914f6cdd1du64;

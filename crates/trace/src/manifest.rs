@@ -37,7 +37,6 @@ pub struct RunManifest {
     args: Vec<String>,
     jobs: Option<usize>,
     effective_jobs: Option<usize>,
-    backend: Option<String>,
     arch_template: Option<String>,
     results: Vec<Json>,
     counters: Vec<(String, u64)>,
@@ -52,7 +51,6 @@ impl RunManifest {
             args: args.to_vec(),
             jobs: None,
             effective_jobs: None,
-            backend: None,
             arch_template: None,
             results: Vec::new(),
             counters: Vec::new(),
@@ -71,14 +69,6 @@ impl RunManifest {
     /// and the host default applied.
     pub fn with_effective_jobs(mut self, jobs: usize) -> Self {
         self.effective_jobs = Some(jobs);
-        self
-    }
-
-    /// Records the functional compute backend the run executed with
-    /// (`--backend` / `PACQ_BACKEND`) — provenance only, since both
-    /// backends produce bit-identical results.
-    pub fn with_backend(mut self, backend: impl Into<String>) -> Self {
-        self.backend = Some(backend.into());
         self
     }
 
@@ -142,9 +132,6 @@ impl RunManifest {
         };
         if let Some(jobs) = self.effective_jobs {
             invocation.set("effective_jobs", Json::from(jobs));
-        }
-        if let Some(backend) = &self.backend {
-            invocation.set("backend", Json::from(backend.as_str()));
         }
         if let Some(digest) = &self.arch_template {
             invocation.set("arch_template", Json::from(digest.as_str()));
@@ -251,11 +238,6 @@ pub fn validate_manifest(doc: &Json) -> PacqResult<()> {
             return fail("`invocation.effective_jobs` must be numeric when present");
         }
     }
-    if let Some(v) = invocation.get("backend") {
-        if v.as_str().is_none() {
-            return fail("`invocation.backend` must be a string when present");
-        }
-    }
     if let Some(v) = invocation.get("arch_template") {
         if v.as_str().is_none() {
             return fail("`invocation.arch_template` must be a string when present");
@@ -358,29 +340,6 @@ mod tests {
         if let Some(invocation) = bad.get("invocation").cloned() {
             let mut invocation = invocation;
             invocation.set("effective_jobs", Json::from("eight"));
-            bad.set("invocation", invocation);
-        }
-        assert!(validate_manifest(&bad).is_err());
-    }
-
-    #[test]
-    fn backend_is_optional_but_typed() {
-        // Absent: valid (pre-existing manifests).
-        validate_manifest(&sample().to_json()).unwrap();
-        // Present and a string: valid, and rendered under `invocation`.
-        let doc = sample().with_backend("batched").to_json();
-        validate_manifest(&doc).unwrap();
-        let v = doc
-            .get("invocation")
-            .and_then(|i| i.get("backend"))
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        assert_eq!(v.as_deref(), Some("batched"));
-        // Present but not a string: rejected.
-        let mut bad = sample().to_json();
-        if let Some(invocation) = bad.get("invocation").cloned() {
-            let mut invocation = invocation;
-            invocation.set("backend", Json::from(2u64));
             bad.set("invocation", invocation);
         }
         assert!(validate_manifest(&bad).is_err());

@@ -7,7 +7,7 @@
 //!   and reproduces the corresponding hardcoded builder bit for bit;
 //! - the volta-like and PacQ templates reproduce the hardcoded
 //!   configs' GemmReports bit-identically through `pacq exec --check`
-//!   on both compute backends;
+//!   (the batched kernel, checked against the scalar reference);
 //! - editing a template's content (even one access energy) changes its
 //!   digest and therefore every derived cache key — two machines that
 //!   price differently can never share a cache entry.
@@ -98,7 +98,7 @@ fn committed_examples_derive_the_hardcoded_machine() {
 }
 
 // ---------------------------------------------------------------------
-// Bit-identical reports through the CLI, on both backends.
+// Bit-identical reports through the CLI.
 // ---------------------------------------------------------------------
 
 /// The result digests `pacq exec` prints — the bit-identity witness
@@ -117,35 +117,24 @@ fn templates_reproduce_hardcoded_reports_through_exec_check() {
         ("pacq.toml", "pacq"),
         ("input_stationary.toml", "is"),
     ] {
-        for backend in ["scalar", "batched"] {
-            let base = [
-                "exec".to_string(),
-                "--shape".to_string(),
-                "m16n32k128".to_string(),
-                "--group".to_string(),
-                "g32".to_string(),
-                "--check".to_string(),
-                format!("--backend={backend}"),
-            ];
-            let mut builtin = base.to_vec();
-            builtin.extend(["--arch".to_string(), arch.to_string()]);
-            let builtin = pacq::cli::run(&builtin)
-                .unwrap_or_else(|e| panic!("builtin {arch}/{backend}: {e}"));
-            assert!(builtin.contains("check OK"), "{builtin}");
-
-            let mut templated = base.to_vec();
-            templated.extend(["--arch-template".to_string(), example(tpl)]);
-            let templated = pacq::cli::run(&templated)
-                .unwrap_or_else(|e| panic!("template {tpl}/{backend}: {e}"));
-            assert!(templated.contains("check OK"), "{templated}");
-
-            assert!(!digests(&builtin).is_empty(), "{builtin}");
-            assert_eq!(
-                digests(&builtin),
-                digests(&templated),
-                "{tpl} on {backend} must reproduce the hardcoded result bit for bit\nbuiltin: {builtin}\ntemplated: {templated}"
-            );
-        }
+        let run = |extra: [String; 2]| {
+            let mut argv: Vec<String> = "exec --shape m16n32k128 --group g32 --check"
+                .split(' ')
+                .map(String::from)
+                .collect();
+            argv.extend(extra);
+            let out = pacq::cli::run(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            assert!(out.contains("check OK"), "{out}");
+            out
+        };
+        let builtin = run(["--arch".to_string(), arch.to_string()]);
+        let templated = run(["--arch-template".to_string(), example(tpl)]);
+        assert!(!digests(&builtin).is_empty(), "{builtin}");
+        assert_eq!(
+            digests(&builtin),
+            digests(&templated),
+            "{tpl} must reproduce the hardcoded result bit for bit\nbuiltin: {builtin}\ntemplated: {templated}"
+        );
     }
 }
 

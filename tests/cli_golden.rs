@@ -2,11 +2,11 @@
 //! (text and `--json`), `compare`, every `sweep --param` form and
 //! `dse --pareto`, spawned as the real binary so argv parsing,
 //! rendering and exit status are pinned together. Also, the grid table
-//! must not depend on the report cache (cold or warm store) or on the
-//! compute backend; only the `cache:` footer line may differ, and the
-//! grid's `--metrics` manifest may differ across backends only in its
-//! run-local provenance. And `exec --check` must find both backends
-//! bit-identical on every dataflow and precision.
+//! must not depend on the report cache (cold or warm store): only the
+//! `cache:` footer line may differ, and the grid's `--metrics` manifest
+//! only in its run-local provenance. And `exec --check` must find the
+//! batched kernel bit-identical to the scalar reference on every
+//! dataflow and precision.
 //!
 //! To regenerate after an *intentional* output change:
 //!
@@ -41,7 +41,6 @@ fn spawn(args: &[&str]) -> Output {
         .args(args)
         .current_dir(workspace_root())
         .env_remove("PACQ_JOBS")
-        .env_remove("PACQ_BACKEND")
         .output()
         .unwrap_or_else(|e| panic!("spawn pacq: {e}"))
 }
@@ -149,27 +148,6 @@ fn analyze_and_compare_are_pinned() {
     );
 }
 
-#[test]
-fn grid_table_is_cache_and_backend_invariant() {
-    let dir = std::env::temp_dir().join(format!("pacq-cli-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = dir.to_string_lossy().into_owned();
-    let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
-
-    let cold = pacq(&[&grid[..], &["--cache", &store]].concat());
-    let warm = pacq(&[&grid[..], &["--cache", &store]].concat());
-    let batched = pacq(&[&grid[..], &["--backend", "batched"]].concat());
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let (cold, cold_footer) = split_cache_footer(&cold);
-    let (warm, warm_footer) = split_cache_footer(&warm);
-    assert_eq!(cold_footer, ["cache: 0 hits, 36 misses"]);
-    assert_eq!(warm_footer, ["cache: 36 hits, 0 misses"]);
-    assert_matches("cold --cache grid", &cold, GRID);
-    assert_matches("warm --cache grid", &warm, GRID);
-    assert_matches("--backend batched grid", &batched, GRID);
-}
-
 /// Removes `key` from a JSON object, returning its value.
 fn take(obj: &mut Json, key: &str) -> Option<Json> {
     match obj {
@@ -181,75 +159,112 @@ fn take(obj: &mut Json, key: &str) -> Option<Json> {
     }
 }
 
-/// The backend is a throughput knob, not a numerics knob (DESIGN.md
-/// §14): the grid sweep's `--metrics` manifests under `--backend
-/// scalar` and `--backend batched` must be equal once run-local
-/// provenance is stripped — wall-clock spans, creation time, the tool
-/// record, the counters of the cache, core and simulator layers and of
-/// executed jobs — and the recorded backend token is set aside (and
-/// checked).
+/// A `--metrics` manifest without its run-local provenance: wall-clock
+/// spans, creation time, the tool record, and the counters that differ
+/// between a cold and a warm pass (cache, core and simulator layers,
+/// executed jobs).
+fn without_run_local_provenance(mut doc: Json) -> Json {
+    for key in ["spans", "created_unix_s", "tool"] {
+        take(&mut doc, key);
+    }
+    if let Some(Json::Obj(counters)) = take(&mut doc, "counters") {
+        let kept: Vec<(String, Json)> = counters
+            .into_iter()
+            .filter(|(k, _)| {
+                !["cache.", "core.", "simt.", "sweep.jobs.executed"]
+                    .iter()
+                    .any(|p| k.starts_with(p))
+            })
+            .collect();
+        doc.set("counters", Json::Obj(kept));
+    }
+    doc
+}
+
+/// The grid table is the same from a cold `--cache` store, a warm one
+/// and no cache at all; only the `cache:` footer differs. The sweep
+/// has one compute path (the batched kernel, with the scalar units kept
+/// as its `exec --check` reference), so no backend setting remains that
+/// could change it.
+#[test]
+fn grid_table_is_cache_and_backend_invariant() {
+    let dir = std::env::temp_dir().join(format!("pacq-cli-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_string_lossy().into_owned();
+    let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
+
+    let cold = pacq(&[&grid[..], &["--cache", &store]].concat());
+    let warm = pacq(&[&grid[..], &["--cache", &store]].concat());
+    let uncached = pacq(&grid);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (cold, cold_footer) = split_cache_footer(&cold);
+    let (warm, warm_footer) = split_cache_footer(&warm);
+    assert_eq!(cold_footer, ["cache: 0 hits, 36 misses"]);
+    assert_eq!(warm_footer, ["cache: 36 hits, 0 misses"]);
+    assert_matches("cold --cache grid", &cold, GRID);
+    assert_matches("warm --cache grid", &warm, GRID);
+    assert_matches("uncached grid", &uncached, GRID);
+}
+
+/// The grid sweep twice through one `--cache` store with `--metrics`:
+/// the warm pass serves at least 95% of its reports from the store with
+/// no failed write, both manifests are equal once run-local provenance
+/// is stripped (cached results never drift from fresh ones, as results
+/// never depend on which compute path made them), and the store's
+/// integrity walk is clean.
 #[test]
 fn grid_manifest_is_backend_invariant() {
-    let dir = std::env::temp_dir().join(format!("pacq-cli-backend-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create manifest dir");
-    let payload = |backend: &str| -> Json {
-        let path = dir.join(format!("{backend}.json"));
-        let path = path.to_string_lossy();
-        let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
-        pacq(&[&grid[..], &["--backend", backend, "--metrics", &path]].concat());
-        let text = std::fs::read_to_string(&*path).expect("manifest written");
-        let mut d = Json::parse(&text).expect("manifest parses");
-        let invocation = match &mut d {
-            Json::Obj(entries) => entries
-                .iter_mut()
-                .find(|(k, _)| k == "invocation")
-                .map(|(_, v)| v),
-            _ => None,
-        }
-        .expect("manifest has an invocation");
-        let recorded = take(invocation, "backend");
-        assert_eq!(
-            recorded.as_ref().and_then(Json::as_str),
-            Some(backend),
-            "{path} recorded the wrong backend"
-        );
-        if let Some(Json::Arr(args)) = take(invocation, "args") {
-            let args: Vec<Json> = args
-                .into_iter()
-                .filter(|a| !matches!(a.as_str(), Some("scalar" | "batched")))
-                .collect();
-            invocation.set("args", Json::Arr(args));
-        }
-        for key in ["spans", "created_unix_s", "tool"] {
-            take(&mut d, key);
-        }
-        if let Some(Json::Obj(counters)) = take(&mut d, "counters") {
-            let kept: Vec<(String, Json)> = counters
-                .into_iter()
-                .filter(|(k, _)| {
-                    !["cache.", "core.", "simt.", "sweep.jobs.executed"]
-                        .iter()
-                        .any(|p| k.starts_with(p))
-                })
-                .collect();
-            d.set("counters", Json::Obj(kept));
-        }
-        d
-    };
-    let (scalar, batched) = (payload("scalar"), payload("batched"));
+    let dir = std::env::temp_dir().join(format!("pacq-cli-manifest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store").to_string_lossy().into_owned();
+    let pass = |name: &str| -> Json {
+        let path = dir
+            .join(format!("{name}.json"))
+            .to_string_lossy()
+            .into_owned();
+        let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
+        pacq(&[&grid[..], &["--cache", &store, "--metrics", &path]].concat());
+        let text = std::fs::read_to_string(&path).expect("manifest written");
+        Json::parse(&text).expect("manifest parses")
+    };
+    let cold_doc = pass("cold");
+    let warm_doc = pass("warm");
+    let verify = pacq(&["cache", "verify", "--dir", &store]);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let counter = |key: &str| {
+        warm_doc
+            .get("counters")
+            .and_then(|c| c.get(key))
+            .map_or(0.0, |v| v.as_num().expect("counters are numeric"))
+    };
+    let (hits, misses) = (counter("cache.hits"), counter("cache.misses"));
     assert!(
-        scalar
+        hits + misses > 0.0,
+        "the warm pass never consulted the cache"
+    );
+    let rate = hits / (hits + misses);
+    assert!(
+        rate >= 0.95,
+        "warm hit rate {rate} < 0.95 ({hits} hits, {misses} misses)"
+    );
+    assert_eq!(counter("cache.put_errors"), 0.0, "degraded cache writes");
+
+    let cold_doc = without_run_local_provenance(cold_doc);
+    assert!(
+        cold_doc
             .get("results")
             .and_then(Json::as_arr)
             .is_some_and(|r| !r.is_empty()),
         "the manifest must carry the grid's reports"
     );
     assert_eq!(
-        scalar.render(),
-        batched.render(),
-        "batched sweep manifest drifted from the scalar one"
+        cold_doc.render(),
+        without_run_local_provenance(warm_doc).render(),
+        "cached results drifted from fresh ones"
     );
+    assert!(verify.ends_with("entries verified OK\n"), "{verify}");
 }
 
 /// Malformed input is a usage error (exit 2) with a one-line
@@ -259,6 +274,7 @@ fn malformed_input_exits_2_without_a_panic() {
     for args in [
         &["analyze", "--shape", "m15n16k16"][..],
         &["sweep", "--param", "batch", "--jobs", "0"],
+        &["exec", "--shape", "m16n32k128", "--backend", "batched"],
     ] {
         let output = spawn(args);
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -267,8 +283,8 @@ fn malformed_input_exits_2_without_a_panic() {
     }
 }
 
-/// `pacq exec --check` runs the functional GEMM on both backends in one
-/// process and exits 7 unless every output bit agrees. Every dataflow
+/// `pacq exec --check` runs the batched kernel and the scalar reference
+/// in one process and exits 7 unless every output bit agrees. Every dataflow
 /// at both precisions must pass; only the bits are asserted, not the
 /// printed speed.
 #[test]
@@ -285,8 +301,6 @@ fn exec_check_is_bit_identical_for_every_arch_and_precision() {
                 arch.token(),
                 "--precision",
                 precision.token(),
-                "--backend",
-                "batched",
                 "--check",
             ];
             let out = pacq(&args);

@@ -439,19 +439,16 @@ fn cli_malformed_shape_has_usage_exit_code() {
 /// `pacq exec` synthesizes its operands, so an absurd shape must be
 /// refused by size before anything is allocated: a typed domain error
 /// (exit 4), not an abort or an OOM kill. Each shape exceeds the cap on
-/// one operand (activations, weights, results); the last would wrap a
-/// 64-bit element count.
+/// one operand (activations, weights, results). A shape whose element
+/// counts would wrap 64 bits is past the MAC bound and is refused as
+/// geometry first (`shapes_past_the_mac_bound_are_geometry_errors`).
 #[test]
 fn cli_exec_rejects_oversized_operands_before_allocating() {
     let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
     for (cmd, operand) in [
         ("exec --shape m16n16k1073741824", "activation"),
-        ("exec --shape m16n67108880k16 --backend batched", "weight"),
+        ("exec --shape m16n67108880k16", "weight"),
         ("exec --shape m16384n8192k16 --check", "result"),
-        (
-            "exec --shape m4294967296n4294967296k4294967296",
-            "activation",
-        ),
     ] {
         let err = cli::run(&argv(cmd)).unwrap_err();
         assert!(
@@ -466,4 +463,65 @@ fn cli_exec_rejects_oversized_operands_before_allocating() {
             "{cmd}: {msg}"
         );
     }
+}
+
+/// A shape whose tile-padded MAC count passes `pacq_simt::MAX_MACS`
+/// would wrap the simulator's u64 counters (`RF accesses: 0`, a 0 µJ
+/// register file). The CLI and a serve `analyze` frame refuse it as a
+/// typed geometry error (exit 3, class `shape`), just past the bound
+/// and at m = 2⁶²; the last shape inside the bound still counts.
+#[test]
+fn shapes_past_the_mac_bound_are_geometry_errors() {
+    use pacq::{ServeOptions, Server};
+    use pacq_trace::Json;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+    // n = k = 16 leaves room for 2⁵¹ rows' worth of MACs, exclusive.
+    let past = ["m2251799813685248n16k16", "m4611686018427387904n16k16"];
+    for shape in past {
+        for cmd in ["analyze", "compare", "exec"] {
+            let cmd = format!("{cmd} --shape {shape}");
+            let err = cli::run(&argv(&cmd)).unwrap_err();
+            assert!(
+                matches!(err, PacqError::ShapeTooLarge { .. }),
+                "{cmd}: {err}"
+            );
+            assert_eq!(err.exit_code(), 3, "{cmd}");
+        }
+    }
+    let edge = cli::run(&argv("analyze --shape m2251799813685232n16k16")).expect("in bounds");
+    assert!(
+        edge.contains("RF accesses:     216172782113782272"),
+        "{edge}"
+    );
+
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default(), None).expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    for (id, shape) in past.iter().enumerate() {
+        writeln!(writer, r#"{{"op":"analyze","id":{id},"shape":"{shape}"}}"#).expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        let error = Json::parse(&line)
+            .ok()
+            .and_then(|frame| frame.get("error").cloned())
+            .unwrap_or_else(|| panic!("{shape}: not an error frame: {line}"));
+        assert_eq!(
+            error.get("class").and_then(Json::as_str),
+            Some("shape"),
+            "{line}"
+        );
+        assert_eq!(
+            error.get("exit_code").and_then(Json::as_num),
+            Some(3.0),
+            "{line}"
+        );
+    }
+    writeln!(writer, r#"{{"op":"shutdown","id":9}}"#).expect("send");
+    drop(writer);
+    drop(reader);
+    server.wait().expect("clean drain");
 }

@@ -332,66 +332,6 @@ fn server_cli_and_runner_agree_bit_exactly_cold_and_warm() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Backend conformance: a server running the batched SoA backend must
-/// answer every request with replies *byte-identical* to the scalar
-/// reference server — the serve-layer face of the workspace-wide
-/// scalar ≡ batched bit-exactness contract.
-#[test]
-fn batched_backend_serves_bit_identical_replies() {
-    let bind = |backend| {
-        Server::bind(
-            "127.0.0.1:0",
-            ServeOptions {
-                queue_capacity: 16,
-                workers: 2,
-                backend,
-                ..ServeOptions::default()
-            },
-            None,
-        )
-        .expect("bind server")
-    };
-    let scalar = bind(pacq::Backend::Scalar);
-    let batched = bind(pacq::Backend::Batched);
-
-    let mut rng = TestRng::for_property("serve_conformance::backends");
-    let cases: Vec<Case> = (0..40).map(|_| random_case(&mut rng)).collect();
-
-    let mut scalar_client = Client::connect(&scalar);
-    let mut batched_client = Client::connect(&batched);
-    for (id, case) in cases.iter().enumerate() {
-        let a = scalar_client.roundtrip(&case.frame(id));
-        let b = batched_client.roundtrip(&case.frame(id));
-        assert_eq!(
-            a, b,
-            "case {id} ({case:?}): batched reply drifted from scalar"
-        );
-        let frame = Json::parse(&a).expect("reply parses");
-        assert_eq!(frame.get("ok"), Some(&Json::Bool(true)), "case {id}: {a}");
-    }
-
-    // The stats endpoint names the backend each server runs.
-    let stats = |client: &mut Client| {
-        let reply =
-            Json::parse(&client.roundtrip("{\"op\":\"stats\",\"id\":777}")).expect("stats parses");
-        reply
-            .get("stats")
-            .and_then(|s| s.get("backend"))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    };
-    assert_eq!(stats(&mut scalar_client).as_deref(), Some("scalar"));
-    assert_eq!(stats(&mut batched_client).as_deref(), Some("batched"));
-
-    for (client, server) in [(scalar_client, scalar), (batched_client, batched)] {
-        let mut client = client;
-        client.roundtrip("{\"op\":\"shutdown\",\"id\":778}");
-        drop(client);
-        let summary = server.wait().expect("clean drain");
-        assert_eq!(summary.errors, 0);
-    }
-}
-
 /// The `--stdio` lifecycle speaks the same protocol: drive the
 /// installed binary (when present) end-to-end through a pipe. Falls
 /// back to the in-process TCP server when the binary is missing (e.g.
