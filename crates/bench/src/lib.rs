@@ -91,20 +91,9 @@ impl Metrics {
         if let Some(cache) = &self.knobs.cache {
             println!("\ncache: {} hits, {} misses", cache.hits(), cache.misses());
         }
+        self.knobs
+            .finish_metrics(self.binary, &self.args, Some(self.jobs), true)?;
         if let Some(path) = &self.knobs.metrics {
-            let invocation = self
-                .args
-                .without(&format!("{} --arch-template", pacq::cli::GLOBAL_FLAGS));
-            let mut manifest = pacq_trace::RunManifest::new(self.binary, &invocation);
-            manifest = manifest
-                .with_jobs(self.jobs)
-                .with_effective_jobs(rayon::current_num_threads());
-            if let Some(t) = self.template() {
-                manifest = manifest.with_arch_template(t.digest());
-            }
-            manifest.gather();
-            pacq_trace::disable();
-            manifest.write_to(path)?;
             println!("\nwrote metrics manifest -> {path}");
         }
         Ok(())

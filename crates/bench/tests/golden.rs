@@ -132,6 +132,30 @@ fn figure_binaries_take_the_pacq_knobs_and_nothing_else() {
     let dir = std::env::temp_dir().join(format!("pacq-fig9-hot-{}", std::process::id()));
     exits(fig9, &["--cache", &dir.to_string_lossy(), "--hot=4"], 0);
     let _ = std::fs::remove_dir_all(&dir);
-    // The CI smoke step runs `fig7 --jobs 2`.
+    // An explicit worker count runs a figure clean.
     exits(env!("CARGO_BIN_EXE_fig7"), &["--jobs", "2"], 0);
+}
+
+/// A figure binary's `--metrics` manifest is schema-valid, names the
+/// binary that wrote it and records the job count it ran with.
+#[test]
+fn figure_manifest_is_schema_valid_and_records_its_jobs() {
+    let path = std::env::temp_dir().join(format!("pacq-fig9-metrics-{}.json", std::process::id()));
+    exits(
+        env!("CARGO_BIN_EXE_fig9"),
+        &["--metrics", &path.to_string_lossy()],
+        0,
+    );
+    let text = std::fs::read_to_string(&path).expect("manifest written");
+    let _ = std::fs::remove_file(&path);
+    let doc = pacq_trace::Json::parse(&text).expect("manifest parses");
+    pacq_trace::validate_manifest(&doc).expect("schema-valid manifest");
+    let invocation = doc.get("invocation").expect("invocation block");
+    assert_eq!(
+        invocation.get("binary").and_then(pacq_trace::Json::as_str),
+        Some("fig9"),
+        "{text}"
+    );
+    let jobs = invocation.get("jobs").and_then(pacq_trace::Json::as_num);
+    assert!(jobs.is_some_and(|j| j >= 1.0), "{text}");
 }

@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 use std::fs;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -106,7 +106,9 @@ impl SweepCheckpoint {
     /// Opens (or creates) the checkpoint at `path` for the grid
     /// identified by `grid_digest`, loading the set of already-completed
     /// job ids. A truncated trailing line — the tail of a write that a
-    /// kill interrupted — is tolerated and dropped.
+    /// kill interrupted — is tolerated and dropped, and so is a torn
+    /// header: a file with no newline that is a prefix of this run's
+    /// header line is re-stamped, as an empty one is.
     ///
     /// # Errors
     ///
@@ -116,81 +118,71 @@ impl SweepCheckpoint {
     /// - [`PacqError::Io`] if the file cannot be read or created.
     pub fn open(path: impl Into<PathBuf>, grid_digest: &str) -> PacqResult<SweepCheckpoint> {
         let path = path.into();
+        let io = |e| io_err("SweepCheckpoint::open", &path, e);
+        let header = format!("{CHECKPOINT_SCHEMA} {grid_digest}\n");
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(io(e)),
+        };
+        // Nothing is committed before the header's newline: the create
+        // (and maybe part of the header) landed, the rest did not. Any
+        // other newline-less file is someone else's and is never
+        // overwritten.
+        let fresh = !bytes.contains(&b'\n') && header.as_bytes().starts_with(&bytes);
         let mut done = HashSet::new();
-        let mut needs_header = true;
-        match File::open(&path) {
-            Ok(f) => {
-                let mut lines = BufReader::new(f).lines();
-                let header = match lines.next() {
-                    Some(line) => {
-                        needs_header = false;
-                        line.map_err(|e| io_err("SweepCheckpoint::open", &path, e))?
-                    }
-                    // Zero-length file: the create was committed but the
-                    // header write was not; treat as fresh and re-stamp.
-                    None => format!("{CHECKPOINT_SCHEMA} {grid_digest}"),
-                };
-                let mut parts = header.split_whitespace();
-                let (schema, digest) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-                if schema != CHECKPOINT_SCHEMA {
-                    return Err(PacqError::invalid_input(
-                        "SweepCheckpoint::open",
-                        format!(
-                            "{} is not a {CHECKPOINT_SCHEMA} file (header `{schema}`)",
-                            path.display()
-                        ),
-                    ));
-                }
-                if digest != grid_digest {
-                    return Err(PacqError::invalid_input(
-                        "SweepCheckpoint::open",
-                        format!(
-                            "checkpoint {} belongs to a different run \
-                             (has {digest}, this grid × machine × template \
-                             binding is {grid_digest}); \
-                             pass a fresh --checkpoint path or delete it",
-                            path.display()
-                        ),
-                    ));
-                }
-                for line in lines {
-                    let line = line.map_err(|e| io_err("SweepCheckpoint::open", &path, e))?;
-                    // A line is committed iff its `.` terminator made it
-                    // to disk; a torn tail (kill mid-append) has no
-                    // terminator and is dropped, so that job re-runs.
-                    // Re-running a completed job is safe (deterministic,
-                    // cached); skipping an incomplete one is not.
-                    match line.strip_suffix('.') {
-                        Some(id) if !id.is_empty() => {
-                            done.insert(id.to_string());
-                        }
-                        _ => {}
-                    }
-                }
+        if !fresh {
+            let text = String::from_utf8_lossy(&bytes);
+            let mut lines = text.lines();
+            let mut parts = lines.next().unwrap_or("").split_whitespace();
+            let (schema, digest) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+            let mismatch =
+                |message| Err(PacqError::invalid_input("SweepCheckpoint::open", message));
+            if schema != CHECKPOINT_SCHEMA {
+                return mismatch(format!(
+                    "{} is not a {CHECKPOINT_SCHEMA} file (header `{schema}`)",
+                    path.display()
+                ));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err("SweepCheckpoint::open", &path, e)),
+            if digest != grid_digest {
+                return mismatch(format!(
+                    "checkpoint {} belongs to a different run \
+                     (has {digest}, this grid × machine × template \
+                     binding is {grid_digest}); \
+                     pass a fresh --checkpoint path or delete it",
+                    path.display()
+                ));
+            }
+            // A line is committed iff its `.` terminator made it to
+            // disk; a torn tail (kill mid-append) has no terminator and
+            // is dropped, so that job re-runs. Re-running a completed
+            // job is safe (deterministic, cached); skipping an
+            // incomplete one is not.
+            done.extend(
+                lines
+                    .filter_map(|line| line.strip_suffix('.'))
+                    .filter(|id| !id.is_empty())
+                    .map(String::from),
+            );
         }
 
         let mut file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| io_err("SweepCheckpoint::open", &path, e))?;
-        if needs_header {
-            writeln!(file, "{CHECKPOINT_SCHEMA} {grid_digest}")
-                .map_err(|e| io_err("SweepCheckpoint::open", &path, e))?;
+            .map_err(io)?;
+        // A torn header is re-stamped whole; a torn record is closed
+        // with a bare newline so the first new record does not
+        // concatenate onto it.
+        let tail = if fresh {
+            file.set_len(0).map_err(io)?;
+            header.as_str()
+        } else if bytes.last() == Some(&b'\n') {
+            ""
         } else {
-            // If the previous run died mid-append, the file ends with a
-            // torn, unterminated line; close it with a bare newline so
-            // the first new record does not concatenate onto it.
-            let ends_with_newline = fs::read(&path)
-                .map(|bytes| bytes.last() == Some(&b'\n'))
-                .unwrap_or(true);
-            if !ends_with_newline {
-                writeln!(file).map_err(|e| io_err("SweepCheckpoint::open", &path, e))?;
-            }
-        }
+            "\n"
+        };
+        file.write_all(tail.as_bytes()).map_err(io)?;
         Ok(SweepCheckpoint {
             path,
             inner: Mutex::new(CheckpointInner { file, done }),
@@ -220,9 +212,9 @@ impl SweepCheckpoint {
         }
     }
 
-    /// Records `job_id` as completed, durably (append + flush). The
-    /// trailing `.` terminator is what distinguishes a fully written
-    /// line from one torn by a kill.
+    /// Records `job_id` as completed with one append of its whole
+    /// line. The trailing `.` terminator is what distinguishes a fully
+    /// written line from one torn by a kill.
     ///
     /// # Errors
     ///
@@ -233,8 +225,9 @@ impl SweepCheckpoint {
             context: "SweepCheckpoint::mark_done",
             message: "checkpoint lock poisoned by a panicking worker".to_string(),
         })?;
-        writeln!(inner.file, "{job_id}.")
-            .and_then(|()| inner.file.flush())
+        inner
+            .file
+            .write_all(format!("{job_id}.\n").as_bytes())
             .map_err(|e| io_err("SweepCheckpoint::mark_done", &self.path, e))?;
         inner.done.insert(job_id.to_string());
         Ok(())
@@ -310,6 +303,46 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A killed run leaves a byte prefix of its checkpoint. Every prefix
+    /// must reopen with exactly the records whose `.` made it in, and
+    /// leave a file the resumed run can keep appending to.
+    #[test]
+    fn every_prefix_of_a_checkpoint_reopens_with_its_complete_records() {
+        let path = tmpfile("prefix");
+        let digest = grid_digest("grid-p");
+        let ids = ["b16:pacq:int4", "b32:std:int2", "b64:packedk:int4"];
+        {
+            let ckpt = SweepCheckpoint::open(&path, &digest).unwrap();
+            for id in ids {
+                ckpt.mark_done(id).unwrap();
+            }
+        }
+        let full = std::fs::read(&path).unwrap();
+        let header_len = CHECKPOINT_SCHEMA.len() + digest.len() + 2;
+        // Offset just past each record's `.` terminator.
+        let ends: Vec<usize> = ids
+            .iter()
+            .scan(header_len, |end, id| {
+                *end += id.len() + 2;
+                Some(*end - 1)
+            })
+            .collect();
+        for len in 0..=full.len() {
+            std::fs::write(&path, &full[..len]).unwrap();
+            let ckpt = SweepCheckpoint::open(&path, &digest)
+                .unwrap_or_else(|e| panic!("prefix of {len} bytes: {e}"));
+            let complete = ends.iter().filter(|&&end| end <= len).count();
+            assert_eq!(ckpt.done_count(), complete, "prefix of {len} bytes");
+            for id in ids {
+                ckpt.mark_done(id).unwrap();
+            }
+            drop(ckpt);
+            let resumed = SweepCheckpoint::open(&path, &digest).unwrap();
+            assert_eq!(resumed.done_count(), ids.len(), "prefix of {len} bytes");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn checkpoint_for_a_different_grid_is_a_typed_error() {
         let path = tmpfile("mismatch");
@@ -323,11 +356,15 @@ mod tests {
     #[test]
     fn foreign_file_is_rejected_not_overwritten() {
         let path = tmpfile("foreign");
-        std::fs::write(&path, "important notes\n").unwrap();
-        let err = SweepCheckpoint::open(&path, &grid_digest("grid-a")).unwrap_err();
-        assert!(err.to_string().contains(CHECKPOINT_SCHEMA));
-        // The file must be untouched.
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "important notes\n");
+        // With or without a newline: only a prefix of this run's own
+        // header counts as a torn checkpoint.
+        for notes in ["important notes\n", "important notes"] {
+            std::fs::write(&path, notes).unwrap();
+            let err = SweepCheckpoint::open(&path, &grid_digest("grid-a")).unwrap_err();
+            assert!(err.to_string().contains(CHECKPOINT_SCHEMA));
+            // The file must be untouched.
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), notes);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -126,8 +126,8 @@ histograms are priced through the energy BOM, and each activity-derived
 pJ/op figure must match its analytic counterpart within the declared
 tolerance (--tolerance, or the template's audit.activity_tolerance, or
 the documented default — see DESIGN.md). --activity-scale S multiplies
-the BOM's per-toggle energies (CI smokes the exit-7 mismatch path with
-a deliberately perturbed BOM). Both numbers and the toggle histogram
+the BOM's per-toggle energies (the tests smoke the exit-7 mismatch path
+with a deliberately perturbed BOM). Both numbers and the toggle histogram
 go to the --metrics manifest. `pacq audit --activity` is the only
 audit form that accepts --arch-template (solely for the pinned
 tolerance).
@@ -278,6 +278,37 @@ impl Knobs {
         }
         Ok(runner)
     }
+
+    /// With `--metrics PATH`, drains the collector into the run manifest
+    /// of `binary` (its argv without the global flags, the requested
+    /// `jobs`, the effective pool size, the template digest) and, if
+    /// `write`, writes it to PATH; a failed run only drains.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PacqError::Io`] (exit code 6) when the write fails.
+    pub fn finish_metrics(
+        &self,
+        binary: &str,
+        args: &Args,
+        jobs: Option<usize>,
+        write: bool,
+    ) -> PacqResult<()> {
+        let Some(path) = &self.metrics else {
+            return Ok(());
+        };
+        let invocation = args.without(&format!("{GLOBAL_FLAGS} --arch-template"));
+        let mut manifest = RunManifest::new(binary, &invocation)
+            .with_jobs(jobs)
+            .with_effective_jobs(rayon::current_num_threads())
+            .with_arch_template(self.template.as_ref().map(ArchTemplate::digest));
+        manifest.gather();
+        pacq_trace::disable();
+        if write {
+            manifest.write_to(path)?;
+        }
+        Ok(())
+    }
 }
 
 /// Loads, parses and validates the `--arch-template` file. I/O failures
@@ -323,22 +354,7 @@ pub fn run(argv: &[String]) -> PacqResult<String> {
         pacq_trace::enable();
     }
     let result = dispatch(name, &args, &knobs);
-    if let Some(path) = &knobs.metrics {
-        let invocation = args.without(&format!("{GLOBAL_FLAGS} --arch-template"));
-        let mut manifest = RunManifest::new("pacq", &invocation);
-        if let Some(j) = knobs.jobs {
-            manifest = manifest.with_jobs(j);
-        }
-        manifest = manifest.with_effective_jobs(rayon::current_num_threads());
-        if let Some(t) = &knobs.template {
-            manifest = manifest.with_arch_template(t.digest());
-        }
-        manifest.gather();
-        pacq_trace::disable();
-        if result.is_ok() {
-            manifest.write_to(path)?;
-        }
-    }
+    knobs.finish_metrics("pacq", &args, knobs.jobs, result.is_ok())?;
     result
 }
 
@@ -1175,7 +1191,7 @@ crossover checks (FP16/INT4/INT2 weights)\n"
 /// Tolerance resolution: `--tolerance` and a template's
 /// `audit.activity_tolerance` conflict; either alone wins over
 /// [`activity::DEFAULT_TOLERANCE`]. `--activity-scale` multiplies the
-/// BOM's per-toggle energies (CI uses it to smoke the mismatch path).
+/// BOM's per-toggle energies (tests use it to smoke the mismatch path).
 fn audit_activity(
     tolerance_flag: Option<f64>,
     scale: Option<f64>,
@@ -2043,11 +2059,18 @@ mod tests {
             .iter()
             .find(|r| r.get("kind").and_then(pacq_trace::Json::as_str) == Some("dse.pareto"))
             .unwrap_or_else(|| panic!("no dse.pareto record in {text}"));
+        let count = |key: &str| pareto.get(key).and_then(pacq_trace::Json::as_num);
+        assert_eq!(count("points_ranked"), Some(16.0), "{text}");
+        assert_eq!(count("points_excluded"), Some(0.0), "{text}");
         let front = pareto.get("front").and_then(|f| f.as_arr()).unwrap();
         assert!(!front.is_empty(), "{text}");
-        assert!(front.iter().all(|p| p.get("id").is_some()
-            && p.get("cycles").is_some()
-            && p.get("energy_pj").is_some()));
+        for point in front {
+            let pacq_trace::Json::Obj(fields) = point else {
+                panic!("front entry is not an object: {text}");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["id", "cycles", "energy_pj"], "{text}");
+        }
         std::fs::remove_file(&path).ok();
         // --pareto belongs to dse alone.
         assert!(run(&argv("sweep --param grid --shape m16n256k256 --pareto")).is_err());

@@ -27,8 +27,8 @@
 //!
 //! The target comes from exactly one of `--addr HOST:PORT` (a running
 //! server), `--ready-log FILE` (poll a server's stdout log for its
-//! ready frame — the CI pattern), or `--spawn` (bind an in-process
-//! [`Server`] on an ephemeral port, sharing this invocation's
+//! ready frame, as `tests/serve_load.rs` does), or `--spawn` (bind an
+//! in-process [`Server`] on an ephemeral port, sharing this invocation's
 //! `--cache`/`--hot`, and drain it when the run ends).
 
 use crate::args::Args;
@@ -300,7 +300,7 @@ fn log2_histogram(sorted_us: &[u64]) -> Vec<(u64, u64)> {
 // ---------------------------------------------------------------------
 
 /// Polls `path` for the server's `"event":"ready"` frame and returns
-/// its announced `addr`. This is how CI scripts find a `--port 0`
+/// its announced `addr`. This is how scripts and tests find a `--port 0`
 /// server: start it with stdout redirected to a log, point the harness
 /// at the log.
 fn wait_for_ready(path: &str) -> PacqResult<String> {

@@ -129,9 +129,9 @@ impl GemmRunner {
     /// Disables per-analysis result records in the metrics collector.
     ///
     /// Figure sweeps and `pacq exec` want one result record per point —
-    /// that is what the manifest-determinism CI job diffs. A serving
-    /// process answering an unbounded request stream must not: with
-    /// recording on, a million-request `pacq serve --metrics` run
+    /// that is what `tests/cli_golden.rs` diffs cold against warm. A
+    /// serving process answering an unbounded request stream must not:
+    /// with recording on, a million-request `pacq serve --metrics` run
     /// accumulates a million `gemm_report` records and renders a ~1 GB
     /// manifest at drain time. The serve path turns recording off and
     /// accounts for traffic through its `serve.*` counters instead.
@@ -185,7 +185,7 @@ impl GemmRunner {
         };
         // Cache hits record their result too, so a run served from the
         // store produces a manifest bit-identical (modulo timings) to a
-        // fresh one — the property the CI determinism job asserts.
+        // fresh one — the property `tests/cli_golden.rs` asserts.
         if self.record_results && pacq_trace::is_enabled() {
             pacq_trace::record_result(
                 format!("{}|{}", report.workload, report.arch),

@@ -305,6 +305,18 @@ impl ServerState {
         (Arc::new(state), rx)
     }
 
+    /// Starts the worker pool on this server's job queue (both
+    /// lifecycles share it).
+    fn spawn_workers(self: &Arc<Self>, jobs: Receiver<Job>) -> Vec<thread::JoinHandle<()>> {
+        let jobs = Arc::new(Mutex::new(jobs));
+        (0..self.options.workers)
+            .map(|_| {
+                let (jobs, state) = (Arc::clone(&jobs), Arc::clone(self));
+                thread::spawn(move || worker_loop(&jobs, &state))
+            })
+            .collect()
+    }
+
     fn summary(&self) -> ServeSummary {
         ServeSummary {
             served: self.served.load(Ordering::SeqCst),
@@ -360,6 +372,20 @@ fn error_frame(id: &Json, error: &PacqError) -> Json {
     let mut frame = base_frame(id);
     frame.set("ok", false);
     frame.set("error", detail);
+    frame
+}
+
+/// The frame announced when the server is ready; `addr` (TCP mode only)
+/// follows `event`.
+fn ready_frame(options: &ServeOptions, addr: Option<SocketAddr>) -> Json {
+    let mut frame = Json::object();
+    frame.set("schema", PROTOCOL);
+    frame.set("event", "ready");
+    if let Some(addr) = addr {
+        frame.set("addr", addr.to_string());
+    }
+    frame.set("workers", options.workers.to_string());
+    frame.set("queue_capacity", options.queue_capacity.to_string());
     frame
 }
 
@@ -915,13 +941,7 @@ impl Server {
         let listener = TcpListener::bind(addr).map_err(io_err)?;
         let local = listener.local_addr().map_err(io_err)?;
         let (state, jobs) = ServerState::new(options, cache, Some(local));
-        let jobs = Arc::new(Mutex::new(jobs));
-        let mut workers = Vec::with_capacity(options.workers);
-        for _ in 0..options.workers {
-            let jobs = Arc::clone(&jobs);
-            let state = Arc::clone(&state);
-            workers.push(thread::spawn(move || worker_loop(&jobs, &state)));
-        }
+        let workers = state.spawn_workers(jobs);
         let accept_state = Arc::clone(&state);
         let thread = thread::spawn(move || {
             let mut conns = Vec::new();
@@ -992,20 +1012,6 @@ impl Server {
             .join()
             .map_err(|_| PacqError::protocol("serve::wait", "server thread panicked"))
     }
-
-    /// The frame announced on stdout when the server is ready.
-    fn ready_frame(&self) -> Json {
-        let mut frame = Json::object();
-        frame.set("schema", PROTOCOL);
-        frame.set("event", "ready");
-        frame.set("addr", self.addr.to_string());
-        frame.set("workers", self.state.options.workers.to_string());
-        frame.set(
-            "queue_capacity",
-            self.state.options.queue_capacity.to_string(),
-        );
-        frame
-    }
 }
 
 /// Serves `pacq-serve/v1` over stdin/stdout until EOF or a `shutdown`
@@ -1020,22 +1026,10 @@ pub fn serve_stdio(
     cache: Option<Arc<ReportCache>>,
 ) -> PacqResult<ServeSummary> {
     let (state, jobs) = ServerState::new(options, cache, None);
-    let jobs = Arc::new(Mutex::new(jobs));
-    let mut workers = Vec::with_capacity(options.workers);
-    for _ in 0..options.workers {
-        let jobs = Arc::clone(&jobs);
-        let state = Arc::clone(&state);
-        workers.push(thread::spawn(move || worker_loop(&jobs, &state)));
-    }
+    let workers = state.spawn_workers(jobs);
     let (tx, rx) = mpsc::channel::<String>();
     let writer = thread::spawn(move || writer_loop(rx, std::io::stdout().lock()));
-
-    let mut ready = Json::object();
-    ready.set("schema", PROTOCOL);
-    ready.set("event", "ready");
-    ready.set("workers", options.workers.to_string());
-    ready.set("queue_capacity", options.queue_capacity.to_string());
-    let _ = tx.send(ready.render_line());
+    let _ = tx.send(ready_frame(&options, None).render_line());
 
     reader_loop(std::io::stdin().lock(), &state, &tx);
     state.drain();
@@ -1119,8 +1113,9 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
             let server = Server::bind(&format!("127.0.0.1:{port}"), options, cache.clone())?;
             // Announce readiness immediately — with --port 0 the client
             // cannot know the port any other way.
+            let ready = ready_frame(&options, Some(server.addr()));
             let mut stdout = std::io::stdout().lock();
-            let _ = writeln!(stdout, "{}", server.ready_frame().render_line());
+            let _ = writeln!(stdout, "{}", ready.render_line());
             let _ = stdout.flush();
             server.wait()?
         }

@@ -61,8 +61,8 @@ impl ActivityBom {
     }
 
     /// Returns the BOM with every per-toggle energy multiplied by
-    /// `scale` — the perturbation knob CI uses to smoke the audit
-    /// mismatch path.
+    /// `scale` — the perturbation knob the tests use to smoke the
+    /// audit mismatch path.
     ///
     /// # Errors
     ///

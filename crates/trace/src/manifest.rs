@@ -58,9 +58,10 @@ impl RunManifest {
         }
     }
 
-    /// Records the user-requested worker count (`--jobs` / `PACQ_JOBS`).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
+    /// Records the user-requested worker count (`--jobs` / `PACQ_JOBS`;
+    /// `None` when the host default applied).
+    pub fn with_jobs(mut self, jobs: Option<usize>) -> Self {
+        self.jobs = jobs;
         self
     }
 
@@ -74,9 +75,10 @@ impl RunManifest {
 
     /// Records the content digest of the `--arch-template` file the run
     /// simulated under — the provenance that binds the manifest's
-    /// numbers to the exact template text that produced them.
-    pub fn with_arch_template(mut self, digest: impl Into<String>) -> Self {
-        self.arch_template = Some(digest.into());
+    /// numbers to the exact template text that produced them (`None`
+    /// for the built-in machine).
+    pub fn with_arch_template(mut self, digest: Option<String>) -> Self {
+        self.arch_template = digest;
         self
     }
 
@@ -306,7 +308,8 @@ mod tests {
     use super::*;
 
     fn sample() -> RunManifest {
-        let mut m = RunManifest::new("fig7", &["--jobs".to_string(), "2".to_string()]).with_jobs(2);
+        let mut m =
+            RunManifest::new("fig7", &["--jobs".to_string(), "2".to_string()]).with_jobs(Some(2));
         let mut r = Json::object();
         r.set("kind", Json::from("gemm_report"));
         r.set("total_cycles", Json::from(1234u64));
@@ -348,7 +351,9 @@ mod tests {
     #[test]
     fn arch_template_is_optional_but_typed() {
         validate_manifest(&sample().to_json()).unwrap();
-        let doc = sample().with_arch_template("0123abcd").to_json();
+        let doc = sample()
+            .with_arch_template(Some("0123abcd".to_string()))
+            .to_json();
         validate_manifest(&doc).unwrap();
         let v = doc
             .get("invocation")

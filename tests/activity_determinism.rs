@@ -129,7 +129,28 @@ fn activity_manifest_records_all_four_points_with_histograms() {
         .filter(|r| r.get("kind").and_then(Json::as_str) == Some("audit.activity"))
         .collect();
     assert_eq!(audit_points.len(), 4, "{}", manifest.render_line());
-    for point in audit_points {
+    let num = |point: &Json, key: &str| {
+        point
+            .get(key)
+            .and_then(Json::as_num)
+            .unwrap_or_else(|| panic!("`{key}` is not a number: {}", point.render_line()))
+    };
+    let label = |point: &Json| {
+        let text = |key: &str| point.get(key).and_then(Json::as_str).unwrap_or("?");
+        format!("{}.{}", text("unit"), text("precision"))
+    };
+    let mut seen: Vec<String> = audit_points.iter().map(|p| label(p)).collect();
+    seen.sort();
+    assert_eq!(
+        seen,
+        [
+            "baseline.int2",
+            "baseline.int4",
+            "parallel.int2",
+            "parallel.int4"
+        ]
+    );
+    for point in &audit_points {
         for key in [
             "unit",
             "precision",
@@ -151,15 +172,43 @@ fn activity_manifest_records_all_four_points_with_histograms() {
                 point.render_line()
             );
         }
-        // The toggle histogram covers every priced gate class.
-        let hist = point
-            .get("toggles_by_class")
-            .expect("histogram")
-            .render_line();
-        for class in ["not", "and", "or", "xor", "mux"] {
-            assert!(hist.contains(class), "histogram missing `{class}`: {hist}");
-        }
+        let line = point.render_line();
+        assert!(
+            num(point, "rel_error").abs() <= num(point, "tolerance"),
+            "out of tolerance: {line}"
+        );
+        // The toggle histogram covers exactly the priced gate classes,
+        // and its classes add up to the logic toggles.
+        let Some(Json::Obj(hist)) = point.get("toggles_by_class") else {
+            panic!("histogram is not an object: {line}");
+        };
+        let mut classes: Vec<&str> = hist.iter().map(|(class, _)| class.as_str()).collect();
+        classes.sort_unstable();
+        assert_eq!(classes, ["and", "mux", "not", "or", "xor"], "{line}");
+        let summed: f64 = hist
+            .iter()
+            .map(|(class, count)| {
+                count
+                    .as_num()
+                    .unwrap_or_else(|| panic!("`{class}`: {line}"))
+            })
+            .sum();
+        assert_eq!(summed, num(point, "logic_toggles"), "{line}");
+        assert!(
+            num(point, "logic_toggles") <= num(point, "total_toggles"),
+            "{line}"
+        );
     }
+    // The anchored point reproduces Table I's 0.9 pJ/op within 1%.
+    let anchor = audit_points
+        .iter()
+        .find(|p| label(p) == "baseline.int4")
+        .expect("baseline int4 anchor");
+    assert!(
+        num(anchor, "rel_error").abs() < 0.01,
+        "anchor drifted: {}",
+        anchor.render_line()
+    );
     let checks = manifest
         .get("counters")
         .and_then(|c| c.get("audit.activity.checks"))

@@ -308,3 +308,146 @@ fn exec_check_is_bit_identical_for_every_arch_and_precision() {
         }
     }
 }
+
+/// A `dse` killed mid-run leaves a byte prefix of its append-only
+/// checkpoint. Rerun over the same `--cache` store from any such prefix
+/// (every offset inside the header, every record boundary, one offset
+/// inside each record), the search must exit 0, resume exactly the
+/// records whose `.` terminator made it in, and print the rows of the
+/// uninterrupted run.
+#[test]
+fn dse_resumes_from_every_prefix_of_a_killed_runs_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("pacq-cli-prefix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store").to_string_lossy().into_owned();
+    let ckpt = dir.join("dse.ckpt");
+    let grid = [
+        "dse",
+        "--shape",
+        SHAPE,
+        "--param",
+        "batch=16,32",
+        "--param",
+        "arch=pacq,std",
+        "--cache",
+        &store,
+        "--checkpoint",
+        ckpt.to_str().expect("utf-8 temp path"),
+    ];
+    // Everything but the tally line and the cache footer.
+    let rows = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| !l.starts_with("dse:") && !l.starts_with("cache:"))
+            .map(String::from)
+            .collect()
+    };
+    let uninterrupted = pacq(&grid);
+    assert!(
+        uninterrupted.contains("resumed 0, executed 8"),
+        "{uninterrupted}"
+    );
+    let full = std::fs::read(&ckpt).expect("checkpoint written");
+
+    let header_end = full.iter().position(|&b| b == b'\n').expect("header") + 1;
+    let mut cuts: Vec<usize> = (0..header_end).collect();
+    let mut start = header_end;
+    for (at, _) in full
+        .iter()
+        .enumerate()
+        .filter(|(at, &b)| *at >= header_end && b == b'\n')
+    {
+        cuts.extend([start, (start + at) / 2]);
+        start = at + 1;
+    }
+    cuts.push(full.len());
+
+    for cut in cuts {
+        std::fs::write(&ckpt, &full[..cut]).expect("truncate checkpoint");
+        let resumed = full[header_end.min(cut)..cut]
+            .split(|&b| b == b'\n')
+            .filter(|line| line.ends_with(b"."))
+            .count();
+        let out = pacq(&grid);
+        let tally = format!("resumed {resumed}, executed {}", 8 - resumed);
+        assert!(out.contains(&tally), "cut at byte {cut}: {out}");
+        assert_eq!(rows(&out), rows(&uninterrupted), "cut at byte {cut}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A template grid split in two shards, run cold and then warm through
+/// one `--cache` store: each shard renders the same table both times
+/// (only the `cache:` footer may differ), the warm pass is served at
+/// least 95% from the store, and every manifest names the template.
+#[test]
+fn sharded_template_grid_is_identical_cold_and_warm() {
+    let dir = std::env::temp_dir().join(format!("pacq-cli-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store").to_string_lossy().into_owned();
+    let template = "examples/arch/pacq.toml";
+    let digest = pacq::cli::load_arch_template(&workspace_root().join(template).to_string_lossy())
+        .expect("committed template validates")
+        .digest();
+    let shard = |pass: &str, shard: &str| -> (String, Json) {
+        let path = dir
+            .join(format!("{pass}-{}.json", &shard[..1]))
+            .to_string_lossy()
+            .into_owned();
+        let out = pacq(&[
+            "dse",
+            "--shape",
+            SHAPE,
+            "--arch-template",
+            template,
+            "--param",
+            "batch=16,32,64",
+            "--param",
+            "arch=std,packedk,pacq",
+            "--param",
+            "width=4,8",
+            "--shard",
+            shard,
+            "--cache",
+            &store,
+            "--metrics",
+            &path,
+        ]);
+        let text = std::fs::read_to_string(&path).expect("manifest written");
+        (out, Json::parse(&text).expect("manifest parses"))
+    };
+    let cold = [shard("cold", "1/2"), shard("cold", "2/2")];
+    let warm = [shard("warm", "1/2"), shard("warm", "2/2")];
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (mut hits, mut misses) = (0.0, 0.0);
+    for ((cold_out, cold_doc), (warm_out, warm_doc)) in cold.iter().zip(&warm) {
+        assert_eq!(
+            split_cache_footer(cold_out).0,
+            split_cache_footer(warm_out).0
+        );
+        for doc in [cold_doc, warm_doc] {
+            let recorded = doc
+                .get("invocation")
+                .and_then(|i| i.get("arch_template"))
+                .and_then(Json::as_str);
+            assert_eq!(recorded, Some(digest.as_str()));
+        }
+        let counter = |key: &str| {
+            warm_doc
+                .get("counters")
+                .and_then(|c| c.get(key))
+                .map_or(0.0, |v| v.as_num().expect("counters are numeric"))
+        };
+        hits += counter("cache.hits");
+        misses += counter("cache.misses");
+    }
+    assert!(
+        hits + misses > 0.0,
+        "the warm pass never consulted the cache"
+    );
+    let rate = hits / (hits + misses);
+    assert!(
+        rate >= 0.95,
+        "warm hit rate {rate} < 0.95 ({hits} hits, {misses} misses)"
+    );
+}

@@ -1,12 +1,15 @@
 //! Integration tests for the production-scale serving tier (ISSUE 7):
 //! the connection-registry leak regression, per-client admission
 //! control over real sockets, the `--max-clients` accept gate, the
-//! LRU hot tier under live traffic, and a small end-to-end
-//! `pacq loadgen` run through the CLI front end (global `--cache`,
-//! `--hot` and `--metrics` included).
+//! LRU hot tier under live traffic, a small end-to-end `pacq loadgen`
+//! run through the CLI front end (global `--cache`, `--hot` and
+//! `--metrics` included), and spawned `pacq serve` processes sharing
+//! one store, found by `pacq loadgen --ready-log`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::Path;
+use std::process::{Child, Command};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -337,5 +340,169 @@ fn loadgen_cli_run_records_latency_provenance() {
     ] {
         assert!(text.contains(needle), "manifest lacks {needle}:\n{text}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spawned `pacq serve`, killed if a failed assertion drops it early.
+struct ServeProcess(Child);
+
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Reads a `--metrics` manifest's counter (0 when absent).
+fn counter(manifest: &Json, key: &str) -> f64 {
+    manifest
+        .get("counters")
+        .and_then(|c| c.get(key))
+        .map_or(0.0, |v| v.as_num().expect("counters are numeric"))
+}
+
+fn read_manifest(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path).expect("manifest written");
+    Json::parse(&text).expect("manifest parses")
+}
+
+/// Spawns `pacq serve --port 0 --cache STORE --metrics` with `extra`
+/// flags and its stdout in a log file, drives it with a spawned
+/// `pacq loadgen --ready-log LOG` under `load`, then sends a `shutdown`
+/// frame and waits for the drain. Returns the loadgen and server
+/// manifests.
+fn serve_under_load(dir: &Path, tag: &str, extra: &[&str], load: &[&str]) -> (Json, Json) {
+    let pacq = env!("CARGO_BIN_EXE_pacq");
+    let path = |name: &str| dir.join(format!("{tag}-{name}"));
+    let (log, served, loaded) = (
+        path("server.log"),
+        path("server.json"),
+        path("loadgen.json"),
+    );
+    let store = dir.join("store");
+    let mut server = ServeProcess(
+        Command::new(pacq)
+            .args(["serve", "--port", "0", "--cache"])
+            .arg(&store)
+            .arg("--metrics")
+            .arg(&served)
+            .args(extra)
+            .env_remove("PACQ_JOBS")
+            .stdout(std::fs::File::create(&log).expect("server log"))
+            .spawn()
+            .expect("spawn pacq serve"),
+    );
+    let loadgen = Command::new(pacq)
+        .arg("loadgen")
+        .arg("--ready-log")
+        .arg(&log)
+        .args(load)
+        .arg("--metrics")
+        .arg(&loaded)
+        .env_remove("PACQ_JOBS")
+        .output()
+        .expect("spawn pacq loadgen");
+    assert!(
+        loadgen.status.success(),
+        "loadgen: {}",
+        String::from_utf8_lossy(&loadgen.stderr)
+    );
+
+    let text = std::fs::read_to_string(&log).expect("server log");
+    let ready = Json::parse(text.lines().next().expect("ready frame")).expect("ready parses");
+    let addr = ready
+        .get("addr")
+        .and_then(Json::as_str)
+        .expect("ready addr");
+    let stream = TcpStream::connect(addr).expect("connect to serve");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    writer
+        .write_all(b"{\"op\":\"shutdown\",\"id\":0}\n")
+        .expect("send shutdown");
+    let mut ack = String::new();
+    reader.read_line(&mut ack).expect("shutdown ack");
+    assert!(ack.contains("\"draining\":true"), "{ack}");
+    drop((reader, writer));
+    let status = server.0.wait().expect("server exits");
+    assert!(status.success(), "serve exited with {status:?}");
+    (read_manifest(&loaded), read_manifest(&served))
+}
+
+/// Two `pacq serve` processes over one `--cache` store, each found
+/// through its ready log by `pacq loadgen --ready-log`. The first, with
+/// a hot tier, answers 2000 requests over 32 points with nothing lost,
+/// no error and no throttling, at least 95% from the hot tier. The
+/// second, a fresh process, finds at least 95% of its reports on disk.
+#[test]
+fn serve_processes_share_one_store_through_ready_logs() {
+    let dir = scratch_dir("processes");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let load = |requests: &'static str| {
+        [
+            "--requests",
+            requests,
+            "--clients",
+            "4",
+            "--window",
+            "8",
+            "--unique",
+            "32",
+            "--sample",
+            "8",
+        ]
+    };
+
+    let (loadgen, server) = serve_under_load(&dir, "hot", &["--hot", "1024"], &load("2000"));
+    assert_eq!(counter(&loadgen, "loadgen.requests"), 2000.0);
+    assert_eq!(counter(&loadgen, "loadgen.lost"), 0.0);
+    assert_eq!(counter(&loadgen, "loadgen.errors"), 0.0);
+    assert_eq!(counter(&loadgen, "loadgen.sampled_identical"), 8.0);
+    let record = loadgen
+        .get("results")
+        .and_then(Json::as_arr)
+        .and_then(|r| {
+            r.iter()
+                .find(|r| r.get("kind").and_then(Json::as_str) == Some("loadgen"))
+        })
+        .expect("loadgen result record");
+    let histogram = record.get("latency_histogram_log2").and_then(Json::as_arr);
+    assert!(
+        histogram.is_some_and(|h| !h.is_empty()),
+        "{}",
+        record.render_line()
+    );
+    let throughput = record.get("throughput_rps").and_then(Json::as_num);
+    assert!(
+        throughput.is_some_and(|t| t > 0.0),
+        "{}",
+        record.render_line()
+    );
+
+    let (hot_hits, hot_misses) = (
+        counter(&server, "serve.hot_hits"),
+        counter(&server, "serve.hot_misses"),
+    );
+    let rate = hot_hits / (hot_hits + hot_misses).max(1.0);
+    assert!(
+        rate >= 0.95,
+        "hot-tier rate {rate} < 0.95 ({hot_hits}h/{hot_misses}m)"
+    );
+    assert_eq!(counter(&server, "serve.rate_limited"), 0.0);
+    assert_eq!(counter(&server, "serve.errors"), 0.0);
+    // Every request got its reply, plus the shutdown acknowledgement.
+    assert_eq!(counter(&server, "serve.served"), 2001.0);
+
+    let (loadgen, server) = serve_under_load(&dir, "disk", &[], &load("200"));
+    assert_eq!(counter(&loadgen, "loadgen.lost"), 0.0);
+    let (hits, misses) = (
+        counter(&server, "serve.cache_hits"),
+        counter(&server, "serve.cache_misses"),
+    );
+    let rate = hits / (hits + misses).max(1.0);
+    assert!(
+        rate >= 0.95,
+        "warm disk-hit rate {rate} < 0.95 ({hits}h/{misses}m)"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
