@@ -16,7 +16,7 @@ use core::fmt::Write as _;
 use pacq_arch::ArchTemplate;
 use pacq_cache::{ReportCache, Shard, SweepCheckpoint};
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::{Backend, WeightPrecision};
+use pacq_fp16::{batch, Backend, WeightPrecision};
 use pacq_quant::synth::SynthGenerator;
 use pacq_quant::GroupShape;
 use pacq_simt::{
@@ -633,16 +633,18 @@ fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
     let gflops = flops / seconds.max(1e-12) / 1e9;
 
+    let kernel = batch::kernel_variant();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "exec {} on {} ({}, batched kernel): digest {digest:016x}, {seconds:.6} s, {gflops:.3} GFLOP/s",
+        "exec {} on {} ({}, batched kernel, {kernel}): digest {digest:016x}, {seconds:.6} s, {gflops:.3} GFLOP/s",
         Workload::new(opts.shape, opts.precision),
         arch,
         opts.group,
     );
     let mut record = Json::object();
     record.set("digest", format!("{digest:016x}"));
+    record.set("kernel", kernel);
 
     if args.has("--check") {
         // Run the scalar reference datapath on the same inputs: results
@@ -1620,7 +1622,8 @@ mod tests {
     fn exec_runs_and_check_pins_backend_identity() {
         let _guard = crate::par::test_lock();
         let plain = run(&argv("exec --shape m16n32k128 --group g32")).expect("runs");
-        assert!(plain.contains("batched kernel"), "{plain}");
+        let kernel = format!("batched kernel, {})", batch::kernel_variant());
+        assert!(plain.contains(&kernel), "{plain}");
         let checked = run(&argv(
             "exec --shape m16n32k128 --arch packedk --precision int2 --group g32 --check",
         ))

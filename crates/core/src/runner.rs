@@ -541,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_is_backend_invariant() {
+    fn execute_matches_the_scalar_reference() {
         // The batched kernel (the default) must reproduce the scalar
         // reference runner to the bit.
         let mut g = SynthGenerator::new(23);

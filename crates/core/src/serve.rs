@@ -30,7 +30,7 @@
 //!   floats as shortest-round-trip numbers), so a served report is
 //!   bit-identical to an in-process [`GemmRunner::analyze`] — the
 //!   property `tests/serve_conformance.rs` pins.
-//! - **Graceful drain, no signals.** The workspace forbids `unsafe`,
+//! - **Graceful drain, no signals.** This crate forbids `unsafe`,
 //!   so a SIGTERM handler is out of reach; instead a `shutdown` frame
 //!   (or stdin EOF in `--stdio` mode) drains: queued requests finish,
 //!   replies flush, then the server exits. Supervisors should send the

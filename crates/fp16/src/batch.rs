@@ -41,9 +41,19 @@
 //! their default (IEEE, round-to-nearest-even) multiplier, in both
 //! [`NumericsMode`]s.
 //!
+//! [`tile_dot`] is compiled twice: for the default target (SSE2 on
+//! x86-64, where a [`TileRow`] takes two 128-bit vectors) and inside an
+//! AVX2 target-feature function (one 256-bit vector), and each call runs
+//! the AVX2 copy when the CPU has it ([`kernel_variant`] names the
+//! choice). The copies are one source: Rust never contracts `a·b + c`
+//! into an FMA, the operation order is the code's, and [`round16`] is
+//! the same add/subtract in both, so they are bit-identical on every
+//! finite result.
+//!
 //! One caveat scopes that guarantee: when a product, tree sum or
 //! f32/f64 accumulator turns NaN (activations containing NaN or an
-//! ∞ − ∞ cancellation), both backends return NaN but the payload bits
+//! ∞ − ∞ cancellation), both backends (and both compilations of
+//! [`tile_dot`]) return NaN but the payload bits
 //! may differ — [`round16`] does not canonicalize NaN, and the compiler
 //! is free to commute the operands of a float add, which changes which
 //! payload propagates. Finite results are bit-identical everywhere.
@@ -52,6 +62,7 @@ use crate::bits::Fp16;
 use crate::dp::NumericsMode;
 use crate::packed::{PackedWord, WeightPrecision};
 use crate::parallel::{ParallelFpIntMultiplier, MAX_LANES};
+use crate::wide;
 use std::sync::OnceLock;
 
 /// Which compute backend evaluates the functional GEMM flows.
@@ -178,7 +189,8 @@ fn build_product_lut(precision: WeightPrecision) -> Vec<u16> {
 }
 
 /// Columns per tile of the column-tile kernel: one [`TileRow`] spans
-/// two 128-bit vectors at the default x86-64 target.
+/// two 128-bit vectors at the default x86-64 target, one 256-bit vector
+/// under AVX2.
 pub const COLS: usize = 8;
 
 /// One k-step of a column tile: the gathered f32 weight operands of
@@ -200,7 +212,7 @@ pub const TREE_WIDTH: usize = 4;
 /// subnormal step `2^-24`, and caps at `2^127`. Magnitudes at or beyond
 /// `2^16` become ∞, and the result takes `x`'s sign, so tiny negatives
 /// round to −0. A NaN stays NaN (its payload is not canonicalized).
-#[inline]
+#[inline(always)]
 pub fn round16(x: f32) -> f32 {
     // RNE is symmetric, so round the magnitude and restore the sign.
     let abs = x.to_bits() & 0x7fff_ffff;
@@ -251,6 +263,22 @@ pub fn activation_sum(a: &[f32]) -> f64 {
 /// Panics if `a` and `b` differ in length or, for `PaperRounded`, the
 /// length is not a multiple of [`TREE_WIDTH`].
 pub fn tile_dot(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
+    wide::run(
+        #[inline(always)]
+        || tile_dot_impl(numerics, a, b),
+    )
+}
+
+/// Which compilation of [`tile_dot`] this host runs: `"avx2"` (one
+/// 256-bit vector per [`TileRow`]) or `"baseline"` (the default target,
+/// SSE2 on x86-64). Both are bit-identical on every finite result.
+pub fn kernel_variant() -> &'static str {
+    wide::variant()
+}
+
+/// [`tile_dot`]'s body, inlined into each variant's compilation.
+#[inline(always)]
+fn tile_dot_impl(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
     assert_eq!(a.len(), b.len(), "operand k-lengths must match");
     let mut acc = [0f32; COLS];
     match numerics {
@@ -667,6 +695,51 @@ mod tests {
                     let (a, _, w) = random_operands(seed, len);
                     let what = format!("{precision}/{numerics:?} len {len}");
                     check_parallel(precision, numerics, &a, &w, &what);
+                }
+            }
+        }
+    }
+
+    /// The dispatched [`tile_dot`] (the AVX2 compilation on a host that
+    /// has it) equals a direct call of [`tile_dot_impl`], which inlines
+    /// into this test as baseline code: both modes, every k from 4 to
+    /// 512, fp16-valued operands (std, packed-k, `is`) and `1024 + code`
+    /// operands (pacq), over random bits and frontier values (subnormals,
+    /// ±0, values near 65504, products that overflow to ∞, NaN).
+    #[test]
+    fn avx2_tile_dot_matches_the_baseline_bit_for_bit() {
+        eprintln!("tile_dot variant under test: {}", kernel_variant());
+        let specials: Vec<f32> = frontier_values().iter().map(|x| x.to_f32()).collect();
+        // Any bit pattern (mostly ∞/NaN sums at large k), |x| < 2 (sums
+        // stay finite, subnormals included) and frontier values.
+        let kinds = ["any bits", "|x| < 2", "frontier"];
+        let fp16 = |lcg: &mut Lcg, kind: usize| {
+            let r = lcg.next_u32();
+            match kind {
+                0 => Fp16::from_bits(r as u16).to_f32(),
+                1 => Fp16::from_bits(r as u16 & 0xbfff).to_f32(),
+                _ => specials[r as usize % specials.len()],
+            }
+        };
+        let mut lcg = Lcg(0x2545_f491_4f6c_dd1d);
+        for k in (4..=512).step_by(4) {
+            for (kind, what) in kinds.iter().enumerate() {
+                let a: Vec<f32> = (0..k).map(|_| fp16(&mut lcg, kind)).collect();
+                let h: Vec<f32> = (0..k * COLS).map(|_| fp16(&mut lcg, kind)).collect();
+                let q: Vec<u32> = (0..k * COLS).map(|_| lcg.next_u32() % 16).collect();
+                let halves = tile(k, |c, t| h[t * COLS + c]);
+                let codes = tile(k, |c, t| (1024 + q[t * COLS + c]) as f32);
+                for b in [&halves, &codes] {
+                    for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
+                        let got = tile_dot(numerics, &a, b);
+                        let want = tile_dot_impl(numerics, &a, b);
+                        for (c, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                same(g, w),
+                                "{numerics:?} k {k} {what} column {c}: {g} vs {w}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -40,7 +40,10 @@
 //! assert_eq!(p, vec![512.0, 515.5, 517.5, 519.5]);
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` call, the AVX2 kernel dispatch in `wide`, is allowed
+// there; the rest of the crate may not use `unsafe`.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 // The no-panic contract (DESIGN.md §10): library code returns
 // `Result<_, PacqError>`; only tests may unwrap.
@@ -56,6 +59,7 @@ pub mod mul;
 mod packed;
 pub mod parallel;
 pub mod softfloat;
+mod wide;
 
 pub use batch::Backend;
 pub use bits::{Fp16, Fp16Class, EXP_BIAS, EXP_MAX, HIDDEN_BIT, MANT_BITS, MANT_MASK};

@@ -187,7 +187,7 @@ fn without_run_local_provenance(mut doc: Json) -> Json {
 /// as its `exec --check` reference), so no backend setting remains that
 /// could change it.
 #[test]
-fn grid_table_is_cache_and_backend_invariant() {
+fn grid_table_is_identical_uncached_cold_and_warm() {
     let dir = std::env::temp_dir().join(format!("pacq-cli-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.to_string_lossy().into_owned();
@@ -214,7 +214,7 @@ fn grid_table_is_cache_and_backend_invariant() {
 /// never depend on which compute path made them), and the store's
 /// integrity walk is clean.
 #[test]
-fn grid_manifest_is_backend_invariant() {
+fn grid_manifest_is_identical_cold_and_warm() {
     let dir = std::env::temp_dir().join(format!("pacq-cli-manifest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.join("store").to_string_lossy().into_owned();
@@ -286,9 +286,12 @@ fn malformed_input_exits_2_without_a_panic() {
 /// `pacq exec --check` runs the batched kernel and the scalar reference
 /// in one process and exits 7 unless every output bit agrees. Every dataflow
 /// at both precisions must pass; only the bits are asserted, not the
-/// printed speed.
+/// printed speed. The line and the `--metrics` record name the kernel
+/// variant this host runs.
 #[test]
 fn exec_check_is_bit_identical_for_every_arch_and_precision() {
+    let variant = pacq_fp16::batch::kernel_variant();
+    let kernel = format!("(g32, batched kernel, {variant})");
     for arch in Architecture::ALL {
         for precision in WeightPrecision::ALL {
             let args = [
@@ -305,8 +308,23 @@ fn exec_check_is_bit_identical_for_every_arch_and_precision() {
             ];
             let out = pacq(&args);
             assert!(out.contains("bit-identical"), "pacq {args:?}:\n{out}");
+            assert!(out.contains(&kernel), "pacq {args:?}:\n{out}");
         }
     }
+
+    let path = std::env::temp_dir().join(format!("pacq-exec-kernel-{}.json", std::process::id()));
+    let path = path.to_string_lossy().into_owned();
+    pacq(&["exec", "--shape", "m16n48k256", "--metrics", &path]);
+    let text = std::fs::read_to_string(&path).expect("manifest written");
+    let _ = std::fs::remove_file(&path);
+    let doc = Json::parse(&text).expect("manifest parses");
+    let recorded = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .and_then(|r| r.first())
+        .and_then(|r| r.get("kernel"))
+        .and_then(Json::as_str);
+    assert_eq!(recorded, Some(variant), "{text}");
 }
 
 /// A `dse` killed mid-run leaves a byte prefix of its append-only
