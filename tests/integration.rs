@@ -188,3 +188,65 @@ fn cache_keys_and_dse_job_ids_are_pinned() {
         }
     }
 }
+
+/// The same pin for a non-default design point (DP-8, dup 4,
+/// `g[32,4]`) derived from two base machines: the builtin one and the
+/// `examples/arch/pacq.toml` template, whose digest replaces `builtin`
+/// in the architecture identity. A derivation that dropped the point's
+/// width, dup or group — or the base's template — would change these
+/// strings.
+#[test]
+fn non_default_point_cache_keys_are_pinned() {
+    use pacq::cli::{load_arch_template, Knobs};
+    use pacq::DseJob;
+    const CFG: &str = "pacq-cache/v1;ver=0.1.0;cfg=tc8,dpu4,dpw8,dup4,ob3072x2,rf262144,\
+                       l198304,dq4020000000000000,clk41b7d78400000000,dram7ff0000000000000;\
+                       shape=m16n4096k4096";
+    const EM: &str = "em=buf3faeb851eb851eb8,rf3fe3333333333333,\
+                      l1400783ddb1a48e37,dram4049000000000000";
+    use Architecture::{InputStationary, PackedK, Pacq, StandardDequant};
+    use WeightPrecision::{Int2, Int4};
+    let path = format!(
+        "{}/../../examples/arch/pacq.toml",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let templated = Knobs {
+        metrics: None,
+        cache: None,
+        jobs: None,
+        template: Some(load_arch_template(&path).unwrap()),
+    }
+    .runner()
+    .unwrap();
+    let bases = [
+        (GemmRunner::new(), "builtin"),
+        (templated, "tpl:19160e7e2afb1c15a000091acb0b6c5a"),
+    ];
+    for (base, source) in &bases {
+        for (arch, a) in [
+            (StandardDequant, "std"),
+            (PackedK, "packedk"),
+            (InputStationary, "is"),
+            (Pacq, "pacq"),
+        ] {
+            for (precision, p, bits) in [(Int4, "int4", 4), (Int2, "int2", 2)] {
+                let job = DseJob {
+                    arch,
+                    workload: Workload::new(GemmShape::new(16, 4096, 4096), precision),
+                    width: 8,
+                    dup: 4,
+                    group: GroupShape::G32X4,
+                };
+                let mut cfg = *base.config();
+                cfg.dp_width = job.width;
+                cfg.adder_tree_duplication = job.dup;
+                let runner = base.clone().with_config(cfg).with_group(job.group);
+                assert_eq!(
+                    runner.cache_key(job.arch, job.workload).canonical(),
+                    format!("{CFG};wbits={bits};flow={a}:g[32,4]:rounded;arch={source};{EM}")
+                );
+                assert_eq!(job.id(), format!("b16:{a}:{p}:w8:d4:g[32,4]"));
+            }
+        }
+    }
+}
