@@ -1,7 +1,7 @@
 //! Figure 11: ablation on the adder-tree duplication level of the
 //! parallel FP-INT DP-4 (throughput / watt on `m16n16k16`).
 
-use pacq::{Architecture, GemmShape, GroupShape, SmConfig, Workload};
+use pacq::{Architecture, DseJob, GemmShape, GroupShape, Workload};
 use pacq_bench::{banner, times};
 use pacq_energy::GemmUnit;
 use pacq_fp16::WeightPrecision;
@@ -18,6 +18,7 @@ fn run() -> pacq::PacqResult<()> {
         "dup 2 gives 1.33x (1.38x) over dup 1 for INT4 (INT2); dup 4 only 1.11x (1.18x) over dup 2",
     );
 
+    let machine = metrics.runner()?;
     let shape = GemmShape::M16N16K16;
     for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
         println!("\n-- {precision} weights --");
@@ -28,15 +29,14 @@ fn run() -> pacq::PacqResult<()> {
         let mut prev: Option<f64> = None;
         let mut first: Option<f64> = None;
         for dup in [1usize, 2, 4] {
-            let mut cfg = metrics
-                .template()
-                .map_or_else(SmConfig::volta_like, pacq::ArchTemplate::sm_config);
-            cfg.adder_tree_duplication = dup;
-            let runner = metrics
-                .runner()?
-                .with_config(cfg)
-                .with_group(GroupShape::along_k(16));
-            let r = runner.analyze(Architecture::Pacq, Workload::new(shape, precision))?;
+            let point = DseJob {
+                arch: Architecture::Pacq,
+                workload: Workload::new(shape, precision),
+                width: machine.config().dp_width,
+                dup,
+                group: GroupShape::along_k(16),
+            };
+            let r = point.runner(&machine).analyze(point.arch, point.workload)?;
             let power = GemmUnit::ParallelDp {
                 width: 4,
                 duplication: dup,

@@ -2,7 +2,7 @@
 //! (b) comparison with Mix-GEMM (binary segmentation), both on
 //! `m16n16k16` in throughput per watt.
 
-use pacq::{Architecture, GemmShape, GroupShape, SmConfig, Workload};
+use pacq::{Architecture, DseJob, GemmShape, GroupShape, Workload};
 use pacq_bench::{banner, times};
 use pacq_energy::GemmUnit;
 use pacq_fp16::WeightPrecision;
@@ -29,19 +29,19 @@ fn run() -> pacq::PacqResult<()> {
         "{:<8} {:>16} {:>16} {:>18}",
         "width", "baseline t/w", "PacQ t/w", "PacQ advantage"
     );
+    let machine = metrics.runner()?;
     let shape = GemmShape::new(16, 256, 256);
     for width in [4usize, 8, 16] {
-        let mut cfg = metrics
-            .template()
-            .map_or_else(SmConfig::volta_like, pacq::ArchTemplate::sm_config);
-        cfg.dp_width = width;
-        let runner = metrics
-            .runner()?
-            .with_config(cfg)
-            .with_group(GroupShape::G128);
-        let wl = Workload::new(shape, WeightPrecision::Int4);
-        let base = runner.analyze(Architecture::PackedK, wl)?;
-        let pacq = runner.analyze(Architecture::Pacq, wl)?;
+        let point = DseJob {
+            arch: Architecture::Pacq,
+            workload: Workload::new(shape, WeightPrecision::Int4),
+            width,
+            dup: machine.config().adder_tree_duplication,
+            group: GroupShape::G128,
+        };
+        let runner = point.runner(&machine);
+        let base = runner.analyze(Architecture::PackedK, point.workload)?;
+        let pacq = runner.analyze(point.arch, point.workload)?;
         let base_p = GemmUnit::BaselineDp { width }.power_units();
         let pacq_p = GemmUnit::ParallelDp {
             width,

@@ -63,11 +63,6 @@ impl Metrics {
         self.knobs.cache.clone()
     }
 
-    /// The validated `--arch-template` design point, if one was named.
-    pub fn template(&self) -> Option<&pacq::ArchTemplate> {
-        self.knobs.template.as_ref()
-    }
-
     /// A [`pacq::GemmRunner`] carrying every shared knob of this run
     /// ([`pacq::cli::Knobs::runner`]).
     ///

@@ -1,4 +1,10 @@
-//! The on-disk cache entry: one priced report as `pacq-cache/v1` JSON.
+//! The priced report, [`GemmReport`], and its on-disk form: one report
+//! as a `pacq-cache/v1` JSON entry.
+//!
+//! The report lives in this crate, next to its codec, because the codec
+//! is keyed by a [`crate::CacheKey`]; the `pacq` crate re-exports it
+//! under the same name, so the store, the hot tier, the runner and the
+//! server all hand around the one type.
 //!
 //! The entry must round-trip **bit-exactly**: a cached report has to be
 //! indistinguishable from a freshly computed one. Two encoding rules
@@ -36,11 +42,10 @@ pub const fn precision_token(precision: WeightPrecision) -> &'static str {
     precision.token()
 }
 
-/// One memoized analysis result — the vocabulary-type mirror of the
-/// core crate's `GemmReport` (this crate sits below `pacq`, so the
-/// conversion lives there).
+/// Full analysis of one GEMM on one architecture: traffic, timing,
+/// energy, EDP.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CachedReport {
+pub struct GemmReport {
     /// The architecture simulated.
     pub arch: Architecture,
     /// The workload.
@@ -55,8 +60,139 @@ pub struct CachedReport {
     pub edp_pj_s: f64,
 }
 
+impl GemmReport {
+    /// Total energy in pJ.
+    pub fn total_energy_pj(&self) -> f64 {
+        self.energy.total_pj()
+    }
+
+    /// Speedup of this report over another (other ÷ self, in cycles).
+    pub fn speedup_over(&self, other: &GemmReport) -> f64 {
+        other.stats.total_cycles as f64 / self.stats.total_cycles as f64
+    }
+
+    /// EDP of this report normalized to another (self ÷ other).
+    pub fn edp_normalized_to(&self, other: &GemmReport) -> f64 {
+        self.edp_pj_s / other.edp_pj_s
+    }
+
+    /// A clone of this report. Nothing in the workspace calls it; it
+    /// stays exported because the benchmark crate (`perfbench/`) does.
+    pub fn to_cached(&self) -> GemmReport {
+        self.clone()
+    }
+
+    /// The identity; exported for the same reason as
+    /// [`GemmReport::to_cached`].
+    pub fn from_cached(report: GemmReport) -> GemmReport {
+        report
+    }
+
+    /// Internal-consistency audit of this report (DESIGN.md §11).
+    ///
+    /// Promotes the invariants historically pinned only in unit tests to
+    /// first-class checks used by `pacq audit` and (in debug builds) by
+    /// every `GemmRunner::analyze` call:
+    ///
+    /// 1. `edp_pj_s == total_energy_pj * latency_s` (within 1e-9
+    ///    relative) — the EDP is a *derived* quantity, never priced
+    ///    independently.
+    /// 2. The energy bill-of-materials sums: the report total equals the
+    ///    sum of the six priced components.
+    /// 3. The Figure-7 identity: `rf.total_accesses()` is exactly the
+    ///    sum of the four access counters it claims to aggregate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PacqError::AuditMismatch`] naming the first diverging
+    /// quantity.
+    pub fn check_invariants(&self) -> PacqResult<()> {
+        let case = format!("{} on {}", self.workload, self.arch);
+        let mismatch = |counter: &str, observed: String, expected: String| {
+            Err(PacqError::AuditMismatch {
+                counter: counter.to_string(),
+                case: case.clone(),
+                observed,
+                expected,
+            })
+        };
+
+        let edp_expected = self.total_energy_pj() * self.latency_s;
+        if (self.edp_pj_s - edp_expected).abs() > 1e-9 * edp_expected.abs() {
+            return mismatch(
+                "edp_pj_s",
+                format!("{:e}", self.edp_pj_s),
+                format!("{edp_expected:e} (total_energy_pj * latency_s)"),
+            );
+        }
+
+        let e = &self.energy;
+        let bom = e.tc_pj + e.rf_pj + e.l1_pj + e.dram_pj + e.buffer_pj + e.general_pj;
+        if (e.total_pj() - bom).abs() > 1e-9 * bom.abs() {
+            return mismatch(
+                "energy.total_pj",
+                format!("{:.6}", e.total_pj()),
+                format!("{bom:.6} (component BOM sum)"),
+            );
+        }
+
+        let rf = &self.stats.rf;
+        let accesses = rf.a_reads + rf.b_reads + rf.c_reads + rf.c_writes;
+        if rf.total_accesses() != accesses {
+            return mismatch(
+                "rf.total_accesses",
+                rf.total_accesses().to_string(),
+                format!("{accesses} (a+b+c reads + c writes)"),
+            );
+        }
+        Ok(())
+    }
+
+    /// The report as a [`Json`] object for the run manifest
+    /// (`pacq --metrics`, DESIGN.md §11). Field names mirror
+    /// `pacq analyze --json`.
+    pub fn metrics_json(&self) -> Json {
+        let mut shape = Json::object();
+        shape.set("m", self.workload.shape.m as u64);
+        shape.set("n", self.workload.shape.n as u64);
+        shape.set("k", self.workload.shape.k as u64);
+
+        let mut rf = Json::object();
+        rf.set("a_reads", self.stats.rf.a_reads);
+        rf.set("b_reads", self.stats.rf.b_reads);
+        rf.set("c_reads", self.stats.rf.c_reads);
+        rf.set("c_writes", self.stats.rf.c_writes);
+        rf.set("total_accesses", self.stats.rf.total_accesses());
+
+        let mut energy = Json::object();
+        energy.set("tensor_core", self.energy.tc_pj);
+        energy.set("register_file", self.energy.rf_pj);
+        energy.set("l1", self.energy.l1_pj);
+        energy.set("dram", self.energy.dram_pj);
+        energy.set("buffers", self.energy.buffer_pj);
+        energy.set("general_core", self.energy.general_pj);
+
+        let mut doc = Json::object();
+        doc.set("workload", self.workload.to_string());
+        doc.set("architecture", self.arch.to_string());
+        doc.set("shape", shape);
+        doc.set("total_cycles", self.stats.total_cycles);
+        doc.set("tc_cycles", self.stats.tc_cycles);
+        doc.set("general_cycles", self.stats.general_cycles);
+        doc.set("latency_s", self.latency_s);
+        doc.set("energy_pj", self.total_energy_pj());
+        doc.set("energy_breakdown_pj", energy);
+        doc.set("edp_pj_s", self.edp_pj_s);
+        doc.set("rf", rf);
+        doc.set("fetch_instructions", self.stats.fetch_instructions);
+        doc.set("buffer_fills", self.stats.buffer_fills);
+        doc.set("buffer_evictions", self.stats.buffer_evictions);
+        doc
+    }
+}
+
 fn decode_error(what: impl Into<String>) -> PacqError {
-    PacqError::invalid_input("cache::CachedReport::from_json", what.into())
+    PacqError::invalid_input("cache::GemmReport::from_json", what.into())
 }
 
 fn set_u64(obj: &mut Json, field: &str, value: u64) {
@@ -76,7 +212,7 @@ fn get_f64(obj: &Json, field: &str) -> PacqResult<f64> {
         .ok_or_else(|| decode_error(format!("missing numeric field `{field}`")))
 }
 
-impl CachedReport {
+impl GemmReport {
     /// Renders the entry document for `key` (the canonical key string is
     /// embedded so reads can reject digest collisions and `verify` can
     /// re-derive the expected filename).
@@ -158,10 +294,7 @@ impl CachedReport {
     ///
     /// Returns [`PacqError::InvalidInput`] naming the first malformed
     /// field; the store treats every error here as a cache miss.
-    pub fn from_json(
-        doc: &Json,
-        expected_key: Option<&crate::CacheKey>,
-    ) -> PacqResult<CachedReport> {
+    pub fn from_json(doc: &Json, expected_key: Option<&crate::CacheKey>) -> PacqResult<GemmReport> {
         match doc.get("schema").and_then(Json::as_str) {
             Some(s) if s == ENTRY_SCHEMA => {}
             Some(s) => return Err(decode_error(format!("schema drift: `{s}`"))),
@@ -258,7 +391,7 @@ impl CachedReport {
             general_pj: get_f64(energy_doc, "general_pj")?,
         };
 
-        Ok(CachedReport {
+        Ok(GemmReport {
             arch,
             workload: Workload::new(shape, precision),
             stats,
@@ -281,7 +414,7 @@ mod tests {
     use crate::CacheKey;
     use pacq_simt::SmConfig;
 
-    fn sample() -> (CacheKey, CachedReport) {
+    fn sample() -> (CacheKey, GemmReport) {
         let key = CacheKey::new(
             &SmConfig::volta_like(),
             GemmShape::new(16, 256, 256),
@@ -289,7 +422,7 @@ mod tests {
             "pacq:g128:rounded",
             "builtin",
         );
-        let report = CachedReport {
+        let report = GemmReport {
             arch: Architecture::Pacq,
             workload: Workload::new(GemmShape::new(16, 256, 256), WeightPrecision::Int4),
             stats: GemmStats {
@@ -348,7 +481,7 @@ mod tests {
         let (key, report) = sample();
         let text = report.to_json(&key).render();
         let doc = Json::parse(&text).unwrap();
-        let back = CachedReport::from_json(&doc, Some(&key)).unwrap();
+        let back = GemmReport::from_json(&doc, Some(&key)).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.stats.rf.b_bits, 1 << 60);
         assert_eq!(back.stats.dram.read_bits, u64::MAX);
@@ -366,8 +499,8 @@ mod tests {
             "pacq:g128:rounded",
             "builtin",
         );
-        assert!(CachedReport::from_json(&doc, Some(&other)).is_err());
-        assert!(CachedReport::from_json(&doc, None).is_ok());
+        assert!(GemmReport::from_json(&doc, Some(&other)).is_err());
+        assert!(GemmReport::from_json(&doc, None).is_ok());
     }
 
     #[test]
@@ -387,7 +520,7 @@ mod tests {
                     .collect(),
             );
             assert!(
-                CachedReport::from_json(&stripped, Some(&key)).is_err(),
+                GemmReport::from_json(&stripped, Some(&key)).is_err(),
                 "must reject entry without `{field}`"
             );
         }
@@ -398,7 +531,7 @@ mod tests {
             stats_obj.set("total_cycles", Json::from(21u64));
             bad.set("stats", stats_obj);
         }
-        assert!(CachedReport::from_json(&bad, Some(&key)).is_err());
+        assert!(GemmReport::from_json(&bad, Some(&key)).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   canonical key string is stored alongside each report and
 //!   re-checked on every lookup, so a digest collision reads as a miss,
 //!   never as a wrong answer;
-//! - a hit hands back the same [`CachedReport`] value that was
+//! - a hit hands back the same [`GemmReport`] value that was
 //!   inserted, so hot-tier replies are bit-identical to disk hits and
 //!   to fresh computation;
 //! - eviction is strict LRU at exactly the configured capacity — the
@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::entry::CachedReport;
+use crate::entry::GemmReport;
 use crate::key::CacheKey;
 
 /// Locks a mutex, ignoring poisoning: the guarded maps hold plain data
@@ -43,7 +43,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// and its position in the recency order.
 struct HotEntry {
     canonical: String,
-    report: CachedReport,
+    report: GemmReport,
     stamp: u64,
 }
 
@@ -69,7 +69,7 @@ impl HotInner {
     }
 }
 
-/// A bounded in-memory LRU cache of [`CachedReport`]s keyed by digest.
+/// A bounded in-memory LRU cache of [`GemmReport`]s keyed by digest.
 ///
 /// Thread-safe: one mutex over the maps, relaxed atomics for the
 /// session tallies (same discipline as the disk store's counters).
@@ -130,7 +130,7 @@ impl HotTier {
     /// Looks up `key`. A resident entry whose stored canonical key
     /// differs from `key.canonical()` (a digest collision) is a miss,
     /// exactly like the disk store's collision discipline.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedReport> {
+    pub fn get(&self, key: &CacheKey) -> Option<GemmReport> {
         let digest = key.digest();
         let mut inner = lock(&self.inner);
         let found = match inner.entries.get(&digest) {
@@ -155,7 +155,7 @@ impl HotTier {
 
     /// Inserts (or refreshes) `report` under `key`, evicting the least
     /// recently used entry first if the tier is at capacity.
-    pub fn insert(&self, key: &CacheKey, report: &CachedReport) {
+    pub fn insert(&self, key: &CacheKey, report: &GemmReport) {
         let digest = key.digest();
         let mut inner = lock(&self.inner);
         if inner.entries.contains_key(&digest) {
@@ -217,7 +217,7 @@ mod tests {
     use pacq_fp16::WeightPrecision;
     use pacq_simt::{Architecture, EnergyReport, GemmShape, GemmStats, SmConfig, Workload};
 
-    fn sample(m: usize) -> (CacheKey, CachedReport) {
+    fn sample(m: usize) -> (CacheKey, GemmReport) {
         let shape = GemmShape::new(m, 256, 256);
         let key = CacheKey::new(
             &SmConfig::volta_like(),
@@ -226,7 +226,7 @@ mod tests {
             "pacq:g128:rounded",
             "builtin",
         );
-        let report = CachedReport {
+        let report = GemmReport {
             arch: Architecture::Pacq,
             workload: Workload::new(shape, WeightPrecision::Int4),
             stats: GemmStats {

@@ -10,9 +10,10 @@
 //! - [`key`] — the content address: a canonical key string over every
 //!   input that can change a report (plus the crate version, so a new
 //!   build never reads stale entries), hashed to a stable hex digest.
-//! - [`entry`] — the on-disk entry format (`pacq-cache/v1` JSON).
-//!   Every `u64` counter is serialized as a decimal string so values
-//!   beyond 2^53 survive the float-based JSON model losslessly.
+//! - [`entry`] — the priced report ([`GemmReport`]) and its on-disk
+//!   entry format (`pacq-cache/v1` JSON). Every `u64` counter is
+//!   serialized as a decimal string so values beyond 2^53 survive the
+//!   float-based JSON model losslessly.
 //! - [`store`] — the content-addressed store: atomic writes
 //!   (temp file + rename), corruption-tolerant reads (a bad entry is a
 //!   miss, never a panic or an error exit), and `stats`/`clear`/`verify`
@@ -39,7 +40,7 @@ pub mod key;
 pub mod shard;
 pub mod store;
 
-pub use entry::{arch_token, precision_token, CachedReport, ENTRY_SCHEMA};
+pub use entry::{arch_token, precision_token, GemmReport, ENTRY_SCHEMA};
 pub use hot::HotTier;
 pub use key::{config_canonical, CacheKey};
 pub use shard::{grid_digest, Shard, SweepCheckpoint, CHECKPOINT_SCHEMA};

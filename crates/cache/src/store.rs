@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pacq_error::{PacqError, PacqResult};
 use pacq_trace::Json;
 
-use crate::entry::CachedReport;
+use crate::entry::GemmReport;
 use crate::hot::HotTier;
 use crate::key::{digest_of, CacheKey};
 
@@ -131,7 +131,7 @@ impl ReportCache {
     /// disk hit is promoted into the tier on the way out. A corrupt
     /// disk entry behind a hot miss is still just a miss — the caller
     /// recomputes, and the subsequent `put` heals both tiers.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedReport> {
+    pub fn get(&self, key: &CacheKey) -> Option<GemmReport> {
         if let Some(hot) = &self.hot {
             if let Some(report) = hot.get(key) {
                 return Some(report);
@@ -140,7 +140,7 @@ impl ReportCache {
         let found = fs::read_to_string(self.entry_path(&key.digest()))
             .ok()
             .and_then(|text| Json::parse(&text).ok())
-            .and_then(|doc| CachedReport::from_json(&doc, Some(key)).ok());
+            .and_then(|doc| GemmReport::from_json(&doc, Some(key)).ok());
         match &found {
             Some(report) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -168,7 +168,7 @@ impl ReportCache {
     /// hot path should treat this as a degradation (count it, keep the
     /// freshly computed report) rather than an exit — see
     /// [`ReportCache::put_degraded`].
-    pub fn put(&self, key: &CacheKey, report: &CachedReport) -> PacqResult<()> {
+    pub fn put(&self, key: &CacheKey, report: &GemmReport) -> PacqResult<()> {
         // Write-through into the hot tier first: the freshly computed
         // report is correct regardless of whether the disk accepts it,
         // so a read-only store still gets in-memory hits.
@@ -208,7 +208,7 @@ impl ReportCache {
     /// surfaced through the `cache.put_errors` trace counter) but never
     /// propagated — a read-only or full cache directory degrades a
     /// sweep to uncached speed instead of failing it.
-    pub fn put_degraded(&self, key: &CacheKey, report: &CachedReport) {
+    pub fn put_degraded(&self, key: &CacheKey, report: &GemmReport) {
         if self.put(key, report).is_err() {
             self.put_errors.fetch_add(1, Ordering::Relaxed);
             pacq_trace::add_counter("cache.put_errors", 1);
@@ -319,7 +319,7 @@ impl ReportCache {
             message: format!("cannot read {}: {e}", path.display()),
         })?;
         let doc = Json::parse(&text)?;
-        let report_key = CachedReport::stored_key(&doc).ok_or_else(|| {
+        let report_key = GemmReport::stored_key(&doc).ok_or_else(|| {
             PacqError::invalid_input("ReportCache::verify", "entry has no stored key")
         })?;
         let expected_name = format!("{}.{ENTRY_EXT}", digest_of(report_key));
@@ -330,7 +330,7 @@ impl ReportCache {
                 format!("entry {actual_name} is filed under the wrong digest"),
             ));
         }
-        CachedReport::from_json(&doc, None).map(|_| ())
+        GemmReport::from_json(&doc, None).map(|_| ())
     }
 
     /// Integrity-walks every entry (for `pacq cache verify`): each file
@@ -372,7 +372,7 @@ mod tests {
         dir
     }
 
-    fn sample(m: usize) -> (CacheKey, CachedReport) {
+    fn sample(m: usize) -> (CacheKey, GemmReport) {
         let shape = GemmShape::new(m, 256, 256);
         let key = CacheKey::new(
             &SmConfig::volta_like(),
@@ -381,7 +381,7 @@ mod tests {
             "pacq:g128:rounded",
             "builtin",
         );
-        let report = CachedReport {
+        let report = GemmReport {
             arch: Architecture::Pacq,
             workload: Workload::new(shape, WeightPrecision::Int4),
             stats: GemmStats {

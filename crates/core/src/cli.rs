@@ -367,7 +367,7 @@ fn dispatch(command: &str, args: &Args, knobs: &Knobs) -> PacqResult<String> {
         "exec" => exec(args, knobs),
         "cache" => cache_cmd(args, knobs.cache.as_ref()),
         "audit" => audit(args, knobs),
-        "trace" => trace(args, knobs.template.as_ref()),
+        "trace" => trace(args, knobs),
         "serve" => crate::serve::run_cli(args, knobs.cache.clone()),
         "loadgen" => crate::loadgen::run_cli(args, knobs.cache.clone()),
         _ => Ok(format!("{USAGE}\n")),
@@ -432,23 +432,6 @@ fn resolve_arch(
         (None, Some(t)) => t.architecture(),
         (None, None) => Ok(Architecture::Pacq),
     }
-}
-
-/// The effective machine configuration: the template's (when given,
-/// with `--dup`/`--width` still overriding) or the builtin Volta-like
-/// defaults.
-fn resolve_config(opts: &Options, template: Option<&ArchTemplate>) -> SmConfig {
-    let mut cfg = match template {
-        Some(t) => t.sm_config(),
-        None => SmConfig::volta_like(),
-    };
-    if let Some(dup) = opts.dup {
-        cfg.adder_tree_duplication = dup;
-    }
-    if let Some(width) = opts.width {
-        cfg.dp_width = width;
-    }
-    cfg
 }
 
 /// Parses the paper's `mMnNkK` shape notation.
@@ -565,11 +548,19 @@ pub fn parse_width(text: &str, source: &str) -> PacqResult<usize> {
     parse_one_of(text, source, [4, 8, 16])
 }
 
+/// The run's runner ([`Knobs::runner`]: the template's machine or the
+/// builtin one) with `--dup`/`--width` overriding its datapath and
+/// `--group` its group geometry.
 fn runner_for(opts: &Options, knobs: &Knobs) -> PacqResult<GemmRunner> {
-    Ok(knobs
-        .runner()?
-        .with_config(resolve_config(opts, knobs.template.as_ref()))
-        .with_group(opts.group))
+    let runner = knobs.runner()?;
+    let mut config = *runner.config();
+    if let Some(dup) = opts.dup {
+        config.adder_tree_duplication = dup;
+    }
+    if let Some(width) = opts.width {
+        config.dp_width = width;
+    }
+    Ok(runner.with_config(config).with_group(opts.group))
 }
 
 /// FNV-1a over the row-major result bits: a stable fingerprint that two
@@ -1153,15 +1144,21 @@ fn audit(args: &Args, knobs: &Knobs) -> PacqResult<String> {
         GemmShape::new(24, 48, 48), // ragged m only
         GemmShape::new(16, 256, 256),
     ];
+    let base = GemmRunner::new().with_cache_opt(cache.cloned());
     let mut cases = 0u64;
     let mut checks = 0u64;
     for width in [4usize, 8] {
-        let mut cfg = SmConfig::volta_like();
-        cfg.dp_width = width;
         for shape in shapes {
             for arch in Architecture::ALL {
                 for precision in WeightPrecision::ALL {
-                    checks += audit_point(shape, arch, precision, &cfg, group, cache)?;
+                    let job = DseJob {
+                        arch,
+                        workload: Workload::new(shape, precision),
+                        width,
+                        dup: base.config().adder_tree_duplication,
+                        group,
+                    };
+                    checks += audit_point(&job, &base)?;
                     cases += 1;
                 }
             }
@@ -1289,23 +1286,17 @@ fn audit_activity(
     ))
 }
 
-/// Audits one (shape, architecture, precision, machine) point: every
-/// traffic counter of the analytic engine must equal the per-octet
-/// replay scaled by the warp-tile octet count, and the priced report
-/// must satisfy its own accounting identities.
-fn audit_point(
-    shape: GemmShape,
-    arch: Architecture,
-    precision: WeightPrecision,
-    cfg: &SmConfig,
-    group: GroupShape,
-    cache: Option<&Arc<ReportCache>>,
-) -> PacqResult<u64> {
-    let wl = Workload::new(shape, precision);
+/// Audits one design point on `base`'s machine: every traffic counter
+/// of the analytic engine must equal the per-octet replay scaled by the
+/// warp-tile octet count, and the priced report must satisfy its own
+/// accounting identities.
+fn audit_point(job: &DseJob, base: &GemmRunner) -> PacqResult<u64> {
+    let runner = job.runner(base);
+    let (arch, wl, cfg) = (job.arch, job.workload, runner.config());
     let case = format!("{wl} on {arch} (DP-{})", cfg.dp_width);
-    let analytic = simulate(arch, wl, cfg, group)?;
-    let octets = shape.padded_to_tiles().warp_tiles() * 4;
-    let replay = OctetPipeline::new().run(&octet_schedule(arch, precision, cfg));
+    let analytic = simulate(arch, wl, cfg, runner.group())?;
+    let octets = wl.shape.padded_to_tiles().warp_tiles() * 4;
+    let replay = OctetPipeline::new().run(&octet_schedule(arch, wl.precision, cfg));
 
     let pairs = [
         ("rf.a_reads", replay.rf.a_reads, analytic.rf.a_reads),
@@ -1342,11 +1333,7 @@ fn audit_point(
     // The priced report's EDP / energy-BOM / Figure-7 identities —
     // through the cache when one is attached, so cached entries face the
     // same checks as fresh ones.
-    let report = GemmRunner::new()
-        .with_config(*cfg)
-        .with_group(group)
-        .with_cache_opt(cache.map(Arc::clone))
-        .analyze(arch, wl)?;
+    let report = runner.analyze(arch, wl)?;
     report.check_invariants()?;
     Ok(pairs.len() as u64 + 3)
 }
@@ -1392,15 +1379,15 @@ fn audit_roofline(n: usize, k: usize, bits: u32) -> PacqResult<u64> {
 /// `pacq trace`: replays one warp-tile octet through the event-driven
 /// pipeline and writes the cycle-resolved activity as Chrome trace_event
 /// JSON (1 trace microsecond = 1 SM cycle).
-fn trace(args: &Args, template: Option<&ArchTemplate>) -> PacqResult<String> {
+fn trace(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let opts = parse_options(args, false)?;
-    let arch = resolve_arch(opts.arch, template)?;
+    let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
     let out = args
         .values("--out")
         .last()
         .ok_or_else(|| err("--out PATH is required for trace"))?;
-    let cfg = resolve_config(&opts, template);
-    let schedule = octet_schedule(arch, opts.precision, &cfg);
+    let runner = runner_for(&opts, knobs)?;
+    let schedule = octet_schedule(arch, opts.precision, runner.config());
     let (replay, events) = OctetPipeline::new().run_traced(&schedule);
 
     let mut chrome = ChromeTrace::new();
@@ -1460,7 +1447,7 @@ fn report_text(r: &GemmReport) -> String {
 
 /// The `--json` rendering of one report (human-oriented: floats are
 /// rounded for reading; the lossless wire form is the cache entry /
-/// serve reply codec, `CachedReport::to_json`). Public so the serve
+/// serve reply codec, `GemmReport::to_json`). Public so the serve
 /// conformance suite can pin the one-shot CLI path against it.
 pub fn report_json(r: &GemmReport) -> String {
     // Hand-rolled JSON keeps the dependency set minimal; all values are

@@ -158,8 +158,9 @@ impl DseAxes {
     }
 }
 
-/// One dse design point: a full (workload × architecture × datapath ×
-/// group) coordinate.
+/// One design point: a full (workload × architecture × datapath ×
+/// group) coordinate — a dse grid job, a `pacq serve` request or an
+/// audit case; [`DseJob::runner`] derives the runner that prices it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DseJob {
     /// The architecture (dataflow) to simulate.
@@ -187,6 +188,20 @@ impl DseJob {
             self.dup,
             self.group,
         )
+    }
+
+    /// The runner that prices this point: `base` with this point's DP
+    /// width and adder-tree duplication applied to its machine
+    /// configuration, and this point's group geometry. Everything else
+    /// on the base — machine capacities, energy model, template
+    /// identity, numerics, cache handle, result recording — carries
+    /// over, so cache keys and checkpoint bindings see the template
+    /// behind every point.
+    pub fn runner(&self, base: &GemmRunner) -> GemmRunner {
+        let mut config = *base.config();
+        config.dp_width = self.width;
+        config.adder_tree_duplication = self.dup;
+        base.clone().with_config(config).with_group(self.group)
     }
 }
 
@@ -311,11 +326,9 @@ pub struct DseOutcome {
     pub tally: SweepTally,
 }
 
-/// Runs `plan` against the base runner, deriving each job's runner by
-/// overriding the datapath knobs (width, dup) and group geometry on the
-/// base — the base's machine capacities, energy model, template
-/// identity and cache handle all carry over, so cache keys and the
-/// checkpoint binding see the template behind every point.
+/// Runs `plan` against the base runner, pricing each job on
+/// [`DseJob::runner`] (used both to execute and to probe the cache for
+/// resumed rows, so the key derivation is identical).
 /// Executed jobs fan out on the rayon pool; each completed job is
 /// appended to the checkpoint before the run returns, so an interrupt
 /// after this function loses nothing. The caller records the tally
@@ -336,16 +349,6 @@ pub fn run_dse(
         ..SweepTally::default()
     };
 
-    // The per-job runner: the base with this point's datapath knobs and
-    // group geometry overridden (used both to execute and to probe the
-    // cache for resumed rows, so the key derivation is identical).
-    let job_runner = |job: &DseJob| {
-        let mut cfg = *base.config();
-        cfg.dp_width = job.width;
-        cfg.adder_tree_duplication = job.dup;
-        base.clone().with_config(cfg).with_group(job.group)
-    };
-
     let mut skipped_rows = Vec::new();
     let mut to_run = Vec::new();
     for (index, job) in plan.jobs().iter().enumerate() {
@@ -359,7 +362,7 @@ pub fn run_dse(
             // store (the first pass wrote it there); rehydrate it so
             // best-EDP/Pareto rankings over the resumed run see every
             // row instead of silently excluding the resumed ones.
-            let report = job_runner(job).cached_report(job.arch, job.workload);
+            let report = job.runner(base).cached_report(job.arch, job.workload);
             skipped_rows.push((index, DseRow { job: *job, report }));
         } else {
             tally.executed += 1;
@@ -370,8 +373,7 @@ pub fn run_dse(
     let reports: Vec<PacqResult<(usize, DseRow)>> = to_run
         .into_par_iter()
         .map(|(index, job)| {
-            let runner = job_runner(&job);
-            let report = runner.analyze(job.arch, job.workload)?;
+            let report = job.runner(base).analyze(job.arch, job.workload)?;
             if let Some(c) = checkpoint {
                 c.mark_done(&job.id())?;
             }

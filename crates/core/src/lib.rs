@@ -77,9 +77,7 @@ pub use serve::{ServeOptions, ServeSummary, Server};
 
 // The result-cache and sharding layer (`--cache`, `--shard`,
 // `--checkpoint`; DESIGN.md §12).
-pub use pacq_cache::{
-    CacheKey, CacheStats, CachedReport, ReportCache, Shard, SweepCheckpoint, VerifyOutcome,
-};
+pub use pacq_cache::{CacheKey, CacheStats, ReportCache, Shard, SweepCheckpoint, VerifyOutcome};
 
 // The declarative architecture-template layer (`pacq-arch/v1`,
 // `--arch-template`, `pacq dse`; DESIGN.md §18).
@@ -89,9 +87,7 @@ pub use pacq_arch::{ArchTemplate, Dataflow, Packing, TEMPLATE_SCHEMA};
 pub use pacq_error::{ArtifactError, PacqError, PacqResult};
 
 // Re-export the vocabulary types so `pacq` alone is enough for most uses.
-pub use pacq_fp16::{
-    AccPrecision, Backend, Fp16, Int2, Int4, NumericsMode, PackedWord, WeightPrecision,
-};
+pub use pacq_fp16::{Backend, Fp16, Int2, Int4, NumericsMode, PackedWord, WeightPrecision};
 pub use pacq_quant::{
     GroupShape, MatrixF16, MatrixF32, PackDim, PackedMatrix, QuantScheme, QuantizedMatrix,
     RtnQuantizer,

@@ -76,11 +76,6 @@ pub fn llama2_7b_layers(m: usize) -> Vec<LlamaLayer> {
     ]
 }
 
-/// The Figure 10 headline workload: `m16n4096k4096`.
-pub fn fig10_headline() -> GemmShape {
-    GemmShape::new(16, LLAMA2_7B_HIDDEN, LLAMA2_7B_HIDDEN)
-}
-
 /// A transformer model whose decoder-block GEMMs the simulator can sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Model {

@@ -32,14 +32,13 @@
 //! `--cache`/`--hot`, and drain it when the run ends).
 
 use crate::args::Args;
-use crate::cli;
+use crate::dse::DseJob;
 use crate::runner::GemmRunner;
 use crate::serve::{validate_serve_count, ServeOptions, Server};
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::WeightPrecision;
-use pacq_quant::GroupShape;
-use pacq_simt::{Architecture, SmConfig, Workload};
+use pacq_simt::{Architecture, GemmShape, Workload};
 use pacq_trace::Json;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -101,60 +100,51 @@ fn proto(message: impl Into<String>) -> PacqError {
 // The deterministic point mix
 // ---------------------------------------------------------------------
 
-/// One evaluation point in the mix: the shape token and the typed
-/// values the request spells by their canonical tokens and the
-/// in-process reference recomputes from.
-#[derive(Debug, Clone)]
-struct MixPoint {
-    shape: String,
-    arch: Architecture,
-    precision: WeightPrecision,
-}
-
 /// Builds `unique` distinct points: `m = 16·(i+1)` with `n = k = 256`
 /// (every point is a distinct cache key by shape alone), cycling the
-/// three architectures and both precisions for datapath variety.
-fn point_mix(unique: usize) -> Vec<MixPoint> {
+/// three architectures and both precisions for datapath variety. The
+/// datapath and group are the serve-side defaults, [`GemmRunner::new`]'s
+/// Table I machine, which the request frames leave unspelled.
+fn point_mix(unique: usize) -> Vec<DseJob> {
     const ARCHS: [Architecture; 3] = [
         Architecture::Pacq,
         Architecture::StandardDequant,
         Architecture::PackedK,
     ];
+    let machine = GemmRunner::new();
     (0..unique)
-        .map(|i| MixPoint {
-            shape: format!("m{}n256k256", 16 * (i + 1)),
+        .map(|i| DseJob {
             arch: ARCHS[i % ARCHS.len()],
-            precision: WeightPrecision::ALL[i % WeightPrecision::ALL.len()],
+            workload: Workload::new(
+                GemmShape::new(16 * (i + 1), 256, 256),
+                WeightPrecision::ALL[i % WeightPrecision::ALL.len()],
+            ),
+            width: machine.config().dp_width,
+            dup: machine.config().adder_tree_duplication,
+            group: machine.group(),
         })
         .collect()
 }
 
 /// Renders the request frame for `point` under `id`.
-fn request_line(id: u64, point: &MixPoint) -> String {
+fn request_line(id: u64, point: &DseJob) -> String {
     let mut frame = Json::object();
     frame.set("op", "analyze");
     frame.set("id", id);
-    frame.set("shape", point.shape.as_str());
+    frame.set("shape", point.workload.shape.to_string());
     frame.set("arch", point.arch.token());
-    frame.set("precision", point.precision.token());
+    frame.set("precision", point.workload.precision.token());
     frame.render_line()
 }
 
-/// Recomputes `point` in-process under the serve-side defaults
-/// (`volta_like`, `dup 2`, `width 4`, `g128`) without any cache, and
-/// renders the report in the lossless `pacq-cache/v1` encoding — the
-/// exact string a conforming server must have sent.
-fn reference_line(point: &MixPoint) -> PacqResult<String> {
-    let mut cfg = SmConfig::volta_like();
-    cfg.adder_tree_duplication = 2;
-    cfg.dp_width = 4;
-    let runner = GemmRunner::new()
-        .with_config(cfg)
-        .with_group(GroupShape::G128);
-    let workload = Workload::new(cli::parse_shape(&point.shape)?, point.precision);
-    let report = runner.analyze(point.arch, workload)?;
-    let key = runner.cache_key(point.arch, workload);
-    Ok(report.to_cached().to_json(&key).render_line())
+/// Recomputes `point` in-process without any cache, and renders the
+/// report in the lossless `pacq-cache/v1` encoding — the exact string a
+/// conforming server must have sent.
+fn reference_line(point: &DseJob) -> PacqResult<String> {
+    let runner = point.runner(&GemmRunner::new());
+    let report = runner.analyze(point.arch, point.workload)?;
+    let key = runner.cache_key(point.arch, point.workload);
+    Ok(report.to_json(&key).render_line())
 }
 
 // ---------------------------------------------------------------------
@@ -186,7 +176,7 @@ struct ClientOutcome {
 fn run_client(
     addr: &str,
     ids: Range<u64>,
-    points: &Arc<Vec<MixPoint>>,
+    points: &Arc<Vec<DseJob>>,
     window: usize,
     sample: usize,
 ) -> PacqResult<ClientOutcome> {
@@ -461,9 +451,9 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
                 counter: "loadgen.report_bytes".to_string(),
                 case: format!(
                     "{} {} {}",
-                    point.shape,
+                    point.workload.shape,
                     point.arch.token(),
-                    point.precision.token()
+                    point.workload.precision.token()
                 ),
                 observed: rendering.clone(),
                 expected,
@@ -529,6 +519,7 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli;
 
     fn argv(text: &str) -> Vec<String> {
         text.split_whitespace().map(str::to_string).collect()
@@ -547,10 +538,10 @@ mod tests {
         let a = point_mix(48);
         let b = point_mix(48);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.shape, y.shape);
+            assert_eq!(x.workload.shape, y.workload.shape);
             assert_eq!(x.arch, y.arch);
         }
-        let mut shapes: Vec<&str> = a.iter().map(|p| p.shape.as_str()).collect();
+        let mut shapes: Vec<String> = a.iter().map(|p| p.workload.shape.to_string()).collect();
         shapes.sort_unstable();
         shapes.dedup();
         assert_eq!(shapes.len(), 48, "every point must be a distinct key");

@@ -1,176 +1,11 @@
-//! Reports produced by the GEMM runner.
+//! Reports produced by the GEMM runner and their side-by-side
+//! comparison.
+//!
+//! The report type, [`GemmReport`], is defined once in `pacq_cache`,
+//! next to the lossless `pacq-cache/v1` codec that the disk store, the
+//! hot tier and `pacq serve` replies share; it is re-exported here.
 
-use pacq_error::{PacqError, PacqResult};
-use pacq_simt::{Architecture, EnergyReport, GemmStats, Workload};
-use pacq_trace::Json;
-
-/// Full analysis of one GEMM on one architecture: traffic, timing,
-/// energy, EDP.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GemmReport {
-    /// The architecture simulated.
-    pub arch: Architecture,
-    /// The workload.
-    pub workload: Workload,
-    /// Raw simulator statistics.
-    pub stats: GemmStats,
-    /// Energy split in pJ.
-    pub energy: EnergyReport,
-    /// End-to-end latency in seconds.
-    pub latency_s: f64,
-    /// Energy-delay product in pJ·s.
-    pub edp_pj_s: f64,
-}
-
-impl GemmReport {
-    /// Total energy in pJ.
-    pub fn total_energy_pj(&self) -> f64 {
-        self.energy.total_pj()
-    }
-
-    /// Speedup of this report over another (other ÷ self, in cycles).
-    pub fn speedup_over(&self, other: &GemmReport) -> f64 {
-        other.stats.total_cycles as f64 / self.stats.total_cycles as f64
-    }
-
-    /// EDP of this report normalized to another (self ÷ other).
-    pub fn edp_normalized_to(&self, other: &GemmReport) -> f64 {
-        self.edp_pj_s / other.edp_pj_s
-    }
-
-    /// Register-file accesses normalized to another report.
-    pub fn rf_accesses_normalized_to(&self, other: &GemmReport) -> f64 {
-        self.stats.rf.total_accesses() as f64 / other.stats.rf.total_accesses() as f64
-    }
-
-    /// Converts to the cache/serve vocabulary type ([`CachedReport`] is
-    /// the same data one crate down, so both the on-disk `pacq-cache/v1`
-    /// entry and the `pacq-serve/v1` reply share one lossless codec).
-    pub fn to_cached(&self) -> pacq_cache::CachedReport {
-        pacq_cache::CachedReport {
-            arch: self.arch,
-            workload: self.workload,
-            stats: self.stats,
-            energy: self.energy,
-            latency_s: self.latency_s,
-            edp_pj_s: self.edp_pj_s,
-        }
-    }
-
-    /// The inverse of [`GemmReport::to_cached`].
-    pub fn from_cached(cached: pacq_cache::CachedReport) -> GemmReport {
-        GemmReport {
-            arch: cached.arch,
-            workload: cached.workload,
-            stats: cached.stats,
-            energy: cached.energy,
-            latency_s: cached.latency_s,
-            edp_pj_s: cached.edp_pj_s,
-        }
-    }
-
-    /// Internal-consistency audit of this report (DESIGN.md §11).
-    ///
-    /// Promotes the invariants historically pinned only in unit tests to
-    /// first-class checks used by `pacq audit` and (in debug builds) by
-    /// every [`crate::GemmRunner::analyze`] call:
-    ///
-    /// 1. `edp_pj_s == total_energy_pj * latency_s` (within 1e-9
-    ///    relative) — the EDP is a *derived* quantity, never priced
-    ///    independently.
-    /// 2. The energy bill-of-materials sums: the report total equals the
-    ///    sum of the six priced components.
-    /// 3. The Figure-7 identity: `rf.total_accesses()` is exactly the
-    ///    sum of the four access counters it claims to aggregate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PacqError::AuditMismatch`] naming the first diverging
-    /// quantity.
-    pub fn check_invariants(&self) -> PacqResult<()> {
-        let case = format!("{} on {}", self.workload, self.arch);
-        let mismatch = |counter: &str, observed: String, expected: String| {
-            Err(PacqError::AuditMismatch {
-                counter: counter.to_string(),
-                case: case.clone(),
-                observed,
-                expected,
-            })
-        };
-
-        let edp_expected = self.total_energy_pj() * self.latency_s;
-        if (self.edp_pj_s - edp_expected).abs() > 1e-9 * edp_expected.abs() {
-            return mismatch(
-                "edp_pj_s",
-                format!("{:e}", self.edp_pj_s),
-                format!("{edp_expected:e} (total_energy_pj * latency_s)"),
-            );
-        }
-
-        let e = &self.energy;
-        let bom = e.tc_pj + e.rf_pj + e.l1_pj + e.dram_pj + e.buffer_pj + e.general_pj;
-        if (e.total_pj() - bom).abs() > 1e-9 * bom.abs() {
-            return mismatch(
-                "energy.total_pj",
-                format!("{:.6}", e.total_pj()),
-                format!("{bom:.6} (component BOM sum)"),
-            );
-        }
-
-        let rf = &self.stats.rf;
-        let accesses = rf.a_reads + rf.b_reads + rf.c_reads + rf.c_writes;
-        if rf.total_accesses() != accesses {
-            return mismatch(
-                "rf.total_accesses",
-                rf.total_accesses().to_string(),
-                format!("{accesses} (a+b+c reads + c writes)"),
-            );
-        }
-        Ok(())
-    }
-
-    /// The report as a [`Json`] object for the run manifest
-    /// (`pacq --metrics`, DESIGN.md §11). Field names mirror
-    /// `pacq analyze --json`.
-    pub fn metrics_json(&self) -> Json {
-        let mut shape = Json::object();
-        shape.set("m", self.workload.shape.m as u64);
-        shape.set("n", self.workload.shape.n as u64);
-        shape.set("k", self.workload.shape.k as u64);
-
-        let mut rf = Json::object();
-        rf.set("a_reads", self.stats.rf.a_reads);
-        rf.set("b_reads", self.stats.rf.b_reads);
-        rf.set("c_reads", self.stats.rf.c_reads);
-        rf.set("c_writes", self.stats.rf.c_writes);
-        rf.set("total_accesses", self.stats.rf.total_accesses());
-
-        let mut energy = Json::object();
-        energy.set("tensor_core", self.energy.tc_pj);
-        energy.set("register_file", self.energy.rf_pj);
-        energy.set("l1", self.energy.l1_pj);
-        energy.set("dram", self.energy.dram_pj);
-        energy.set("buffers", self.energy.buffer_pj);
-        energy.set("general_core", self.energy.general_pj);
-
-        let mut doc = Json::object();
-        doc.set("workload", self.workload.to_string());
-        doc.set("architecture", self.arch.to_string());
-        doc.set("shape", shape);
-        doc.set("total_cycles", self.stats.total_cycles);
-        doc.set("tc_cycles", self.stats.tc_cycles);
-        doc.set("general_cycles", self.stats.general_cycles);
-        doc.set("latency_s", self.latency_s);
-        doc.set("energy_pj", self.total_energy_pj());
-        doc.set("energy_breakdown_pj", energy);
-        doc.set("edp_pj_s", self.edp_pj_s);
-        doc.set("rf", rf);
-        doc.set("fetch_instructions", self.stats.fetch_instructions);
-        doc.set("buffer_fills", self.stats.buffer_fills);
-        doc.set("buffer_evictions", self.stats.buffer_evictions);
-        doc
-    }
-}
+pub use pacq_cache::GemmReport;
 
 /// A side-by-side comparison of several architecture reports on the same
 /// workload, normalized to the first entry.
@@ -215,14 +50,6 @@ impl Comparison {
             .map(|r| r.speedup_over(&self.reports[0]))
             .collect()
     }
-
-    /// Normalized RF accesses (baseline = 1.0).
-    pub fn normalized_rf_accesses(&self) -> Vec<f64> {
-        self.reports
-            .iter()
-            .map(|r| r.rf_accesses_normalized_to(&self.reports[0]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +57,7 @@ mod tests {
     use super::*;
     use crate::runner::GemmRunner;
     use pacq_fp16::WeightPrecision;
-    use pacq_simt::GemmShape;
+    use pacq_simt::{Architecture, GemmShape, Workload};
 
     fn reports() -> Vec<GemmReport> {
         let runner = GemmRunner::new();

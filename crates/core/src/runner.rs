@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use crate::report::GemmReport;
-use pacq_cache::{config_canonical, CacheKey, CachedReport, ReportCache};
+use pacq_cache::{config_canonical, CacheKey, ReportCache};
 use pacq_error::PacqResult;
 use pacq_fp16::{Backend, NumericsMode, WeightPrecision};
 use pacq_quant::{GroupShape, MatrixF16, MatrixF32, PackDim, PackedMatrix, RtnQuantizer};
@@ -176,7 +176,7 @@ impl GemmRunner {
                     Some(report) => report,
                     None => {
                         let fresh = self.price(arch, workload)?;
-                        cache.put_degraded(&key, &fresh.to_cached());
+                        cache.put_degraded(&key, &fresh);
                         fresh
                     }
                 }
@@ -294,12 +294,11 @@ impl GemmRunner {
         cache.get(&key).and_then(Self::accept_hit)
     }
 
-    /// Converts a stored entry back into a report, rejecting (as a miss)
-    /// any entry that decodes but fails the report's own accounting
-    /// invariants in debug builds — a tampered entry must degrade to a
-    /// recompute, never an error exit.
-    fn accept_hit(hit: CachedReport) -> Option<GemmReport> {
-        let report = GemmReport::from_cached(hit);
+    /// Accepts a stored report, rejecting (as a miss) any entry that
+    /// decodes but fails the report's own accounting invariants in debug
+    /// builds — a tampered entry must degrade to a recompute, never an
+    /// error exit.
+    fn accept_hit(report: GemmReport) -> Option<GemmReport> {
         #[cfg(debug_assertions)]
         if report.check_invariants().is_err() {
             return None;

@@ -38,12 +38,13 @@
 
 use crate::args::Args;
 use crate::cli;
+use crate::dse::DseJob;
 use crate::runner::GemmRunner;
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::WeightPrecision;
 use pacq_quant::GroupShape;
-use pacq_simt::{Architecture, SmConfig, Workload};
+use pacq_simt::{Architecture, Workload};
 use pacq_trace::Json;
 use rayon::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -127,17 +128,6 @@ pub struct ServeSummary {
     pub rejected_conns: u64,
 }
 
-/// One fully-validated evaluation point (the serve-side mirror of the
-/// CLI's per-command options).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Point {
-    arch: Architecture,
-    workload: Workload,
-    group: GroupShape,
-    dup: usize,
-    width: usize,
-}
-
 /// A partially-specified point: `batch` frames carry frame-level
 /// defaults that entries override; `shape` has no default.
 #[derive(Debug, Clone, Copy)]
@@ -151,29 +141,30 @@ struct PointSpec {
 }
 
 impl PointSpec {
-    /// The CLI's defaults: PacQ architecture, INT4, `g128`, `--dup 2`,
-    /// `--width 4`.
+    /// The CLI's defaults: PacQ architecture, INT4, and the group,
+    /// duplication and width of [`GemmRunner::new`]'s Table I machine.
     fn base() -> PointSpec {
+        let machine = GemmRunner::new();
         PointSpec {
             shape: None,
             arch: Architecture::Pacq,
             precision: WeightPrecision::Int4,
-            group: GroupShape::G128,
-            dup: 2,
-            width: 4,
+            group: machine.group(),
+            dup: machine.config().adder_tree_duplication,
+            width: machine.config().dp_width,
         }
     }
 
-    fn into_point(self) -> PacqResult<Point> {
+    fn into_point(self) -> PacqResult<DseJob> {
         let shape = self
             .shape
             .ok_or_else(|| PacqError::usage("`shape` is required (e.g. \"m16n4096k4096\")"))?;
-        Ok(Point {
+        Ok(DseJob {
             arch: self.arch,
             workload: Workload::new(shape, self.precision),
-            group: self.group,
-            dup: self.dup,
             width: self.width,
+            dup: self.dup,
+            group: self.group,
         })
     }
 }
@@ -181,8 +172,8 @@ impl PointSpec {
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
 enum Request {
-    Analyze(Point),
-    Batch(Vec<Point>),
+    Analyze(DseJob),
+    Batch(Vec<DseJob>),
     Stats,
     Ping,
     Shutdown,
@@ -252,7 +243,13 @@ struct ServerState {
     rejected_conns: AtomicU64,
     depth: AtomicUsize,
     options: ServeOptions,
-    cache: Option<Arc<ReportCache>>,
+    /// The runner every point derives its own from
+    /// ([`DseJob::runner`]): the Table I machine with the `--cache`
+    /// store attached. No per-request result records: a server answers
+    /// an unbounded stream, and recording every analysis would grow the
+    /// collector (and the `--metrics` manifest) without bound. Traffic
+    /// shows up in the `serve.*` counters instead.
+    base: GemmRunner,
     /// Read-half clones of live TCP connections keyed by a per-accept
     /// id, so drain can unblock idle readers and teardown can remove
     /// exactly its own entry. Empty in `--stdio` mode; returns to empty
@@ -296,7 +293,9 @@ impl ServerState {
             rejected_conns: AtomicU64::new(0),
             depth: AtomicUsize::new(0),
             options,
-            cache,
+            base: GemmRunner::new()
+                .with_cache_opt(cache)
+                .without_result_recording(),
             conns: Mutex::new(Vec::new()),
             conn_seq: AtomicU64::new(0),
             active_conns: AtomicUsize::new(0),
@@ -409,7 +408,7 @@ fn stats_frame(id: &Json, state: &ServerState) -> Json {
     );
     stats.set("queue_capacity", state.options.queue_capacity.to_string());
     stats.set("workers", state.options.workers.to_string());
-    match &state.cache {
+    match state.base.cache() {
         Some(cache) => {
             stats.set("cache_attached", true);
             stats.set("cache_hits", cache.hits().to_string());
@@ -598,42 +597,27 @@ fn parse_request(doc: &Json) -> PacqResult<Request> {
 // Request execution (worker side)
 // ---------------------------------------------------------------------
 
-fn point_runner(point: &Point, cache: Option<Arc<ReportCache>>) -> GemmRunner {
-    let mut cfg = SmConfig::volta_like();
-    cfg.adder_tree_duplication = point.dup;
-    cfg.dp_width = point.width;
-    // No per-request result records: a server answers an unbounded
-    // stream, and recording every analysis would grow the collector
-    // (and the `--metrics` manifest) without bound. Traffic shows up
-    // in the `serve.*` counters instead.
-    GemmRunner::new()
-        .with_config(cfg)
-        .with_group(point.group)
-        .with_cache_opt(cache)
-        .without_result_recording()
-}
-
 /// Analyzes one point and renders its report in the lossless
 /// `pacq-cache/v1` encoding (the conformance contract).
-fn point_report_json(point: &Point, cache: Option<Arc<ReportCache>>) -> PacqResult<Json> {
-    let runner = point_runner(point, cache);
+fn point_report_json(point: &DseJob, base: &GemmRunner) -> PacqResult<Json> {
+    let runner = point.runner(base);
     let report = runner.analyze(point.arch, point.workload)?;
     let key = runner.cache_key(point.arch, point.workload);
-    Ok(report.to_cached().to_json(&key))
+    Ok(report.to_json(&key))
 }
 
 fn execute_request(request: &Request, state: &ServerState, id: &Json) -> PacqResult<Json> {
     match request {
         Request::Analyze(point) => {
             let mut frame = ok_frame(id);
-            frame.set("report", point_report_json(point, state.cache.clone())?);
+            frame.set("report", point_report_json(point, &state.base)?);
             Ok(frame)
         }
         Request::Batch(points) => {
             // Dedup identical points so one batch never computes (or
             // even cache-probes) the same point twice, then fan the
             // unique points out on the shared worker pool (par.rs).
-            let mut unique: Vec<Point> = Vec::new();
+            let mut unique: Vec<DseJob> = Vec::new();
             let mut slot = Vec::with_capacity(points.len());
             for point in points {
                 match unique.iter().position(|u| u == point) {
@@ -647,7 +631,7 @@ fn execute_request(request: &Request, state: &ServerState, id: &Json) -> PacqRes
             let computed = unique
                 .clone()
                 .into_par_iter()
-                .map(|p| point_report_json(&p, state.cache.clone()))
+                .map(|p| point_report_json(&p, &state.base))
                 .collect::<Vec<PacqResult<Json>>>()
                 .into_iter()
                 .collect::<PacqResult<Vec<Json>>>()?;
@@ -1502,16 +1486,14 @@ mod tests {
         enqueue(
             &state,
             &tx,
-            Request::Analyze(Point {
-                arch: Architecture::Pacq,
-                workload: Workload::new(
-                    pacq_simt::GemmShape::new(16, 256, 256),
-                    WeightPrecision::Int4,
-                ),
-                group: GroupShape::G128,
-                dup: 2,
-                width: 4,
-            }),
+            Request::Analyze(
+                PointSpec {
+                    shape: Some(pacq_simt::GemmShape::new(16, 256, 256)),
+                    ..PointSpec::base()
+                }
+                .into_point()
+                .unwrap(),
+            ),
             Json::from(1u64),
         );
         assert_eq!(state.depth.load(Ordering::SeqCst), 1, "job was accepted");

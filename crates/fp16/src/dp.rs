@@ -13,16 +13,6 @@ use crate::parallel::{ParallelFpIntMultiplier, MAX_LANES};
 use crate::softfloat;
 use pacq_error::{PacqError, PacqResult};
 
-/// Precision of the running dot-product accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AccPrecision {
-    /// Accumulate in binary16, like a pure-FP16 adder tree chain.
-    Fp16,
-    /// Accumulate in binary32, the common tensor-core configuration.
-    #[default]
-    Fp32,
-}
-
 /// Whether lane products are rounded to FP16 before accumulation.
 ///
 /// The paper's Figure 5(d) rounds every lane product to FP16 ("passed to
@@ -146,7 +136,6 @@ fn tree_levels(width: usize) -> u32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineDpUnit {
     width: usize,
-    acc: AccPrecision,
     mul: Fp16Multiplier,
 }
 
@@ -158,15 +147,8 @@ impl BaselineDpUnit {
         validate_width(width)?;
         Ok(BaselineDpUnit {
             width,
-            acc: AccPrecision::Fp32,
             mul: Fp16Multiplier::new(),
         })
-    }
-
-    /// Sets the accumulator precision.
-    pub fn with_acc_precision(mut self, acc: AccPrecision) -> Self {
-        self.acc = acc;
-        self
     }
 
     /// The unit width (4, 8 or 16).
@@ -204,11 +186,8 @@ impl BaselineDpUnit {
     }
 
     /// One `width`-element dot product through the modeled datapath:
-    /// FP16 products, FP16 tree reduction, accumulate into `c`.
-    ///
-    /// Returns the updated accumulator (in f32 domain so both accumulator
-    /// precisions share a signature; with [`AccPrecision::Fp16`] the value
-    /// is always exactly an FP16).
+    /// FP16 products, FP16 tree reduction, accumulate into the binary32
+    /// accumulator `c`. Returns the updated accumulator.
     ///
     /// # Panics
     ///
@@ -220,11 +199,7 @@ impl BaselineDpUnit {
         for (slot, (&x, &y)) in products.iter_mut().zip(a.iter().zip(b)) {
             *slot = self.mul.product(x, y);
         }
-        let tree = reduce_tree_in_place(&mut products[..self.width]);
-        match self.acc {
-            AccPrecision::Fp16 => softfloat::add(Fp16::from_f32(c), tree).to_f32(),
-            AccPrecision::Fp32 => c + tree.to_f32(),
-        }
+        c + reduce_tree_in_place(&mut products[..self.width]).to_f32()
     }
 }
 
@@ -232,7 +207,7 @@ impl BaselineDpUnit {
 /// Σ A needed for bias removal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedDotResult {
-    /// `Σ_k A_k × (B_k,lane + offset)` per lane, in accumulator precision.
+    /// `Σ_k A_k × (B_k,lane + offset)` per lane, accumulated in binary32.
     pub lane_sums: Vec<f32>,
     /// The side accumulator's `Σ_k A_k`.
     pub sum_a: f64,
@@ -266,21 +241,6 @@ impl PackedDotResult {
             *dst = (s as f64 - self.offset as f64 * self.sum_a) as f32;
         }
     }
-
-    /// Recovers and applies a quantization scale per lane.
-    pub fn recover_scaled(&self, scales: &[f32]) -> Vec<f32> {
-        let mut out = vec![0f32; self.lane_sums.len().min(scales.len())];
-        self.recover_scaled_into(scales, &mut out);
-        out
-    }
-
-    /// Allocation-free core of [`Self::recover_scaled`]: recovery and
-    /// per-lane scaling into caller-provided scratch.
-    pub fn recover_scaled_into(&self, scales: &[f32], out: &mut [f32]) {
-        for ((dst, &s), &scale) in out.iter_mut().zip(&self.lane_sums).zip(scales) {
-            *dst = (s as f64 - self.offset as f64 * self.sum_a) as f32 * scale;
-        }
-    }
 }
 
 /// The parallel FP-INT DP unit (Table I row "Parallel FP-INT-16 DP-4": 4
@@ -310,7 +270,6 @@ pub struct ParallelDpUnit {
     width: usize,
     duplication: usize,
     precision: WeightPrecision,
-    acc: AccPrecision,
     numerics: NumericsMode,
     mul: ParallelFpIntMultiplier,
 }
@@ -335,16 +294,9 @@ impl ParallelDpUnit {
             width,
             duplication,
             precision,
-            acc: AccPrecision::Fp32,
             numerics: NumericsMode::PaperRounded,
             mul: ParallelFpIntMultiplier::new(precision),
         })
-    }
-
-    /// Sets the accumulator precision.
-    pub fn with_acc_precision(mut self, acc: AccPrecision) -> Self {
-        self.acc = acc;
-        self
     }
 
     /// Sets the product-rounding behaviour (see [`NumericsMode`]).
@@ -460,7 +412,6 @@ impl ParallelDpUnit {
         );
         let lanes = self.precision.lanes();
         lane_sums[..lanes].fill(0f32);
-        let mut lane_sums_fp16 = [Fp16::ZERO; MAX_LANES];
         let mut sum_acc = SumAccumulator::new();
         let mut products = [[Fp16::ZERO; MAX_LANES]; MAX_WIDTH];
         let mut wide = [[0f32; MAX_LANES]; MAX_WIDTH];
@@ -492,15 +443,7 @@ impl ParallelDpUnit {
                         for (k, c) in col[..self.width].iter_mut().enumerate() {
                             *c = products[k][lane];
                         }
-                        let tree = reduce_tree_in_place(&mut col[..self.width]);
-                        match self.acc {
-                            AccPrecision::Fp16 => {
-                                lane_sums_fp16[lane] = softfloat::add(lane_sums_fp16[lane], tree);
-                            }
-                            AccPrecision::Fp32 => {
-                                lane_sums[lane] += tree.to_f32();
-                            }
-                        }
+                        lane_sums[lane] += reduce_tree_in_place(&mut col[..self.width]).to_f32();
                     }
                     NumericsMode::Wide => {
                         for row in wide[..self.width].iter() {
@@ -511,11 +454,6 @@ impl ParallelDpUnit {
             }
         }
 
-        if self.numerics == NumericsMode::PaperRounded && self.acc == AccPrecision::Fp16 {
-            for (dst, src) in lane_sums[..lanes].iter_mut().zip(&lane_sums_fp16) {
-                *dst = src.to_f32();
-            }
-        }
         sum_acc.total()
     }
 }
@@ -786,28 +724,25 @@ mod tests {
             })
             .collect();
         for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
-            for acc in [AccPrecision::Fp32, AccPrecision::Fp16] {
-                let dp = ParallelDpUnit::new(4, 2, WeightPrecision::Int4)
-                    .unwrap()
-                    .with_numerics(numerics)
-                    .with_acc_precision(acc);
-                let full = dp.dot_packed(&a, &words);
-                let mut sums = [0f32; MAX_LANES];
-                let sum_a = dp.dot_packed_into(&a, &words, &mut sums);
-                assert_eq!(sum_a, full.sum_a);
-                for (lane, &s) in full.lane_sums.iter().enumerate() {
-                    assert_eq!(
-                        s.to_bits(),
-                        sums[lane].to_bits(),
-                        "{numerics:?}/{acc:?} lane {lane}"
-                    );
-                }
+            let dp = ParallelDpUnit::new(4, 2, WeightPrecision::Int4)
+                .unwrap()
+                .with_numerics(numerics);
+            let full = dp.dot_packed(&a, &words);
+            let mut sums = [0f32; MAX_LANES];
+            let sum_a = dp.dot_packed_into(&a, &words, &mut sums);
+            assert_eq!(sum_a, full.sum_a);
+            for (lane, &s) in full.lane_sums.iter().enumerate() {
+                assert_eq!(
+                    s.to_bits(),
+                    sums[lane].to_bits(),
+                    "{numerics:?} lane {lane}"
+                );
             }
         }
     }
 
-    /// The allocation-free recovery variants agree bit-for-bit with the
-    /// Vec-returning wrappers.
+    /// The allocation-free recovery agrees bit-for-bit with the
+    /// Vec-returning wrapper.
     #[test]
     fn recover_into_matches_recover() {
         let dp = ParallelDpUnit::new(4, 2, WeightPrecision::Int4).unwrap();
@@ -817,20 +752,12 @@ mod tests {
             .collect();
         let words = vec![PackedWord::from_bits(0xA731); 4];
         let res = dp.dot_packed(&a, &words);
-        let scales = [0.5f32, 2.0, -1.25, 0.75];
 
         let want = res.recover();
         let mut got = [0f32; MAX_LANES];
         res.recover_into(&mut got);
         for (lane, &w) in want.iter().enumerate() {
             assert_eq!(got[lane].to_bits(), w.to_bits(), "recover lane {lane}");
-        }
-
-        let want = res.recover_scaled(&scales);
-        let mut got = [0f32; MAX_LANES];
-        res.recover_scaled_into(&scales, &mut got);
-        for (lane, &w) in want.iter().enumerate() {
-            assert_eq!(got[lane].to_bits(), w.to_bits(), "scaled lane {lane}");
         }
     }
 

@@ -64,8 +64,7 @@ mod wide;
 pub use batch::Backend;
 pub use bits::{Fp16, Fp16Class, EXP_BIAS, EXP_MAX, HIDDEN_BIT, MANT_BITS, MANT_MASK};
 pub use dp::{
-    AccPrecision, BaselineDpUnit, DpResources, NumericsMode, PackedDotResult, ParallelDpUnit,
-    SumAccumulator,
+    BaselineDpUnit, DpResources, NumericsMode, PackedDotResult, ParallelDpUnit, SumAccumulator,
 };
 pub use mul::{Fp16Multiplier, MulTrace, MultiplierResources, RoundingMode, SubnormalMode};
 pub use packed::{Int2, Int4, PackedWord, WeightPrecision, WeightRangeError};

@@ -11,8 +11,7 @@
 
 use pacq_fp16::batch::{self, TileRow};
 use pacq_fp16::{
-    AccPrecision, BaselineDpUnit, Fp16, NumericsMode, PackedWord, ParallelDpUnit, WeightPrecision,
-    MAX_LANES,
+    BaselineDpUnit, Fp16, NumericsMode, PackedWord, ParallelDpUnit, WeightPrecision, MAX_LANES,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,18 +63,16 @@ fn operands(len: usize) -> (Vec<Fp16>, Vec<Fp16>, Vec<PackedWord>) {
 #[test]
 fn hot_paths_do_not_allocate() {
     let (a, b, w) = operands(64);
-    for acc in [AccPrecision::Fp32, AccPrecision::Fp16] {
-        let dp = BaselineDpUnit::new(4).unwrap().with_acc_precision(acc);
-        let (n, out) = allocations_in(|| {
-            let mut c = 0f32;
-            for (ca, cb) in a.chunks(4).zip(b.chunks(4)) {
-                c = dp.dot_acc(c, ca, cb);
-            }
-            c
-        });
-        assert_eq!(n, 0, "BaselineDpUnit::dot_acc ({acc:?}) allocated");
-        std::hint::black_box(out);
-    }
+    let dp = BaselineDpUnit::new(4).unwrap();
+    let (n, out) = allocations_in(|| {
+        let mut c = 0f32;
+        for (ca, cb) in a.chunks(4).zip(b.chunks(4)) {
+            c = dp.dot_acc(c, ca, cb);
+        }
+        c
+    });
+    assert_eq!(n, 0, "BaselineDpUnit::dot_acc allocated");
+    std::hint::black_box(out);
 
     for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
         for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
@@ -94,12 +91,8 @@ fn hot_paths_do_not_allocate() {
 
     let dp = ParallelDpUnit::new(4, 2, WeightPrecision::Int4).unwrap();
     let result = dp.dot_packed(&a, &w);
-    let scales = [0.5f32; MAX_LANES];
     let mut out = [0f32; MAX_LANES];
-    let (n, _) = allocations_in(|| {
-        result.recover_into(&mut out);
-        result.recover_scaled_into(&scales, &mut out);
-    });
+    let (n, _) = allocations_in(|| result.recover_into(&mut out));
     assert_eq!(n, 0, "PackedDotResult::recover_into allocated");
     std::hint::black_box(out);
 

@@ -366,13 +366,6 @@ impl Netlist {
             self.total_toggles() as f64 / (self.simulations - 1) as f64
         }
     }
-
-    /// Resets simulation state (values, toggles, counters).
-    pub fn reset_activity(&mut self) {
-        self.value.iter_mut().for_each(|v| *v = false);
-        self.toggles.iter_mut().for_each(|t| *t = 0);
-        self.simulations = 0;
-    }
 }
 
 #[cfg(test)]

@@ -98,8 +98,8 @@ pub fn execute_with_backend(
             right: packed.k(),
         });
     }
-    match arch {
-        Architecture::StandardDequant => run_standard(a, packed, backend),
+    let flow = match arch {
+        Architecture::StandardDequant => TileFlow::Standard,
         Architecture::PackedK => {
             if packed.pack_dim() != PackDim::K {
                 return Err(PacqError::invalid_input(
@@ -107,7 +107,7 @@ pub fn execute_with_backend(
                     "PackedK flow requires P(B_x)_k packing",
                 ));
             }
-            run_packed_k(a, packed, backend)
+            TileFlow::PackedK
         }
         Architecture::InputStationary => {
             // The input-stationary flow consumes the same k-packed words
@@ -121,7 +121,7 @@ pub fn execute_with_backend(
                     "input-stationary flow requires P(B_x)_k packing",
                 ));
             }
-            run_packed_k(a, packed, backend)
+            TileFlow::PackedK
         }
         Architecture::Pacq => {
             if packed.pack_dim() != PackDim::N {
@@ -130,9 +130,45 @@ pub fn execute_with_backend(
                     "PacQ flow requires P(B_x)_n packing",
                 ));
             }
-            run_pacq(a, packed, numerics, backend)
+            TileFlow::Pacq(numerics)
         }
+    };
+    let seg = segment(flow, packed)?;
+    match (backend, flow) {
+        (Backend::Batched, _) => Ok(run_tiled(flow, a, packed, seg)),
+        (Backend::Scalar, TileFlow::Standard) => run_standard(a, packed),
+        (Backend::Scalar, TileFlow::PackedK) => run_packed_k(a, packed, seg),
+        (Backend::Scalar, TileFlow::Pacq(numerics)) => run_pacq(a, packed, numerics, seg),
     }
+}
+
+/// The k-extent of one accumulation segment of `flow`: all of k for the
+/// dequantization baseline, the group's k-extent (capped at k) for the
+/// flows that scale per group. It must be a multiple of the DP width
+/// and divide k.
+fn segment(flow: TileFlow, packed: &PackedMatrix) -> PacqResult<usize> {
+    let k = packed.k();
+    let misaligned = |context, extent, multiple| {
+        Err(PacqError::Misaligned {
+            context,
+            extent,
+            multiple,
+        })
+    };
+    if let TileFlow::Standard = flow {
+        if !k.is_multiple_of(DP_WIDTH) {
+            return misaligned("simt::execute (k vs DP width)", k, DP_WIDTH);
+        }
+        return Ok(k);
+    }
+    let seg = packed.group().k_size.min(k);
+    if !seg.is_multiple_of(DP_WIDTH) {
+        return misaligned("simt::execute (group k-extent vs DP width)", seg, DP_WIDTH);
+    }
+    if !k.is_multiple_of(seg) {
+        return misaligned("simt::execute (k vs group k-extent)", k, seg);
+    }
+    Ok(seg)
 }
 
 /// The f64 oracle: `A × dequant(B)` with exact accumulation.
@@ -160,19 +196,9 @@ fn band_rows(m: usize) -> usize {
 
 /// StandardDequant: weights dequantized to FP16 storage, then a plain
 /// FP16 GEMM on the baseline DP units with f32 accumulation.
-fn run_standard(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqResult<MatrixF32> {
+fn run_standard(a: &MatrixF16, packed: &PackedMatrix) -> PacqResult<MatrixF32> {
     let dp = BaselineDpUnit::new(DP_WIDTH)?;
     let (m, n, k) = (a.rows(), packed.n(), packed.k());
-    if k % DP_WIDTH != 0 {
-        return Err(PacqError::Misaligned {
-            context: "simt::execute (k vs DP width)",
-            extent: k,
-            multiple: DP_WIDTH,
-        });
-    }
-    if backend == Backend::Batched {
-        return Ok(run_tiled(TileFlow::Standard, a, packed, k));
-    }
     let deq = packed.unpack().dequantize().to_f16();
 
     let mut out = MatrixF32::zeros(m, n);
@@ -211,28 +237,11 @@ fn run_standard(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqR
 
 /// PackedK: packed words enter the tensor core; each weight is converted
 /// inline to FP16 (exact for 4-bit signed integers) and processed
-/// sequentially; group scales are applied per k-segment in the epilogue.
-fn run_packed_k(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqResult<MatrixF32> {
+/// sequentially; group scales are applied per `seg`-long k-segment in
+/// the epilogue.
+fn run_packed_k(a: &MatrixF16, packed: &PackedMatrix, seg: usize) -> PacqResult<MatrixF32> {
     let dp = BaselineDpUnit::new(DP_WIDTH)?;
     let (m, n, k) = (a.rows(), packed.n(), packed.k());
-    let seg = packed.group().k_size.min(k);
-    if seg % DP_WIDTH != 0 {
-        return Err(PacqError::Misaligned {
-            context: "simt::execute (group k-extent vs DP width)",
-            extent: seg,
-            multiple: DP_WIDTH,
-        });
-    }
-    if k % seg != 0 {
-        return Err(PacqError::Misaligned {
-            context: "simt::execute (k vs group k-extent)",
-            extent: k,
-            multiple: seg,
-        });
-    }
-    if backend == Backend::Batched {
-        return Ok(run_tiled(TileFlow::PackedK, a, packed, seg));
-    }
     let bias = packed.precision().bias();
 
     let mut out = MatrixF32::zeros(m, n);
@@ -287,36 +296,18 @@ fn run_packed_k(a: &MatrixF16, packed: &PackedMatrix, backend: Backend) -> PacqR
 
 /// PacQ: activations stream through the parallel FP-INT multipliers
 /// against n-packed words; the Σ A accumulators and the general core
-/// remove the `+offset` bias per k-segment (Eq. (1), Figure 6) and apply
-/// the group scales.
+/// remove the `+offset` bias per `seg`-long k-segment (Eq. (1),
+/// Figure 6) and apply the group scales.
 fn run_pacq(
     a: &MatrixF16,
     packed: &PackedMatrix,
     numerics: NumericsMode,
-    backend: Backend,
+    seg: usize,
 ) -> PacqResult<MatrixF32> {
     let precision = packed.precision();
     let lanes = precision.lanes();
     let dp = ParallelDpUnit::new(DP_WIDTH, 2, precision)?.with_numerics(numerics);
     let (m, n, k) = (a.rows(), packed.n(), packed.k());
-    let seg = packed.group().k_size.min(k);
-    if seg % DP_WIDTH != 0 {
-        return Err(PacqError::Misaligned {
-            context: "simt::execute (group k-extent vs DP width)",
-            extent: seg,
-            multiple: DP_WIDTH,
-        });
-    }
-    if k % seg != 0 {
-        return Err(PacqError::Misaligned {
-            context: "simt::execute (k vs group k-extent)",
-            extent: k,
-            multiple: seg,
-        });
-    }
-    if backend == Backend::Batched {
-        return Ok(run_tiled(TileFlow::Pacq(numerics), a, packed, seg));
-    }
     let bias = precision.bias();
     let offset = precision.fp_offset();
 
@@ -370,9 +361,10 @@ fn run_pacq(
     Ok(out)
 }
 
-/// What distinguishes the flows on the batched backend: the operand a
-/// column tile gathers and the epilogue that turns a row's segment sums
-/// into outputs.
+/// The functional flows (input-stationary runs PackedK's). On the
+/// batched backend they differ only in the operand a column tile
+/// gathers and the epilogue that turns a row's segment sums into
+/// outputs.
 #[derive(Debug, Clone, Copy)]
 enum TileFlow {
     /// StandardDequant: gathers the fp16-dequantized weight

@@ -237,12 +237,10 @@ fn non_default_point_cache_keys_are_pinned() {
                     dup: 4,
                     group: GroupShape::G32X4,
                 };
-                let mut cfg = *base.config();
-                cfg.dp_width = job.width;
-                cfg.adder_tree_duplication = job.dup;
-                let runner = base.clone().with_config(cfg).with_group(job.group);
                 assert_eq!(
-                    runner.cache_key(job.arch, job.workload).canonical(),
+                    job.runner(base)
+                        .cache_key(job.arch, job.workload)
+                        .canonical(),
                     format!("{CFG};wbits={bits};flow={a}:g[32,4]:rounded;arch={source};{EM}")
                 );
                 assert_eq!(job.id(), format!("b16:{a}:{p}:w8:d4:g[32,4]"));

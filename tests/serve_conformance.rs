@@ -18,8 +18,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use pacq::cli;
-use pacq::{Architecture, GemmRunner, GemmShape, ReportCache, ServeOptions, Server, Workload};
-use pacq_cache::CachedReport;
+use pacq::{
+    Architecture, GemmReport, GemmRunner, GemmShape, ReportCache, ServeOptions, Server, Workload,
+};
 use pacq_fp16::WeightPrecision;
 use pacq_quant::GroupShape;
 use pacq_simt::SmConfig;
@@ -228,16 +229,15 @@ fn server_cli_and_runner_agree_bit_exactly_cold_and_warm() {
             .analyze(case.arch, case.workload())
             .expect("in-process analyze");
         let key = runner.cache_key(case.arch, case.workload());
-        let expected_doc = fresh.to_cached().to_json(&key);
+        let expected_doc = fresh.to_json(&key);
         assert_eq!(
             report_doc.render_line(),
             expected_doc.render_line(),
             "case {id} ({case:?}): wire form drifted"
         );
-        let served =
-            CachedReport::from_json(report_doc, Some(&key)).expect("served report decodes");
-        let expected = fresh.to_cached();
-        assert_eq!(served, expected, "case {id}");
+        let served = GemmReport::from_json(report_doc, Some(&key)).expect("served report decodes");
+        let expected = &fresh;
+        assert_eq!(&served, expected, "case {id}");
         assert_eq!(served.latency_s.to_bits(), expected.latency_s.to_bits());
         assert_eq!(served.edp_pj_s.to_bits(), expected.edp_pj_s.to_bits());
         for (got, want) in [
@@ -395,7 +395,7 @@ fn stdio_mode_serves_the_same_reports() {
     let key = runner.cache_key(case.arch, case.workload());
     assert_eq!(
         reply.get("report").expect("report").render_line(),
-        fresh.to_cached().to_json(&key).render_line(),
+        fresh.to_json(&key).render_line(),
         "stdio-served report drifted"
     );
     let last = Json::parse(lines.last().expect("last line")).expect("drained parses");
