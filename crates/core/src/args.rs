@@ -24,7 +24,7 @@ const VALUE_FLAGS: &str = "\
     --metrics --cache --hot --jobs --arch-template \
     --shape --arch --precision --group --dup --width --param --out --shard --checkpoint \
     --dir --tolerance --activity-scale \
-    --port --queue --rate --burst --max-clients \
+    --port --rate --burst --max-clients \
     --addr --ready-log --requests --clients --window --unique --sample";
 
 /// The flag table, second half: every switch.

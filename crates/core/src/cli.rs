@@ -46,8 +46,7 @@ USAGE:
   pacq cache stats|clear|verify --dir DIR
   pacq audit [--activity] [--tolerance X] [--activity-scale S]
   pacq trace --out trace.json [--arch ...] [--precision ...] [--dup ...] [--width ...]
-  pacq serve (--port N | --stdio) [--queue N] [--rate N] [--burst N]
-             [--max-clients N]
+  pacq serve (--port N | --stdio) [--rate N] [--burst N] [--max-clients N]
   pacq loadgen (--addr HOST:PORT | --ready-log FILE | --spawn)
                [--requests N] [--clients N] [--window N] [--unique N]
                [--sample N]
@@ -139,14 +138,14 @@ microsecond = 1 SM cycle).
 `pacq serve` runs a long-lived evaluation server speaking the
 newline-delimited JSON protocol pacq-serve/v1 over TCP (--port N;
 --port 0 picks an ephemeral port, announced in the ready frame) or
-over stdin/stdout (--stdio). The worker pool is sized by --jobs /
-PACQ_JOBS; --queue N bounds the pending-request queue (overflow is a
-typed queue_full error frame, exit-code class 8). Admission control:
---rate N caps each connection at N work requests per second (token
-bucket; denials are typed rate_limited frames, class 8), --burst N sets
-the bucket capacity (defaults to the rate), and --max-clients N turns
-away connections beyond N at the accept gate. A `shutdown` frame or
-stdio EOF drains gracefully. See DESIGN.md §13 and §16.
+over stdin/stdout (--stdio). Each connection answers its frames in
+order on its own thread; batch frames fan out over --jobs / PACQ_JOBS
+workers. Admission control: --rate N caps each connection at N work
+requests per second (token bucket; denials are typed rate_limited
+frames, class 8), --burst N sets the bucket capacity (defaults to the
+rate), and --max-clients N turns away connections beyond N at the
+accept gate. A `shutdown` frame or stdio EOF drains gracefully. See
+DESIGN.md §13 and §16.
 
 `pacq loadgen` drives a live pacq serve instance with a deterministic
 mixed-point analyze workload: --requests N total requests across
@@ -188,7 +187,7 @@ const COMMANDS: [&str; 10] = [
     "cache --dir",
     "audit --activity --tolerance --activity-scale --arch-template",
     "trace --arch --precision --dup --width --out --arch-template",
-    "serve --port --stdio --queue --rate --burst --max-clients",
+    "serve --port --stdio --rate --burst --max-clients",
     "loadgen --addr --ready-log --spawn --requests --clients --window --unique --sample",
 ];
 

@@ -60,9 +60,9 @@ pub const DEFAULT_CLIENTS: u64 = 4;
 /// Hard cap on `--clients`.
 pub const MAX_CLIENTS: u64 = 256;
 
-/// Default `--window` (in-flight requests per connection). The default
-/// keeps `clients × window` at half the server's default `--queue` so
-/// an out-of-the-box run never trips `queue_full` backpressure.
+/// Default `--window` (in-flight requests per connection): enough
+/// pipelining to keep a connection's server thread busy between
+/// replies.
 pub const DEFAULT_WINDOW: u64 = 8;
 /// Hard cap on `--window`.
 pub const MAX_WINDOW: u64 = 4096;
@@ -195,24 +195,24 @@ fn run_client(
     let mut next = ids.start;
     let mut line = String::new();
     while next < ids.end || !pending.is_empty() {
-        // Top up the window, then flush the burst in one syscall-ish go.
-        let mut wrote = false;
+        // Top up the window and send the burst in one write: a frame
+        // whose newline goes out in a later write sits behind Nagle
+        // until the server's delayed ACK, ~40 ms.
+        let mut burst = String::new();
         while next < ids.end && pending.len() < window {
-            let point = &points[(next % unique) as usize];
-            let frame = request_line(next, point);
-            writer
-                .write_all(frame.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .map_err(|e| io_err("loadgen::send", &e))?;
+            burst.push_str(&request_line(next, &points[(next % unique) as usize]));
+            burst.push('\n');
             pending.insert(next, Instant::now());
             next += 1;
-            wrote = true;
         }
-        if wrote {
-            writer.flush().map_err(|e| io_err("loadgen::send", &e))?;
+        if !burst.is_empty() {
+            writer
+                .write_all(burst.as_bytes())
+                .map_err(|e| io_err("loadgen::send", &e))?;
         }
-        // Retire one reply. Replies are unordered across the pipeline,
-        // so attribution goes by the echoed id, never by position.
+        // Retire one reply. The server answers a connection's frames
+        // in order, but attribution still goes by the echoed id, never
+        // by position, so a reply to the wrong request cannot pass.
         line.clear();
         let n = reader
             .read_line(&mut line)

@@ -4,9 +4,9 @@
 //! The server speaks **`pacq-serve/v1`**: newline-delimited JSON frames
 //! over TCP (`--port N`; `--port 0` binds an ephemeral port announced
 //! in the ready frame) or over stdin/stdout (`--stdio`). Every frame is
-//! one line; every reply echoes the request's `id` so clients may
-//! pipeline (replies are **not** ordered across requests — a batch may
-//! finish after a later ping).
+//! one line; every reply echoes the request's `id`. Each connection
+//! answers its frames on the one thread that reads them, so its replies
+//! come back in request order; clients still match replies by `id`.
 //!
 //! Design rules, in the order they bite:
 //!
@@ -14,16 +14,17 @@
 //!   (bad JSON, unknown `op`, wrong field type, oversized line) is
 //!   answered with a typed [`PacqError`] frame on the same connection;
 //!   other connections never notice.
-//! - **Bounded queue, explicit backpressure.** Work requests pass
-//!   through a `sync_channel` of capacity `--queue`; when it is full
-//!   the client gets a `queue_full` error frame (exit-code class 8)
-//!   instead of the server growing without bound.
-//! - **Admission control before worker time.** Each connection owns a
+//! - **Backpressure is TCP's.** A connection's thread reads a frame,
+//!   answers it and writes the reply before it reads the next one. A
+//!   client that stops reading blocks only its own thread, which then
+//!   stops reading too, so the server holds no more per connection
+//!   than its read buffer, one frame and one reply.
+//! - **Admission control before compute time.** Each connection owns a
 //!   token bucket (`--rate` req/s sustained, `--burst` instantaneous);
 //!   work frames beyond it are answered with a typed `rate_limited`
-//!   frame (class 8, like `queue_full`) without ever touching the
-//!   queue, and `--max-clients` caps concurrent connections at the
-//!   accept gate — so one hostile client cannot monopolize the pool.
+//!   frame (class 8) without being computed, and `--max-clients` caps
+//!   concurrent connections (and so concurrent computations) at the
+//!   accept gate — so one hostile client cannot monopolize the host.
 //!   Control ops (`ping`/`stats`/`shutdown`) are always exempt.
 //! - **One lossless codec.** Replies embed reports in the
 //!   `pacq-cache/v1` entry encoding (u64 counters as decimal strings,
@@ -32,9 +33,10 @@
 //!   property `tests/serve_conformance.rs` pins.
 //! - **Graceful drain, no signals.** This crate forbids `unsafe`,
 //!   so a SIGTERM handler is out of reach; instead a `shutdown` frame
-//!   (or stdin EOF in `--stdio` mode) drains: queued requests finish,
-//!   replies flush, then the server exits. Supervisors should send the
-//!   frame (or close stdin) rather than SIGKILL.
+//!   (or stdin EOF in `--stdio` mode) drains: frames being answered
+//!   finish and their replies go out, then the server exits.
+//!   Supervisors should send the frame (or close stdin) rather than
+//!   SIGKILL.
 
 use crate::args::Args;
 use crate::cli;
@@ -50,7 +52,6 @@ use rayon::prelude::*;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
@@ -65,27 +66,13 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// Hard cap on the number of points in one `batch` frame.
 pub const MAX_BATCH_POINTS: usize = 4096;
 
-/// Default `--queue` capacity (pending work requests).
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-
-/// Hard cap on `--queue` (a six-figure backlog is a client bug, not a
-/// tuning choice; bound it like `--jobs` bounds the pool).
-pub const MAX_QUEUE_CAPACITY: usize = 65_536;
-
-/// Serve-layer tuning knobs (queue capacity, worker count, admission).
+/// Serve-layer admission knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Bounded request-queue capacity; overflow is a `queue_full` frame.
-    ///
-    /// A value of 0 is pinned up to 1 at channel creation: capacity 0
-    /// would make `mpsc::sync_channel` a *rendezvous* channel, silently
-    /// coupling reader and worker in lockstep. The CLI rejects
-    /// `--queue 0` outright (usage, exit 2); programmatic callers get
-    /// the pin. See DESIGN.md §16.
-    pub queue_capacity: usize,
-    /// Worker threads computing replies. The CLI sizes this from the
-    /// shared `--jobs` validator (`par.rs`), so `--jobs`/`PACQ_JOBS`
-    /// govern the server exactly like every batch command.
+    /// Read by nothing: each connection answers its frames on its own
+    /// thread, and `batch` frames fan out on the shared `--jobs` pool.
+    /// Kept only because the benchmark harness still sets it; it goes
+    /// with the next benchmark change.
     pub workers: usize,
     /// Sustained per-connection admission rate in work requests per
     /// second (`--rate`); 0 disables rate limiting (the default).
@@ -103,7 +90,6 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
             workers: rayon::current_num_threads().max(1),
             rate: 0,
             burst: 0,
@@ -118,8 +104,8 @@ pub struct ServeSummary {
     /// Frames answered `ok: true` (analyze, batch, stats, ping,
     /// shutdown acks).
     pub served: u64,
-    /// Typed error frames sent (malformed frames, queue overflow,
-    /// rate-limit denials, simulator errors).
+    /// Typed error frames sent (malformed frames, rate-limit denials,
+    /// work refused while draining, simulator errors).
     pub errors: u64,
     /// Work frames denied by a connection's token bucket (a subset of
     /// `errors`).
@@ -179,18 +165,10 @@ enum Request {
     Shutdown,
 }
 
-/// One unit of queued work: the request, the id to echo, and the
-/// originating connection's reply channel.
-struct Job {
-    request: Request,
-    id: Json,
-    reply: mpsc::Sender<String>,
-}
-
 /// Per-connection token bucket: `rate` tokens/second refill up to
 /// `burst`; each work frame (analyze/batch) costs one token. Owned by
-/// the connection's reader thread, so the peer identity is the
-/// connection itself and no shared map is needed.
+/// the connection's thread, so the peer identity is the connection
+/// itself and no shared map is needed.
 struct TokenBucket {
     tokens: f64,
     last: std::time::Instant,
@@ -230,18 +208,15 @@ impl TokenBucket {
     }
 }
 
-/// Shared server state: the bounded queue, the counters the `stats`
-/// endpoint reports, and the handles drain needs.
+/// Shared server state: the counters the `stats` endpoint reports and
+/// the handles drain needs.
 struct ServerState {
-    /// `Some` while accepting work; drain takes it so workers finish
-    /// the backlog and exit.
-    queue: Mutex<Option<SyncSender<Job>>>,
+    /// Set once drain begins; work frames read after it are refused.
     draining: AtomicBool,
     served: AtomicU64,
     errors: AtomicU64,
     rate_limited: AtomicU64,
     rejected_conns: AtomicU64,
-    depth: AtomicUsize,
     options: ServeOptions,
     /// The runner every point derives its own from
     /// ([`DseJob::runner`]): the Table I machine with the `--cache`
@@ -250,10 +225,11 @@ struct ServerState {
     /// collector (and the `--metrics` manifest) without bound. Traffic
     /// shows up in the `serve.*` counters instead.
     base: GemmRunner,
-    /// Read-half clones of live TCP connections keyed by a per-accept
-    /// id, so drain can unblock idle readers and teardown can remove
-    /// exactly its own entry. Empty in `--stdio` mode; returns to empty
-    /// whenever no client is connected (the PR 7 leak regression).
+    /// Clones of live TCP connections keyed by a per-accept id, so
+    /// drain can shut their read halves to unblock idle readers and
+    /// teardown can remove exactly its own entry. Empty in `--stdio`
+    /// mode; returns to empty whenever no client is connected (pinned by
+    /// `tests/serve_load.rs`).
     conns: Mutex<Vec<(u64, TcpStream)>>,
     /// Monotonic id source for `conns` entries.
     conn_seq: AtomicU64,
@@ -264,9 +240,9 @@ struct ServerState {
     addr: Option<SocketAddr>,
 }
 
-/// Locks ignoring poisoning: every structure behind these mutexes is
-/// valid at all times (a queue handle, a socket list), so a panicking
-/// writer cannot leave a broken invariant behind.
+/// Locks ignoring poisoning: the socket list behind this mutex is valid
+/// at all times, so a panicking writer cannot leave a broken invariant
+/// behind.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
@@ -279,19 +255,13 @@ impl ServerState {
         options: ServeOptions,
         cache: Option<Arc<ReportCache>>,
         addr: Option<SocketAddr>,
-    ) -> (Arc<ServerState>, Receiver<Job>) {
-        // Capacity 0 would build a rendezvous channel (reader and
-        // worker in lockstep); pin it to the smallest real queue. The
-        // CLI already rejects `--queue 0` as a usage error.
-        let (tx, rx) = mpsc::sync_channel(options.queue_capacity.max(1));
-        let state = ServerState {
-            queue: Mutex::new(Some(tx)),
+    ) -> Arc<ServerState> {
+        Arc::new(ServerState {
             draining: AtomicBool::new(false),
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             rate_limited: AtomicU64::new(0),
             rejected_conns: AtomicU64::new(0),
-            depth: AtomicUsize::new(0),
             options,
             base: GemmRunner::new()
                 .with_cache_opt(cache)
@@ -300,20 +270,7 @@ impl ServerState {
             conn_seq: AtomicU64::new(0),
             active_conns: AtomicUsize::new(0),
             addr,
-        };
-        (Arc::new(state), rx)
-    }
-
-    /// Starts the worker pool on this server's job queue (both
-    /// lifecycles share it).
-    fn spawn_workers(self: &Arc<Self>, jobs: Receiver<Job>) -> Vec<thread::JoinHandle<()>> {
-        let jobs = Arc::new(Mutex::new(jobs));
-        (0..self.options.workers)
-            .map(|_| {
-                let (jobs, state) = (Arc::clone(&jobs), Arc::clone(self));
-                thread::spawn(move || worker_loop(&jobs, &state))
-            })
-            .collect()
+        })
     }
 
     fn summary(&self) -> ServeSummary {
@@ -326,20 +283,17 @@ impl ServerState {
     }
 
     /// Initiates the graceful drain (idempotent): stop accepting work,
-    /// let queued jobs finish, unblock idle readers and the acceptor.
+    /// unblock idle readers and the acceptor.
     fn drain(&self) {
         if self.draining.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Dropping the only sender lets workers finish the buffered
-        // backlog, then exit on the disconnect.
-        *lock(&self.queue) = None;
         // Unblock the accept loop (it re-checks the flag per accept).
         if let Some(addr) = self.addr {
             drop(TcpStream::connect(addr));
         }
-        // EOF every connection's reader; pending replies still flush
-        // through the write halves.
+        // EOF every connection's reader; a frame being answered still
+        // writes its reply through the open write half.
         for (_, conn) in lock(&self.conns).iter() {
             let _ = conn.shutdown(Shutdown::Read);
         }
@@ -376,15 +330,13 @@ fn error_frame(id: &Json, error: &PacqError) -> Json {
 
 /// The frame announced when the server is ready; `addr` (TCP mode only)
 /// follows `event`.
-fn ready_frame(options: &ServeOptions, addr: Option<SocketAddr>) -> Json {
+fn ready_frame(addr: Option<SocketAddr>) -> Json {
     let mut frame = Json::object();
     frame.set("schema", PROTOCOL);
     frame.set("event", "ready");
     if let Some(addr) = addr {
         frame.set("addr", addr.to_string());
     }
-    frame.set("workers", options.workers.to_string());
-    frame.set("queue_capacity", options.queue_capacity.to_string());
     frame
 }
 
@@ -402,12 +354,6 @@ fn stats_frame(id: &Json, state: &ServerState) -> Json {
         "rejected_conns",
         state.rejected_conns.load(Ordering::SeqCst).to_string(),
     );
-    stats.set(
-        "queue_depth",
-        state.depth.load(Ordering::SeqCst).to_string(),
-    );
-    stats.set("queue_capacity", state.options.queue_capacity.to_string());
-    stats.set("workers", state.options.workers.to_string());
     match state.base.cache() {
         Some(cache) => {
             stats.set("cache_attached", true);
@@ -431,8 +377,18 @@ fn stats_frame(id: &Json, state: &ServerState) -> Json {
     frame
 }
 
+/// Writes `frame` with its newline in one `write_all`: a separate
+/// 1-byte newline write would sit behind Nagle until the client's
+/// delayed ACK, stalling line-reading clients ~40 ms per reply.
+fn write_line(out: &mut impl Write, frame: &Json) -> std::io::Result<()> {
+    let mut line = frame.render_line();
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
+}
+
 /// Sends one reply frame, bumping the served/error counter.
-fn send(state: &ServerState, tx: &mpsc::Sender<String>, frame: Json, is_error: bool) {
+fn send(state: &ServerState, out: &mut impl Write, frame: &Json, is_error: bool) {
     if is_error {
         state.errors.fetch_add(1, Ordering::SeqCst);
     } else {
@@ -440,7 +396,7 @@ fn send(state: &ServerState, tx: &mpsc::Sender<String>, frame: Json, is_error: b
     }
     // A closed connection just drops the reply; the counters still
     // reflect that the request was answered.
-    let _ = tx.send(frame.render_line());
+    let _ = write_line(out, frame);
 }
 
 // ---------------------------------------------------------------------
@@ -594,7 +550,7 @@ fn parse_request(doc: &Json) -> PacqResult<Request> {
 }
 
 // ---------------------------------------------------------------------
-// Request execution (worker side)
+// Request execution
 // ---------------------------------------------------------------------
 
 /// Analyzes one point and renders its report in the lossless
@@ -606,87 +562,68 @@ fn point_report_json(point: &DseJob, base: &GemmRunner) -> PacqResult<Json> {
     Ok(report.to_json(&key))
 }
 
-fn execute_request(request: &Request, state: &ServerState, id: &Json) -> PacqResult<Json> {
-    match request {
-        Request::Analyze(point) => {
-            let mut frame = ok_frame(id);
-            frame.set("report", point_report_json(point, &state.base)?);
-            Ok(frame)
-        }
-        Request::Batch(points) => {
-            // Dedup identical points so one batch never computes (or
-            // even cache-probes) the same point twice, then fan the
-            // unique points out on the shared worker pool (par.rs).
-            let mut unique: Vec<DseJob> = Vec::new();
-            let mut slot = Vec::with_capacity(points.len());
-            for point in points {
-                match unique.iter().position(|u| u == point) {
-                    Some(i) => slot.push(i),
-                    None => {
-                        slot.push(unique.len());
-                        unique.push(*point);
-                    }
-                }
-            }
-            let computed = unique
-                .clone()
-                .into_par_iter()
-                .map(|p| point_report_json(&p, &state.base))
-                .collect::<Vec<PacqResult<Json>>>()
-                .into_iter()
-                .collect::<PacqResult<Vec<Json>>>()?;
-            let mut reports = Vec::with_capacity(slot.len());
-            for i in slot {
-                let doc = computed
-                    .get(i)
-                    .ok_or_else(|| proto("internal: batch slot out of range"))?;
-                reports.push(doc.clone());
-            }
-            let mut frame = ok_frame(id);
-            frame.set("reports", Json::Arr(reports));
-            frame.set("unique_points", unique.len().to_string());
-            Ok(frame)
-        }
-        // Stats/ping/shutdown are answered by the reader; they never
-        // reach the queue.
-        Request::Stats | Request::Ping | Request::Shutdown => {
-            Err(proto("internal: control op routed to a worker"))
-        }
-    }
+fn analyze_frame(point: &DseJob, state: &ServerState, id: &Json) -> PacqResult<Json> {
+    let mut frame = ok_frame(id);
+    frame.set("report", point_report_json(point, &state.base)?);
+    Ok(frame)
 }
 
-fn worker_loop(jobs: &Arc<Mutex<Receiver<Job>>>, state: &Arc<ServerState>) {
-    loop {
-        // Holding the lock while blocked in recv serializes job
-        // *pickup* only; execution runs after the guard drops.
-        let job = match lock(jobs).recv() {
-            Ok(job) => job,
-            Err(_) => break, // queue closed and drained
-        };
-        state.depth.fetch_sub(1, Ordering::SeqCst);
-        match execute_request(&job.request, state, &job.id) {
-            Ok(frame) => send(state, &job.reply, frame, false),
-            Err(e) => send(state, &job.reply, error_frame(&job.id, &e), true),
+fn batch_frame(points: &[DseJob], state: &ServerState, id: &Json) -> PacqResult<Json> {
+    // Dedup identical points so one batch never computes (or even
+    // cache-probes) the same point twice, then fan the unique points
+    // out on the shared worker pool (par.rs).
+    let mut unique: Vec<DseJob> = Vec::new();
+    let mut slot = Vec::with_capacity(points.len());
+    for point in points {
+        match unique.iter().position(|u| u == point) {
+            Some(i) => slot.push(i),
+            None => {
+                slot.push(unique.len());
+                unique.push(*point);
+            }
         }
     }
+    let computed = unique
+        .clone()
+        .into_par_iter()
+        .map(|p| point_report_json(&p, &state.base))
+        .collect::<Vec<PacqResult<Json>>>()
+        .into_iter()
+        .collect::<PacqResult<Vec<Json>>>()?;
+    let mut reports = Vec::with_capacity(slot.len());
+    for i in slot {
+        let doc = computed
+            .get(i)
+            .ok_or_else(|| proto("internal: batch slot out of range"))?;
+        reports.push(doc.clone());
+    }
+    let mut frame = ok_frame(id);
+    frame.set("reports", Json::Arr(reports));
+    frame.set("unique_points", unique.len().to_string());
+    Ok(frame)
+}
+
+/// Admits one work frame: spends a token of the connection's bucket
+/// (`None` = unlimited), then refuses the frame if drain has begun.
+fn admit(state: &ServerState, bucket: &mut Option<TokenBucket>) -> PacqResult<()> {
+    if let Some(bucket) = bucket {
+        if !bucket.admit() {
+            state.rate_limited.fetch_add(1, Ordering::SeqCst);
+            return Err(PacqError::RateLimited {
+                rate: state.options.rate,
+                burst: state.options.burst.max(1),
+            });
+        }
+    }
+    if state.draining.load(Ordering::SeqCst) {
+        return Err(proto("server is draining; no new work accepted"));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
-// Connection handling (reader/writer side)
+// Connection handling
 // ---------------------------------------------------------------------
-
-/// Writes each frame with its newline in one `write_all`: a separate
-/// 1-byte newline write would sit behind Nagle until the client's
-/// delayed ACK, stalling line-reading clients ~40 ms per reply.
-fn writer_loop<W: Write>(rx: Receiver<String>, mut out: W) {
-    for mut line in rx {
-        line.push('\n');
-        let ok = out.write_all(line.as_bytes()).and_then(|()| out.flush());
-        if ok.is_err() {
-            break; // client gone; senders see a closed channel
-        }
-    }
-}
 
 enum FrameRead {
     Eof,
@@ -733,15 +670,14 @@ fn skip_to_newline<R: BufRead>(reader: &mut R) -> std::io::Result<()> {
     }
 }
 
-/// Handles one parsed-or-not frame line. Returns `false` when the
-/// connection should stop reading (shutdown frame). `bucket` is this
-/// connection's admission bucket (`None` = unlimited); only work
-/// requests spend tokens — control ops and malformed frames are
-/// answered by the reader itself and never cost worker time.
+/// Answers one parsed-or-not frame line on `out`. Returns `false` when
+/// the connection should stop reading (shutdown frame). `bucket` is
+/// this connection's admission bucket; only work requests spend tokens
+/// — control ops and malformed frames are always answered.
 fn handle_line(
     text: &str,
-    state: &Arc<ServerState>,
-    tx: &mpsc::Sender<String>,
+    state: &ServerState,
+    out: &mut impl Write,
     bucket: &mut Option<TokenBucket>,
 ) -> bool {
     let text = text.trim();
@@ -752,79 +688,48 @@ fn handle_line(
         Ok(doc) if doc.is_obj() => doc,
         Ok(_) => {
             let e = proto("frame must be a JSON object");
-            send(state, tx, error_frame(&Json::Null, &e), true);
+            send(state, out, &error_frame(&Json::Null, &e), true);
             return true;
         }
         Err(e) => {
             let e = proto(format!("frame is not valid JSON: {e}"));
-            send(state, tx, error_frame(&Json::Null, &e), true);
+            send(state, out, &error_frame(&Json::Null, &e), true);
             return true;
         }
     };
     let id = doc.get("id").cloned().unwrap_or(Json::Null);
-    match parse_request(&doc) {
-        Ok(Request::Stats) => send(state, tx, stats_frame(&id, state), false),
+    let reply = match parse_request(&doc) {
+        Ok(Request::Stats) => Ok(stats_frame(&id, state)),
         Ok(Request::Ping) => {
             let mut frame = ok_frame(&id);
             frame.set("pong", true);
-            send(state, tx, frame, false);
+            Ok(frame)
         }
         Ok(Request::Shutdown) => {
             let mut frame = ok_frame(&id);
             frame.set("draining", true);
-            send(state, tx, frame, false);
+            send(state, out, &frame, false);
             state.drain();
             return false;
         }
-        Ok(request) => {
-            if let Some(bucket) = bucket {
-                if !bucket.admit() {
-                    state.rate_limited.fetch_add(1, Ordering::SeqCst);
-                    let e = PacqError::RateLimited {
-                        rate: state.options.rate,
-                        burst: state.options.burst.max(1),
-                    };
-                    send(state, tx, error_frame(&id, &e), true);
-                    return true;
-                }
-            }
-            enqueue(state, tx, request, id);
+        Ok(Request::Analyze(point)) => {
+            admit(state, bucket).and_then(|()| analyze_frame(&point, state, &id))
         }
-        Err(e) => send(state, tx, error_frame(&id, &e), true),
+        Ok(Request::Batch(points)) => {
+            admit(state, bucket).and_then(|()| batch_frame(&points, state, &id))
+        }
+        Err(e) => Err(e),
+    };
+    match reply {
+        Ok(frame) => send(state, out, &frame, false),
+        Err(e) => send(state, out, &error_frame(&id, &e), true),
     }
     true
 }
 
-fn enqueue(state: &Arc<ServerState>, tx: &mpsc::Sender<String>, request: Request, id: Json) {
-    let guard = lock(&state.queue);
-    let Some(queue) = guard.as_ref() else {
-        let e = proto("server is draining; no new work accepted");
-        send(state, tx, error_frame(&id, &e), true);
-        return;
-    };
-    let job = Job {
-        request,
-        id,
-        reply: tx.clone(),
-    };
-    match queue.try_send(job) {
-        Ok(()) => {
-            state.depth.fetch_add(1, Ordering::SeqCst);
-        }
-        Err(TrySendError::Full(job)) => {
-            let e = PacqError::QueueFull {
-                capacity: state.options.queue_capacity,
-            };
-            send(state, tx, error_frame(&job.id, &e), true);
-        }
-        Err(TrySendError::Disconnected(job)) => {
-            let e = proto("server is draining; no new work accepted");
-            send(state, tx, error_frame(&job.id, &e), true);
-        }
-    }
-}
-
-fn reader_loop<R: BufRead>(mut reader: R, state: &Arc<ServerState>, tx: &mpsc::Sender<String>) {
+/// Reads frames until EOF, a shutdown frame or undecodable bytes,
+/// answering each on `out` before reading the next.
+fn reader_loop(mut reader: impl BufRead, state: &ServerState, out: &mut impl Write) {
     let mut line = String::new();
     let mut bucket = TokenBucket::from_options(&state.options);
     loop {
@@ -832,10 +737,10 @@ fn reader_loop<R: BufRead>(mut reader: R, state: &Arc<ServerState>, tx: &mpsc::S
             Ok(FrameRead::Eof) => break,
             Ok(FrameRead::Oversized) => {
                 let e = proto(format!("frame exceeds the {MAX_FRAME_BYTES}-byte line cap"));
-                send(state, tx, error_frame(&Json::Null, &e), true);
+                send(state, out, &error_frame(&Json::Null, &e), true);
             }
             Ok(FrameRead::Line) => {
-                if !handle_line(&line, state, tx, &mut bucket) {
+                if !handle_line(&line, state, out, &mut bucket) {
                     break;
                 }
             }
@@ -843,7 +748,7 @@ fn reader_loop<R: BufRead>(mut reader: R, state: &Arc<ServerState>, tx: &mpsc::S
                 // Undecodable bytes (e.g. non-UTF-8): answer once and
                 // close this connection; everyone else is unaffected.
                 let e = proto(format!("unreadable frame: {e}"));
-                send(state, tx, error_frame(&Json::Null, &e), true);
+                send(state, out, &error_frame(&Json::Null, &e), true);
                 break;
             }
         }
@@ -851,16 +756,6 @@ fn reader_loop<R: BufRead>(mut reader: R, state: &Arc<ServerState>, tx: &mpsc::S
 }
 
 fn handle_conn(stream: TcpStream, state: Arc<ServerState>) {
-    handle_conn_inner(stream, &state);
-    // The accept loop counted us in before spawning; count back out so
-    // the `--max-clients` gate frees the slot.
-    state.active_conns.fetch_sub(1, Ordering::SeqCst);
-}
-
-fn handle_conn_inner(stream: TcpStream, state: &Arc<ServerState>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
     // Register under a fresh id so teardown removes exactly this
     // connection's drain handle — the registry must return to empty
     // when every client is gone, not grow for the life of the server.
@@ -868,29 +763,23 @@ fn handle_conn_inner(stream: TcpStream, state: &Arc<ServerState>) {
     if let Ok(drain_handle) = stream.try_clone() {
         lock(&state.conns).push((conn_id, drain_handle));
     }
-    let (tx, rx) = mpsc::channel::<String>();
-    let writer = thread::spawn(move || writer_loop(rx, stream));
-    reader_loop(BufReader::new(read_half), state, &tx);
-    // Reader done: drop our sender; the writer exits once every queued
-    // job's reply clone is dropped too, then the socket closes.
-    drop(tx);
-    let _ = writer.join();
+    reader_loop(BufReader::new(&stream), &state, &mut &stream);
     lock(&state.conns).retain(|(id, _)| *id != conn_id);
+    // The accept loop counted us in before spawning; count back out so
+    // the `--max-clients` gate frees the slot.
+    state.active_conns.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// Answers a connection turned away at the `--max-clients` gate: one
 /// typed error frame (best effort, with a short write timeout so a
 /// non-reading client cannot stall the acceptor), then the stream
 /// drops and the socket closes.
-fn reject_conn(stream: TcpStream, max_clients: usize) {
+fn reject_conn(mut stream: TcpStream, max_clients: usize) {
     let _ = stream.set_write_timeout(Some(std::time::Duration::from_millis(250)));
     let e = proto(format!(
         "server is at its --max-clients capacity ({max_clients}); retry later"
     ));
-    let mut frame = error_frame(&Json::Null, &e).render_line();
-    frame.push('\n');
-    let mut stream = stream;
-    let _ = stream.write_all(frame.as_bytes());
+    let _ = write_line(&mut stream, &error_frame(&Json::Null, &e));
 }
 
 // ---------------------------------------------------------------------
@@ -908,7 +797,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (port 0 picks an ephemeral port) and starts the
-    /// accept loop and worker pool.
+    /// accept loop, which gives every accepted connection its own
+    /// thread.
     ///
     /// # Errors
     ///
@@ -924,8 +814,7 @@ impl Server {
         };
         let listener = TcpListener::bind(addr).map_err(io_err)?;
         let local = listener.local_addr().map_err(io_err)?;
-        let (state, jobs) = ServerState::new(options, cache, Some(local));
-        let workers = state.spawn_workers(jobs);
+        let state = ServerState::new(options, cache, Some(local));
         let accept_state = Arc::clone(&state);
         let thread = thread::spawn(move || {
             let mut conns = Vec::new();
@@ -953,9 +842,6 @@ impl Server {
             accept_state.drain();
             for conn in conns {
                 let _ = conn.join();
-            }
-            for worker in workers {
-                let _ = worker.join();
             }
             accept_state.summary()
         });
@@ -1009,26 +895,18 @@ pub fn serve_stdio(
     options: ServeOptions,
     cache: Option<Arc<ReportCache>>,
 ) -> PacqResult<ServeSummary> {
-    let (state, jobs) = ServerState::new(options, cache, None);
-    let workers = state.spawn_workers(jobs);
-    let (tx, rx) = mpsc::channel::<String>();
-    let writer = thread::spawn(move || writer_loop(rx, std::io::stdout().lock()));
-    let _ = tx.send(ready_frame(&options, None).render_line());
-
-    reader_loop(std::io::stdin().lock(), &state, &tx);
+    let state = ServerState::new(options, cache, None);
+    let mut out = std::io::stdout().lock();
+    let _ = write_line(&mut out, &ready_frame(None));
+    reader_loop(std::io::stdin().lock(), &state, &mut out);
     state.drain();
-    for worker in workers {
-        let _ = worker.join();
-    }
     let summary = state.summary();
     let mut drained = Json::object();
     drained.set("schema", PROTOCOL);
     drained.set("event", "drained");
     drained.set("served", summary.served.to_string());
     drained.set("errors", summary.errors.to_string());
-    let _ = tx.send(drained.render_line());
-    drop(tx);
-    let _ = writer.join();
+    let _ = write_line(&mut out, &drained);
     Ok(summary)
 }
 
@@ -1036,7 +914,7 @@ pub fn serve_stdio(
 // CLI entry point
 // ---------------------------------------------------------------------
 
-/// Validates a serve counting flag (`--queue`, `--rate`, `--burst`,
+/// Validates a serve counting flag (`--rate`, `--burst`,
 /// `--max-clients`): trimmed, plain ASCII digits only (no sign, no
 /// decimal point), at least 1, at most `max`. Same discipline as the
 /// shared `--jobs` validator in `par.rs` — `source` names the flag so
@@ -1058,7 +936,7 @@ pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64
     }
 }
 
-/// `pacq serve (--port N | --stdio) [--queue N] [--rate N] [--burst N]
+/// `pacq serve (--port N | --stdio) [--rate N] [--burst N]
 /// [--max-clients N]` — validates the serve flags and runs the matching
 /// lifecycle until drained.
 ///
@@ -1074,8 +952,6 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
     })?;
     let stdio = args.has("--stdio");
     let count = |flag: &str, max: u64| args.last(flag, |v| validate_serve_count(v, flag, max));
-    let queue_capacity =
-        count("--queue", MAX_QUEUE_CAPACITY as u64)?.map_or(DEFAULT_QUEUE_CAPACITY, |n| n as usize);
     let rate = count("--rate", 1_000_000)?.unwrap_or(0);
     let burst = count("--burst", 1_000_000)?;
     let max_clients = count("--max-clients", 10_000)?.unwrap_or(0) as usize;
@@ -1083,7 +959,6 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
         return Err(usage("--burst only makes sense together with --rate"));
     }
     let options = ServeOptions {
-        queue_capacity,
         rate,
         burst: burst.unwrap_or(rate),
         max_clients,
@@ -1097,10 +972,10 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
             let server = Server::bind(&format!("127.0.0.1:{port}"), options, cache.clone())?;
             // Announce readiness immediately — with --port 0 the client
             // cannot know the port any other way.
-            let ready = ready_frame(&options, Some(server.addr()));
-            let mut stdout = std::io::stdout().lock();
-            let _ = writeln!(stdout, "{}", ready.render_line());
-            let _ = stdout.flush();
+            let _ = write_line(
+                &mut std::io::stdout().lock(),
+                &ready_frame(Some(server.addr())),
+            );
             server.wait()?
         }
     };
@@ -1202,30 +1077,29 @@ mod tests {
         assert_eq!(points[1].dup, 4);
     }
 
-    /// Drives a full server lifecycle through the generic reader/writer
-    /// plumbing without a socket: requests in a cursor, replies from
-    /// the channel.
+    /// Drives one connection without a socket: requests from a
+    /// cursor, replies into a byte buffer.
+    fn drive_state(input: &str, state: &ServerState) -> Vec<Json> {
+        let mut out = Vec::new();
+        reader_loop(Cursor::new(input), state, &mut out);
+        String::from_utf8(out)
+            .expect("replies are UTF-8")
+            .lines()
+            .map(|line| Json::parse(line).expect("reply frames are valid JSON"))
+            .collect()
+    }
+
     fn drive(input: &str, options: ServeOptions) -> (Vec<Json>, ServeSummary) {
-        let (state, jobs) = ServerState::new(options, None, None);
-        let jobs = Arc::new(Mutex::new(jobs));
-        let mut workers = Vec::new();
-        for _ in 0..options.workers {
-            let jobs = Arc::clone(&jobs);
-            let state = Arc::clone(&state);
-            workers.push(thread::spawn(move || worker_loop(&jobs, &state)));
-        }
-        let (tx, rx) = mpsc::channel::<String>();
-        reader_loop(BufReader::new(Cursor::new(input.to_string())), &state, &tx);
-        state.drain();
-        for w in workers {
-            w.join().unwrap();
-        }
-        drop(tx);
-        let replies = rx
-            .into_iter()
-            .map(|line| Json::parse(&line).expect("reply frames are valid JSON"))
-            .collect();
+        let state = ServerState::new(options, None, None);
+        let replies = drive_state(input, &state);
         (replies, state.summary())
+    }
+
+    fn error_class(frame: &Json) -> Option<&str> {
+        frame
+            .get("error")
+            .and_then(|e| e.get("class"))
+            .and_then(Json::as_str)
     }
 
     fn by_id(replies: &[Json], id: f64) -> Json {
@@ -1283,12 +1157,7 @@ mod tests {
             .find(|r| r.get("ok") == Some(&Json::Bool(false)))
             .expect("error frame");
         assert_eq!(err.get("id"), Some(&Json::Null));
-        assert_eq!(
-            err.get("error")
-                .and_then(|e| e.get("class"))
-                .and_then(Json::as_str),
-            Some("protocol")
-        );
+        assert_eq!(error_class(err), Some("protocol"));
     }
 
     #[test]
@@ -1322,43 +1191,30 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_is_a_typed_queue_full_frame() {
-        // One worker, capacity 1: stuff the pipeline faster than a
-        // single worker can drain it. With 64 work frames in flight at
-        // capacity 1 at least one must bounce; every bounce must be the
-        // typed queue_full class and every accepted request must get
-        // exactly one ok reply.
-        let mut input = String::new();
-        for i in 0..64 {
-            input.push_str(&format!(
-                "{{\"op\":\"analyze\",\"id\":{i},\"shape\":\"m16n4096k4096\"}}\n"
-            ));
-        }
-        let options = ServeOptions {
-            queue_capacity: 1,
-            workers: 1,
-            ..ServeOptions::default()
-        };
-        let (replies, summary) = drive(&input, options);
-        assert_eq!(replies.len(), 64, "one reply per frame, none lost");
-        let bounced = replies
-            .iter()
-            .filter(|r| r.get("ok") == Some(&Json::Bool(false)))
-            .collect::<Vec<_>>();
-        assert!(!bounced.is_empty(), "capacity-1 queue must overflow");
-        for frame in &bounced {
-            let class = frame
+    fn work_read_after_drain_is_refused_but_control_ops_answer() {
+        let state = ServerState::new(ServeOptions::default(), None, None);
+        state.drain();
+        let input = concat!(
+            r#"{"op":"analyze","id":1,"shape":"m16n256k256"}"#,
+            "\n",
+            r#"{"op":"batch","id":2,"requests":[{"shape":"m16n256k256"}]}"#,
+            "\n",
+            r#"{"op":"ping","id":3}"#,
+            "\n",
+        );
+        let replies = drive_state(input, &state);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        for refused in &replies[..2] {
+            assert_eq!(error_class(refused), Some("protocol"), "{refused:?}");
+            let message = refused
                 .get("error")
-                .and_then(|e| e.get("class"))
-                .and_then(Json::as_str);
-            assert_eq!(class, Some("queue_full"), "{frame:?}");
-            let code = frame
-                .get("error")
-                .and_then(|e| e.get("exit_code"))
-                .and_then(Json::as_num);
-            assert_eq!(code, Some(8.0));
+                .and_then(|e| e.get("message"))
+                .and_then(Json::as_str)
+                .unwrap_or_default();
+            assert!(message.contains("server is draining"), "{message}");
         }
-        assert_eq!(summary.served + summary.errors, 64);
+        assert_eq!(replies[2].get("pong"), Some(&Json::Bool(true)));
+        assert_eq!((state.summary().served, state.summary().errors), (1, 2));
     }
 
     #[test]
@@ -1371,13 +1227,7 @@ mod tests {
         let (replies, _) = drive(&input, ServeOptions::default());
         assert_eq!(replies.len(), 2);
         let err = &replies[0];
-        assert_eq!(
-            err.get("error")
-                .and_then(|e| e.get("class"))
-                .and_then(Json::as_str),
-            Some("protocol"),
-            "{err:?}"
-        );
+        assert_eq!(error_class(err), Some("protocol"), "{err:?}");
         assert_eq!(by_id(&replies, 1.0).get("pong"), Some(&Json::Bool(true)));
     }
 
@@ -1392,10 +1242,6 @@ mod tests {
             "",
             "--port 1 --stdio",
             "--port notaport",
-            "--queue 0",
-            "--queue",
-            "--queue -4",
-            "--queue 4.0",
             "--rate 0",
             "--rate nope",
             "--burst 2",                  // burst without rate
@@ -1405,6 +1251,17 @@ mod tests {
         ] {
             let err = run_cli(&argv(bad), None).unwrap_err();
             assert!(err.is_usage(), "`{bad}`: {err}");
+        }
+        // There is no request queue, so `--queue` is refused like any
+        // flag `pacq serve` does not take.
+        for retired in ["--port 0 --queue 4", "--stdio --queue 0", "--queue=64"] {
+            let err = run_cli(&argv(retired), None).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "`{retired}`: {err}");
+            assert_eq!(
+                err.to_string(),
+                "`--queue` does not apply to `pacq serve`",
+                "`{retired}`"
+            );
         }
     }
 
@@ -1424,41 +1281,38 @@ mod tests {
 
     #[test]
     fn each_frame_goes_out_in_one_write_with_its_newline() {
-        let (tx, rx) = mpsc::channel();
-        for frame in ["{\"a\":1}", "{\"b\":2}", "{}"] {
-            tx.send(frame.to_string()).unwrap();
-        }
-        drop(tx);
+        let state = ServerState::new(ServeOptions::default(), None, None);
         let mut out = RecordingWriter::default();
-        writer_loop(rx, &mut out);
+        for frame in [r#"{"a":1}"#, r#"{"b":2}"#, "{}"] {
+            send(&state, &mut out, &Json::parse(frame).unwrap(), false);
+        }
         assert_eq!(out.0, ["{\"a\":1}\n", "{\"b\":2}\n", "{}\n"]);
+        assert_eq!(state.summary().served, 3);
     }
 
-    /// The `--queue 0` boundary, pinned the same way `par.rs` pins
-    /// `--jobs`: one shared validator, exercised over every boundary
-    /// input. 0 is *rejected* (usage, exit 2) rather than passed to
-    /// `mpsc::sync_channel`, where it would silently become a
-    /// rendezvous channel; `ServerState::new` additionally pins
-    /// programmatic zeros up to 1 (covered below).
+    /// The serve counting flags' boundary, pinned the same way `par.rs`
+    /// pins `--jobs`: one shared validator, exercised over every
+    /// boundary input through `--max-clients`. 0 is *rejected* (usage,
+    /// exit 2), never reinterpreted as "unlimited".
     #[test]
-    fn queue_validator_agrees_on_every_boundary_input() {
-        let max = MAX_QUEUE_CAPACITY as u64;
+    fn serve_count_validator_agrees_on_every_boundary_input() {
+        let max = 10_000;
         let cases: [(&str, Option<u64>); 12] = [
             ("1", Some(1)),
             ("64", Some(64)),
             (" 64 ", Some(64)),
-            ("65536", Some(max)),
+            ("10000", Some(max)),
             ("0", None),
             (" 0 ", None),
-            ("65537", None),
+            ("10001", None),
             ("+4", None),
             ("-4", None),
             ("4.0", None),
             ("", None),
-            ("queue", None),
+            ("clients", None),
         ];
         for (raw, want) in cases {
-            let got = validate_serve_count(raw, "--queue", max);
+            let got = validate_serve_count(raw, "--max-clients", max);
             match want {
                 Some(n) => assert_eq!(got.unwrap(), n, "`{raw}`"),
                 None => {
@@ -1470,34 +1324,26 @@ mod tests {
         }
     }
 
+    /// Every request line of README's `pacq serve` console session is
+    /// a frame the server accepts.
     #[test]
-    fn programmatic_queue_capacity_zero_is_pinned_to_one() {
-        // A library caller that builds ServeOptions by hand must never
-        // get a rendezvous channel: capacity 0 still buffers one job.
-        let options = ServeOptions {
-            queue_capacity: 0,
-            workers: 1,
-            ..ServeOptions::default()
-        };
-        let (state, _rx) = ServerState::new(options, None, None);
-        let (tx, _reply_rx) = mpsc::channel::<String>();
-        // try_send into a rendezvous channel with no waiting receiver
-        // fails even when idle; a 1-slot queue accepts the job.
-        enqueue(
-            &state,
-            &tx,
-            Request::Analyze(
-                PointSpec {
-                    shape: Some(pacq_simt::GemmShape::new(16, 256, 256)),
-                    ..PointSpec::base()
-                }
-                .into_point()
-                .unwrap(),
-            ),
-            Json::from(1u64),
-        );
-        assert_eq!(state.depth.load(Ordering::SeqCst), 1, "job was accepted");
-        assert_eq!(state.summary().errors, 0);
+    fn readme_serve_session_frames_parse() {
+        let readme = include_str!("../../../README.md");
+        let session = readme
+            .split("$ pacq serve --port 0")
+            .nth(1)
+            .and_then(|rest| rest.split("```").next())
+            .expect("README has a `pacq serve` console session");
+        let requests: Vec<&str> = session
+            .lines()
+            .filter(|line| line.starts_with("{\"op\""))
+            .collect();
+        assert!(requests.len() >= 4, "{session}");
+        for line in requests {
+            if let Err(e) = parse(line) {
+                panic!("README frame `{line}` is refused: {e}");
+            }
+        }
     }
 
     #[test]
@@ -1516,7 +1362,6 @@ mod tests {
         input.push_str("{\"op\":\"ping\",\"id\":100}\n");
         input.push_str("{\"op\":\"stats\",\"id\":101}\n");
         let options = ServeOptions {
-            workers: 2,
             rate: 1,
             burst: 2,
             ..ServeOptions::default()
@@ -1525,12 +1370,7 @@ mod tests {
         assert_eq!(replies.len(), 12, "one reply per frame, none lost");
         let limited = replies
             .iter()
-            .filter(|r| {
-                r.get("error")
-                    .and_then(|e| e.get("class"))
-                    .and_then(Json::as_str)
-                    == Some("rate_limited")
-            })
+            .filter(|r| error_class(r) == Some("rate_limited"))
             .collect::<Vec<_>>();
         assert!(
             !limited.is_empty(),

@@ -16,7 +16,7 @@
 //! | 5 | artifact decode | [`PacqError::Artifact`] |
 //! | 6 | filesystem / OS | [`PacqError::Io`] |
 //! | 7 | audit divergence | [`PacqError::AuditMismatch`] |
-//! | 8 | serve protocol | [`PacqError::Protocol`], [`PacqError::QueueFull`], [`PacqError::RateLimited`] |
+//! | 8 | serve protocol | [`PacqError::Protocol`], [`PacqError::RateLimited`] |
 //! | 9 | architecture template | [`PacqError::Template`] |
 //!
 //! The no-panic contract is enforced statically — the library crates
@@ -160,17 +160,9 @@ pub enum PacqError {
         /// What was wrong with the frame.
         message: String,
     },
-    /// The server's bounded request queue was full: explicit
-    /// backpressure instead of unbounded memory growth. Clients should
-    /// retry after draining in-flight replies.
-    QueueFull {
-        /// The configured queue capacity that was exhausted.
-        capacity: usize,
-    },
     /// A client exceeded its per-connection admission rate: the
-    /// server's token bucket for that peer ran dry. Like
-    /// [`PacqError::QueueFull`] this is explicit backpressure, not a
-    /// protocol violation — the connection stays open and the client
+    /// server's token bucket for that peer ran dry. This is explicit
+    /// backpressure, not a protocol violation — the connection stays open and the client
     /// should slow down and retry.
     RateLimited {
         /// The sustained per-client rate (requests/second) configured
@@ -258,9 +250,7 @@ impl PacqError {
             PacqError::Artifact(_) => 5,
             PacqError::Io { .. } => 6,
             PacqError::AuditMismatch { .. } => 7,
-            PacqError::Protocol { .. }
-            | PacqError::QueueFull { .. }
-            | PacqError::RateLimited { .. } => 8,
+            PacqError::Protocol { .. } | PacqError::RateLimited { .. } => 8,
             PacqError::Template { .. } => 9,
         }
     }
@@ -283,7 +273,6 @@ impl PacqError {
             PacqError::Io { .. } => "io",
             PacqError::AuditMismatch { .. } => "audit",
             PacqError::Protocol { .. } => "protocol",
-            PacqError::QueueFull { .. } => "queue_full",
             PacqError::RateLimited { .. } => "rate_limited",
             PacqError::Template { .. } => "template",
         }
@@ -339,10 +328,6 @@ impl fmt::Display for PacqError {
             PacqError::Artifact(e) => write!(f, "artifact decode failed: {e}"),
             PacqError::Io { context, message } => write!(f, "{context}: {message}"),
             PacqError::Protocol { context, message } => write!(f, "{context}: {message}"),
-            PacqError::QueueFull { capacity } => write!(
-                f,
-                "request queue is full ({capacity} pending); retry after draining replies"
-            ),
             PacqError::RateLimited { rate, burst } => write!(
                 f,
                 "client exceeded admission rate ({rate} req/s, burst {burst}); slow down and retry"
@@ -417,10 +402,8 @@ mod tests {
         assert_eq!(io.exit_code(), 6);
         assert_eq!(audit.exit_code(), 7);
         let protocol = PacqError::protocol("serve", "missing `op`");
-        let full = PacqError::QueueFull { capacity: 64 };
         let limited = PacqError::RateLimited { rate: 10, burst: 4 };
         assert_eq!(protocol.exit_code(), 8);
-        assert_eq!(full.exit_code(), 8);
         assert_eq!(limited.exit_code(), 8);
         let template = PacqError::template("arch.toml", "schema must be pacq-arch/v1");
         assert_eq!(template.exit_code(), 9);
@@ -456,30 +439,17 @@ mod tests {
                 "audit",
             ),
             (PacqError::protocol("serve", "bad frame"), "protocol"),
-            (PacqError::QueueFull { capacity: 4 }, "queue_full"),
             (PacqError::RateLimited { rate: 5, burst: 2 }, "rate_limited"),
         ];
         for (error, token) in &cases {
             assert_eq!(error.class(), *token, "{error}");
         }
-        // Tokens within one exit-code class may differ (protocol vs
-        // queue_full vs rate_limited all exit 8 but clients must tell
-        // them apart).
+        // Tokens within one exit-code class may differ (protocol and
+        // rate_limited both exit 8 but clients must tell them apart).
         assert_ne!(
             PacqError::protocol("serve", "x").class(),
-            PacqError::QueueFull { capacity: 1 }.class()
-        );
-        assert_ne!(
-            PacqError::QueueFull { capacity: 1 }.class(),
             PacqError::RateLimited { rate: 1, burst: 1 }.class()
         );
-    }
-
-    #[test]
-    fn queue_full_names_the_capacity() {
-        let line = PacqError::QueueFull { capacity: 128 }.to_string();
-        assert!(line.contains("128"), "{line}");
-        assert!(!line.contains('\n'));
     }
 
     #[test]

@@ -309,9 +309,6 @@ fn serve_survives_32_hostile_clients() {
     let server = Server::bind(
         "127.0.0.1:0",
         ServeOptions {
-            // Large enough that valid requests never bounce as
-            // queue_full (overflow has its own dedicated test).
-            queue_capacity: CLIENTS * VALID_PER_CLIENT,
             workers: 4,
             ..ServeOptions::default()
         },

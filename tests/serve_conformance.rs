@@ -165,7 +165,6 @@ fn server_cli_and_runner_agree_bit_exactly_cold_and_warm() {
     let server = Server::bind(
         "127.0.0.1:0",
         ServeOptions {
-            queue_capacity: 16,
             workers: 2,
             ..ServeOptions::default()
         },

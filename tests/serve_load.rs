@@ -107,6 +107,50 @@ fn connection_registry_returns_to_zero_after_disconnects() {
     assert_eq!(summary.errors, 0, "{summary:?}");
 }
 
+/// One connection answers its frames in the order it read them: a
+/// pipelined analyze, batch, malformed line, ping and analyze come back
+/// in that order, each echoing its request's id. The slow analyze goes
+/// first, so a ping answered ahead of queued work would show.
+#[test]
+fn pipelined_frames_are_answered_in_request_order() {
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default(), None).expect("bind");
+    let frames = [
+        r#"{"op":"analyze","id":1,"shape":"m16n4096k4096"}"#,
+        r#"{"op":"batch","id":2,"requests":[{"shape":"m16n256k256"},{"shape":"m32n256k256"}]}"#,
+        "not json",
+        r#"{"op":"ping","id":4}"#,
+        r#"{"op":"analyze","id":5,"shape":"m16n256k256","precision":"int2"}"#,
+    ];
+    let mut client = Client::connect(&server);
+    // Every frame is on the wire before the first reply is read.
+    let burst: String = frames.iter().map(|f| format!("{f}\n")).collect();
+    client
+        .writer
+        .write_all(burst.as_bytes())
+        .expect("send burst");
+    let replies: Vec<Json> = frames.iter().map(|_| client.recv()).collect();
+    let ids: Vec<Option<f64>> = replies
+        .iter()
+        .map(|r| r.get("id").and_then(Json::as_num))
+        .collect();
+    assert_eq!(ids, [Some(1.0), Some(2.0), None, Some(4.0), Some(5.0)]);
+    let oks: Vec<bool> = replies
+        .iter()
+        .map(|r| r.get("ok") == Some(&Json::Bool(true)))
+        .collect();
+    assert_eq!(oks, [true, true, false, true, true], "{replies:?}");
+    assert_eq!(replies[2].get("id"), Some(&Json::Null));
+    let reports = replies[1].get("reports").and_then(Json::as_arr);
+    assert_eq!(reports.map(<[Json]>::len), Some(2));
+    assert_eq!(replies[3].get("pong"), Some(&Json::Bool(true)));
+    assert!(replies[4].get("report").is_some(), "{:?}", replies[4]);
+
+    drop(client);
+    server.shutdown();
+    let summary = server.wait().expect("drain");
+    assert_eq!((summary.served, summary.errors), (4, 1), "{summary:?}");
+}
+
 /// Admission control over a real socket: a client bursting past its
 /// token bucket gets typed `rate_limited` frames (class 8) and still
 /// gets exactly one reply per request — throttled, never dropped.
@@ -340,6 +384,46 @@ fn loadgen_cli_run_records_latency_provenance() {
     ] {
         assert!(text.contains(needle), "manifest lacks {needle}:\n{text}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client that sends a whole window before it reads a reply cannot
+/// wedge the server: two clients each pipeline two full windows at
+/// `pacq loadgen`'s largest `--window` and lose nothing. Replies are
+/// served from the hot tier to keep the run short.
+#[test]
+fn full_windows_sent_before_reading_lose_nothing() {
+    let dir = scratch_dir("window");
+    let window = pacq::loadgen::MAX_WINDOW;
+    let requests = 2 * 2 * window;
+    let (window, requests) = (window.to_string(), requests.to_string());
+    let store = dir.join("store");
+    let args: Vec<String> = [
+        "loadgen",
+        "--spawn",
+        "--requests",
+        &requests,
+        "--clients",
+        "2",
+        "--window",
+        &window,
+        "--unique",
+        "8",
+        "--sample",
+        "2",
+        "--cache",
+        store.to_str().expect("utf8 path"),
+        "--hot",
+        "16",
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect();
+    let out = pacq::cli::run(&args).expect("loadgen run");
+    assert!(
+        out.contains(&format!("{requests} ok, 0 errors, 0 lost")),
+        "{out}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
