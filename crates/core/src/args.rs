@@ -23,7 +23,7 @@ use pacq_error::{PacqError, PacqResult};
 const VALUE_FLAGS: &str = "\
     --metrics --cache --hot --jobs --arch-template \
     --shape --arch --precision --group --dup --width --param --out --shard --checkpoint \
-    --dir --tolerance --activity-scale \
+    --tolerance --activity-scale \
     --port --rate --burst --max-clients \
     --addr --ready-log --requests --clients --window --unique --sample";
 

@@ -43,7 +43,7 @@ USAGE:
            [--shard i/N] [--checkpoint FILE]
   pacq exec --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
             [--group ...] [--dup ...] [--width ...] [--check]
-  pacq cache stats|clear|verify --dir DIR
+  pacq cache stats|clear|verify --cache DIR
   pacq audit [--activity] [--tolerance X] [--activity-scale S]
   pacq trace --out trace.json [--arch ...] [--precision ...] [--dup ...] [--width ...]
   pacq serve (--port N | --stdio) [--rate N] [--burst N] [--max-clients N]
@@ -184,7 +184,7 @@ const COMMANDS: [&str; 10] = [
     "sweep --shape --param --precision --group --dup --width --shard --checkpoint --arch-template",
     "dse --shape --param --group --shard --checkpoint --pareto --arch-template",
     "exec --shape --arch --precision --group --dup --width --check --arch-template",
-    "cache --dir",
+    "cache",
     "audit --activity --tolerance --activity-scale --arch-template",
     "trace --arch --precision --dup --width --out --arch-template",
     "serve --port --stdio --rate --burst --max-clients",
@@ -196,8 +196,8 @@ const COMMANDS: [&str; 10] = [
 pub(crate) fn command_flags(command: &str) -> Option<&'static str> {
     COMMANDS
         .into_iter()
-        .find_map(|c| c.split_once(' ').filter(|(name, _)| *name == command))
-        .map(|(_, flags)| flags)
+        .map(|c| c.split_once(' ').unwrap_or((c, "")))
+        .find_map(|(name, flags)| (name == command).then_some(flags))
 }
 
 /// The global run knobs of one invocation, resolved the same way for
@@ -1043,10 +1043,10 @@ fn dse(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     Ok(out)
 }
 
-/// `pacq cache stats|clear|verify --dir DIR`: maintenance operations on
-/// a content-addressed report cache directory. `verify` exits nonzero
-/// (typed, exit code 4) when any entry fails its integrity walk, so CI
-/// can gate on store health.
+/// `pacq cache stats|clear|verify --cache DIR`: maintenance operations
+/// on the content-addressed report cache the global `--cache` opened.
+/// `verify` exits nonzero (typed, exit code 4) when any entry fails its
+/// integrity walk, so CI can gate on store health.
 fn cache_cmd(args: &Args, ambient: Option<&Arc<ReportCache>>) -> PacqResult<String> {
     // The action is the positional after the command.
     let action = match args.positionals().nth(1) {
@@ -1054,13 +1054,7 @@ fn cache_cmd(args: &Args, ambient: Option<&Arc<ReportCache>>) -> PacqResult<Stri
         Some(other) => return Err(does_not_apply(other, "pacq cache")),
         None => return Err(err("cache wants an action: stats, clear or verify")),
     };
-    // `--dir DIR` names the store; the global `--cache DIR` flag works
-    // too, so `pacq cache stats --cache DIR` reads naturally.
-    let store = match (args.values("--dir").last(), ambient) {
-        (Some(d), _) => ReportCache::open(d)?,
-        (None, Some(c)) => ReportCache::open(c.dir())?,
-        (None, None) => return Err(err("cache wants --dir DIR (or the global --cache DIR)")),
-    };
+    let store = ambient.ok_or_else(|| err("cache wants --cache DIR"))?;
     match action {
         "stats" => {
             let s = store.stats()?;
@@ -1867,9 +1861,13 @@ mod tests {
         let healed = cached("analyze --shape m16n256k256 --arch pacq").expect("recomputes");
         assert_eq!(healed, cold);
 
-        let cleared = run(&with("cache clear --dir", &[&dir])).expect("clear");
+        let cleared = cached("cache clear").expect("clear");
         assert!(cleared.contains("removed"), "{cleared}");
-        assert!(run(&argv("cache stats")).is_err(), "--dir is required");
+        assert!(run(&argv("cache stats")).is_err(), "--cache is required");
+        // `--cache` is the one flag that names the store.
+        let e = run(&with("cache stats --dir", &[&dir])).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(e.to_string().contains("does not apply"), "{e}");
         assert!(cached("cache frobnicate").is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -2209,7 +2207,8 @@ mod tests {
     fn every_value_flag_takes_both_spellings() {
         // For every value flag of every command, `--f=V` parses the
         // same as `--f V`; a switch given `=V` is a usage error.
-        for (command, flags) in COMMANDS.map(|c| c.split_once(' ').unwrap()) {
+        for command in COMMANDS.map(|c| c.split(' ').next().unwrap()) {
+            let flags = command_flags(command).unwrap();
             let entry = format!("pacq {command}");
             let accepted = format!("{GLOBAL_FLAGS} {flags}");
             for flag in accepted.split_whitespace() {
@@ -2224,8 +2223,8 @@ mod tests {
                 }
             }
         }
-        // End to end: per-command flags take `=V` too, and a flag a
-        // command does not take still names the command.
+        // End to end: per-command and global flags take `=V` too, and a
+        // flag a command does not take still names the command.
         assert_eq!(
             run(&argv("analyze --shape=m16n256k256 --arch=is")).unwrap(),
             run(&argv("analyze --shape m16n256k256 --arch is")).unwrap()
@@ -2237,7 +2236,7 @@ mod tests {
             "{e}"
         );
         let dir = tmp_dir("dir-equals");
-        let stats = run(&with("cache stats", &[&format!("--dir={dir}")])).unwrap();
+        let stats = run(&with("cache stats", &[&format!("--cache={dir}")])).unwrap();
         assert!(stats.contains("0 entries"), "{stats}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -84,7 +84,7 @@ pub use pacq_cache::{CacheKey, CacheStats, ReportCache, Shard, SweepCheckpoint, 
 pub use pacq_arch::{ArchTemplate, Dataflow, Packing, TEMPLATE_SCHEMA};
 
 // The workspace-wide typed error layer (DESIGN.md §10).
-pub use pacq_error::{ArtifactError, PacqError, PacqResult};
+pub use pacq_error::{PacqError, PacqResult};
 
 // Re-export the vocabulary types so `pacq` alone is enough for most uses.
 pub use pacq_fp16::{Backend, Fp16, Int2, Int4, NumericsMode, PackedWord, WeightPrecision};

@@ -233,6 +233,10 @@ struct ServerState {
     conns: Mutex<Vec<(u64, TcpStream)>>,
     /// Monotonic id source for `conns` entries.
     conn_seq: AtomicU64,
+    /// Connection threads the acceptor has not yet seen finish. Each
+    /// accept drops the finished ones (detaching them, which unmaps
+    /// their stacks); drain joins the rest.
+    threads: Mutex<Vec<thread::JoinHandle<()>>>,
     /// Currently-connected clients, maintained by the accept loop and
     /// connection teardown; gates `--max-clients`.
     active_conns: AtomicUsize,
@@ -268,6 +272,7 @@ impl ServerState {
                 .without_result_recording(),
             conns: Mutex::new(Vec::new()),
             conn_seq: AtomicU64::new(0),
+            threads: Mutex::new(Vec::new()),
             active_conns: AtomicUsize::new(0),
             addr,
         })
@@ -817,7 +822,6 @@ impl Server {
         let state = ServerState::new(options, cache, Some(local));
         let accept_state = Arc::clone(&state);
         let thread = thread::spawn(move || {
-            let mut conns = Vec::new();
             for stream in listener.incoming() {
                 if accept_state.draining.load(Ordering::SeqCst) {
                     break;
@@ -834,13 +838,15 @@ impl Server {
                 }
                 accept_state.active_conns.fetch_add(1, Ordering::SeqCst);
                 let conn_state = Arc::clone(&accept_state);
-                conns.push(thread::spawn(move || handle_conn(stream, conn_state)));
+                let mut threads = lock(&accept_state.threads);
+                threads.retain(|t| !t.is_finished());
+                threads.push(thread::spawn(move || handle_conn(stream, conn_state)));
             }
             drop(listener);
             // Belt and braces for externally-triggered shutdowns: drain
             // is idempotent, and every reader must see EOF before join.
             accept_state.drain();
-            for conn in conns {
+            for conn in std::mem::take(&mut *lock(&accept_state.threads)) {
                 let _ = conn.join();
             }
             accept_state.summary()
@@ -1420,5 +1426,40 @@ mod tests {
         assert!(bucket.tokens <= 1.0, "burst cap respected");
         // Unlimited config builds no bucket at all.
         assert!(TokenBucket::from_options(&ServeOptions::default()).is_none());
+    }
+
+    /// A long-lived server taking many short connections must not keep
+    /// one finished thread's handle (and its mapped stack) per client.
+    #[test]
+    fn finished_connection_threads_are_not_retained() {
+        let server = Server::bind("127.0.0.1:0", ServeOptions::default(), None).unwrap();
+        let settle = |done: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !done() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "server did not settle"
+                );
+                thread::sleep(std::time::Duration::from_millis(1));
+            }
+        };
+        for round in 0..64 {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            writeln!(stream, r#"{{"op":"ping","id":{round}}}"#).unwrap();
+            let mut pong = String::new();
+            BufReader::new(&stream).read_line(&mut pong).unwrap();
+            assert!(pong.contains(r#""pong":true"#), "{pong}");
+            drop(stream);
+            // Every spawned thread ends before the next accept prunes.
+            settle(&|| lock(&server.state.threads).iter().all(|t| t.is_finished()));
+        }
+        settle(&|| server.live_connections() == 0);
+        let retained = lock(&server.state.threads).len();
+        assert!(
+            retained <= 1,
+            "{retained} finished connection threads retained"
+        );
+        server.shutdown();
+        server.wait().unwrap();
     }
 }

@@ -4,20 +4,21 @@
 //! [`Result<T, PacqError>`](PacqResult) instead of panicking. The
 //! hierarchy is deliberately small: one enum whose variants map 1:1
 //! onto the classes of malformed input a long-running serving stack
-//! must survive, plus [`ArtifactError`] for the on-disk artifact
-//! decoder. The CLI maps each class to a distinct nonzero exit code
-//! via [`PacqError::exit_code`]:
+//! must survive. The CLI maps each class to a distinct nonzero exit
+//! code via [`PacqError::exit_code`]:
 //!
 //! | exit code | class | variants |
 //! |---|---|---|
 //! | 2 | usage / argv | [`PacqError::Usage`] |
 //! | 3 | shape contract | [`PacqError::ZeroDim`], [`PacqError::ShapeMismatch`], [`PacqError::Misaligned`], [`PacqError::ShapeTooLarge`] |
-//! | 4 | numeric domain | [`PacqError::InvalidInput`], [`PacqError::NonFinite`], [`PacqError::EmptySearchSpace`], [`PacqError::NotPositiveDefinite`] |
-//! | 5 | artifact decode | [`PacqError::Artifact`] |
+//! | 4 | numeric domain | [`PacqError::InvalidInput`], [`PacqError::NonFinite`], [`PacqError::EmptySearchSpace`] |
 //! | 6 | filesystem / OS | [`PacqError::Io`] |
 //! | 7 | audit divergence | [`PacqError::AuditMismatch`] |
 //! | 8 | serve protocol | [`PacqError::Protocol`], [`PacqError::RateLimited`] |
 //! | 9 | architecture template | [`PacqError::Template`] |
+//!
+//! Exit code 5 (once the decoder of a retired binary weight container)
+//! is unassigned and not reused, so a code never changes meaning.
 //!
 //! The no-panic contract is enforced statically — the library crates
 //! deny `clippy::unwrap_used` / `expect_used` / `panic` outside tests —
@@ -35,41 +36,13 @@ use std::fmt;
 /// Shorthand for `Result<T, PacqError>` used across the workspace.
 pub type PacqResult<T> = Result<T, PacqError>;
 
-/// A failure while decoding a serialized quantization artifact.
-///
-/// Produced by `pacq_quant::artifact::from_bytes`; every truncation or
-/// bit-flip of a valid artifact decodes to one of these, never a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactError {
-    /// The leading magic bytes are not `PACQ`.
-    BadMagic,
-    /// The format version byte is not one this build understands.
-    BadVersion(u8),
-    /// A header or payload field holds an out-of-contract value.
-    BadField(&'static str),
-    /// The byte stream ended before the encoded length was reached.
-    Truncated,
-}
-
-impl fmt::Display for ArtifactError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ArtifactError::BadMagic => write!(f, "bad magic (expected `PACQ`)"),
-            ArtifactError::BadVersion(v) => write!(f, "unsupported artifact version {v}"),
-            ArtifactError::BadField(field) => write!(f, "invalid field `{field}`"),
-            ArtifactError::Truncated => write!(f, "truncated artifact"),
-        }
-    }
-}
-
-impl std::error::Error for ArtifactError {}
-
 /// The unified error type of the pacq workspace.
 ///
-/// Variants are grouped into four classes — usage, shape contract,
-/// numeric domain, artifact decode — each with its own CLI exit code
-/// (see [`PacqError::exit_code`]). `context` fields name the API that
-/// rejected the input so a one-line diagnostic is self-locating.
+/// Variants are grouped into classes — usage, shape contract, numeric
+/// domain, filesystem, audit, serve protocol, architecture template —
+/// each with its own CLI exit code (see [`PacqError::exit_code`]).
+/// `context` fields name the API that rejected the input so a one-line
+/// diagnostic is self-locating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PacqError {
@@ -126,22 +99,11 @@ pub enum PacqError {
         context: &'static str,
     },
     /// A search was asked to pick a best element from an empty space
-    /// (e.g. an empty AWQ alpha grid).
+    /// (e.g. a roofline crossover search that finds no batch).
     EmptySearchSpace {
         /// The search that had nothing to search.
         context: &'static str,
     },
-    /// Cholesky factorization hit a non-positive pivot: the (damped)
-    /// GPTQ Hessian is not positive definite.
-    NotPositiveDefinite {
-        /// Index of the first pivot whose square went non-positive.
-        pivot: usize,
-    },
-    /// A serialized artifact failed to decode.
-    Artifact(
-        /// The decoder-level cause.
-        ArtifactError,
-    ),
     /// A filesystem or OS operation failed (writing a metrics manifest,
     /// a Chrome trace, a VCD dump, ...).
     Io {
@@ -235,7 +197,7 @@ impl PacqError {
     ///
     /// Distinct nonzero codes per class so scripted callers can tell a
     /// typo (2) from a bad model shape (3), a numeric-domain violation
-    /// (4) or a corrupt artifact (5) without parsing stderr.
+    /// (4) or a filesystem failure (6) without parsing stderr.
     pub fn exit_code(&self) -> u8 {
         match self {
             PacqError::Usage { .. } => 2,
@@ -245,9 +207,7 @@ impl PacqError {
             | PacqError::ShapeTooLarge { .. } => 3,
             PacqError::InvalidInput { .. }
             | PacqError::NonFinite { .. }
-            | PacqError::EmptySearchSpace { .. }
-            | PacqError::NotPositiveDefinite { .. } => 4,
-            PacqError::Artifact(_) => 5,
+            | PacqError::EmptySearchSpace { .. } => 4,
             PacqError::Io { .. } => 6,
             PacqError::AuditMismatch { .. } => 7,
             PacqError::Protocol { .. } | PacqError::RateLimited { .. } => 8,
@@ -267,9 +227,7 @@ impl PacqError {
             | PacqError::ShapeTooLarge { .. } => "shape",
             PacqError::InvalidInput { .. }
             | PacqError::NonFinite { .. }
-            | PacqError::EmptySearchSpace { .. }
-            | PacqError::NotPositiveDefinite { .. } => "domain",
-            PacqError::Artifact(_) => "artifact",
+            | PacqError::EmptySearchSpace { .. } => "domain",
             PacqError::Io { .. } => "io",
             PacqError::AuditMismatch { .. } => "audit",
             PacqError::Protocol { .. } => "protocol",
@@ -320,12 +278,6 @@ impl fmt::Display for PacqError {
             PacqError::EmptySearchSpace { context } => {
                 write!(f, "{context}: search space is empty")
             }
-            PacqError::NotPositiveDefinite { pivot } => write!(
-                f,
-                "Hessian is not positive definite (pivot {pivot} went non-positive); \
-                 increase damping or provide more calibration rows"
-            ),
-            PacqError::Artifact(e) => write!(f, "artifact decode failed: {e}"),
             PacqError::Io { context, message } => write!(f, "{context}: {message}"),
             PacqError::Protocol { context, message } => write!(f, "{context}: {message}"),
             PacqError::RateLimited { rate, burst } => write!(
@@ -348,20 +300,7 @@ impl fmt::Display for PacqError {
     }
 }
 
-impl std::error::Error for PacqError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PacqError::Artifact(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ArtifactError> for PacqError {
-    fn from(e: ArtifactError) -> Self {
-        PacqError::Artifact(e)
-    }
-}
+impl std::error::Error for PacqError {}
 
 #[cfg(test)]
 mod tests {
@@ -382,7 +321,6 @@ mod tests {
             multiple: 16,
         };
         let domain = PacqError::invalid_input("t", "bad");
-        let artifact = PacqError::from(ArtifactError::BadMagic);
         let io = PacqError::Io {
             context: "t",
             message: "disk full".to_string(),
@@ -398,7 +336,6 @@ mod tests {
         assert_eq!(mismatch.exit_code(), 3);
         assert_eq!(misaligned.exit_code(), 3);
         assert_eq!(domain.exit_code(), 4);
-        assert_eq!(artifact.exit_code(), 5);
         assert_eq!(io.exit_code(), 6);
         assert_eq!(audit.exit_code(), 7);
         let protocol = PacqError::protocol("serve", "missing `op`");
@@ -410,7 +347,6 @@ mod tests {
         assert_eq!(template.class(), "template");
         assert!(!template.is_usage());
         assert!(usage.is_usage());
-        assert!(!artifact.is_usage());
         assert!(!audit.is_usage());
         assert!(!protocol.is_usage());
     }
@@ -421,7 +357,6 @@ mod tests {
             (PacqError::usage("x"), "usage"),
             (PacqError::ZeroDim { context: "t" }, "shape"),
             (PacqError::invalid_input("t", "bad"), "domain"),
-            (PacqError::from(ArtifactError::Truncated), "artifact"),
             (
                 PacqError::Io {
                     context: "t",
@@ -480,31 +415,15 @@ mod tests {
         let errors = [
             PacqError::usage("unknown flag `--frobnicate`"),
             PacqError::ZeroDim { context: "rtn" },
-            PacqError::NonFinite { context: "awq" },
-            PacqError::EmptySearchSpace { context: "awq" },
-            PacqError::NotPositiveDefinite { pivot: 3 },
-            PacqError::Artifact(ArtifactError::BadVersion(9)),
-            PacqError::Artifact(ArtifactError::Truncated),
-            PacqError::Artifact(ArtifactError::BadField("pack_dim")),
+            PacqError::NonFinite { context: "rtn" },
+            PacqError::EmptySearchSpace {
+                context: "roofline",
+            },
         ];
         for e in errors {
             let line = e.to_string();
             assert!(!line.is_empty());
             assert!(!line.contains('\n'), "multi-line Display: {line:?}");
         }
-    }
-
-    #[test]
-    fn error_source_chains_to_artifact_cause() {
-        use std::error::Error as _;
-        let e = PacqError::from(ArtifactError::Truncated);
-        assert!(e.source().is_some());
-        assert!(PacqError::usage("x").source().is_none());
-    }
-
-    #[test]
-    fn pivot_is_preserved() {
-        let e = PacqError::NotPositiveDefinite { pivot: 42 };
-        assert!(e.to_string().contains("pivot 42"));
     }
 }

@@ -40,10 +40,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
-pub mod artifact;
-pub mod awq;
 pub mod eval;
-pub mod gptq;
 pub mod groups;
 pub mod lm;
 pub mod matrix;
@@ -51,10 +48,9 @@ pub mod pack;
 pub mod rtn;
 pub mod synth;
 
-pub use artifact::{from_bytes, to_bytes};
 pub use eval::{evaluate_rtn, QuantError};
 pub use groups::GroupShape;
 pub use matrix::{MatrixF16, MatrixF32};
 pub use pack::{PackDim, PackedMatrix};
-pub use pacq_error::{ArtifactError, PacqError, PacqResult};
+pub use pacq_error::{PacqError, PacqResult};
 pub use rtn::{QuantScheme, QuantizedMatrix, RtnQuantizer};

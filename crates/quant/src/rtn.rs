@@ -298,64 +298,6 @@ pub struct QuantizedMatrix {
 }
 
 impl QuantizedMatrix {
-    /// Reassembles a quantized matrix from raw parts (the inverse of
-    /// packing; see `pacq_quant::PackedMatrix::unpack`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed error if `codes.len() != k * n`, if `scales` or
-    /// `zero_points` do not match the group count, or if any code is out
-    /// of range for `precision`.
-    pub fn from_parts(
-        precision: WeightPrecision,
-        group: GroupShape,
-        k: usize,
-        n: usize,
-        codes: Vec<i8>,
-        scales: Vec<f32>,
-        zero_points: Vec<u8>,
-    ) -> PacqResult<Self> {
-        if codes.len() != k * n {
-            return Err(PacqError::ShapeMismatch {
-                context: "QuantizedMatrix::from_parts (codes length)",
-                left: codes.len(),
-                right: k * n,
-            });
-        }
-        if scales.len() != group.group_count(k, n) {
-            return Err(PacqError::ShapeMismatch {
-                context: "QuantizedMatrix::from_parts (scales length)",
-                left: scales.len(),
-                right: group.group_count(k, n),
-            });
-        }
-        if zero_points.len() != scales.len() {
-            return Err(PacqError::ShapeMismatch {
-                context: "QuantizedMatrix::from_parts (zero points length)",
-                left: zero_points.len(),
-                right: scales.len(),
-            });
-        }
-        if !codes
-            .iter()
-            .all(|&c| c >= precision.min_value() && c <= precision.max_value())
-        {
-            return Err(PacqError::invalid_input(
-                "QuantizedMatrix::from_parts",
-                format!("code out of range for {precision}"),
-            ));
-        }
-        Ok(QuantizedMatrix {
-            precision,
-            group,
-            k,
-            n,
-            codes,
-            scales,
-            zero_points,
-        })
-    }
-
     /// Crate-internal infallible constructor for parts produced by code
     /// that upholds the invariants by construction (e.g. unpacking a
     /// [`crate::PackedMatrix`], whose lane masks guarantee code ranges).
@@ -881,34 +823,6 @@ mod tests {
         assert!(matches!(q.quantize(&nan), Err(PacqError::NonFinite { .. })));
         let inf = MatrixF32::from_fn(16, 4, |k, _| if k == 0 { f32::INFINITY } else { 0.5 });
         assert!(matches!(q.quantize(&inf), Err(PacqError::NonFinite { .. })));
-    }
-
-    #[test]
-    fn from_parts_validates_every_contract() {
-        let g = GroupShape::along_k(32);
-        let p = WeightPrecision::Int4;
-        let ok = QuantizedMatrix::from_parts(p, g, 32, 2, vec![0; 64], vec![1.0; 2], vec![8; 2]);
-        assert!(ok.is_ok());
-        // Wrong codes length.
-        assert!(matches!(
-            QuantizedMatrix::from_parts(p, g, 32, 2, vec![0; 63], vec![1.0; 2], vec![8; 2]),
-            Err(PacqError::ShapeMismatch { .. })
-        ));
-        // Wrong scales length.
-        assert!(matches!(
-            QuantizedMatrix::from_parts(p, g, 32, 2, vec![0; 64], vec![1.0; 3], vec![8; 3]),
-            Err(PacqError::ShapeMismatch { .. })
-        ));
-        // Wrong zero-points length.
-        assert!(matches!(
-            QuantizedMatrix::from_parts(p, g, 32, 2, vec![0; 64], vec![1.0; 2], vec![8; 1]),
-            Err(PacqError::ShapeMismatch { .. })
-        ));
-        // Out-of-range code.
-        assert!(matches!(
-            QuantizedMatrix::from_parts(p, g, 32, 2, vec![99; 64], vec![1.0; 2], vec![8; 2]),
-            Err(PacqError::InvalidInput { .. })
-        ));
     }
 
     #[test]

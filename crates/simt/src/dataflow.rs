@@ -43,7 +43,7 @@ const TILE_N: u64 = 4;
 ///
 /// # Errors
 ///
-/// Returns [`PacqError::InvalidInput`] if the [`SmConfig`] fails
+/// Returns [`PacqError::InvalidInput`](pacq_error::PacqError::InvalidInput) if the [`SmConfig`] fails
 /// [`SmConfig::validate`].
 pub fn simulate(
     arch: Architecture,

@@ -12,9 +12,9 @@
 //! column (or column tile) is gathered once per job and then streamed
 //! by every row of the job.
 //!
-//! * The scalar backend fans out bands of up to [`ROW_TILE`] rows
+//! * The scalar backend fans out bands of up to `ROW_TILE` rows
 //!   across the rayon pool with `par_chunks_mut`, visits the columns in
-//!   [`COL_TILE`] blocks (PacQ: one packed-word column at a time) and
+//!   `COL_TILE` blocks (PacQ: one packed-word column at a time) and
 //!   feeds each row through the structural DP units.
 //! * The batched backend (`run_tiled`) converts all `m` activation
 //!   rows to f32 once, then fans out over `pacq_fp16::batch::COLS`-wide

@@ -5,7 +5,7 @@
 //! whole output rows / columns / sweep points are distributed, and the
 //! per-element accumulation order is untouched. This suite pins that
 //! contract for the three functional GEMM flows, the f64 oracle, and
-//! the RTN / GPTQ / AWQ quantizers by running each computation at
+//! the symmetric and asymmetric RTN quantizers by running each computation at
 //! `jobs = 1` and `jobs = 4` and comparing raw f32 bit patterns.
 //!
 //! The suite additionally pins the batched kernel's contract: the
@@ -18,8 +18,8 @@
 
 use pacq_fp16::{Backend, Fp16, NumericsMode, WeightPrecision};
 use pacq_quant::{
-    awq::AwqScaler, gptq::GptqQuantizer, synth::SynthGenerator, GroupShape, MatrixF16, MatrixF32,
-    PackDim, PackedMatrix, QuantizedMatrix, RtnQuantizer,
+    synth::SynthGenerator, GroupShape, MatrixF16, MatrixF32, PackDim, PackedMatrix,
+    QuantizedMatrix, RtnQuantizer,
 };
 use pacq_simt::{execute, execute_with_backend, reference, Architecture};
 
@@ -144,57 +144,6 @@ fn rtn_artifacts_are_bit_identical_across_job_counts() {
             assert_artifacts_eq(&serial, &parallel, &format!("rtn/{name}/{precision}"));
         }
     }
-}
-
-#[test]
-fn gptq_artifacts_are_bit_identical_across_job_counts() {
-    let mut g = SynthGenerator::new(81);
-    let w = g.llm_weights(K, N);
-    let calibration = g.llm_activations(8, K);
-    let quantizer =
-        GptqQuantizer::new(WeightPrecision::Int4, GroupShape::along_k(32)).expect("k-only group");
-    let (serial, parallel) = at_1_and_4(|| {
-        quantizer
-            .quantize(&w, &calibration)
-            .expect("well-conditioned synthetic Hessian")
-    });
-    assert_artifacts_eq(&serial, &parallel, "gptq");
-}
-
-#[test]
-fn awq_search_is_bit_identical_across_job_counts() {
-    let mut g = SynthGenerator::new(82);
-    let w = g.llm_weights(K, N);
-    let activations = g.llm_activations(8, K);
-    let scaler = AwqScaler::new();
-    let (serial, parallel) = at_1_and_4(|| {
-        scaler
-            .search(
-                &w,
-                &activations,
-                WeightPrecision::Int4,
-                GroupShape::along_k(32),
-            )
-            .expect("searches")
-    });
-    assert_eq!(
-        serial.alpha.to_bits(),
-        parallel.alpha.to_bits(),
-        "awq: chosen α diverges"
-    );
-    assert_eq!(
-        serial.output_rel_err.to_bits(),
-        parallel.output_rel_err.to_bits(),
-        "awq: output error diverges"
-    );
-    let sb: Vec<u32> = serial.channel_scales.iter().map(|s| s.to_bits()).collect();
-    let pb: Vec<u32> = parallel
-        .channel_scales
-        .iter()
-        .map(|s| s.to_bits())
-        .collect();
-    assert_eq!(sb, pb, "awq: channel scale bits diverge");
-    assert_artifacts_eq(&serial.quantized, &parallel.quantized, "awq/quantized");
 }
 
 /// Asserts two f32 matrices agree to the last bit, except that a NaN

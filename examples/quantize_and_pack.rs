@@ -7,9 +7,7 @@
 
 use pacq::{GroupShape, PackDim, PackedMatrix, RtnQuantizer};
 use pacq_fp16::{Fp16, WeightPrecision};
-use pacq_quant::awq::AwqScaler;
 use pacq_quant::evaluate_rtn;
-use pacq_quant::gptq::GptqQuantizer;
 use pacq_quant::lm::TinyLm;
 use pacq_quant::synth::SynthGenerator;
 
@@ -43,9 +41,10 @@ fn main() -> pacq::PacqResult<()> {
     }
 
     // ------------------------------------------------------------------
-    // Algorithm upgrades that drop into the same PacQ pipeline.
+    // Symmetric vs asymmetric (zero-point) RTN; the zero points reach
+    // the PacQ datapath through the Σ A term of Eq. (1).
     // ------------------------------------------------------------------
-    println!("\n== quantizer comparison (output rel err, INT4 g128, salient activations) ==");
+    println!("\n== RTN schemes (output rel err, INT4 g128, salient activations) ==");
     {
         let mut g2 = SynthGenerator::new(70);
         let w = g2.llm_weights(256, 64);
@@ -72,16 +71,6 @@ fn main() -> pacq::PacqResult<()> {
         println!(
             "  RTN (asymmetric):       {:.5}",
             out_err(&asym.dequantize())
-        );
-        let gptq = GptqQuantizer::new(WeightPrecision::Int4, group)?.quantize(&w, &acts)?;
-        println!(
-            "  GPTQ (Hessian-aware):   {:.5}",
-            out_err(&gptq.dequantize())
-        );
-        let awq = AwqScaler::new().search(&w, &acts, WeightPrecision::Int4, group)?;
-        println!(
-            "  AWQ (activation-aware): {:.5} (alpha = {})",
-            awq.output_rel_err, awq.alpha
         );
     }
 
@@ -133,17 +122,9 @@ fn main() -> pacq::PacqResult<()> {
          mantissa bits —\nobservations ① and ② that make the parallel FP-INT \
          multiplier possible (§IV)."
     );
-
-    // ------------------------------------------------------------------
-    // The deployable artifact round-trips through the binary container.
-    // ------------------------------------------------------------------
-    let bytes = pacq_quant::to_bytes(&packed);
-    let restored = pacq_quant::from_bytes(&bytes)?;
-    assert_eq!(restored, packed);
     println!(
-        "\nserialized artifact: {} bytes ({:.2} bits/weight incl. scales & container)",
-        bytes.len(),
-        bytes.len() as f64 * 8.0 / (packed.k() * packed.n()) as f64
+        "\nstorage: {:.3} bits/weight (codes + FP16 group scales)",
+        packed.storage_bits() as f64 / (packed.k() * packed.n()) as f64
     );
     Ok(())
 }

@@ -230,7 +230,7 @@ fn grid_manifest_is_identical_cold_and_warm() {
     };
     let cold_doc = pass("cold");
     let warm_doc = pass("warm");
-    let verify = pacq(&["cache", "verify", "--dir", &store]);
+    let verify = pacq(&["cache", "verify", "--cache", &store]);
     let _ = std::fs::remove_dir_all(&dir);
 
     let counter = |key: &str| {

@@ -1,7 +1,7 @@
 //! Capstone cross-stack test: a small GEMM computed entirely through the
-//! **gate-level** parallel multiplier — quantize → pack → serialize →
-//! deserialize → drive the netlist word by word → recover via Eq. (1) —
-//! and compared against the dequantized oracle.
+//! **gate-level** parallel multiplier — quantize → pack → drive the
+//! netlist word by word → recover via Eq. (1) — and compared against
+//! the dequantized oracle.
 
 use pacq::{Architecture, GemmRunner, GroupShape, NumericsMode};
 use pacq_fp16::{Fp16, WeightPrecision};
@@ -21,10 +21,6 @@ fn gate_level_gemm_matches_oracle() {
     let packed = runner
         .quantize_and_pack(&w, WeightPrecision::Int4, Architecture::Pacq)
         .expect("packs along n");
-
-    // Ship the artifact through the binary container first.
-    let bytes = pacq_quant::to_bytes(&packed);
-    let packed = pacq_quant::from_bytes(&bytes).expect("round-trips");
 
     let oracle = pacq_simt::reference(&a, &packed);
 
