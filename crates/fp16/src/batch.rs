@@ -14,15 +14,18 @@
 //!    ([`to_f32_table`], [`widen_into`]).
 //! 2. **Branch-free rounding** — [`round16`] rounds an f32 to the fp16
 //!    grid with a magic-number add/subtract instead of a per-element
-//!    `match` over the float classes, so it vectorizes; [`pack_rne`] is
-//!    the same rounding as fp16 bits (kept/round/sticky masks, carry
-//!    folded into the exponent field, NaN canonicalized to
-//!    [`Fp16::NAN`]). Because a binary16 product is exact in binary32
-//!    and binary32 carries ≥ 2·11 + 2 significand bits, rounding
-//!    through f32 is innocuous (Figueroa's double-rounding theorem), so
-//!    `round16(a·b)` and `round16(a+b)` are bit-identical to the
-//!    shift-add datapaths for **all** 2³² input pairs — the in-module
-//!    frontier tests and the three-way equivalence suite pin this.
+//!    `match` over the float classes, so it vectorizes; on a host with
+//!    F16C the kernel does the same rounding as one `vcvtps2ph` (RNE) /
+//!    `vcvtph2ps` conversion pair, which equals [`round16`] on every
+//!    non-NaN f32. [`pack_rne`] is the same rounding as fp16 bits
+//!    (kept/round/sticky masks, carry folded into the exponent field,
+//!    NaN canonicalized to [`Fp16::NAN`]). Because a binary16 product
+//!    is exact in binary32 and binary32 carries ≥ 2·11 + 2 significand
+//!    bits, rounding through f32 is innocuous (Figueroa's
+//!    double-rounding theorem), so `round16(a·b)` and `round16(a+b)` are
+//!    bit-identical to the shift-add datapaths for **all** 2³² input
+//!    pairs — the in-module frontier tests and the three-way
+//!    equivalence suite pin this.
 //! 3. **FP-INT lane products by arithmetic** — a biased weight
 //!    `B + offset` is the exact integer `1024 + code`, so the parallel
 //!    multiplier's lane product is one fp16 multiply
@@ -41,18 +44,20 @@
 //! their default (IEEE, round-to-nearest-even) multiplier, in both
 //! [`NumericsMode`]s.
 //!
-//! [`tile_dot`] is compiled twice: for the default target (SSE2 on
-//! x86-64, where a [`TileRow`] takes two 128-bit vectors) and inside an
-//! AVX2 target-feature function (one 256-bit vector), and each call runs
-//! the AVX2 copy when the CPU has it ([`kernel_variant`] names the
-//! choice). The copies are one source: Rust never contracts `a·b + c`
-//! into an FMA, the operation order is the code's, and [`round16`] is
-//! the same add/subtract in both, so they are bit-identical on every
-//! finite result.
+//! [`tile_dot`] has three compiled copies, and each call runs the
+//! fastest one the CPU supports ([`kernel_variant`] names it): the
+//! default target (SSE2 on x86-64, where a [`TileRow`] takes two 128-bit
+//! vectors), the same source inside an AVX2 target-feature function
+//! (one 256-bit vector), and, for [`NumericsMode::PaperRounded`] on a
+//! host with F16C as well, an explicit AVX2 + F16C kernel whose every
+//! fp16 rounding is the conversion pair. All three perform the same
+//! operations in the same order, Rust never contracts `a·b + c` into an
+//! FMA, and the conversion pair rounds exactly like [`round16`], so
+//! they are bit-identical on every non-NaN result.
 //!
 //! One caveat scopes that guarantee: when a product, tree sum or
 //! f32/f64 accumulator turns NaN (activations containing NaN or an
-//! ∞ − ∞ cancellation), both backends (and both compilations of
+//! ∞ − ∞ cancellation), both backends (and every copy of
 //! [`tile_dot`]) return NaN but the payload bits
 //! may differ — [`round16`] does not canonicalize NaN, and the compiler
 //! is free to commute the operands of a float add, which changes which
@@ -190,7 +195,7 @@ fn build_product_lut(precision: WeightPrecision) -> Vec<u16> {
 
 /// Columns per tile of the column-tile kernel: one [`TileRow`] spans
 /// two 128-bit vectors at the default x86-64 target, one 256-bit vector
-/// under AVX2.
+/// in the AVX2 and F16C copies.
 pub const COLS: usize = 8;
 
 /// One k-step of a column tile: the gathered f32 weight operands of
@@ -263,22 +268,21 @@ pub fn activation_sum(a: &[f32]) -> f64 {
 /// Panics if `a` and `b` differ in length or, for `PaperRounded`, the
 /// length is not a multiple of [`TREE_WIDTH`].
 pub fn tile_dot(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
-    wide::run(
-        #[inline(always)]
-        || tile_dot_impl(numerics, a, b),
-    )
+    wide::tile_dot(wide::Variant::detect(), numerics, a, b)
 }
 
-/// Which compilation of [`tile_dot`] this host runs: `"avx2"` (one
-/// 256-bit vector per [`TileRow`]) or `"baseline"` (the default target,
-/// SSE2 on x86-64). Both are bit-identical on every finite result.
+/// Which compiled copy of [`tile_dot`] this host runs: `"avx2+f16c"`
+/// (one 256-bit vector per [`TileRow`], every fp16 rounding done by the
+/// F16C conversion pair), `"avx2"` (the same vector width, rounding by
+/// [`round16`]) or `"baseline"` (the default target, SSE2 on x86-64).
+/// All three are bit-identical on every non-NaN result.
 pub fn kernel_variant() -> &'static str {
-    wide::variant()
+    wide::Variant::detect().name()
 }
 
-/// [`tile_dot`]'s body, inlined into each variant's compilation.
+/// [`tile_dot`]'s body, inlined into the baseline and AVX2 copies.
 #[inline(always)]
-fn tile_dot_impl(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
+pub(crate) fn tile_dot_impl(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
     assert_eq!(a.len(), b.len(), "operand k-lengths must match");
     let mut acc = [0f32; COLS];
     match numerics {
@@ -417,11 +421,11 @@ mod tests {
         x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
     }
 
-    #[test]
-    fn round16_matches_pack_rne_on_every_frontier() {
-        // For every f32 exponent, both signs and every position the
-        // rounding point can take (23 dropped bits down to none), the
-        // kept-LSB × round-bit × sticky frontiers around it.
+    /// For every f32 exponent, both signs and every position the
+    /// rounding point can take (23 dropped bits down to none), the
+    /// kept-LSB × round-bit × sticky frontiers around it; then ±∞ and a
+    /// million random bit patterns (NaN included).
+    fn rounding_frontier_inputs() -> Vec<u32> {
         let mut inputs = Vec::new();
         for exp in 0..=0xfeu32 {
             for drop in 1..=23u32 {
@@ -439,7 +443,12 @@ mod tests {
         inputs.extend([0x7f80_0000, 0xff80_0000]);
         let mut lcg = Lcg(0x5851_f42d_4c95_7f2d);
         inputs.extend((0..1_000_000).map(|_| lcg.next_u32()));
-        for bits in inputs {
+        inputs
+    }
+
+    #[test]
+    fn round16_matches_pack_rne_on_every_frontier() {
+        for bits in rounding_frontier_inputs() {
             let x = f32::from_bits(bits);
             if x.is_nan() {
                 continue;
@@ -700,48 +709,176 @@ mod tests {
         }
     }
 
-    /// The dispatched [`tile_dot`] (the AVX2 compilation on a host that
-    /// has it) equals a direct call of [`tile_dot_impl`], which inlines
-    /// into this test as baseline code: both modes, every k from 4 to
-    /// 512, fp16-valued operands (std, packed-k, `is`) and `1024 + code`
-    /// operands (pacq), over random bits and frontier values (subnormals,
-    /// ±0, values near 65504, products that overflow to ∞, NaN).
+    /// The copies of the kernel this host can execute.
+    fn copies_here() -> Vec<wide::Variant> {
+        wide::Variant::ALL
+            .into_iter()
+            .filter(|v| v.runs_here())
+            .collect()
+    }
+
+    /// Every copy this host can execute equals a direct call of
+    /// [`tile_dot_impl`], which inlines into the test as baseline code,
+    /// in both modes.
+    fn check_copies(a: &[f32], b: &[TileRow], what: &str) {
+        for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
+            let want = tile_dot_impl(numerics, a, b);
+            for variant in copies_here() {
+                let got = wide::tile_dot(variant, numerics, a, b);
+                for (c, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        same(g, w),
+                        "{} {numerics:?} k {} {what} column {c}: {g} vs {w}",
+                        variant.name(),
+                        a.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every compiled copy of [`tile_dot`] this host can execute equals
+    /// the baseline bit for bit: both modes, every k from 4 to 512,
+    /// fp16-valued operands (std, packed-k, `is`) and `1024 + code`
+    /// operands (pacq), over random bits, the frontier values, products
+    /// and tree sums that straddle 65504 and 65520, results in the fp16
+    /// subnormal range with both signs, and NaN activations (NaN only
+    /// as NaN).
     #[test]
-    fn avx2_tile_dot_matches_the_baseline_bit_for_bit() {
-        eprintln!("tile_dot variant under test: {}", kernel_variant());
+    fn every_kernel_copy_matches_the_baseline_bit_for_bit() {
+        let names: Vec<&str> = copies_here().iter().map(|v| v.name()).collect();
+        eprintln!("tile_dot copies under test: {names:?}");
+
+        // The ties, pinned. Column 0 is the product 63·1040 = 65520, the
+        // halfway point above 65504 that rounds to even, i.e. to ∞;
+        // column 1 the tree's top sum 65504 + 16 and column 5 its left
+        // sum 64512 + 1008, both 65520 too; columns 2 and 6 stay just
+        // under it; column 7 is a negative fp16 subnormal.
+        let a = [63.0, 1.0, 1.0, 1.0];
+        let tiny = f32::powi(2.0, -24);
+        let columns: [[f32; TREE_WIDTH]; COLS] = [
+            [1040.0, 0.0, 0.0, 0.0],
+            [0.0, 65504.0, 16.0, 0.0],
+            [0.0, 65504.0, 0.0, 15.992_188],
+            [-1040.0, 0.0, 0.0, 0.0],
+            [0.0, -65504.0, -16.0, 0.0],
+            [1024.0, 1008.0, 0.0, 0.0],
+            [1024.0, 992.0, 0.0, 0.0],
+            [0.0, -16.0 * tiny, tiny, 0.0],
+        ];
+        let b = tile(TREE_WIDTH, |c, t| columns[c][t]);
+        let inf = f32::INFINITY;
+        let want = [inf, inf, 65504.0, -inf, -inf, inf, 65504.0, -15.0 * tiny];
+        assert_eq!(tile_dot_impl(NumericsMode::PaperRounded, &a, &b), want);
+        check_copies(&a, &b, "65520 ties");
+
         let specials: Vec<f32> = frontier_values().iter().map(|x| x.to_f32()).collect();
+        // Factors whose products land on either side of 65504 and 65520
+        // (63.96875·1024 = 65504, 64·1024 = 65536, 1.0009766·65504 →
+        // ∞, 0.99951172·65504 → 65472) and whose sums cross there too.
+        let big_a = [
+            63.0,
+            63.968_75,
+            64.0,
+            1.0,
+            0.999_511_7,
+            1.000_976_6,
+            2.0,
+            0.5,
+        ];
+        let big_b = [
+            1040.0, 1039.0, 1024.0, 1025.0, 65504.0, 65472.0, 32752.0, 16.0, 15.992_188, 8.0,
+        ];
+        let nans = [0x7e00u16, 0xfe00, 0x7c01, 0x7fff];
+        let kinds = [
+            "any bits",
+            "|x| < 2",
+            "frontier",
+            "near 65520",
+            "subnormal results",
+            "NaN activations",
+        ];
         // Any bit pattern (mostly ∞/NaN sums at large k), |x| < 2 (sums
-        // stay finite, subnormals included) and frontier values.
-        let kinds = ["any bits", "|x| < 2", "frontier"];
-        let fp16 = |lcg: &mut Lcg, kind: usize| {
+        // stay finite, subnormals included), frontier values, the
+        // factors above, |x| in [2⁻¹⁴, 2⁻⁶) (products from 2⁻²⁸, mostly
+        // fp16 subnormal or zero) with either sign, and |x| < 2 with
+        // one activation in 64 a NaN.
+        let operand = |lcg: &mut Lcg, kind: usize, activation: bool| {
             let r = lcg.next_u32();
+            let sign = if r >> 31 == 1 { -1.0 } else { 1.0 };
+            let pick = |xs: &[f32]| sign * xs[(r >> 8) as usize % xs.len()];
             match kind {
                 0 => Fp16::from_bits(r as u16).to_f32(),
                 1 => Fp16::from_bits(r as u16 & 0xbfff).to_f32(),
-                _ => specials[r as usize % specials.len()],
+                2 => specials[r as usize % specials.len()],
+                3 if activation => pick(&big_a),
+                3 => pick(&big_b),
+                4 => sign * Fp16::from_bits(0x0400 + r as u16 % 0x2000).to_f32(),
+                _ if activation && r.is_multiple_of(64) => {
+                    Fp16::from_bits(nans[(r >> 8) as usize % nans.len()]).to_f32()
+                }
+                _ => Fp16::from_bits(r as u16 & 0xbfff).to_f32(),
             }
         };
         let mut lcg = Lcg(0x2545_f491_4f6c_dd1d);
         for k in (4..=512).step_by(4) {
             for (kind, what) in kinds.iter().enumerate() {
-                let a: Vec<f32> = (0..k).map(|_| fp16(&mut lcg, kind)).collect();
-                let h: Vec<f32> = (0..k * COLS).map(|_| fp16(&mut lcg, kind)).collect();
+                let a: Vec<f32> = (0..k).map(|_| operand(&mut lcg, kind, true)).collect();
+                let h: Vec<f32> = (0..k * COLS)
+                    .map(|_| operand(&mut lcg, kind, false))
+                    .collect();
                 let q: Vec<u32> = (0..k * COLS).map(|_| lcg.next_u32() % 16).collect();
                 let halves = tile(k, |c, t| h[t * COLS + c]);
                 let codes = tile(k, |c, t| (1024 + q[t * COLS + c]) as f32);
-                for b in [&halves, &codes] {
-                    for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
-                        let got = tile_dot(numerics, &a, b);
-                        let want = tile_dot_impl(numerics, &a, b);
-                        for (c, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                            assert!(
-                                same(g, w),
-                                "{numerics:?} k {k} {what} column {c}: {g} vs {w}"
-                            );
-                        }
-                    }
-                }
+                check_copies(&a, &halves, what);
+                check_copies(&a, &codes, &format!("{what} codes"));
             }
+        }
+    }
+
+    /// The F16C conversion pair alone equals [`round16`] on the inputs
+    /// of [`round16_matches_pack_rne_on_every_frontier`]. Each `x`
+    /// enters as the product `1·x` of an otherwise-zero chunk, so its
+    /// column returns `+0 + round(x)`: the accumulator's +0 start hides
+    /// the sign of a zero result, in every copy alike.
+    #[test]
+    fn f16c_round_matches_round16_on_every_frontier() {
+        if !wide::Variant::Avx2F16c.runs_here() {
+            eprintln!("no F16C on this host: nothing to compare");
+            return;
+        }
+        let a = [1.0, 0.0, 0.0, 0.0];
+        let inputs: Vec<f32> = rounding_frontier_inputs()
+            .into_iter()
+            .map(f32::from_bits)
+            .filter(|x| !x.is_nan())
+            .collect();
+        for xs in inputs.chunks(COLS) {
+            let b = tile(TREE_WIDTH, |c, t| match xs.get(c) {
+                Some(&x) if t == 0 => x,
+                _ => 0.0,
+            });
+            let got = wide::tile_dot(wide::Variant::Avx2F16c, NumericsMode::PaperRounded, &a, &b);
+            for (&x, g) in xs.iter().zip(got) {
+                assert_eq!(
+                    g.to_bits(),
+                    (0.0 + round16(x)).to_bits(),
+                    "x = {x:e} ({:#010x})",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    /// A host with AVX2 and F16C runs the F16C copy, so a silent
+    /// fallback to a slower copy fails here.
+    #[test]
+    fn kernel_variant_names_the_f16c_copy_when_the_host_has_f16c() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("f16c")
+        {
+            assert_eq!(kernel_variant(), "avx2+f16c");
         }
     }
 

@@ -40,7 +40,7 @@
 //! assert_eq!(p, vec![512.0, 515.5, 517.5, 519.5]);
 //! ```
 
-// One `unsafe` call, the AVX2 kernel dispatch in `wide`, is allowed
+// One `unsafe` block, the kernel dispatch in `wide`, is allowed
 // there; the rest of the crate may not use `unsafe`.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]

@@ -101,19 +101,6 @@ impl MatrixF32 {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Rounds every element to FP16 and back (models FP16 storage).
-    pub fn quantize_storage_fp16(&self) -> MatrixF32 {
-        MatrixF32 {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .map(|&v| Fp16::from_f32(v).to_f32())
-                .collect(),
-        }
-    }
-
     /// Converts to an FP16 matrix.
     pub fn to_f16(&self) -> MatrixF16 {
         MatrixF16 {
@@ -306,14 +293,6 @@ mod tests {
         assert_eq!(m.row(1), &[10.0, 11.0, 12.0, 13.0]);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 4);
-    }
-
-    #[test]
-    fn fp16_storage_rounds() {
-        let m = MatrixF32::from_vec(1, 2, vec![1.0, 2049.0]);
-        let q = m.quantize_storage_fp16();
-        assert_eq!(q.get(0, 0), 1.0);
-        assert_eq!(q.get(0, 1), 2048.0); // RNE at the fp16 grid
     }
 
     #[test]

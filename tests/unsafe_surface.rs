@@ -1,7 +1,7 @@
-//! The workspace's `unsafe` surface is one call: the AVX2 kernel
-//! dispatch in `crates/fp16/src/wide.rs`. Every other library crate
+//! The workspace's `unsafe` surface is one block: the kernel dispatch
+//! in `crates/fp16/src/wide.rs`. Every other library crate
 //! forbids `unsafe` outright, and `pacq-fp16` denies it everywhere but
-//! that call, which must carry a `// SAFETY:` note (clippy's
+//! that block, which must carry a `// SAFETY:` note (clippy's
 //! `undocumented_unsafe_blocks`, enforced by `clippy -D warnings`).
 
 use std::path::{Path, PathBuf};
@@ -71,6 +71,6 @@ fn exactly_one_unsafe_call_in_fp16_and_every_other_crate_forbids_it() {
     assert_eq!(
         allows,
         [wide],
-        "the one `allow(unsafe_code)` must be the AVX2 dispatch"
+        "the one `allow(unsafe_code)` must be the kernel dispatch"
     );
 }
