@@ -101,6 +101,22 @@ impl GroupShape {
     /// (Figure 6, step ③): with `n_size ≥ lanes` all lanes of a packed
     /// word share a single scale, so a 4×4 tile needs 1 fetch instead
     /// of 4.
+    ///
+    /// The count is evaluated in closed form, in O(1). A tile's fetches
+    /// are (k-groups its k-extent touches) × (n-groups its packed word
+    /// touches), and the tiles form a grid, so the sum over tiles factors
+    /// into `side(k_total, tile_k, k_size) · side(n_total, lanes, n_size)`.
+    /// Along one side, cutting `[0, total)` into tiles of `t` and groups
+    /// of `g`, every tile touches one group plus one more for each group
+    /// boundary strictly inside it. The boundaries are `j·g` for
+    /// `1 ≤ j ≤ J = ⌈total/g⌉ − 1`, and `j·g` is also a tile boundary
+    /// exactly when `t / gcd(t, g)` divides `j`, so
+    ///
+    /// `side(total, t, g) = ⌈total/t⌉ + J − ⌊J / (t / gcd(t, g))⌋`,
+    ///
+    /// with `side(0, …) = 0`. The last term divides `J` rather than
+    /// comparing `J·g` with `lcm(t, g)`, so no intermediate value can
+    /// overflow for any extents.
     pub fn scale_fetches_for_tiled_walk(
         &self,
         k_total: usize,
@@ -109,24 +125,31 @@ impl GroupShape {
         tile_k: usize,
     ) -> usize {
         assert!(lanes > 0 && tile_k > 0, "tile extents must be non-zero");
-        let words_per_row = n_total.div_ceil(lanes);
-        let k_tiles = k_total.div_ceil(tile_k);
-        let mut fetches = 0usize;
-        for kt in 0..k_tiles {
-            let k_lo = kt * tile_k;
-            let k_hi = ((kt + 1) * tile_k).min(k_total);
-            let kg_lo = k_lo / self.k_size;
-            let kg_hi = (k_hi - 1) / self.k_size;
-            for w in 0..words_per_row {
-                let n_lo = w * lanes;
-                let n_hi = ((w + 1) * lanes).min(n_total);
-                let g_lo = n_lo / self.n_size;
-                let g_hi = (n_hi - 1) / self.n_size;
-                fetches += (kg_hi - kg_lo + 1) * (g_hi - g_lo + 1);
-            }
-        }
-        fetches
+        groups_touched_by_tiles(k_total, tile_k, self.k_size)
+            * groups_touched_by_tiles(n_total, lanes, self.n_size)
     }
+}
+
+/// Sum over the tiles of size `tile` cutting `[0, total)` of the number
+/// of groups of size `group` each tile touches (the last tile may be
+/// ragged). See [`GroupShape::scale_fetches_for_tiled_walk`] for the
+/// derivation.
+fn groups_touched_by_tiles(total: usize, tile: usize, group: usize) -> usize {
+    if total == 0 {
+        return 0;
+    }
+    let inner_boundaries = total.div_ceil(group) - 1;
+    let period = tile / gcd(tile, group);
+    // Grouped so no intermediate exceeds the result, which is at most
+    // `total` (a tile of length L touches at most L groups).
+    total.div_ceil(tile) + (inner_boundaries - inner_boundaries / period)
+}
+
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 impl fmt::Display for GroupShape {
@@ -188,6 +211,105 @@ mod tests {
         let f_1d = GroupShape::G256.scale_fetches_for_tiled_walk(k_total, n_total, lanes, tile_k);
         let f_2d = GroupShape::G64X4.scale_fetches_for_tiled_walk(k_total, n_total, lanes, tile_k);
         assert_eq!(f_1d, f_2d * 4);
+    }
+
+    /// The tile-by-tile walk the closed form replaces: the oracle.
+    fn scale_fetches_by_walking_tiles(
+        g: &GroupShape,
+        k_total: usize,
+        n_total: usize,
+        lanes: usize,
+        tile_k: usize,
+    ) -> usize {
+        assert!(lanes > 0 && tile_k > 0, "tile extents must be non-zero");
+        let words_per_row = n_total.div_ceil(lanes);
+        let k_tiles = k_total.div_ceil(tile_k);
+        let mut fetches = 0usize;
+        for kt in 0..k_tiles {
+            let k_lo = kt * tile_k;
+            let k_hi = ((kt + 1) * tile_k).min(k_total);
+            let kg_lo = k_lo / g.k_size;
+            let kg_hi = (k_hi - 1) / g.k_size;
+            for w in 0..words_per_row {
+                let n_lo = w * lanes;
+                let n_hi = ((w + 1) * lanes).min(n_total);
+                let g_lo = n_lo / g.n_size;
+                let g_hi = (n_hi - 1) / g.n_size;
+                fetches += (kg_hi - kg_lo + 1) * (g_hi - g_lo + 1);
+            }
+        }
+        fetches
+    }
+
+    #[test]
+    fn closed_form_scale_fetches_match_the_tile_walk() {
+        // Every small geometry, including empty matrices, tiles larger
+        // than the matrix and groups larger than the matrix.
+        let k_sizes = (1..=9).chain([41, 64]);
+        let n_sizes: Vec<usize> = (1..=5).chain([21, 32]).collect();
+        let mut cases = 0u64;
+        for k_size in k_sizes {
+            for &n_size in &n_sizes {
+                let g = GroupShape::new(k_size, n_size);
+                for lanes in (1..=5).chain([8]) {
+                    for tile_k in 1..=6 {
+                        for k_total in 0..40 {
+                            for n_total in 0..20 {
+                                assert_eq!(
+                                    g.scale_fetches_for_tiled_walk(k_total, n_total, lanes, tile_k),
+                                    scale_fetches_by_walking_tiles(
+                                        &g, k_total, n_total, lanes, tile_k
+                                    ),
+                                    "{g} over [{k_total}, {n_total}], tile {tile_k}x{lanes}"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 11 * 7 * 6 * 6 * 40 * 20);
+    }
+
+    #[test]
+    fn closed_form_scale_fetches_at_extreme_extents() {
+        // Expected values worked by hand, in u128 so none of them wraps.
+        let max = usize::MAX as u128;
+        let fetches = |k_size, n_size, k_total, n_total, lanes, tile_k| {
+            GroupShape::new(k_size, n_size)
+                .scale_fetches_for_tiled_walk(k_total, n_total, lanes, tile_k) as u128
+        };
+        // One group spans all of k: one fetch per 4-deep k-tile.
+        assert_eq!(fetches(usize::MAX, 1, usize::MAX, 1, 4, 4), max.div_ceil(4));
+        // The one group boundary, at 2⁶⁴ − 2, falls inside a k-tile
+        // (2⁶⁴ − 2 ≡ 2 mod 4), so that tile fetches twice.
+        assert_eq!(
+            fetches(usize::MAX - 1, 1, usize::MAX, 1, 4, 4),
+            max.div_ceil(4) + 1
+        );
+        // A tile wider than the matrix touches every group once:
+        // ⌈1000 / 7⌉ = 143 k-groups × ⌈19 / 3⌉ = 7 n-groups.
+        assert_eq!(fetches(7, 3, 1000, 19, usize::MAX, usize::MAX), 143 * 7);
+        // Tiles of 2⁶³ over groups of 2⁶²: each of the two tiles holds
+        // two whole groups.
+        assert_eq!(fetches(1 << 62, 1, usize::MAX, 1, 1, 1 << 63), 4);
+        // A word-wide group along n near usize::MAX: one fetch per
+        // 8-lane word, times one 16-deep k-tile inside a g128.
+        assert_eq!(
+            fetches(128, usize::MAX, 16, usize::MAX, 8, 16),
+            max.div_ceil(8)
+        );
+        // Unit groups and unit tiles: one fetch per weight, with no
+        // intermediate past the result.
+        assert_eq!(fetches(1, 1, usize::MAX, 1, 1, 1), max);
+        assert_eq!(fetches(1, 1, 0, usize::MAX, 1, 1), 0);
+        // Groups coprime to the tile: 7-wide groups over 4-deep tiles
+        // cut ⌈2⁶⁰ / 7⌉ − 1 boundaries, and every 4th one (a multiple
+        // of 28) lands on a tile boundary.
+        let k = 1usize << 60;
+        let j = (k as u128).div_ceil(7) - 1;
+        assert_eq!(fetches(7, 1, k, 1, 1, 4), (k as u128) / 4 + j - j / 4);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! eviction and compute cycle — the quantities behind Figures 7 and 10.
 //!
 //! The per-step loops are folded analytically (each step contributes a
-//! constant), which keeps `m16n4096k4096`-scale simulations instant while
-//! remaining auditable: every constant is derived in comments from the
-//! Figure 3/4 tile walk.
+//! constant), and the general core's scale-fetch count is closed-form
+//! too ([`GroupShape::scale_fetches_for_tiled_walk`]), so a simulation
+//! costs the same at `m16n16k16` as at the largest shape
+//! [`MAX_MACS`](crate::MAX_MACS) admits while remaining auditable: every
+//! constant is derived in comments from the Figure 3/4 tile walk.
 
 use crate::config::{Architecture, GemmShape, SmConfig, Workload};
 use crate::stats::{GemmStats, GeneralCoreOps, RfTraffic};
@@ -652,32 +654,45 @@ mod tests {
 
     #[test]
     fn counters_at_the_largest_shape_do_not_wrap() {
-        // The largest accepted shape with n = k = 16: register-file
-        // traffic is linear in the tile rows, so it must be exactly
-        // (m / 16) times the one-tile figure — a wrapped product is not.
-        let m = (1usize << 51) - 16;
-        let edge = GemmShape::try_new(m, 16, 16).unwrap();
+        // The largest accepted shapes with the other two extents at 16,
+        // along each of m, k and n: register-file traffic is linear in
+        // the warp tiles, so it must be exactly (edge / 16) times the
+        // one-tile figure — a wrapped product is not.
+        let edge = (1usize << 51) - 16;
+        let tiles = (edge / 16) as u128;
+        let along_m = GemmShape::try_new(edge, 16, 16).unwrap();
+        let along_k = GemmShape::try_new(16, 16, edge).unwrap();
+        let along_n = GemmShape::try_new(16, edge, 16).unwrap();
         for arch in Architecture::ALL {
             for precision in WeightPrecision::ALL {
-                let at = |shape| {
-                    simulate(
-                        arch,
-                        Workload::new(shape, precision),
-                        &volta(),
-                        GroupShape::G128,
-                    )
-                    .unwrap()
+                let at = |shape, group| {
+                    simulate(arch, Workload::new(shape, precision), &volta(), group).unwrap()
                 };
-                let (one, big) = (at(GemmShape::M16N16K16), at(edge));
-                let rows = (m / 16) as u128;
-                assert_eq!(
-                    u128::from(big.rf.total_bits()),
-                    u128::from(one.rf.total_bits()) * rows
-                );
-                assert_eq!(
-                    u128::from(big.rf.total_accesses()),
-                    u128::from(one.rf.total_accesses()) * rows
-                );
+                let one = at(GemmShape::M16N16K16, GroupShape::G128);
+                for shape in [along_m, along_k, along_n] {
+                    let big = at(shape, GroupShape::G128);
+                    assert_eq!(
+                        u128::from(big.rf.total_bits()),
+                        u128::from(one.rf.total_bits()) * tiles,
+                        "{arch:?} {precision:?} {shape:?}"
+                    );
+                    assert_eq!(
+                        u128::from(big.rf.total_accesses()),
+                        u128::from(one.rf.total_accesses()) * tiles,
+                        "{arch:?} {precision:?} {shape:?}"
+                    );
+                }
+                // Every 4-deep k-tile lies inside one k-group of 16 or
+                // 128, so the scale walk is exactly linear in k too.
+                for group in [GroupShape::along_k(16), GroupShape::G128] {
+                    let one = at(GemmShape::M16N16K16, group).ops.scale_fetches;
+                    let big = at(along_k, group).ops.scale_fetches;
+                    assert_eq!(
+                        u128::from(big),
+                        u128::from(one) * tiles,
+                        "{arch:?} {precision:?} {group}"
+                    );
+                }
             }
         }
     }

@@ -222,7 +222,10 @@ impl EnergyModel {
             + self.l1.write_energy_pj(stats.l1.write_bits);
         let dram_pj = self.dram.read_energy_pj(stats.dram.read_bits)
             + self.dram.write_energy_pj(stats.dram.write_bits);
-        let buffer_pj = self.buffer.write_energy_pj(stats.buffer_fills * 128);
+        // Each fill writes 128 bits. Scaling the energy rather than the
+        // bit count keeps a fill count near `MAX_MACS` from wrapping u64;
+        // a power-of-two factor rounds identically either way.
+        let buffer_pj = 128.0 * self.buffer.write_energy_pj(stats.buffer_fills);
 
         // General core.
         let ops = &stats.ops;
@@ -405,6 +408,33 @@ mod tests {
         assert!(r.dram_pj > 0.0);
         assert!(r.general_pj > 0.0);
         assert!(r.total_pj() > r.tc_pj);
+    }
+
+    #[test]
+    fn buffer_energy_at_the_largest_shapes_does_not_wrap() {
+        // Near `MAX_MACS` the fill count times 128 bits passes u64; the
+        // buffer energy must still scale with the warp tiles.
+        let cfg = SmConfig::volta_like();
+        let model = EnergyModel::new(&cfg);
+        let edge = (1usize << 51) - 16;
+        let tiles = (edge / 16) as f64;
+        for (m, n, k) in [(edge, 16, 16), (16, 16, edge), (16, edge, 16)] {
+            let shape = GemmShape::try_new(m, n, k).unwrap();
+            for arch in Architecture::ALL {
+                for precision in WeightPrecision::ALL {
+                    let buffer_pj = |shape| {
+                        let wl = Workload::new(shape, precision);
+                        let stats = simulate(arch, wl, &cfg, GroupShape::G128).unwrap();
+                        model.energy(arch, &cfg, &stats).buffer_pj
+                    };
+                    let (one, big) = (buffer_pj(GemmShape::M16N16K16), buffer_pj(shape));
+                    assert!(
+                        (big - one * tiles).abs() <= 1e-9 * one * tiles,
+                        "{arch:?} {precision:?} {shape:?}: {big} vs {one} per tile"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

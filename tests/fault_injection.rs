@@ -423,3 +423,64 @@ fn shapes_past_the_mac_bound_are_geometry_errors() {
     drop(reader);
     server.wait().expect("clean drain");
 }
+
+/// The largest in-bound shapes along k and along n answer on every
+/// dataflow, from the CLI and over serve, for 1-D, 2-D and ragged
+/// groups. Nothing here is timed: the scale-fetch count is closed-form,
+/// so each point is O(1), while a per-tile walk over 2⁴⁹ k-tiles would
+/// leave this test running for days.
+#[test]
+fn analyze_at_the_mac_bound_edge_finishes() {
+    use pacq::{ServeOptions, Server};
+    use pacq_trace::Json;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+    let edges = ["m16n16k2251799813685232", "m16n2251799813685232k16"];
+    for shape in edges {
+        for group in ["g128", "g32x4", "g7"] {
+            for arch in ["std", "packedk", "pacq", "is"] {
+                let cmd = format!("analyze --shape {shape} --arch {arch} --group {group}");
+                let out = cli::run(&argv(&cmd)).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+                assert!(out.contains("total cycles"), "{cmd}: {out}");
+            }
+            let cmd = format!("compare --shape {shape} --group {group}");
+            let out = cli::run(&argv(&cmd)).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+            assert!(out.contains("PacQ"), "{cmd}: {out}");
+        }
+    }
+
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default(), None).expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let requests: Vec<String> = edges
+        .iter()
+        .flat_map(|shape| {
+            ["std", "packedk", "pacq", "is"]
+                .map(|arch| format!(r#"{{"shape":"{shape}","arch":"{arch}","group":"g7"}}"#))
+        })
+        .collect();
+    let frames = [
+        format!(
+            r#"{{"op":"analyze","id":0,"shape":"{}","arch":"packedk","group":"g7"}}"#,
+            edges[0]
+        ),
+        format!(
+            r#"{{"op":"batch","id":1,"requests":[{}]}}"#,
+            requests.join(",")
+        ),
+    ];
+    for frame in &frames {
+        writeln!(writer, "{frame}").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        let reply = Json::parse(&line).unwrap_or_else(|_| panic!("not JSON: {line}"));
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{frame}: {line}");
+    }
+    writeln!(writer, r#"{{"op":"shutdown","id":9}}"#).expect("send");
+    drop(writer);
+    drop(reader);
+    server.wait().expect("clean drain");
+}
