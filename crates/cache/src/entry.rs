@@ -61,12 +61,13 @@ pub struct GemmReport {
 }
 
 impl GemmReport {
-    /// Total energy in pJ.
+    /// Total energy in pJ (an f64 sum of f64 terms: nothing to wrap).
     pub fn total_energy_pj(&self) -> f64 {
         self.energy.total_pj()
     }
 
-    /// Speedup of this report over another (other ÷ self, in cycles).
+    /// Speedup of this report over another (other ÷ self, in cycles),
+    /// with both counts widened to f64 before the division.
     pub fn speedup_over(&self, other: &GemmReport) -> f64 {
         other.stats.total_cycles as f64 / self.stats.total_cycles as f64
     }
@@ -136,6 +137,8 @@ impl GemmReport {
             );
         }
 
+        // Every access moves 16 bits, so this u64 sum is
+        // `rf.total_bits() / 16` and fits wherever the bits do.
         let rf = &self.stats.rf;
         let accesses = rf.a_reads + rf.b_reads + rf.c_reads + rf.c_writes;
         if rf.total_accesses() != accesses {

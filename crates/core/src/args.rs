@@ -168,23 +168,6 @@ impl Args {
         Ok(last)
     }
 
-    /// Narrows an already parsed argv to a stricter `accepted` list (a
-    /// `pacq sweep` form honours fewer flags than `pacq sweep`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PacqError::Usage`] naming the first flag outside
-    /// `accepted`.
-    pub fn restrict(&self, entry: &str, accepted: &str) -> PacqResult<()> {
-        match self.items.iter().find_map(|item| match item {
-            Item::Flag(f, _) if !lists(accepted, f) => Some(*f),
-            _ => None,
-        }) {
-            Some(flag) => Err(does_not_apply(flag, entry)),
-            None => Ok(()),
-        }
-    }
-
     /// The argv without the flags of the space-separated `flags` list,
     /// each remaining flag spelled `--f V` (the invocation record of a
     /// run manifest, free of the run knobs).
@@ -238,17 +221,15 @@ mod tests {
 
     #[test]
     fn helpers_validate_narrow_and_strip() {
-        let a = Args::parse(&argv("sweep --dup x --dup=4 x"), "t", "--dup").unwrap();
+        let a = Args::parse(&argv("dse --dup x --dup=4 x"), "t", "--dup").unwrap();
         let parse = |v: &str| v.parse::<usize>().map_err(|_| PacqError::usage(v));
         assert!(
             a.last("--dup", parse).is_err(),
             "every occurrence is validated"
         );
         assert_eq!(a.last("--width", parse).unwrap(), None);
-        let e = a.restrict("t form", "--jobs").unwrap_err();
-        assert!(e.to_string().contains("`--dup` does not apply to `t form`"));
-        assert_eq!(a.without("--jobs"), argv("sweep --dup x --dup 4 x"));
-        assert_eq!(a.without("--dup"), argv("sweep x"));
+        assert_eq!(a.without("--jobs"), argv("dse --dup x --dup 4 x"));
+        assert_eq!(a.without("--dup"), argv("dse x"));
         let command = argv("--cache d --jobs=2 --json analyze");
         assert_eq!(Args::first_positional(&command), Some("analyze"));
     }

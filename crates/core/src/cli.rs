@@ -5,13 +5,12 @@
 //! essentials (see DESIGN.md §8).
 
 use crate::args::{does_not_apply, Args};
-use crate::dse::{run_dse, DseAxes, DseJob, DseOutcome, DsePlan, DseRow};
+use crate::dse::{run_dse, DseAxes, DseJob, DsePlan};
 use crate::par;
 use crate::params::parse_params;
 use crate::report::{Comparison, GemmReport};
 use crate::roofline;
 use crate::runner::GemmRunner;
-use crate::sweep::SweepForm;
 use core::fmt::Write as _;
 use pacq_arch::ArchTemplate;
 use pacq_cache::{ReportCache, Shard, SweepCheckpoint};
@@ -35,11 +34,7 @@ USAGE:
                [--json]
   pacq compare --shape mMnNkK [--precision int4|int2] [--group ...] [--dup ...]
                [--width ...]
-  pacq sweep --param grid --shape mMnNkK [--group ...] [--dup ...] [--width ...]
-             [--shard i/N] [--checkpoint FILE]
-  pacq sweep --param batch|dup|width --shape mMnNkK [--precision int4|int2]
-             [--group ...] [--dup ...] [--width ...]
-  pacq dse --shape mMnNkK [--param axis=v1,v2,...]... [--group ...] [--pareto]
+  pacq dse --shape mMnNkK [--param axis=v1,v2,...]... [--pareto]
            [--shard i/N] [--checkpoint FILE]
   pacq exec --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
             [--group ...] [--dup ...] [--width ...] [--check]
@@ -52,7 +47,7 @@ USAGE:
                [--sample N]
   pacq help
 
-Every command also accepts --jobs N (worker threads for sweeps and
+Every command also accepts --jobs N (worker threads for grids and
 functional execution; defaults to the PACQ_JOBS environment variable,
 then the host parallelism; results are bit-identical at any job count),
 --metrics PATH (write a machine-readable JSON run manifest, schema
@@ -63,7 +58,7 @@ lookups, bit-identical to fresh runs — see DESIGN.md §12), and
 front of the disk store; hits are bit-identical and tallied separately
 as cache.hot_hits/hot_misses/hot_evictions — see DESIGN.md §15).
 
-analyze, compare, sweep, dse, exec and trace also accept
+analyze, compare, dse, exec and trace also accept
 --arch-template FILE: a declarative pacq-arch/v1 architecture template
 (TOML or JSON, see DESIGN.md §18) replacing the builtin Volta-like
 machine — memory hierarchy capacities and access energies, datapath
@@ -76,28 +71,21 @@ Table I machine, bit for bit), examples/arch/pacq.toml and
 examples/arch/input_stationary.toml (dataflow = \"is\": the activation
 tile held in the tensor-core buffers across the n loop).
 
-`pacq sweep` runs fixed presets of the dse axes through the same grid
-engine: --param grid is the full batch × architecture × precision grid
-for the layer (the dse defaults); --shard i/N slices it into N disjoint
-index classes (for split runs), and --checkpoint FILE records completed
-jobs so an interrupted sweep resumes where it stopped. --param batch
-pairs std and PacQ over batch sizes 16..512, --param dup varies the
-adder-tree duplication (1, 2, 4) and --param width the DP width (4, 8,
-16) at the --shape batch.
-
 `pacq dse` grid-searches design points over the template (or builtin)
-machine: repeated --param flags name the axes — batch=16,32
-arch=std,packedk,is,pacq precision=int4,int2 width=4,8,16 dup=1,2,4
-group=g128,g64 — and every unnamed axis keeps its default (the
-sweep-grid product over the machine's own width/dup and g128, so a
-flag-less dse runs the same points as `sweep --param grid`). --pareto
-prints the non-dominated (cycles, energy) front as a stable table
-(ties keep every point, rows ordered by cycles/energy/id) and records
-it in the --metrics manifest (kind \"dse.pareto\"). --shard,
---checkpoint and --cache compose exactly as they do for sweep; with
---cache, checkpoint-resumed rows are rehydrated from the store so
-best-EDP/Pareto rankings stay complete (otherwise they are flagged
-partial).
+machine. It takes only n and k from --shape; the batches (the m
+extents) come from --param batch, so the m of --shape is not used.
+Repeated --param flags name the axes, each spelled name=v1,v2,... —
+batch=16,32 arch=std,packedk,is,pacq precision=int4,int2 width=4,8,16
+dup=1,2,4 group=g128,g64 — and every unnamed axis keeps its default:
+batches 16..512 × std, packedk, pacq × int4, int2 over the machine's
+own width and dup and g128. --pareto prints the non-dominated (cycles,
+energy) front as a stable table (ties keep every point, rows ordered
+by cycles/energy/id) and records it in the --metrics manifest (kind
+\"dse.pareto\"). --shard i/N slices the grid into N disjoint index
+classes (for split runs), and --checkpoint FILE records completed jobs
+so an interrupted run resumes where it stopped; with --cache,
+checkpoint-resumed rows are rehydrated from the store so best-EDP/Pareto
+rankings stay complete (otherwise they are flagged partial).
 
 Every value flag is spelled --f V or --f=V. A flag a command does not
 use is a usage error naming the flag and the command, never silently
@@ -163,7 +151,7 @@ go to stdout and the --metrics manifest. See DESIGN.md §16.
 EXAMPLES:
   pacq analyze --shape m16n4096k4096 --arch pacq
   pacq compare --shape m16n11008k4096 --precision int2
-  pacq sweep --param batch --shape m16n4096k4096 --metrics run.json
+  pacq dse --shape m16n4096k4096 --param arch=std,pacq --metrics run.json
   pacq trace --arch pacq --precision int2 --out octet.trace.json";
 
 fn err(msg: impl Into<String>) -> PacqError {
@@ -178,11 +166,10 @@ pub const GLOBAL_FLAGS: &str = "--metrics --cache --hot --jobs";
 /// [`GLOBAL_FLAGS`]. Commands that simulate no machine (`cache`,
 /// `serve`, `loadgen`) do not list `--arch-template`: silently ignoring
 /// it would misattribute their output to the template.
-const COMMANDS: [&str; 10] = [
+const COMMANDS: [&str; 9] = [
     "analyze --shape --arch --precision --group --dup --width --json --arch-template",
     "compare --shape --precision --group --dup --width --arch-template",
-    "sweep --shape --param --precision --group --dup --width --shard --checkpoint --arch-template",
-    "dse --shape --param --group --shard --checkpoint --pareto --arch-template",
+    "dse --shape --param --shard --checkpoint --pareto --arch-template",
     "exec --shape --arch --precision --group --dup --width --check --arch-template",
     "cache",
     "audit --activity --tolerance --activity-scale --arch-template",
@@ -361,7 +348,6 @@ fn dispatch(command: &str, args: &Args, knobs: &Knobs) -> PacqResult<String> {
     match command {
         "analyze" => analyze(args, knobs),
         "compare" => compare(args, knobs),
-        "sweep" => sweep(args, knobs),
         "dse" => dse(args, knobs),
         "exec" => exec(args, knobs),
         "cache" => cache_cmd(args, knobs.cache.as_ref()),
@@ -385,8 +371,6 @@ struct Options {
     group: GroupShape,
     dup: Option<usize>,
     width: Option<usize>,
-    shard: Shard,
-    checkpoint: Option<String>,
 }
 
 /// Validates the design-point flags of a parsed argv (the grammar has
@@ -405,8 +389,6 @@ fn parse_options(args: &Args, require_shape: bool) -> PacqResult<Options> {
             .unwrap_or(GroupShape::G128),
         dup: args.last("--dup", |v| parse_dup(v, "--dup"))?,
         width: args.last("--width", |v| parse_width(v, "--width"))?,
-        shard: args.last("--shard", Shard::parse)?.unwrap_or(Shard::FULL),
-        checkpoint: args.values("--checkpoint").last().map(String::from),
     };
     if require_shape && !args.has("--shape") {
         return Err(err("--shape is required (e.g. --shape m16n4096k4096)"));
@@ -718,243 +700,65 @@ fn compare(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     Ok(out)
 }
 
-/// `pacq sweep --param grid|batch|dup|width`: runs the form's preset
-/// ([`SweepForm`]) through the one grid engine and renders it as the
-/// form's own table.
-fn sweep(args: &Args, knobs: &Knobs) -> PacqResult<String> {
+/// `pacq dse`: grid-searches design points (batch × architecture ×
+/// precision × width × dup × group) over the `--shape` layer's n×k on
+/// the template (or builtin) machine through the one grid engine —
+/// sharding, checkpoint resume bound to the (grid × machine × template)
+/// digest, report caching. See [`crate::dse`]. Rows print in grid
+/// order; jobs other shards own are omitted, and a checkpointed job
+/// whose report is not in the cache prints as `done (resumed)`. With
+/// `--pareto` the non-dominated (cycles, energy) set is printed as a
+/// stable table and recorded in the `--metrics` manifest.
+fn dse(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let opts = parse_options(args, true)?;
-    // Shared --param validation (duplicates, empty value lists) before
-    // the sweep-specific form check.
-    let specs = parse_params(args.values("--param"))?;
-    let param = match specs.as_slice() {
-        [] => return Err(err("--param is required for sweep")),
-        [spec] if spec.values.is_empty() => spec.name.as_str(),
-        [spec] => {
-            return Err(err(format!(
-                "--param {}=...: sweep takes a bare parameter name (batch, dup, width or \
-                 grid); value lists belong to `pacq dse`",
-                spec.name
-            )))
-        }
-        _ => return Err(err("sweep takes exactly one --param")),
-    };
-    // Each form honours its own flags; checking them against that list
-    // makes a flag the form would ignore a usage error.
-    let form = SweepForm::parse(param)?;
-    args.restrict(
-        &format!("pacq sweep --param {param}"),
-        &format!("{GLOBAL_FLAGS} --arch-template {}", form.flags()),
-    )?;
-
-    let base = runner_for(&opts, knobs)?;
+    let shard = args.last("--shard", Shard::parse)?.unwrap_or(Shard::FULL);
+    // dse takes no single-point flags: the base is the machine's own
+    // runner, and the axes carry every per-point override.
+    let base = knobs.runner()?;
     let cfg = *base.config();
-    let axes = form.axes(
-        cfg.dp_width,
-        cfg.adder_tree_duplication,
-        opts.group,
-        opts.shape.m,
-        opts.precision,
-    );
-    let outcome = run_grid(
-        &base,
-        &axes,
-        &opts,
-        "core.sweep",
-        [
-            "sweep.jobs.total",
-            "sweep.jobs.selected",
-            "sweep.jobs.skipped",
-            "sweep.jobs.executed",
-        ],
-    )?;
-    // Only the grid form takes --checkpoint, so every other form's rows
-    // all carry reports.
-    let reported: Vec<(&DseJob, &GemmReport)> = outcome
-        .rows
-        .iter()
-        .filter_map(|r| r.report.as_ref().map(|rep| (&r.job, rep)))
-        .collect();
-
-    let mut out = String::new();
-    match form {
-        // The sharded, resumable batch×architecture×precision grid
-        // (DESIGN.md §12). Rows print in grid order; jobs other shards
-        // own are omitted, checkpointed jobs print as `done (resumed)`.
-        SweepForm::Grid => {
-            write_grid_rows(&mut out, "job", 24, &outcome.rows, |job| {
-                format!(
-                    "{}:{}:{}",
-                    job.arch.token(),
-                    job.workload.precision.token(),
-                    job.workload.shape
-                )
-            });
-            let t = outcome.tally;
-            let _ = writeln!(
-                out,
-                "grid: {} jobs, shard {} selected {}, resumed {}, executed {}",
-                t.total, opts.shard, t.selected, t.skipped, t.executed
-            );
-            if let Some(c) = &knobs.cache {
-                let _ = writeln!(out, "cache: {} hits, {} misses", c.hits(), c.misses());
-            }
-        }
-        // Rows alternate std, PacQ per batch size.
-        SweepForm::Batch => {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>14} {:>14} {:>14}",
-                "batch", "PacQ cycles", "speedup v std", "EDP reduction"
-            );
-            for pair in reported.chunks(2) {
-                let [(_, std), (_, pq)] = pair else {
-                    // chunks(2) over an even row list always yields pairs.
-                    continue;
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<8} {:>14} {:>13.2}x {:>13.1}%",
-                    pq.workload.shape.m,
-                    pq.stats.total_cycles,
-                    pq.speedup_over(std),
-                    100.0 * (1.0 - pq.edp_normalized_to(std)),
-                );
-            }
-        }
-        SweepForm::Dup => {
-            let _ = writeln!(
-                out,
-                "{:<6} {:>14} {:>16}",
-                "dup", "PacQ cycles", "TC power (units)"
-            );
-            for (job, r) in &reported {
-                let unit = pacq_energy::GemmUnit::ParallelDp {
-                    width: job.width,
-                    duplication: job.dup,
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<6} {:>14} {:>16.2}",
-                    job.dup,
-                    r.stats.total_cycles,
-                    unit.power_units()
-                );
-            }
-        }
-        // Rows are every PacQ width, then every P(B_x)_k width.
-        SweepForm::Width => {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>14} {:>14}",
-                "width", "PacQ cycles", "P(B)k cycles"
-            );
-            let (pacq, packed_k) = reported.split_at(reported.len() / 2);
-            for ((job, pq), (_, pk)) in pacq.iter().zip(packed_k) {
-                let _ = writeln!(
-                    out,
-                    "DP-{:<5} {:>14} {:>14}",
-                    job.width, pq.stats.total_cycles, pk.stats.total_cycles
-                );
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Enumerates `axes` over the `--shape` layer and runs the grid under
-/// `span`, honouring `--shard` and `--checkpoint`; the tally lands in
-/// the command's own `counters`.
-fn run_grid(
-    base: &GemmRunner,
-    axes: &DseAxes,
-    opts: &Options,
-    span: &'static str,
-    counters: [&'static str; 4],
-) -> PacqResult<DseOutcome> {
-    let plan = DsePlan::enumerate(axes, opts.shape.n, opts.shape.k);
-    // The checkpoint is bound to grid × machine × template:
-    // resuming a half-done run under any other runner is a typed
-    // mismatch, never a silent skip.
-    let checkpoint = match &opts.checkpoint {
-        Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(base))?),
+    let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, base.group());
+    axes.apply(&parse_params(args.values("--param"))?)?;
+    let plan = DsePlan::enumerate(&axes, opts.shape.n, opts.shape.k);
+    // The checkpoint is bound to grid × machine × template: resuming a
+    // half-done run under any other runner is a typed mismatch, never a
+    // silent skip.
+    let checkpoint = match args.values("--checkpoint").last() {
+        Some(path) => Some(SweepCheckpoint::open(path, &plan.binding_digest(&base))?),
         None => None,
     };
     let outcome = {
-        let _span = pacq_trace::span(span);
-        run_dse(base, &plan, opts.shard, checkpoint.as_ref())?
+        let _span = pacq_trace::span("core.dse");
+        run_dse(&base, &plan, shard, checkpoint.as_ref())?
     };
     let t = outcome.tally;
-    for (name, count) in counters
-        .into_iter()
-        .zip([t.total, t.selected, t.skipped, t.executed])
-    {
+    for (name, count) in [
+        ("dse.jobs.total", t.total),
+        ("dse.jobs.selected", t.selected),
+        ("dse.jobs.skipped", t.skipped),
+        ("dse.jobs.executed", t.executed),
+    ] {
         pacq_trace::add_counter(name, count as u64);
     }
-    Ok(outcome)
-}
-
-/// Writes a grid table: a header, then one row per job with its cycles,
-/// energy and EDP — or `done (resumed)` for a checkpointed job whose
-/// report is not in the cache.
-fn write_grid_rows(
-    out: &mut String,
-    first_column: &str,
-    width: usize,
-    rows: &[DseRow],
-    id: impl Fn(&DseJob) -> String,
-) {
-    let _ = writeln!(
-        out,
-        "{first_column:<width$} {:>14} {:>14} {:>14}",
-        "cycles", "energy (uJ)", "EDP (pJ*s)"
-    );
-    for row in rows {
-        match &row.report {
-            Some(r) => {
-                let _ = writeln!(
-                    out,
-                    "{:<width$} {:>14} {:>14.2} {:>14.6}",
-                    id(&row.job),
-                    r.stats.total_cycles,
-                    r.total_energy_pj() / 1e6,
-                    r.edp_pj_s,
-                );
-            }
-            None => {
-                let _ = writeln!(out, "{:<width$} {:>14}", id(&row.job), "done (resumed)");
-            }
-        }
-    }
-}
-
-/// `pacq dse`: grid-searches design points (batch × architecture ×
-/// precision × width × dup × group) over the template (or builtin)
-/// machine through the one grid engine — sharding, checkpoint resume
-/// bound to the (grid × machine × template) digest, report
-/// caching. See [`crate::dse`]. With `--pareto` the non-dominated
-/// (cycles, energy) set is printed as a stable table and recorded in
-/// the `--metrics` manifest.
-fn dse(args: &Args, knobs: &Knobs) -> PacqResult<String> {
-    let opts = parse_options(args, true)?;
-    let base = runner_for(&opts, knobs)?;
-    let cfg = *base.config();
-    let mut axes = DseAxes::defaults(cfg.dp_width, cfg.adder_tree_duplication, opts.group);
-    axes.apply(&parse_params(args.values("--param"))?)?;
-    let outcome = run_grid(
-        &base,
-        &axes,
-        &opts,
-        "core.dse",
-        [
-            "dse.jobs.total",
-            "dse.jobs.selected",
-            "dse.jobs.skipped",
-            "dse.jobs.executed",
-        ],
-    )?;
 
     let mut out = String::new();
-    write_grid_rows(&mut out, "design point", 32, &outcome.rows, DseJob::id);
+    let _ = writeln!(
+        out,
+        "{:<32} {:>14} {:>14} {:>14}",
+        "design point", "cycles", "energy (uJ)", "EDP (pJ*s)"
+    );
+    for row in &outcome.rows {
+        let id = row.job.id();
+        let _ = match &row.report {
+            Some(r) => writeln!(
+                out,
+                "{id:<32} {:>14} {:>14.2} {:>14.6}",
+                r.stats.total_cycles,
+                r.total_energy_pj() / 1e6,
+                r.edp_pj_s,
+            ),
+            None => writeln!(out, "{id:<32} {:>14}", "done (resumed)"),
+        };
+    }
     // Rankings must never silently drop rows: resumed rows are
     // rehydrated from --cache inside run_dse; any still left without a
     // report makes every ranking line explicitly partial.
@@ -1023,12 +827,11 @@ fn dse(args: &Args, knobs: &Knobs) -> PacqResult<String> {
         record.set("front", Json::Arr(records));
         pacq_trace::record_result("dse.pareto", record);
     }
-    let t = outcome.tally;
     let _ = writeln!(
         out,
         "dse: {} points, shard {} selected {}, resumed {}, executed {}{}",
         t.total,
-        opts.shard,
+        shard,
         t.selected,
         t.skipped,
         t.executed,
@@ -1554,22 +1357,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_batch_runs() {
-        let out = run(&argv("sweep --param batch --shape m16n256k256")).expect("runs");
-        assert!(out.contains("512"));
-        let out = run(&argv("sweep --param dup --shape m16n256k256")).expect("runs");
-        assert!(out.lines().count() >= 4);
-        let out = run(&argv("sweep --param width --shape m16n256k256")).expect("runs");
-        assert!(out.contains("DP-16"));
-    }
-
-    #[test]
     fn jobs_flag_is_accepted_everywhere() {
         let _guard = crate::par::test_lock();
-        let out = run(&argv("sweep --param width --shape m16n256k256 --jobs 2")).expect("runs");
-        assert!(out.contains("DP-16"));
-        let serial = run(&argv("sweep --param width --shape m16n256k256 --jobs 1")).expect("runs");
-        assert_eq!(out, serial, "sweep output must not depend on the job count");
+        let grid = "dse --shape m16n256k256 --param batch=16 --param arch=pacq,packedk \
+                    --param width=4,8,16";
+        let out = run(&argv(&format!("{grid} --jobs 2"))).expect("runs");
+        assert!(out.contains("b16:pacq:int4:w16:d2:g128"), "{out}");
+        let serial = run(&argv(&format!("{grid} --jobs 1"))).expect("runs");
+        assert_eq!(out, serial, "dse output must not depend on the job count");
         crate::par::configure_jobs(Some(0));
         assert!(run(&argv("analyze --shape m16n16k16 --jobs many")).is_err());
     }
@@ -1580,7 +1375,7 @@ mod tests {
         for cmd in [
             "analyze --shape m16n16k16 --jobs 0",
             "compare --shape m16n16k16 --jobs=0",
-            "sweep --param batch --shape m16n16k16 --jobs 0",
+            "dse --shape m16n16k16 --jobs 0",
         ] {
             let err = run(&argv(cmd)).unwrap_err();
             assert!(err.is_usage(), "{cmd}: {err}");
@@ -1616,8 +1411,12 @@ mod tests {
     fn errors_are_reported() {
         assert!(run(&argv("analyze")).is_err()); // missing shape
         assert!(run(&argv("analyze --shape m16n16k16 --precision int5")).is_err());
-        assert!(run(&argv("frobnicate")).is_err());
-        assert!(run(&argv("sweep --shape m16n16k16")).is_err()); // missing param
+        assert!(run(&argv("dse --param batch=16")).is_err()); // missing shape
+        for retired in ["frobnicate", "sweep --param grid --shape m16n16k16"] {
+            let e = run(&argv(retired)).unwrap_err();
+            assert_eq!(e.exit_code(), 2, "{retired}: {e}");
+            assert!(e.to_string().contains("unknown command"), "{retired}: {e}");
+        }
         assert!(run(&argv("analyze --shape m16n16k16 --dup 3")).is_err());
     }
 
@@ -1762,23 +1561,26 @@ mod tests {
 
     #[test]
     fn sweep_grid_prints_rows_and_tally() {
-        let out = run(&argv("sweep --param grid --shape m16n256k256")).expect("runs");
-        assert!(out.contains("pacq:int2:m512n256k256"), "{out}");
+        // A flag-less dse runs the default grid; the m of --shape is not
+        // a batch.
+        let out = run(&argv("dse --shape m64n256k256")).expect("runs");
+        assert!(out.contains("b512:pacq:int2:w4:d2:g128"), "{out}");
+        assert!(out.contains("b16:std:int4:w4:d2:g128"), "{out}");
         assert!(
-            out.contains("grid: 36 jobs, shard 1/1 selected 36, resumed 0, executed 36"),
+            out.contains("dse: 36 points, shard 1/1 selected 36, resumed 0, executed 36"),
             "{out}"
         );
     }
 
     #[test]
     fn sweep_grid_shards_split_the_rows() {
-        let full = run(&argv("sweep --param grid --shape m16n256k256")).unwrap();
-        let a = run(&argv("sweep --param grid --shape m16n256k256 --shard 1/2")).unwrap();
-        let b = run(&argv("sweep --param grid --shape m16n256k256 --shard 2/2")).unwrap();
+        let full = run(&argv("dse --shape m16n256k256")).unwrap();
+        let a = run(&argv("dse --shape m16n256k256 --shard 1/2")).unwrap();
+        let b = run(&argv("dse --shape m16n256k256 --shard 2/2")).unwrap();
         assert!(a.contains("selected 18"), "{a}");
         assert!(b.contains("selected 18"), "{b}");
         // Every full-grid row lands in exactly one shard's output.
-        for line in full.lines().filter(|l| l.contains(":m")) {
+        for line in full.lines().filter(|l| l.contains(":g128 ")) {
             assert!(
                 a.contains(line) ^ b.contains(line),
                 "row `{line}` must be in exactly one shard"
@@ -1790,45 +1592,33 @@ mod tests {
     fn sweep_grid_resumes_from_checkpoint() {
         let path = tmp_path("ckpt");
         std::fs::remove_file(&path).ok();
-        let first = run(&with(
-            "sweep --param grid --shape m16n256k256 --checkpoint",
-            &[&path],
-        ))
-        .expect("first pass runs");
+        let first =
+            run(&with("dse --shape m16n256k256 --checkpoint", &[&path])).expect("first pass runs");
         assert!(first.contains("executed 36"), "{first}");
-        let second = run(&with(
-            "sweep --param grid --shape m16n256k256 --checkpoint",
-            &[&path],
-        ))
-        .expect("resume runs");
+        let second =
+            run(&with("dse --shape m16n256k256 --checkpoint", &[&path])).expect("resume runs");
         assert!(second.contains("done (resumed)"), "{second}");
         assert!(second.contains("resumed 36, executed 0"), "{second}");
         // A checkpoint written for a different grid must be a typed
         // error, not a silent fresh start.
-        let err = run(&with(
-            "sweep --param grid --shape m16n512k512 --checkpoint",
-            &[&path],
-        ))
-        .unwrap_err();
+        let err = run(&with("dse --shape m16n512k512 --checkpoint", &[&path])).unwrap_err();
         assert!(err.to_string().contains("checkpoint"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn shard_and_checkpoint_are_grid_only() {
-        let err = run(&argv("sweep --param batch --shape m16n256k256 --shard 1/2")).unwrap_err();
-        assert!(err.is_usage(), "{err}");
-        assert!(
-            err.to_string()
-                .contains("`--shard` does not apply to `pacq sweep --param batch`"),
-            "{err}"
-        );
+        for command in ["analyze", "compare", "exec"] {
+            let err =
+                run(&argv(&format!("{command} --shape m16n256k256 --shard 1/2"))).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("`--shard` does not apply to `pacq {command}`")),
+                "{err}"
+            );
+        }
         for bad in ["0/4", "5/4", "+1/4", "1of4", "1/0"] {
-            let err = run(&with(
-                "sweep --param grid --shape m16n256k256 --shard",
-                &[bad],
-            ))
-            .unwrap_err();
+            let err = run(&with("dse --shape m16n256k256 --shard", &[bad])).unwrap_err();
             assert!(err.is_usage(), "--shard {bad}: {err}");
         }
     }
@@ -1909,14 +1699,10 @@ mod tests {
             ("dse", SHAPE, "--arch pacq"),
             ("dse", SHAPE, "--dup 4"),
             ("dse", SHAPE, "--width 8"),
-            ("sweep --param grid", SHAPE, "--precision int2"),
-            ("sweep", "--param grid --shape m16n256k256", "--arch std"),
-            ("sweep", "--param grid --shape m16n256k256", "--pareto"),
-            ("sweep", "--param batch --shape m16n256k256", "--json"),
-            ("sweep", "--param batch --shape m16n256k256", "--check"),
-            ("sweep --param batch", SHAPE, "--checkpoint f"),
-            ("sweep --param dup", SHAPE, "--dup 4"),
-            ("sweep --param width", SHAPE, "--width 8"),
+            ("dse", SHAPE, "--group g64"),
+            ("dse", SHAPE, "--json"),
+            ("dse", SHAPE, "--check"),
+            ("compare", SHAPE, "--pareto"),
             ("analyze", SHAPE, "--shard 1/2"),
             ("analyze", SHAPE, "--checkpoint f"),
             ("analyze", SHAPE, "--param x"),
@@ -1944,14 +1730,13 @@ mod tests {
         // The --param regression table (alongside the --jobs cases
         // above): every row used to be accepted silently.
         for cmd in [
-            "sweep --shape m16n256k256 --param batch --param batch",
-            "sweep --shape m16n256k256 --param grid --param batch",
-            "sweep --shape m16n256k256 --param batch=16,32",
-            "sweep --shape m16n256k256 --param batch=",
-            "sweep --shape m16n256k256 --param =grid",
             "dse --shape m16n256k256 --param batch=16 --param batch=32",
+            "dse --shape m16n256k256 --param batch=16 --param arch=pacq --param batch=16",
             "dse --shape m16n256k256 --param batch=16,,32",
+            "dse --shape m16n256k256 --param batch=",
+            "dse --shape m16n256k256 --param =16",
             "dse --shape m16n256k256 --param batch",
+            "dse --shape m16n256k256 --param grid",
             "dse --shape m16n256k256 --param tile=4",
         ] {
             let err = run(&argv(cmd)).unwrap_err();
@@ -2059,8 +1844,6 @@ mod tests {
             assert_eq!(keys, ["id", "cycles", "energy_pj"], "{text}");
         }
         std::fs::remove_file(&path).ok();
-        // --pareto belongs to dse alone.
-        assert!(run(&argv("sweep --param grid --shape m16n256k256 --pareto")).is_err());
     }
 
     #[test]
@@ -2171,20 +1954,20 @@ mod tests {
         let template = crate::ArchTemplate::volta_like();
         let path = write_template("evolving", &template.render());
 
-        let sweep_args = |tpl: &str| {
+        let grid_args = |tpl: &str| {
             let flags = [dir.as_str(), "--checkpoint", &ckpt, "--arch-template", tpl];
-            with("sweep --param grid --shape m16n256k256 --cache", &flags)
+            with("dse --shape m16n256k256 --cache", &flags)
         };
-        let first = run(&sweep_args(&path)).expect("first pass");
+        let first = run(&grid_args(&path)).expect("first pass");
         assert!(first.contains("executed 36"), "{first}");
-        let warm = run(&sweep_args(&path)).expect("warm pass");
+        let warm = run(&grid_args(&path)).expect("warm pass");
         assert!(warm.contains("resumed 36, executed 0"), "{warm}");
 
         // Edit one access energy: same SmConfig, different machine.
         let mut edited = template.clone();
         edited.l1.access_energy_pj_per_word16 = Some(3.5);
         std::fs::write(&path, edited.render()).unwrap();
-        let err = run(&sweep_args(&path)).unwrap_err();
+        let err = run(&grid_args(&path)).unwrap_err();
         assert_eq!(err.exit_code(), 4, "{err}");
         assert!(
             err.to_string().contains("belongs to a different run"),
@@ -2193,7 +1976,7 @@ mod tests {
 
         // Without the stale checkpoint the run proceeds — and gets zero
         // cache hits, because the template digest is in every key.
-        let fresh = with("sweep --param grid --shape m16n256k256 --cache", &[&dir]);
+        let fresh = with("dse --shape m16n256k256 --cache", &[&dir]);
         let out = run(&[fresh, with("--arch-template", &[&path])].concat())
             .expect("edited template runs");
         assert!(out.contains("cache: 0 hits, 36 misses"), "{out}");

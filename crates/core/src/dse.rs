@@ -1,4 +1,4 @@
-//! The one grid engine, behind `pacq dse` and every `pacq sweep` form.
+//! The one grid engine, behind `pacq dse`.
 //!
 //! A grid is the product of the search axes in [`DseAxes`]: batch
 //! sizes, dataflows (architectures), weight precisions, DP widths,
@@ -6,9 +6,7 @@
 //! described by an architecture template (or the builtin Volta-like
 //! configuration). `pacq dse` names axes with repeated
 //! `--param name=v1,v2,...` flags (see [`crate::params`]); every axis
-//! the user does not name keeps its default, the `sweep --param grid`
-//! batch × architecture × precision product. Each `pacq sweep --param`
-//! form is a fixed preset of the same axes with its own table.
+//! the user does not name keeps its default ([`DseAxes::defaults`]).
 //!
 //! Three orthogonal mechanisms make big grids cheap to run and safe to
 //! interrupt:
@@ -64,9 +62,9 @@ pub struct DseAxes {
 }
 
 impl DseAxes {
-    /// The default axes over a base machine: the `sweep --param grid`
-    /// batch × architecture × precision product, with width / dup /
-    /// group pinned to the machine's own values.
+    /// The default axes over a base machine: batches 16–512 × the
+    /// three paper dataflows × INT4/INT2, with width / dup / group
+    /// pinned to the machine's own values.
     pub fn defaults(base_width: usize, base_dup: usize, base_group: GroupShape) -> DseAxes {
         DseAxes {
             batch: vec![16, 32, 64, 128, 256, 512],
@@ -86,18 +84,12 @@ impl DseAxes {
     ///
     /// # Errors
     ///
-    /// Returns [`PacqError::Usage`] for an unknown axis name, a bare
-    /// spec with no values, or an unparseable value (each axis reuses
-    /// the corresponding single-flag parser, so `--param arch=pacq`
-    /// accepts exactly what `--arch pacq` does).
+    /// Returns [`PacqError::Usage`] for an unknown axis name or an
+    /// unparseable value (each axis reuses the corresponding
+    /// single-flag parser, so `--param arch=pacq` accepts exactly what
+    /// `--arch pacq` does).
     pub fn apply(&mut self, specs: &[ParamSpec]) -> PacqResult<()> {
         for spec in specs {
-            if spec.values.is_empty() {
-                return Err(err(format!(
-                    "--param {}: dse wants values, e.g. --param {}=...",
-                    spec.name, spec.name
-                )));
-            }
             let values = &spec.values;
             match spec.name.as_str() {
                 "batch" => {
@@ -463,7 +455,6 @@ mod tests {
     #[test]
     fn bad_axis_specs_are_usage_errors() {
         for spec in [
-            "batch",          // bare name: dse wants values
             "batch=15",       // not 16-aligned
             "batch=0",        // zero
             "width=5",        // out of domain

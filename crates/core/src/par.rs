@@ -1,9 +1,9 @@
 //! The `--jobs` knob: one place that turns a CLI flag or the
 //! `PACQ_JOBS` environment variable into the global worker count every
-//! parallel sweep and execution path fans out to.
+//! parallel grid and execution path fans out to.
 //!
 //! All parallel decompositions in the workspace distribute independent
-//! output rows, columns or sweep points and keep per-element arithmetic
+//! output rows, columns or grid points and keep per-element arithmetic
 //! order unchanged, so the job count only affects wall-clock time —
 //! results are bit-identical at any setting (DESIGN.md §9).
 
@@ -125,9 +125,9 @@ mod tests {
         let (rest, jobs) = take_jobs(&argv("--shape m16n16k16 --jobs 4")).unwrap();
         assert_eq!(jobs, Some(4));
         assert_eq!(rest, argv("--shape m16n16k16"));
-        let (rest, jobs) = take_jobs(&argv("--jobs=2 sweep")).unwrap();
+        let (rest, jobs) = take_jobs(&argv("--jobs=2 dse")).unwrap();
         assert_eq!(jobs, Some(2));
-        assert_eq!(rest, argv("sweep"));
+        assert_eq!(rest, argv("dse"));
         let (_, jobs) = take_jobs(&argv("compare")).unwrap();
         assert_eq!(jobs, None);
         assert!(take_jobs(&argv("--jobs")).is_err());

@@ -1,23 +1,21 @@
-//! Shared validation for repeatable `--param` flags.
+//! Validation for the repeatable `--param name=v1,v2,...` flag of
+//! `pacq dse`.
 //!
-//! Two commands spell search axes through `--param`: `pacq sweep` takes
-//! exactly one bare name (`--param batch`), `pacq dse` takes repeated
-//! `name=v1,v2,...` specs. Both used to accept silently-broken input —
-//! a duplicated parameter name last-wins'd, and an empty value list
-//! produced an empty (vacuously "successful") search. This module is
-//! the one validator both go through: every malformed spec is a typed
-//! usage error (exit code 2) naming the offending flag.
+//! Every `--param` names one search axis and its value list. A
+//! duplicated name would silently last-win, and an empty value list
+//! would produce an empty (vacuously "successful") search, so this
+//! validator turns every malformed spec into a typed usage error (exit
+//! code 2) naming the offending flag.
 
 use pacq_error::{PacqError, PacqResult};
 
-/// One validated `--param` occurrence: a parameter name plus its value
-/// list (empty for the bare `--param name` spelling).
+/// One validated `--param` occurrence: a parameter name plus its
+/// non-empty value list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamSpec {
-    /// The parameter name (left of `=`, or the whole flag value).
+    /// The parameter name (left of `=`).
     pub name: String,
-    /// The comma-separated values (right of `=`); empty when the spec
-    /// was a bare name.
+    /// The comma-separated values (right of `=`).
     pub values: Vec<String>,
 }
 
@@ -28,9 +26,10 @@ fn err(msg: impl Into<String>) -> PacqError {
 /// Parses and validates every `--param` occurrence of one invocation.
 ///
 /// Rejected with a usage error (exit code 2):
+/// - a spec with no `=` (`--param batch`): every axis needs values;
 /// - an empty or non-`[A-Za-z0-9_-]` parameter name;
-/// - the same parameter named twice (`--param batch --param batch=32`
-///   would otherwise silently last-win);
+/// - the same parameter named twice (`--param batch=16 --param
+///   batch=32` would otherwise silently last-win);
 /// - a `name=` spec with an empty value list, or any empty value in
 ///   the list (`batch=16,,32`) — an empty axis would make the whole
 ///   search product empty and "succeed" having searched nothing.
@@ -44,18 +43,15 @@ pub fn parse_params(
     let mut parsed: Vec<ParamSpec> = Vec::new();
     for spec in specs {
         let spec = spec.as_ref();
-        let (name, values) = match spec.split_once('=') {
-            Some((name, list)) => {
-                let values: Vec<String> = list.split(',').map(str::to_string).collect();
-                if values.iter().any(String::is_empty) {
-                    return Err(err(format!(
-                        "--param {spec}: empty value list (an empty axis would search nothing)"
-                    )));
-                }
-                (name, values)
-            }
-            None => (spec, Vec::new()),
-        };
+        let (name, list) = spec
+            .split_once('=')
+            .ok_or_else(|| err(format!("--param {spec}: expected name=v1,v2,...")))?;
+        let values: Vec<String> = list.split(',').map(str::to_string).collect();
+        if values.iter().any(String::is_empty) {
+            return Err(err(format!(
+                "--param {spec}: empty value list (an empty axis would search nothing)"
+            )));
+        }
         if name.is_empty()
             || !name
                 .chars()
@@ -81,11 +77,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bare_names_and_value_lists_parse() {
-        let specs = parse_params(&["batch".to_string()]).unwrap();
-        assert_eq!(specs[0].name, "batch");
-        assert!(specs[0].values.is_empty());
-
+    fn value_lists_parse() {
         let specs = parse_params(&["batch=16,32".to_string(), "arch=pacq".to_string()]).unwrap();
         assert_eq!(specs[0].values, ["16", "32"]);
         assert_eq!(specs[1].name, "arch");
@@ -97,14 +89,15 @@ mod tests {
         // The --param regression table: every case used to pass
         // silently (duplicate last-wins, empty axes searched nothing).
         let cases = [
-            (vec!["batch", "batch"], "twice"),
+            (vec!["batch"], "expected name=v1"),
+            (vec!["grid"], "expected name=v1"),
             (vec!["batch=16", "batch=32"], "twice"),
-            (vec!["batch", "batch=32"], "twice"),
+            (vec!["batch=16", "arch=pacq", "batch=32"], "twice"),
             (vec!["batch="], "empty value"),
             (vec!["batch=16,,32"], "empty value"),
             (vec!["batch=16,"], "empty value"),
             (vec!["=16"], "malformed"),
-            (vec![""], "malformed"),
+            (vec!["="], "empty value"),
             (vec!["bad name=1"], "malformed"),
         ];
         for (specs, want) in cases {

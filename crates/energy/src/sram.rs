@@ -177,7 +177,8 @@ impl SramModel {
         self.energy_per_word16_pj
     }
 
-    /// Energy of one read of `bits` bits, in pJ.
+    /// Energy of one read of `bits` bits, in pJ. `bits` is widened to
+    /// f64 before the product, so any u64 count prices without wrapping.
     pub fn read_energy_pj(&self, bits: u64) -> f64 {
         self.energy_per_word16_pj * bits as f64 / 16.0
     }
@@ -225,6 +226,33 @@ mod tests {
         assert!(big.read_energy_pj(16) > small.read_energy_pj(16));
         // Square-root law: 4× capacity → 2× energy.
         assert!((big.read_energy_pj(16) / small.read_energy_pj(16) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pricing_at_u64_max_bits_does_not_wrap() {
+        // The largest count a counter can hold prices to exactly its
+        // share of 2^64 bits; a product taken in u64 would wrap first.
+        let bits = 2f64.powi(64);
+        for level in [
+            SramModel::volta_operand_buffer(),
+            SramModel::volta_register_file(),
+            SramModel::volta_l1(),
+            SramModel::dram(),
+        ] {
+            let read = level.energy_per_word16_pj() * bits / 16.0;
+            let got = level.read_energy_pj(u64::MAX);
+            assert!(
+                (got - read).abs() <= 1e-12 * read,
+                "{}: {got}",
+                level.kind()
+            );
+            let got = level.write_energy_pj(u64::MAX);
+            assert!(
+                (got - 1.1 * read).abs() <= 1e-12 * read,
+                "{}: {got}",
+                level.kind()
+            );
+        }
     }
 
     #[test]

@@ -206,7 +206,9 @@ impl EnergyModel {
     pub fn energy(&self, arch: Architecture, config: &SmConfig, stats: &GemmStats) -> EnergyReport {
         // Tensor cores: the per-warp DP units are busy `tc_cycles`, and
         // the SM keeps `concurrent_warps × dp_units_per_warp` units
-        // occupied.
+        // occupied. The unit count multiplies three small machine
+        // constants, not counters, and `tc_cycles` is widened to f64
+        // before its product, so neither can wrap.
         let dp_unit = Self::tensor_core_unit(arch, config);
         let dp_units_active = (config.concurrent_warps()
             * config.octets_per_warp()
@@ -214,7 +216,11 @@ impl EnergyModel {
         let tc_pj = self.dp_unit_cycle_pj(dp_unit) * stats.tc_cycles as f64 * dp_units_active;
 
         // Memories: element accesses are 16-bit; level traffic is counted
-        // in bits.
+        // in bits. The one u64 sum, `a_bits + b_bits`, is at most
+        // `rf.total_bits()`, which `MAX_COUNTER_PER_MAC` bounds below
+        // u64::MAX at `MAX_MACS`; halving `c_bits` only shrinks it. Every
+        // other counter reaches `read/write_energy_pj` alone, which
+        // widen it to f64 before pricing.
         let rf_pj = self.rf.read_energy_pj(stats.rf.a_bits + stats.rf.b_bits)
             + self.rf.write_energy_pj(stats.rf.c_bits / 2)
             + self.rf.read_energy_pj(stats.rf.c_bits / 2);
@@ -227,7 +233,8 @@ impl EnergyModel {
         // a power-of-two factor rounds identically either way.
         let buffer_pj = 128.0 * self.buffer.write_energy_pj(stats.buffer_fills);
 
-        // General core.
+        // General core: each op count is widened to f64 before its
+        // product, so no term is computed in u64.
         let ops = &stats.ops;
         let general_units = ops.unpack_ops as f64 * Component::UnpackShifter.energy_units()
             + ops.dequant_ops as f64 * Component::DequantMultiplier.energy_units()
@@ -432,6 +439,78 @@ mod tests {
                         (big - one * tiles).abs() <= 1e-9 * one * tiles,
                         "{arch:?} {precision:?} {shape:?}: {big} vs {one} per tile"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_energy_term_at_the_largest_shapes_does_not_wrap() {
+        // Each term recomputed from its counters, every counter widened
+        // to f64 on its own, so no sum or product can wrap: a term whose
+        // u64 arithmetic wrapped near `MAX_MACS` would miss it by about
+        // 2^64 units.
+        let cfg = SmConfig::volta_like();
+        let model = EnergyModel::new(&cfg);
+        let edge = (1usize << 51) - 16;
+        let pj_per_bit = |level: &SramModel| level.energy_per_word16_pj() / 16.0;
+        let [_, rf, l1, dram] = model.levels().map(pj_per_bit);
+        let units = [
+            Component::UnpackShifter,
+            Component::DequantMultiplier,
+            Component::UnpackShifter,
+            Component::OffsetFixup,
+            Component::ScaleApply,
+        ]
+        .map(|c| c.energy_units());
+        for (m, n, k) in [(edge, 16, 16), (16, 16, edge), (16, edge, 16)] {
+            let shape = GemmShape::try_new(m, n, k).unwrap();
+            for arch in Architecture::ALL {
+                for precision in WeightPrecision::ALL {
+                    let wl = Workload::new(shape, precision);
+                    let s = simulate(arch, wl, &cfg, GroupShape::G128).unwrap();
+                    let e = model.energy(arch, &cfg, &s);
+                    let f = |v: u64| v as f64;
+                    let dp_units =
+                        cfg.concurrent_warps() * cfg.octets_per_warp() * cfg.dp_units_per_octet();
+                    let dp = model.dp_unit_cycle_pj(EnergyModel::tensor_core_unit(arch, &cfg));
+                    let o = s.ops;
+                    let ops = [
+                        o.unpack_ops,
+                        o.dequant_ops,
+                        o.inline_converts,
+                        o.offset_fixups,
+                        o.scale_applies,
+                    ];
+                    let general: f64 = ops.iter().zip(units).map(|(&n, u)| f(n) * u).sum();
+                    for (term, priced, wide) in [
+                        ("tc", e.tc_pj, dp * f(s.tc_cycles) * dp_units as f64),
+                        (
+                            "rf",
+                            e.rf_pj,
+                            rf * (f(s.rf.a_bits) + f(s.rf.b_bits) + 2.1 * f(s.rf.c_bits) / 2.0),
+                        ),
+                        (
+                            "l1",
+                            e.l1_pj,
+                            l1 * (f(s.l1.read_bits) + 1.1 * f(s.l1.write_bits)),
+                        ),
+                        (
+                            "dram",
+                            e.dram_pj,
+                            dram * (f(s.dram.read_bits) + 1.1 * f(s.dram.write_bits)),
+                        ),
+                        (
+                            "general",
+                            e.general_pj,
+                            (general + f(o.scale_fetches) * 0.2) * ENERGY_UNIT_PJ,
+                        ),
+                    ] {
+                        assert!(
+                            wide > 0.0 && (priced - wide).abs() <= 1e-12 * wide,
+                            "{term}: {arch:?} {precision:?} {shape:?}: {priced} vs {wide}"
+                        );
+                    }
                 }
             }
         }

@@ -1,21 +1,17 @@
 //! Golden-file tests for the `pacq` commands: single-point `analyze`
-//! (text and `--json`), `compare`, every `sweep --param` form and
-//! `dse --pareto`, spawned as the real binary so argv parsing,
-//! rendering and exit status are pinned together. Also, the grid table
-//! must not depend on the report cache (cold or warm store): only the
-//! `cache:` footer line may differ, and the grid's `--metrics` manifest
-//! only in its run-local provenance. And `exec --check` must find the
-//! batched kernel bit-identical to the scalar reference on every
-//! dataflow and precision.
+//! (text and `--json`), `compare` and the default `dse --pareto` grid,
+//! spawned as the real binary so argv parsing, rendering and exit
+//! status are pinned together. Also, the grid table must not depend on
+//! the report cache (cold or warm store): only the `cache:` footer line
+//! may differ, and the grid's `--metrics` manifest only in its
+//! run-local provenance. And `exec --check` must find the batched
+//! kernel bit-identical to the scalar reference on every dataflow and
+//! precision.
 //!
 //! To regenerate after an *intentional* output change:
 //!
 //! ```text
 //! cargo build --release -p pacq --bin pacq
-//! for p in grid batch dup width; do
-//!     ./target/release/pacq sweep --param $p --shape m16n256k256 \
-//!         > tests/golden/cli/sweep_$p.txt
-//! done
 //! ./target/release/pacq dse --shape m16n256k256 --pareto > tests/golden/cli/dse_pareto.txt
 //! ./target/release/pacq analyze --shape m16n4096k4096 --arch pacq > tests/golden/cli/analyze.txt
 //! ./target/release/pacq analyze --shape m16n4096k4096 --arch pacq --json \
@@ -27,7 +23,7 @@
 use pacq::{Architecture, WeightPrecision};
 use pacq_trace::Json;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SHAPE: &str = "m16n256k256";
 
@@ -83,43 +79,30 @@ fn split_cache_footer(out: &str) -> (String, Vec<&str>) {
     (table.iter().map(|l| format!("{l}\n")).collect(), footer)
 }
 
-const GRID: &str = include_str!("golden/cli/sweep_grid.txt");
+/// The default grid of the `SHAPE` layer with its Pareto front.
+const GRID: &str = include_str!("golden/cli/dse_pareto.txt");
+const GRID_ARGS: [&str; 4] = ["dse", "--shape", SHAPE, "--pareto"];
 
-#[test]
-fn sweep_forms_are_pinned() {
-    for (param, golden) in [
-        ("grid", GRID),
-        ("batch", include_str!("golden/cli/sweep_batch.txt")),
-        ("dup", include_str!("golden/cli/sweep_dup.txt")),
-        ("width", include_str!("golden/cli/sweep_width.txt")),
-    ] {
-        let out = pacq(&["sweep", "--param", param, "--shape", SHAPE]);
-        assert_matches(&format!("sweep --param {param}"), &out, golden);
-    }
-}
-
+/// The builtin-equivalent template prices every row, the ranking and
+/// the front exactly as the builtin machine does; only the tally line
+/// names the template instead of the builtin machine.
 #[test]
 fn builtin_equivalent_template_reproduces_the_grid() {
-    let out = pacq(&[
-        "sweep",
-        "--param",
-        "grid",
-        "--shape",
-        SHAPE,
-        "--arch-template",
-        "examples/arch/volta_like.toml",
-    ]);
-    assert_matches("sweep --param grid --arch-template volta_like", &out, GRID);
+    let template = ["--arch-template", "examples/arch/volta_like.toml"];
+    let out = pacq(&[&GRID_ARGS[..], &template].concat());
+    let (rows, tally) = out.trim_end().rsplit_once('\n').expect("a tally line");
+    let (golden_rows, golden_tally) = GRID.trim_end().rsplit_once('\n').expect("a tally line");
+    assert_matches("dse --arch-template volta_like", rows, golden_rows);
+    let (golden_tally, _) = golden_tally.split_once("; ").expect("machine suffix");
+    assert!(
+        tally.starts_with(&format!("{golden_tally}; template volta-like (")),
+        "{tally}"
+    );
 }
 
 #[test]
 fn dse_pareto_is_pinned() {
-    let out = pacq(&["dse", "--shape", SHAPE, "--pareto"]);
-    assert_matches(
-        "dse --pareto",
-        &out,
-        include_str!("golden/cli/dse_pareto.txt"),
-    );
+    assert_matches("dse --pareto", &pacq(&GRID_ARGS), GRID);
 }
 
 #[test]
@@ -171,7 +154,7 @@ fn without_run_local_provenance(mut doc: Json) -> Json {
         let kept: Vec<(String, Json)> = counters
             .into_iter()
             .filter(|(k, _)| {
-                !["cache.", "core.", "simt.", "sweep.jobs.executed"]
+                !["cache.", "core.", "simt.", "dse.jobs.executed"]
                     .iter()
                     .any(|p| k.starts_with(p))
             })
@@ -182,7 +165,7 @@ fn without_run_local_provenance(mut doc: Json) -> Json {
 }
 
 /// The grid table is the same from a cold `--cache` store, a warm one
-/// and no cache at all; only the `cache:` footer differs. The sweep
+/// and no cache at all; only the `cache:` footer differs. The grid
 /// has one compute path (the batched kernel, with the scalar units kept
 /// as its `exec --check` reference), so no backend setting remains that
 /// could change it.
@@ -191,11 +174,9 @@ fn grid_table_is_identical_uncached_cold_and_warm() {
     let dir = std::env::temp_dir().join(format!("pacq-cli-golden-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.to_string_lossy().into_owned();
-    let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
-
-    let cold = pacq(&[&grid[..], &["--cache", &store]].concat());
-    let warm = pacq(&[&grid[..], &["--cache", &store]].concat());
-    let uncached = pacq(&grid);
+    let cold = pacq(&[&GRID_ARGS[..], &["--cache", &store]].concat());
+    let warm = pacq(&[&GRID_ARGS[..], &["--cache", &store]].concat());
+    let uncached = pacq(&GRID_ARGS);
     let _ = std::fs::remove_dir_all(&dir);
 
     let (cold, cold_footer) = split_cache_footer(&cold);
@@ -207,7 +188,7 @@ fn grid_table_is_identical_uncached_cold_and_warm() {
     assert_matches("uncached grid", &uncached, GRID);
 }
 
-/// The grid sweep twice through one `--cache` store with `--metrics`:
+/// The default grid twice through one `--cache` store with `--metrics`:
 /// the warm pass serves at least 95% of its reports from the store with
 /// no failed write, both manifests are equal once run-local provenance
 /// is stripped (cached results never drift from fresh ones, as results
@@ -223,8 +204,7 @@ fn grid_manifest_is_identical_cold_and_warm() {
             .join(format!("{name}.json"))
             .to_string_lossy()
             .into_owned();
-        let grid = ["sweep", "--param", "grid", "--shape", SHAPE];
-        pacq(&[&grid[..], &["--cache", &store, "--metrics", &path]].concat());
+        pacq(&[&GRID_ARGS[..], &["--cache", &store, "--metrics", &path]].concat());
         let text = std::fs::read_to_string(&path).expect("manifest written");
         Json::parse(&text).expect("manifest parses")
     };
@@ -273,7 +253,9 @@ fn grid_manifest_is_identical_cold_and_warm() {
 fn malformed_input_exits_2_without_a_panic() {
     for args in [
         &["analyze", "--shape", "m15n16k16"][..],
-        &["sweep", "--param", "batch", "--jobs", "0"],
+        &["dse", "--shape", SHAPE, "--jobs", "0"],
+        &["sweep", "--param", "grid", "--shape", SHAPE],
+        &["dse", "--shape", SHAPE, "--group", "g64"],
         &["exec", "--shape", "m16n32k128", "--backend", "batched"],
     ] {
         let output = spawn(args);
@@ -281,6 +263,40 @@ fn malformed_input_exits_2_without_a_panic() {
         assert_eq!(output.status.code(), Some(2), "pacq {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "pacq {args:?}: {stderr}");
     }
+}
+
+/// A reader that closes stdout early (`pacq dse … | head -1`) ends the
+/// run quietly with exit 0. The 1728-point grid prints more than a pipe
+/// buffer holds, so a write meets the closed pipe whichever side is
+/// first.
+#[test]
+fn closed_stdout_exits_0_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pacq"))
+        .args(["dse", "--shape", "m16n4096k4096", "--pareto"])
+        .args(["--param", "batch=16,32,64,128,256,512"])
+        .args([
+            "--param",
+            "arch=std,packedk,is,pacq",
+            "--param",
+            "width=4,8,16",
+        ])
+        .args([
+            "--param",
+            "dup=1,2,4",
+            "--param",
+            "group=g128,g256,g32x4,g64x4",
+        ])
+        .current_dir(workspace_root())
+        .env_remove("PACQ_JOBS")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn pacq: {e}"));
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("pacq exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// `pacq exec --check` runs the batched kernel and the scalar reference

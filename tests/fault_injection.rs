@@ -60,12 +60,12 @@ proptest! {
     fn hostile_cli_argv_never_panics(
         tokens in prop::collection::vec(
             prop::sample::select(vec![
-                "analyze", "compare", "sweep", "help", "frobnicate",
+                "analyze", "compare", "dse", "sweep", "help", "frobnicate",
                 "--shape", "m16n16k16", "m0n0k0", "m-1n16k16", "mXnYkZ", "m15n16k16",
                 "--precision", "int4", "int2", "int5", "",
                 "--arch", "pacq", "warp9",
                 "--group", "g128", "g0", "h128",
-                "--dup", "3", "--width", "0", "--param", "batch", "chaos",
+                "--dup", "3", "--width", "0", "--param", "batch", "batch=16", "chaos",
                 "--json", "--jobs", "1000000", "-1",
             ]),
             0..6,
@@ -325,7 +325,9 @@ fn cli_malformed_shape_has_usage_exit_code() {
         "analyze --shape m0n16k16",
         "analyze --shape m15n16k16",
         "analyze --shape garbage",
-        "sweep --param chaos --shape m16n16k16",
+        "dse --param chaos --shape m16n16k16",
+        "dse --param chaos=1 --shape m16n16k16",
+        "sweep --param grid --shape m16n16k16",
     ] {
         let err = cli::run(&argv(cmd)).unwrap_err();
         assert!(err.is_usage(), "{cmd}: {err}");
