@@ -5,14 +5,15 @@
 use pacq::{Architecture, Comparison, GemmShape, Workload};
 use pacq_bench::{banner, pct};
 use pacq_fp16::WeightPrecision;
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("fig10")?;
-    banner(
+    let mut out = banner(
         "Figure 10",
         "normalized EDP: Standard vs P(B_x)_k vs PacQ (Llama2-7B shapes, batch 16)",
         "up to 81.4% EDP reduction at m16n4096k4096",
@@ -26,7 +27,8 @@ fn run() -> pacq::PacqResult<()> {
         GemmShape::new(16, 12288, 4096), // fused QKV
     ];
 
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<20} {:<8} {:>12} {:>12} {:>12} {:>14}",
         "workload", "weights", "std", "P(B_x)_k", "PacQ", "PacQ reduction"
     );
@@ -64,7 +66,8 @@ fn run() -> pacq::PacqResult<()> {
                 best = reduction;
                 best_name = wl.to_string();
             }
-            println!(
+            let _ = writeln!(
+                out,
                 "{:<20} {:<8} {:>12.3} {:>12.3} {:>12.3} {:>14}",
                 shape.to_string(),
                 precision.to_string(),
@@ -75,11 +78,12 @@ fn run() -> pacq::PacqResult<()> {
             );
         }
     }
-    println!(
+    let _ = writeln!(
+        out,
         "\nbest PacQ EDP reduction: {} at {}   (paper: up to 81.4% at m16n4096k4096)",
         pct(best),
         best_name
     );
-    metrics.finish()?;
-    Ok(())
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

@@ -5,14 +5,15 @@ use pacq::{Architecture, DseJob, GemmShape, GroupShape, Workload};
 use pacq_bench::{banner, times};
 use pacq_energy::GemmUnit;
 use pacq_fp16::WeightPrecision;
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("fig11")?;
-    banner(
+    let mut out = banner(
         "Figure 11",
         "adder-tree duplication ablation (PacQ DP-4, m16n16k16)",
         "dup 2 gives 1.33x (1.38x) over dup 1 for INT4 (INT2); dup 4 only 1.11x (1.18x) over dup 2",
@@ -21,8 +22,9 @@ fn run() -> pacq::PacqResult<()> {
     let machine = metrics.runner()?;
     let shape = GemmShape::M16N16K16;
     for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-        println!("\n-- {precision} weights --");
-        println!(
+        let _ = writeln!(out, "\n-- {precision} weights --");
+        let _ = writeln!(
+            out,
             "{:<13} {:>10} {:>16} {:>14} {:>12}",
             "duplication", "cycles", "power (units)", "thr/watt", "vs previous"
         );
@@ -45,7 +47,8 @@ fn run() -> pacq::PacqResult<()> {
             let tpw = shape.macs() as f64 / r.stats.total_cycles as f64 / power;
             let base = *first.get_or_insert(tpw);
             let step = prev.map_or(1.0, |p| tpw / p);
-            println!(
+            let _ = writeln!(
+                out,
                 "{:<13} {:>10} {:>16.3} {:>13.2}x {:>12}",
                 dup,
                 r.stats.total_cycles,
@@ -56,10 +59,11 @@ fn run() -> pacq::PacqResult<()> {
             prev = Some(tpw);
         }
     }
-    println!(
+    let _ = writeln!(
+        out,
         "\nshape check: duplication 2 is the knee — the dup-4 step gain is \
          much smaller than the dup-2 step gain (paper: 1.33/1.38 then 1.11/1.18)."
     );
-    metrics.finish()?;
-    Ok(())
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

@@ -7,14 +7,15 @@ use pacq_bench::{banner, times};
 use pacq_energy::GemmUnit;
 use pacq_fp16::WeightPrecision;
 use pacq_mixgemm::{pacq_advantage_over_mixgemm, MixGemmModel};
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("fig12")?;
-    banner(
+    let mut out = banner(
         "Figure 12",
         "(a) DP unit size study; (b) PacQ vs Mix-GEMM (m16n16k16, thr/watt)",
         "(a) PacQ gains orthogonal to DP size; (b) 4.12x (INT4), 3.75x (INT2) over Mix-GEMM",
@@ -24,8 +25,9 @@ fn run() -> pacq::PacqResult<()> {
     // Steady-state shape: at m16n16k16 the pipeline fill/drain tails
     // dominate wide DP units and mask the orthogonality; the paper's
     // simulator reports steady-state throughput.
-    println!("\n-- (a) DP unit size (steady state, m16n256k256) --");
-    println!(
+    let _ = writeln!(out, "\n-- (a) DP unit size (steady state, m16n256k256) --");
+    let _ = writeln!(
+        out,
         "{:<8} {:>16} {:>16} {:>18}",
         "width", "baseline t/w", "PacQ t/w", "PacQ advantage"
     );
@@ -50,7 +52,8 @@ fn run() -> pacq::PacqResult<()> {
         .power_units();
         let base_tpw = shape.macs() as f64 / base.stats.total_cycles as f64 / base_p;
         let pacq_tpw = shape.macs() as f64 / pacq.stats.total_cycles as f64 / pacq_p;
-        println!(
+        let _ = writeln!(
+            out,
             "DP-{:<5} {:>16.3} {:>16.3} {:>18}",
             width,
             base_tpw,
@@ -58,17 +61,25 @@ fn run() -> pacq::PacqResult<()> {
             times(pacq_tpw / base_tpw)
         );
     }
-    println!("shape check: the advantage holds at every DP width (orthogonality).");
+    let _ = writeln!(
+        out,
+        "shape check: the advantage holds at every DP width (orthogonality)."
+    );
 
     // ------------------------------------------------------------- (b)
-    println!("\n-- (b) vs Mix-GEMM (binary segmentation, FP16 activations) --");
-    println!(
+    let _ = writeln!(
+        out,
+        "\n-- (b) vs Mix-GEMM (binary segmentation, FP16 activations) --"
+    );
+    let _ = writeln!(
+        out,
         "{:<10} {:>22} {:>18} {:>16}",
         "weights", "Mix-GEMM pJ/MAC (u)", "PacQ pJ/MAC (u)", "PacQ advantage"
     );
     let mix = MixGemmModel::calibrated();
     for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<10} {:>22.3} {:>18.3} {:>16}",
             precision.to_string(),
             mix.energy_per_mac_units(precision),
@@ -76,8 +87,14 @@ fn run() -> pacq::PacqResult<()> {
             times(pacq_advantage_over_mixgemm(precision))
         );
     }
-    println!("paper: 4.12x (INT4), 3.75x (INT2); binary segmentation pays a fixed");
-    println!("FP16-side cost per element, so fewer weight bits barely help it.");
-    metrics.finish()?;
-    Ok(())
+    let _ = writeln!(
+        out,
+        "paper: 4.12x (INT4), 3.75x (INT2); binary segmentation pays a fixed"
+    );
+    let _ = writeln!(
+        out,
+        "FP16-side cost per element, so fewer weight bits barely help it."
+    );
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

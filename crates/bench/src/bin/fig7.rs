@@ -5,14 +5,15 @@
 use pacq::{Architecture, GemmShape, GroupShape, Workload};
 use pacq_bench::{banner, pct, times};
 use pacq_fp16::WeightPrecision;
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("fig7")?;
-    banner(
+    let mut out = banner(
         "Figure 7",
         "register-file accesses and speedup, PacQ vs P(B_x)_k (m16n16k16)",
         "(a) up to 54.3% fewer RF accesses; (b) average speedup 1.99x",
@@ -22,7 +23,8 @@ fn run() -> pacq::PacqResult<()> {
     let runner = metrics.runner()?.with_group(GroupShape::along_k(16));
     let shape = GemmShape::M16N16K16;
 
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<8} {:<12} {:>14} {:>14} {:>12} {:>10}",
         "weights", "arch", "RF accesses", "normalized", "cycles", "speedup"
     );
@@ -45,7 +47,8 @@ fn run() -> pacq::PacqResult<()> {
         let base_rf = base.stats.rf.total_accesses();
         let pacq_rf = pacq.stats.rf.total_accesses();
         let speedup = base.stats.total_cycles as f64 / pacq.stats.total_cycles as f64;
-        println!(
+        let _ = writeln!(
+            out,
             "{:<8} {:<12} {:>14} {:>14.3} {:>12} {:>10}",
             precision.to_string(),
             format!("P(B_{})_k", precision.lanes()),
@@ -54,7 +57,8 @@ fn run() -> pacq::PacqResult<()> {
             base.stats.total_cycles,
             times(1.0),
         );
-        println!(
+        let _ = writeln!(
+            out,
             "{:<8} {:<12} {:>14} {:>14.3} {:>12} {:>10}",
             "",
             "PacQ",
@@ -67,17 +71,19 @@ fn run() -> pacq::PacqResult<()> {
         speedups.push(speedup);
     }
 
-    println!(
+    let _ = writeln!(
+        out,
         "\n(a) RF access reduction: INT4 {}, INT2 {}   (paper: up to 54.3%)",
         pct(reductions[0]),
         pct(reductions[1])
     );
-    println!(
+    let _ = writeln!(
+        out,
         "(b) speedup: INT4 {}, INT2 {}, average {}   (paper: average 1.99x)",
         times(speedups[0]),
         times(speedups[1]),
         times(speedups.iter().sum::<f64>() / speedups.len() as f64)
     );
-    metrics.finish()?;
-    Ok(())
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

@@ -3,14 +3,15 @@
 
 use pacq_bench::{banner, pct};
 use pacq_energy::{Figure9, PowerBreakdown, Provenance};
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("fig9")?;
-    banner(
+    let mut out = banner(
         "Figure 9",
         "power breakdown of the parallel units (reused vs new)",
         "~75% reuse (INT11 MUL), ~73% (FP-INT MUL), ~60% (DP-4), average 69%",
@@ -22,24 +23,27 @@ fn run() -> pacq::PacqResult<()> {
         ("Parallel FP-INT-16 MUL", &fig.parallel_fp_int),
         ("Parallel FP-INT-16 DP-4", &fig.parallel_dp4),
     ] {
-        print_breakdown(name, b);
+        print_breakdown(&mut out, name, b);
     }
-    println!(
+    let _ = writeln!(
+        out,
         "\naverage reuse ratio: {}   (paper: 69%)",
         pct(fig.average_reuse())
     );
-    metrics.finish()?;
-    Ok(())
+    metrics.finish(&mut out)?;
+    Ok(out)
 }
 
-fn print_breakdown(name: &str, b: &PowerBreakdown) {
-    println!("\n-- {name} --");
-    println!(
+fn print_breakdown(out: &mut String, name: &str, b: &PowerBreakdown) {
+    let _ = writeln!(out, "\n-- {name} --");
+    let _ = writeln!(
+        out,
         "{:<38} {:>6} {:>8} {:>10} {:>9}",
         "component", "count", "prov", "power", "share"
     );
     for s in b.slices() {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<38} {:>6} {:>8} {:>10.4} {:>9}",
             s.component.to_string(),
             s.count,
@@ -52,7 +56,8 @@ fn print_breakdown(name: &str, b: &PowerBreakdown) {
             pct(s.fraction)
         );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "{:<38} {:>6} {:>8} {:>10.4} {:>9}",
         "TOTAL",
         "",
@@ -60,5 +65,5 @@ fn print_breakdown(name: &str, b: &PowerBreakdown) {
         b.total_units(),
         pct(1.0)
     );
-    println!("reused fraction: {}", pct(b.reused_fraction()));
+    let _ = writeln!(out, "reused fraction: {}", pct(b.reused_fraction()));
 }

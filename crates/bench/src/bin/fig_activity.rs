@@ -11,14 +11,15 @@
 use pacq::activity::{calibrate, DEFAULT_OPS, DEFAULT_SEED, DEFAULT_TOLERANCE};
 use pacq_bench::banner;
 use pacq_energy::{ActivityBom, PJ_PER_TOGGLE_GE};
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("fig_activity")?;
-    banner(
+    let mut out = banner(
         "Activity calibration (extension)",
         "toggle-priced multiplier energy vs the calibrated constants",
         "Table I synthesis energy, cross-checked from gate-level activity",
@@ -27,16 +28,19 @@ fn run() -> pacq::PacqResult<()> {
     let bom = ActivityBom::calibrated();
     let points = calibrate(&bom, DEFAULT_OPS, DEFAULT_SEED)?;
 
-    println!(
+    let _ = writeln!(
+        out,
         "\nstimulus: {DEFAULT_OPS} ops, seed {DEFAULT_SEED:#x}, \
 {PJ_PER_TOGGLE_GE:.2e} pJ per GE-toggle"
     );
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<10} {:<5} {:>5} {:>6} {:>12} {:>12} {:>12} {:>8}",
         "unit", "prec", "lanes", "nodes", "toggles/op", "analytic pJ", "activity pJ", "rel"
     );
     for p in &points {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<10} {:<5} {:>5} {:>6} {:>12.2} {:>12.4} {:>12.4} {:>+7.1}%",
             p.unit_token(),
             p.precision_token(),
@@ -49,25 +53,29 @@ fn run() -> pacq::PacqResult<()> {
         );
     }
 
-    println!("\nper-gate-class toggle histograms (whole run):");
-    println!(
+    let _ = writeln!(out, "\nper-gate-class toggle histograms (whole run):");
+    let _ = writeln!(
+        out,
         "{:<10} {:<5} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "unit", "prec", "not", "and", "or", "xor", "mux"
     );
     for p in &points {
-        print!("{:<10} {:<5}", p.unit_token(), p.precision_token());
+        let _ = write!(out, "{:<10} {:<5}", p.unit_token(), p.precision_token());
         for &(_, toggles) in &p.profile.toggles_by_class {
-            print!(" {toggles:>10}");
+            let _ = write!(out, " {toggles:>10}");
         }
-        println!();
+        let _ = writeln!(out);
     }
 
-    println!("\nreading: the baseline INT4 point anchors the pJ-per-GE-toggle constant");
-    println!("(sub-percent residual by construction); every other row is a genuine");
-    println!("prediction. The INT2 rows diverge structurally — the gate-level INT2");
-    println!("build duplicates the 4-lane array where the analytic model assumes one");
-    println!("shared unit — which is why `pacq audit --activity` defaults to the wide");
-    println!("±{DEFAULT_TOLERANCE} relative tolerance documented in DESIGN.md.");
-    metrics.finish()?;
-    Ok(())
+    let _ = writeln!(
+        out,
+        "\nreading: the baseline INT4 point anchors the pJ-per-GE-toggle constant
+(sub-percent residual by construction); every other row is a genuine
+prediction. The INT2 rows diverge structurally — the gate-level INT2
+build duplicates the 4-lane array where the analytic model assumes one
+shared unit — which is why `pacq audit --activity` defaults to the wide
+±{DEFAULT_TOLERANCE} relative tolerance documented in DESIGN.md."
+    );
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

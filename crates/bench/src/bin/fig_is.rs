@@ -13,6 +13,7 @@
 use pacq::{Architecture, Comparison, GemmShape, Workload};
 use pacq_bench::{banner, pct};
 use pacq_fp16::WeightPrecision;
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
@@ -23,9 +24,9 @@ fn main() -> std::process::ExitCode {
 /// output-stationary PacQ machine.
 const ARCHS: [Architecture; 4] = Architecture::ALL;
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("fig_is")?;
-    banner(
+    let mut out = banner(
         "Dataflow stationarity",
         "normalized EDP: ws (std, P(B_x)_k) vs is vs os/PacQ (Llama2-7B shapes)",
         "input-stationarity ends the A-refetch pathology; PacQ still needs the packed datapath",
@@ -38,7 +39,8 @@ fn run() -> pacq::PacqResult<()> {
         GemmShape::new(256, 4096, 4096), // prefill-heavy batch
     ];
 
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<20} {:<8} {:>10} {:>10} {:>10} {:>10} {:>14}",
         "workload", "weights", "std", "P(B_x)_k", "is", "PacQ", "is vs P(B_x)_k"
     );
@@ -73,7 +75,8 @@ fn run() -> pacq::PacqResult<()> {
                 best = recovered;
                 best_name = wl.to_string();
             }
-            println!(
+            let _ = writeln!(
+                out,
                 "{:<20} {:<8} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>14}",
                 shape.to_string(),
                 precision.to_string(),
@@ -85,12 +88,13 @@ fn run() -> pacq::PacqResult<()> {
             );
         }
     }
-    println!(
+    let _ = writeln!(
+        out,
         "\nbest is-over-P(B_x)_k EDP recovery: {} at {}   (tile movement alone; \
          the rest of the PacQ column is the packed datapath)",
         pct(best),
         best_name
     );
-    metrics.finish()?;
-    Ok(())
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

@@ -6,21 +6,23 @@ use pacq::llama::{analyze_block, Model};
 use pacq::Architecture;
 use pacq_bench::{banner, pct, times};
 use pacq_fp16::WeightPrecision;
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("model_zoo")?;
-    banner(
+    let mut out = banner(
         "Model zoo (extension)",
         "per-block totals across models (batch 16)",
         "Figure 10 generalized: PacQ's EDP win holds across model scales",
     );
 
     let runner = metrics.runner()?;
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<12} {:<8} {:>14} {:>14} {:>14} {:>12} {:>14}",
         "model", "weights", "std cycles", "P(B)k cycles", "PacQ cycles", "speedup", "EDP reduction"
     );
@@ -40,7 +42,8 @@ fn run() -> pacq::PacqResult<()> {
                     edp[i] += r.edp_pj_s;
                 }
             }
-            println!(
+            let _ = writeln!(
+                out,
                 "{:<12} {:<8} {:>14} {:>14} {:>14} {:>12} {:>14}",
                 model.name(),
                 precision.to_string(),
@@ -52,18 +55,25 @@ fn run() -> pacq::PacqResult<()> {
             );
         }
     }
-    println!("\nweight storage at INT4 (GEMM weights only, packed incl. nothing else):");
+    let _ = writeln!(
+        out,
+        "\nweight storage at INT4 (GEMM weights only, packed incl. nothing else):"
+    );
     for model in Model::ALL {
         let fp16_gb = model.gemm_weights() as f64 * 2.0 / 1e9;
         let int4_gb = model.gemm_weights() as f64 * 0.5 / 1e9;
-        println!(
+        let _ = writeln!(
+            out,
             "  {:<12} fp16 {:>7.1} GB -> int4 {:>6.1} GB",
             model.name(),
             fp16_gb,
             int4_gb
         );
     }
-    println!("(paper quotes Llama2-70B: 131.6 GB fp16 vs 35.8 GB int4 incl. embeddings)");
-    metrics.finish()?;
-    Ok(())
+    let _ = writeln!(
+        out,
+        "(paper quotes Llama2-70B: 131.6 GB fp16 vs 35.8 GB int4 incl. embeddings)"
+    );
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

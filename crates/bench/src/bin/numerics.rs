@@ -12,6 +12,7 @@ use pacq_bench::banner;
 use pacq_fp16::{Fp16, Int4, PackedWord, ParallelDpUnit, RoundingMode, WeightPrecision};
 use pacq_quant::synth::SynthGenerator;
 use pacq_quant::MatrixF32;
+use std::fmt::Write;
 
 fn rel_err(got: &MatrixF32, want: &MatrixF32) -> f64 {
     let d = MatrixF32::from_fn(got.rows(), got.cols(), |r, c| {
@@ -24,15 +25,16 @@ fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("numerics")?;
-    banner(
+    let mut out = banner(
         "Numerics study (extension)",
         "GEMM error of the PacQ datapath: rounded biased products vs wide products",
         "paper asserts 'no approximation'; the literal rounding units say otherwise",
     );
 
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<8} {:>6} {:<10} {:>16} {:>16} {:>16}",
         "weights", "k", "act scale", "std dequant", "PacQ (rounded)", "PacQ (wide)"
     );
@@ -67,7 +69,8 @@ fn run() -> pacq::PacqResult<()> {
                     mk(NumericsMode::PaperRounded).execute(Architecture::Pacq, &a, &p_n)?;
                 let wide = mk(NumericsMode::Wide).execute(Architecture::Pacq, &a, &p_n)?;
 
-                println!(
+                let _ = writeln!(
+                    out,
                     "{:<8} {:>6} {:<10} {:>16.3e} {:>16.3e} {:>16.3e}",
                     precision.to_string(),
                     k,
@@ -79,25 +82,30 @@ fn run() -> pacq::PacqResult<()> {
             }
         }
     }
-    rounding_unit_study()?;
+    rounding_unit_study(&mut out)?;
 
-    println!(
+    let _ = writeln!(
+        out,
         "\nreading: the rounded-product datapath carries orders of magnitude more\n\
          error than either the dequantization baseline or the wide variant,\n\
          because rounding the ~1032x-inflated products erases the bits where\n\
          the true Σ A·B lives. Exactness requires the 22-bit products to reach\n\
          the accumulator unrounded (NumericsMode::Wide)."
     );
-    metrics.finish()?;
-    Ok(())
+    metrics.finish(&mut out)?;
+    Ok(out)
 }
 
 /// RNE vs truncating rounding units on a k=128 packed dot product: the
 /// truncation bias is systematic, so it does not average out over k the
 /// way RNE's symmetric error does.
-fn rounding_unit_study() -> pacq::PacqResult<()> {
-    println!("\n-- rounding-unit design point: RNE vs truncate (k=128 dot, INT4) --");
-    println!(
+fn rounding_unit_study(out: &mut String) -> pacq::PacqResult<()> {
+    let _ = writeln!(
+        out,
+        "\n-- rounding-unit design point: RNE vs truncate (k=128 dot, INT4) --"
+    );
+    let _ = writeln!(
+        out,
         "{:<12} {:>16} {:>16}",
         "mode", "mean |err|", "mean signed err"
     );
@@ -135,7 +143,7 @@ fn rounding_unit_study() -> pacq::PacqResult<()> {
             abs += e.abs() / 4.0;
             signed += e / 4.0;
         }
-        println!("{name:<12} {abs:>16.4} {signed:>16.4}");
+        let _ = writeln!(out, "{name:<12} {abs:>16.4} {signed:>16.4}");
     }
     Ok(())
 }

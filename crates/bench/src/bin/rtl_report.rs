@@ -7,14 +7,15 @@
 use pacq_bench::banner;
 use pacq_energy::GemmUnit;
 use pacq_rtl::{Fp16MulCircuit, ParallelFpIntCircuit};
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("rtl_report")?;
-    banner(
+    let mut out = banner(
         "RTL report (extension)",
         "gate-level netlists of the Table I multipliers",
         "independent cross-check of the calibrated synthesis model",
@@ -23,7 +24,8 @@ fn run() -> pacq::PacqResult<()> {
     let mut base = Fp16MulCircuit::build();
     let mut par = ParallelFpIntCircuit::build();
 
-    println!(
+    let _ = writeln!(
+        out,
         "\n{:<26} {:>12} {:>12} {:>10} {:>10} {:>10}",
         "unit", "gates", "area (GE)", "AND", "XOR", "MUX"
     );
@@ -39,7 +41,8 @@ fn run() -> pacq::PacqResult<()> {
             par.netlist.area_ge(),
         ),
     ] {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<26} {:>12} {:>12.1} {:>10} {:>10} {:>10}",
             name,
             counts.total(),
@@ -52,7 +55,7 @@ fn run() -> pacq::PacqResult<()> {
 
     let rtl_ratio = par.netlist.area_ge() / base.netlist.area_ge();
     let model_ratio = GemmUnit::ParallelFpIntMul.area_um2() / GemmUnit::BaselineFp16Mul.area_um2();
-    println!("\narea ratio (parallel / baseline): RTL {rtl_ratio:.3} vs calibrated model {model_ratio:.3}");
+    let _ = writeln!(out, "\narea ratio (parallel / baseline): RTL {rtl_ratio:.3} vs calibrated model {model_ratio:.3}");
 
     // Switching-activity study over a shared random operand stream.
     let mut x: u64 = 0x5EED;
@@ -67,16 +70,29 @@ fn run() -> pacq::PacqResult<()> {
     }
     let base_tpp = base.netlist.toggles_per_simulation();
     let par_tpp = par.netlist.toggles_per_simulation() / 4.0;
-    println!("\nswitching activity (toggles per produced FP16 product):");
-    println!("  baseline FP16 MUL:       {base_tpp:>8.1}");
-    println!(
+    let _ = writeln!(
+        out,
+        "\nswitching activity (toggles per produced FP16 product):"
+    );
+    let _ = writeln!(out, "  baseline FP16 MUL:       {base_tpp:>8.1}");
+    let _ = writeln!(
+        out,
         "  parallel FP-INT (INT4):  {par_tpp:>8.1}  ({:.2}x less)",
         base_tpp / par_tpp
     );
-    println!("\nreading: the parallel unit moves less logic per product (narrow 11x4");
-    println!("lanes, shared sign/exponent), which is the physical root of Figure 8's");
-    println!("throughput-per-watt advantage — reproduced here from gate-level toggles");
-    println!("rather than the calibrated constants.");
-    metrics.finish()?;
-    Ok(())
+    let _ = writeln!(
+        out,
+        "\nreading: the parallel unit moves less logic per product (narrow 11x4"
+    );
+    let _ = writeln!(
+        out,
+        "lanes, shared sign/exponent), which is the physical root of Figure 8's"
+    );
+    let _ = writeln!(
+        out,
+        "throughput-per-watt advantage — reproduced here from gate-level toggles"
+    );
+    let _ = writeln!(out, "rather than the calibrated constants.");
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

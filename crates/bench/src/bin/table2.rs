@@ -12,14 +12,15 @@ use pacq_fp16::WeightPrecision;
 use pacq_quant::evaluate_rtn;
 use pacq_quant::lm::TinyLm;
 use pacq_quant::synth::SynthGenerator;
+use std::fmt::Write;
 
 fn main() -> std::process::ExitCode {
     pacq_bench::exit(run())
 }
 
-fn run() -> pacq::PacqResult<()> {
+fn run() -> pacq::PacqResult<String> {
     let metrics = pacq_bench::init("table2")?;
-    banner(
+    let mut out = banner(
         "Table II",
         "RTN PTQ quality: k-only vs [n,k] quantization groups (W4A16)",
         "Llama2-7B wikitext-2: fp16 5.47, g128 5.73, g[32,4] 5.72, g256 5.75, g[64,4] 5.77",
@@ -35,8 +36,12 @@ fn run() -> pacq::PacqResult<()> {
     // ---------------------------------------------------------------
     // Weight / output-domain error on synthetic LLM-scale matrices.
     // ---------------------------------------------------------------
-    println!("\n-- weight & output error (synthetic 1024x512 LLM weights, W4A16) --");
-    println!(
+    let _ = writeln!(
+        out,
+        "\n-- weight & output error (synthetic 1024x512 LLM weights, W4A16) --"
+    );
+    let _ = writeln!(
+        out,
         "{:<10} {:>14} {:>12} {:>16}",
         "group", "weight MSE", "SQNR (dB)", "output rel err"
     );
@@ -45,7 +50,8 @@ fn run() -> pacq::PacqResult<()> {
     let a = g.llm_activations(16, 1024);
     for (name, group) in groups {
         let e = evaluate_rtn(&w, &a, WeightPrecision::Int4, group)?;
-        println!(
+        let _ = writeln!(
+            out,
             "{:<10} {:>14.4e} {:>12.2} {:>16.5}",
             name, e.weight_mse, e.weight_sqnr_db, e.output_rel_err
         );
@@ -55,8 +61,12 @@ fn run() -> pacq::PacqResult<()> {
     // Perplexity proxy over two "datasets" (two sampled corpora, the
     // wikitext-2/C4 stand-ins).
     // ---------------------------------------------------------------
-    println!("\n-- perplexity proxy (TinyLm; two sampled corpora) --");
-    println!(
+    let _ = writeln!(
+        out,
+        "\n-- perplexity proxy (TinyLm; two sampled corpora) --"
+    );
+    let _ = writeln!(
+        out,
         "{:<12} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "corpus", "fp16", "g128", "g[32,4]", "g256", "g[64,4]"
     );
@@ -69,13 +79,14 @@ fn run() -> pacq::PacqResult<()> {
             let q = lm.quantize_ffn(WeightPrecision::Int4, group)?;
             row.push_str(&format!(" {:>10.3}", q.perplexity(&tokens)));
         }
-        println!("{row}");
+        let _ = writeln!(out, "{row}");
     }
-    println!(
+    let _ = writeln!(
+        out,
         "\nshape check (matches Table II): quantized ppl sits slightly above fp16,\n\
          and each [n,k] column is statistically indistinguishable from its\n\
          equal-volume k-only column (g128 ≈ g[32,4], g256 ≈ g[64,4])."
     );
-    metrics.finish()?;
-    Ok(())
+    metrics.finish(&mut out)?;
+    Ok(out)
 }

@@ -10,6 +10,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt::Write;
+
 /// Run-manifest handle for a figure/table binary: [`init`] arms the
 /// process-wide observability collector when `--metrics PATH` is on the
 /// command line, and [`Metrics::finish`] drains it into a schema-valid
@@ -75,31 +77,38 @@ impl Metrics {
     }
 
     /// Writes the run manifest if `--metrics` was requested, draining
-    /// the collector either way, and prints the cache session tallies
-    /// when a store was attached.
+    /// the collector either way, and appends the cache session tallies
+    /// (when a store was attached) and the manifest path to `out`.
     ///
     /// # Errors
     ///
     /// Returns [`pacq::PacqError::Io`] (exit code 6) when the manifest
     /// cannot be written.
-    pub fn finish(self) -> pacq::PacqResult<()> {
+    pub fn finish(self, out: &mut String) -> pacq::PacqResult<()> {
         if let Some(cache) = &self.knobs.cache {
-            println!("\ncache: {} hits, {} misses", cache.hits(), cache.misses());
+            let _ = writeln!(
+                out,
+                "\ncache: {} hits, {} misses",
+                cache.hits(),
+                cache.misses()
+            );
         }
         self.knobs
             .finish_metrics(self.binary, &self.args, Some(self.jobs), true)?;
         if let Some(path) = &self.knobs.metrics {
-            println!("\nwrote metrics manifest -> {path}");
+            let _ = writeln!(out, "\nwrote metrics manifest -> {path}");
         }
         Ok(())
     }
 }
 
-/// Maps a figure/table body onto the process exit status: `Ok` exits 0,
-/// `Err` prints the one-line diagnostic to stderr and exits with the
+/// Maps a figure/table body onto the process: `Ok(output)` writes the
+/// output to stdout in one piece and exits 0 (a reader that closed the
+/// pipe early, as `fig10 | head -1` does, is a quiet success too); `Err`
+/// prints the one-line diagnostic to stderr and exits with the
 /// error-class code (DESIGN.md §10) — never a backtrace.
-pub fn exit(result: pacq::PacqResult<()>) -> std::process::ExitCode {
-    match result {
+pub fn exit(result: pacq::PacqResult<String>) -> std::process::ExitCode {
+    match result.and_then(|output| pacq::cli::write_stdout(&output)) {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -108,12 +117,10 @@ pub fn exit(result: pacq::PacqResult<()>) -> std::process::ExitCode {
     }
 }
 
-/// Prints a figure/table banner.
-pub fn banner(id: &str, title: &str, paper: &str) {
-    println!("{}", "=".repeat(78));
-    println!("{id}: {title}");
-    println!("paper reports: {paper}");
-    println!("{}", "=".repeat(78));
+/// A figure/table banner: the first lines of the binary's output.
+pub fn banner(id: &str, title: &str, paper: &str) -> String {
+    let rule = "=".repeat(78);
+    format!("{rule}\n{id}: {title}\npaper reports: {paper}\n{rule}\n")
 }
 
 /// Formats a ratio as `N.NNx`.

@@ -159,3 +159,21 @@ fn figure_manifest_is_schema_valid_and_records_its_jobs() {
     let jobs = invocation.get("jobs").and_then(pacq_trace::Json::as_num);
     assert!(jobs.is_some_and(|j| j >= 1.0), "{text}");
 }
+
+/// A figure binary whose reader closed its stdout before the output was
+/// written (`fig10 | head -1`) exits 0 with no panic: the output goes out
+/// in one write, and a broken pipe is a quiet success.
+#[test]
+fn closed_stdout_exits_0_without_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fig10"))
+        .env_remove("PACQ_JOBS")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|e| panic!("spawn fig10: {e}"));
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("fig10 exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

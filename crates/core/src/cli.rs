@@ -308,6 +308,30 @@ pub fn load_arch_template(path: &str) -> PacqResult<ArchTemplate> {
     ArchTemplate::load(&text, path)
 }
 
+/// Writes a command's (or a figure binary's) output to stdout in one
+/// piece. A reader that closed the pipe early (`pacq dse … | head -1`)
+/// has all it asked for, so a broken pipe is a quiet success; any other
+/// write failure is an I/O error (exit 6).
+///
+/// # Errors
+///
+/// Returns [`PacqError::Io`] when stdout fails for any reason but a
+/// closed pipe.
+pub fn write_stdout(output: &str) -> PacqResult<()> {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(output.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(PacqError::Io {
+            context: "pacq stdout",
+            message: e.to_string(),
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Runs the CLI on pre-split arguments, returning the output text.
 ///
 /// # Errors

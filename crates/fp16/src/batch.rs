@@ -6,34 +6,36 @@
 //! per-element price — shift-add significand products, branchy
 //! classify/round, one `match` per special case — that is the right
 //! shape for auditing bits but the wrong shape for sweeping thousands
-//! of GEMM points. This module re-implements the same arithmetic in
-//! f32 over whole column tiles with three techniques:
+//! of GEMM points. This module re-implements the same arithmetic over
+//! whole column tiles of fp16 operands with three techniques:
 //!
-//! 1. **Table-driven conversions** — one 64 Ki-entry fp16 → f32 table
-//!    turns every activation load into a single indexed read
-//!    ([`to_f32_table`], [`widen_into`]).
+//! 1. **fp16 operand tiles** — a [`TileRow`] holds the fp16 bits of
+//!    one k-step's [`COLS`] operands, gathered straight from the packed
+//!    words, and activations enter as fp16 too. Every operand value of
+//!    every flow is fp16-exact, so a kernel copy either computes in
+//!    fp16 lanes or widens each value on load (one `vcvtph2ps`, or a
+//!    read of the 64 Ki-entry [`to_f32_table`]).
 //! 2. **Branch-free rounding** — [`round16`] rounds an f32 to the fp16
 //!    grid with a magic-number add/subtract instead of a per-element
-//!    `match` over the float classes, so it vectorizes; on a host with
-//!    F16C the kernel does the same rounding as one `vcvtps2ph` (RNE) /
-//!    `vcvtph2ps` conversion pair, which equals [`round16`] on every
-//!    non-NaN f32. [`pack_rne`] is the same rounding as fp16 bits
-//!    (kept/round/sticky masks, carry folded into the exponent field,
-//!    NaN canonicalized to [`Fp16::NAN`]). Because a binary16 product
-//!    is exact in binary32 and binary32 carries ≥ 2·11 + 2 significand
-//!    bits, rounding through f32 is innocuous (Figueroa's
-//!    double-rounding theorem), so `round16(a·b)` and `round16(a+b)` are
-//!    bit-identical to the shift-add datapaths for **all** 2³² input
-//!    pairs — the in-module frontier tests and the three-way
-//!    equivalence suite pin this.
+//!    `match` over the float classes, so it vectorizes, and
+//!    [`pack_rne`] is the same rounding as fp16 bits (kept/round/sticky
+//!    masks, carry folded into the exponent field, NaN canonicalized to
+//!    [`Fp16::NAN`]) written as selects, so the gather vectorizes too.
+//!    Because a binary16 product is exact in binary32 and binary32
+//!    carries ≥ 2·11 + 2 significand bits, rounding through f32 is
+//!    innocuous (Figueroa's double-rounding theorem), so `round16(a·b)`
+//!    and `round16(a+b)` are bit-identical to the shift-add datapaths —
+//!    and to a native fp16 multiply and add — for **all** 2³² input
+//!    pairs; the in-module frontier tests and the three-way equivalence
+//!    suite pin this.
 //! 3. **FP-INT lane products by arithmetic** — a biased weight
-//!    `B + offset` is the exact integer `1024 + code`, so the parallel
-//!    multiplier's lane product is one fp16 multiply
-//!    `round16(A · (1024 + code))`: exact in f32 and rounded once (the
-//!    paper's Fig. 5 trick). The PacQ flow therefore runs the same
-//!    kernel as the baseline flows. [`product_lut`], the `codes × 65536`
-//!    table built from the scalar multiplier, stays as the exhaustive
-//!    oracle that pins this identity.
+//!    `B + offset` is the exact integer `1024 + code` (fp16 bits
+//!    `0x6400 | code`), so the parallel multiplier's lane product is one
+//!    fp16 multiply `A · (1024 + code)` rounded once (the paper's Fig. 5
+//!    trick). The PacQ flow therefore runs the same kernel as the
+//!    baseline flows. [`product_lut`], the `codes × 65536` table built
+//!    from the scalar multiplier, stays as the exhaustive oracle that
+//!    pins this identity.
 //!
 //! [`tile_dot`] is the one kernel every batched flow runs: [`COLS`]
 //! output columns at once over a k-segment, with the scalar units'
@@ -44,16 +46,18 @@
 //! their default (IEEE, round-to-nearest-even) multiplier, in both
 //! [`NumericsMode`]s.
 //!
-//! [`tile_dot`] has three compiled copies, and each call runs the
+//! [`tile_dot`] has four compiled copies, and each call runs the
 //! fastest one the CPU supports ([`kernel_variant`] names it): the
-//! default target (SSE2 on x86-64, where a [`TileRow`] takes two 128-bit
-//! vectors), the same source inside an AVX2 target-feature function
-//! (one 256-bit vector), and, for [`NumericsMode::PaperRounded`] on a
-//! host with F16C as well, an explicit AVX2 + F16C kernel whose every
-//! fp16 rounding is the conversion pair. All three perform the same
-//! operations in the same order, Rust never contracts `a·b + c` into an
-//! FMA, and the conversion pair rounds exactly like [`round16`], so
-//! they are bit-identical on every non-NaN result.
+//! default target (SSE2 on x86-64), the same source inside an AVX2
+//! target-feature function, and, for [`NumericsMode::PaperRounded`], an
+//! explicit AVX2 + F16C kernel whose every fp16 rounding is the
+//! `vcvtps2ph`/`vcvtph2ps` pair, and an AVX512-FP16 kernel whose
+//! products and adder tree are native fp16 `vmulph`/`vaddph` lanes.
+//! All four perform the same operations in the same order, Rust never
+//! contracts `a·b + c` into an FMA, and every rounding is RNE, so they
+//! are bit-identical on every non-NaN result. [`dispatch`] runs any
+//! other loop ([`Job`]) through the same selection, compiled for the
+//! chosen copy's target features.
 //!
 //! One caveat scopes that guarantee: when a product, tree sum or
 //! f32/f64 accumulator turns NaN (activations containing NaN or an
@@ -81,9 +85,8 @@ pub enum Backend {
     /// The scalar reference datapaths — one element at a time through
     /// the structural multiplier/adder models.
     Scalar,
-    /// The batched kernels of this module: table conversions,
-    /// branch-free rounding, arithmetic lane products over f32 column
-    /// tiles.
+    /// The batched kernels of this module: fp16 operand tiles,
+    /// branch-free rounding, arithmetic lane products.
     Batched,
 }
 
@@ -104,51 +107,46 @@ pub fn to_f32_table() -> &'static [f32; 1 << 16] {
     })
 }
 
-#[inline]
-fn lookup(table: &[f32; 1 << 16], x: Fp16) -> f32 {
-    table[x.to_bits() as usize]
-}
-
 /// Converts f32 → fp16 with round-to-nearest-even using mask arithmetic
 /// instead of a per-class `match`, canonicalizing every NaN to
 /// [`Fp16::NAN`] (the constant all scalar datapaths return).
 ///
 /// Bit-identical to `Fp16::from_f32` for every non-NaN input; for NaN
 /// inputs the payload is dropped, matching the datapath models rather
-/// than the payload-preserving storage conversion.
-#[inline]
+/// than the payload-preserving storage conversion. Every regime is
+/// computed and the result selected, so a loop over it vectorizes.
+#[inline(always)]
 pub fn pack_rne(x: f32) -> Fp16 {
     let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
+    let sign = (bits >> 16) & 0x8000;
     let abs = bits & 0x7fff_ffff;
-    if abs >= 0x4780_0000 {
-        // ≥ 2^16 overflows to infinity; NaN canonicalizes (sign dropped).
-        return if abs > 0x7f80_0000 {
-            Fp16::NAN
-        } else {
-            Fp16::from_bits(sign | 0x7c00)
-        };
-    }
-    if abs < 0x3880_0000 {
-        // Below the normal cutoff 2^-14: scale into the integer window
-        // [2^23, 2^23 + 1024) where one f32 ulp is exactly one subnormal
-        // step, letting the hardware's RNE do the tie-to-even rounding.
-        // (Scaling by 2^24 is exact; a carry to 1024 lands on the
-        // hidden bit, i.e. the minimum normal — exactly as required.)
-        let mag = (f32::from_bits(abs) * 16_777_216.0 + 8_388_608.0).to_bits() & 0x7ff;
-        return Fp16::from_bits(sign | mag as u16);
-    }
+    // Below the normal cutoff 2^-14: scale into the integer window
+    // [2^23, 2^23 + 1024) where one f32 ulp is exactly one subnormal
+    // step, letting the hardware's RNE do the tie-to-even rounding.
+    // (Scaling by 2^24 is exact; a carry to 1024 lands on the hidden
+    // bit, i.e. the minimum normal — exactly as required.)
+    let subnormal = (f32::from_bits(abs) * 16_777_216.0 + 8_388_608.0).to_bits() & 0x7ff;
     // Normal range [2^-14, 2^16): shift the 23-bit mantissa down to 10
     // bits with kept/round/sticky mask arithmetic; a round-up carry
     // propagates into the exponent field (30 → 31 is the correct
-    // round-to-infinity at the fp16 ceiling).
+    // round-to-infinity at the fp16 ceiling). The exponent rebias
+    // (f32 bias 127 → fp16 bias 15) wraps for the other regimes, whose
+    // lanes the selects below discard.
     let mant = abs & 0x007f_ffff;
-    let exp = (abs >> 23) - 112; // f32 bias 127 → fp16 bias 15
     let kept = mant >> 13;
     let round = (mant >> 12) & 1;
     let sticky = u32::from(mant & 0x0fff != 0);
     let inc = round & (sticky | (kept & 1));
-    Fp16::from_bits(sign | ((exp << 10) + kept + inc) as u16)
+    let normal = ((abs >> 23).wrapping_sub(112) << 10).wrapping_add(kept + inc);
+    let mag = if abs < 0x3880_0000 { subnormal } else { normal };
+    // ≥ 2^16 overflows to infinity; NaN canonicalizes (sign dropped).
+    let mag = if abs >= 0x4780_0000 { 0x7c00 } else { mag };
+    let out = if abs > 0x7f80_0000 {
+        u32::from(Fp16::NAN.to_bits())
+    } else {
+        sign | mag
+    };
+    Fp16::from_bits(out as u16)
 }
 
 /// The lazily-built biased-product table for a precision: entry
@@ -193,14 +191,18 @@ fn build_product_lut(precision: WeightPrecision) -> Vec<u16> {
     table
 }
 
-/// Columns per tile of the column-tile kernel: one [`TileRow`] spans
-/// two 128-bit vectors at the default x86-64 target, one 256-bit vector
-/// in the AVX2 and F16C copies.
-pub const COLS: usize = 8;
+/// Columns per tile of the column-tile kernel: one [`TileRow`] is one
+/// 256-bit vector of fp16 lanes, and its sums one 512-bit (or two
+/// 256-bit) vectors of f32. A multiple of both precisions' lane counts,
+/// so an n-packed tile is whole packed words.
+pub const COLS: usize = 16;
 
-/// One k-step of a column tile: the gathered f32 weight operands of
-/// the tile's [`COLS`] output columns.
-pub type TileRow = [f32; COLS];
+/// One k-step of a column tile: the fp16 bits of the gathered weight
+/// operands of the tile's [`COLS`] output columns.
+pub type TileRow = [u16; COLS];
+
+/// The f32 sums [`tile_dot`] returns, one per column of the tile.
+pub type TileSums = [f32; COLS];
 
 /// The DP width whose adder tree [`tile_dot`] models: the DP-4 units
 /// the functional GEMM flows run on.
@@ -228,23 +230,13 @@ pub fn round16(x: f32) -> f32 {
     f32::from_bits(r.to_bits() | (x.to_bits() & 0x8000_0000))
 }
 
-/// Widens fp16 activations to f32 through [`to_f32_table`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn widen_into(src: &[Fp16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "widen lengths must match");
-    let table = to_f32_table();
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = lookup(table, s);
-    }
-}
-
 /// The Σ A side accumulator of Eq. (1) over one k-segment: an f64 sum
 /// in k order from +0, the order of [`crate::SumAccumulator`].
-pub fn activation_sum(a: &[f32]) -> f64 {
-    a.iter().fold(0f64, |sum, &x| sum + f64::from(x))
+pub fn activation_sum(a: &[Fp16]) -> f64 {
+    let table = to_f32_table();
+    a.iter().fold(0f64, |sum, x| {
+        sum + f64::from(table[usize::from(x.to_bits())])
+    })
 }
 
 /// The column-tile kernel: [`COLS`] dot products over one k-segment at
@@ -256,34 +248,77 @@ pub fn activation_sum(a: &[f32]) -> f64 {
 ///   rounded to fp16, each [`TREE_WIDTH`]-step chunk is reduced by the
 ///   DP-4 adder tree `(p0 + p1) + (p2 + p3)` with every sum rounded to
 ///   fp16, and the tree result is added to the f32 accumulator. With
-///   fp16-valued operands that is [`crate::BaselineDpUnit::dot_acc`]
-///   chained over the segment at width 4; with `b = 1024 + code` it is
+///   fp16 operands that is [`crate::BaselineDpUnit::dot_acc`] chained
+///   over the segment at width 4; with `b = 1024 + code` it is
 ///   [`crate::ParallelDpUnit`]'s lane sum (the biased product is exact
 ///   in f32, so rounding it once is the multiplier's rounding unit).
 /// * [`NumericsMode::Wide`] — the exact products are summed
-///   sequentially without rounding: the `Wide` lane sums.
+///   sequentially in f32 without rounding: the `Wide` lane sums.
 ///
 /// # Panics
 ///
 /// Panics if `a` and `b` differ in length or, for `PaperRounded`, the
 /// length is not a multiple of [`TREE_WIDTH`].
-pub fn tile_dot(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
-    wide::tile_dot(wide::Variant::detect(), numerics, a, b)
+pub fn tile_dot(numerics: NumericsMode, a: &[Fp16], b: &[TileRow]) -> TileSums {
+    dispatch(TileDot { numerics, a, b })
 }
 
-/// Which compiled copy of [`tile_dot`] this host runs: `"avx2+f16c"`
-/// (one 256-bit vector per [`TileRow`], every fp16 rounding done by the
-/// F16C conversion pair), `"avx2"` (the same vector width, rounding by
-/// [`round16`]) or `"baseline"` (the default target, SSE2 on x86-64).
-/// All three are bit-identical on every non-NaN result.
+/// Which compiled copy of [`tile_dot`] (and of every [`dispatch`]ed
+/// [`Job`]) this host runs, fastest first: `"avx512fp16"` (products and
+/// adder tree in native fp16 lanes), `"avx2+f16c"` (f32 lanes, every
+/// fp16 rounding done by the F16C conversion pair), `"avx2"` (f32 lanes,
+/// rounding by [`round16`]) or `"baseline"` (the default target, SSE2 on
+/// x86-64). All four are bit-identical on every non-NaN result.
 pub fn kernel_variant() -> &'static str {
     wide::Variant::detect().name()
 }
 
-/// [`tile_dot`]'s body, inlined into the baseline and AVX2 copies.
+/// A loop that [`dispatch`] compiles into each copy of the kernel.
+pub trait Job {
+    /// What the loop returns.
+    type Output;
+
+    /// Runs the loop; `tile_dot` is the copy's [`tile_dot`] kernel.
+    /// Implementations should be `#[inline(always)]` (and so should
+    /// what they call): the body then compiles inside the copy's
+    /// target-feature function, for its vector width. Hot loops should
+    /// be loops, not `collect`, which may stay out of line and compile
+    /// for the default target. Every copy must compute the same bits,
+    /// which holds for plain Rust arithmetic: it is IEEE on every target
+    /// and never contracted into an FMA.
+    fn run(self, tile_dot: impl Fn(NumericsMode, &[Fp16], &[TileRow]) -> TileSums) -> Self::Output;
+}
+
+/// Runs `job` compiled for the fastest copy this host supports (the one
+/// [`kernel_variant`] names), handing it that copy's [`tile_dot`].
+pub fn dispatch<J: Job>(job: J) -> J::Output {
+    wide::run(wide::Variant::detect(), job)
+}
+
+/// One [`tile_dot`] call as a [`Job`].
+pub(crate) struct TileDot<'a> {
+    pub(crate) numerics: NumericsMode,
+    pub(crate) a: &'a [Fp16],
+    pub(crate) b: &'a [TileRow],
+}
+
+impl Job for TileDot<'_> {
+    type Output = TileSums;
+
+    #[inline(always)]
+    fn run(self, tile_dot: impl Fn(NumericsMode, &[Fp16], &[TileRow]) -> TileSums) -> TileSums {
+        tile_dot(self.numerics, self.a, self.b)
+    }
+}
+
+/// [`tile_dot`]'s body in plain Rust, inlined into the baseline and
+/// AVX2 copies (and the `Wide` mode of the others): every operand is
+/// widened on load through [`to_f32_table`].
 #[inline(always)]
-pub(crate) fn tile_dot_impl(numerics: NumericsMode, a: &[f32], b: &[TileRow]) -> TileRow {
+pub(crate) fn tile_dot_impl(numerics: NumericsMode, a: &[Fp16], b: &[TileRow]) -> TileSums {
     assert_eq!(a.len(), b.len(), "operand k-lengths must match");
+    let table = to_f32_table();
+    let widen = |x: u16| table[usize::from(x)];
     let mut acc = [0f32; COLS];
     match numerics {
         NumericsMode::PaperRounded => {
@@ -295,16 +330,18 @@ pub(crate) fn tile_dot_impl(numerics: NumericsMode, a: &[f32], b: &[TileRow]) ->
                 a.len()
             );
             for (x, w) in ca.iter().zip(cb) {
+                let x = x.map(|x| widen(x.to_bits()));
                 for (c, sum) in acc.iter_mut().enumerate() {
-                    let p = |t: usize| round16(x[t] * w[t][c]);
+                    let p = |t: usize| round16(x[t] * widen(w[t][c]));
                     *sum += round16(round16(p(0) + p(1)) + round16(p(2) + p(3)));
                 }
             }
         }
         NumericsMode::Wide => {
-            for (&x, w) in a.iter().zip(b) {
+            for (x, w) in a.iter().zip(b) {
+                let x = widen(x.to_bits());
                 for (sum, &v) in acc.iter_mut().zip(w) {
-                    *sum += x * v;
+                    *sum += x * widen(v);
                 }
             }
         }
@@ -545,12 +582,8 @@ mod tests {
     fn conversion_table_is_exact() {
         let table = to_f32_table();
         for x in Fp16::all_values() {
-            let (got, want) = (lookup(table, x), x.to_f32());
-            assert!(
-                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                "{:#06x}",
-                x.to_bits()
-            );
+            let (got, want) = (table[usize::from(x.to_bits())], x.to_f32());
+            assert!(same(got, want), "{:#06x}", x.to_bits());
         }
     }
 
@@ -609,31 +642,26 @@ mod tests {
         (a, b, w)
     }
 
-    fn widen(a: &[Fp16]) -> Vec<f32> {
-        let mut out = vec![0f32; a.len()];
-        widen_into(a, &mut out);
-        out
+    /// A tile whose column `c` holds `column(c, t)` at k-step `t`.
+    fn tile(len: usize, column: impl Fn(usize, usize) -> Fp16) -> Vec<TileRow> {
+        (0..len)
+            .map(|t| std::array::from_fn(|c| column(c, t).to_bits()))
+            .collect()
     }
 
-    /// A tile whose column `c` holds `column(c, t)` at k-step `t`.
-    fn tile(len: usize, column: impl Fn(usize, usize) -> f32) -> Vec<TileRow> {
-        (0..len)
-            .map(|t| std::array::from_fn(|c| column(c, t)))
-            .collect()
+    /// fp16 bits of the PacQ operand `1024 + code`.
+    fn biased(code: u16) -> Fp16 {
+        Fp16::from_bits(0x6400 | code)
     }
 
     /// The tile kernel over fp16 operands equals the DP-4
     /// `BaselineDpUnit::dot_acc` chain with FP32 accumulation, column
     /// by column; each column's operand is the `b` vector rotated by a
-    /// column-dependent amount so all eight columns differ.
+    /// column-dependent amount so all columns differ.
     fn check_baseline(a: &[Fp16], b: &[Fp16], what: &str) {
         let scalar = BaselineDpUnit::new(TREE_WIDTH).unwrap();
         let column = |c: usize, t: usize| b[(t + 3 * c) % b.len()];
-        let got = tile_dot(
-            NumericsMode::PaperRounded,
-            &widen(a),
-            &tile(a.len(), |c, t| column(c, t).to_f32()),
-        );
+        let got = tile_dot(NumericsMode::PaperRounded, a, &tile(a.len(), column));
         for (c, &g) in got.iter().enumerate() {
             let bc: Vec<Fp16> = (0..a.len()).map(|t| column(c, t)).collect();
             let mut want = 0f32;
@@ -648,7 +676,7 @@ mod tests {
     /// `ParallelDpUnit` lane sums with FP32 accumulation, and
     /// [`activation_sum`] equals its Σ A. Column `c` reads lane
     /// `c % lanes` of the word stream `c / lanes`; stream `s` is `w`
-    /// rotated by `s`, so INT4's two streams differ.
+    /// rotated by `s`, so the streams differ.
     fn check_parallel(
         precision: WeightPrecision,
         numerics: NumericsMode,
@@ -660,12 +688,12 @@ mod tests {
         let word = |s: usize, t: usize| w[(t + s) % w.len()];
         let got = tile_dot(
             numerics,
-            &widen(a),
+            a,
             &tile(a.len(), |c, t| {
-                1024.0 + word(c / lanes, t).biased_lane(precision, c % lanes) as f32
+                biased(word(c / lanes, t).biased_lane(precision, c % lanes).into())
             }),
         );
-        let got_sum = activation_sum(&widen(a));
+        let got_sum = activation_sum(a);
         let scalar = ParallelDpUnit::new(TREE_WIDTH, 2, precision)
             .unwrap()
             .with_numerics(numerics);
@@ -720,7 +748,7 @@ mod tests {
     /// Every copy this host can execute equals a direct call of
     /// [`tile_dot_impl`], which inlines into the test as baseline code,
     /// in both modes.
-    fn check_copies(a: &[f32], b: &[TileRow], what: &str) {
+    fn check_copies(a: &[Fp16], b: &[TileRow], what: &str) {
         for numerics in [NumericsMode::PaperRounded, NumericsMode::Wide] {
             let want = tile_dot_impl(numerics, a, b);
             for variant in copies_here() {
@@ -737,13 +765,18 @@ mod tests {
         }
     }
 
+    /// fp16 values of f32 constants the tests spell out.
+    fn halves(xs: &[f32]) -> Vec<Fp16> {
+        xs.iter().map(|&x| Fp16::from_f32(x)).collect()
+    }
+
     /// Every compiled copy of [`tile_dot`] this host can execute equals
     /// the baseline bit for bit: both modes, every k from 4 to 512,
-    /// fp16-valued operands (std, packed-k, `is`) and `1024 + code`
+    /// arbitrary fp16 operands (std, packed-k, `is`) and `1024 + code`
     /// operands (pacq), over random bits, the frontier values, products
-    /// and tree sums that straddle 65504 and 65520, results in the fp16
-    /// subnormal range with both signs, and NaN activations (NaN only
-    /// as NaN).
+    /// and tree sums that straddle 65504 and 65520, products and sums in
+    /// the fp16 subnormal range with both signs, and NaN activations (NaN
+    /// only as NaN).
     #[test]
     fn every_kernel_copy_matches_the_baseline_bit_for_bit() {
         let names: Vec<&str> = copies_here().iter().map(|v| v.name()).collect();
@@ -752,10 +785,13 @@ mod tests {
         // The ties, pinned. Column 0 is the product 63·1040 = 65520, the
         // halfway point above 65504 that rounds to even, i.e. to ∞;
         // column 1 the tree's top sum 65504 + 16 and column 5 its left
-        // sum 64512 + 1008, both 65520 too; columns 2 and 6 stay just
-        // under it; column 7 is a negative fp16 subnormal.
-        let a = [63.0, 1.0, 1.0, 1.0];
-        let tiny = f32::powi(2.0, -24);
+        // sum 64512 + 1008, both 65520 too; columns 2, 6 and 14 stay just
+        // under it. Columns 7–12 are fp16 subnormal products and sums
+        // (t = 2⁻²⁴ is the smallest): a negative subnormal sum, a
+        // subnormal product, two sums that cancel to +0, and
+        // 1023·t + t carried into the smallest normal, with either sign.
+        let a = halves(&[63.0, 1.0, 1.0, 1.0]);
+        let t = f32::powi(2.0, -24);
         let columns: [[f32; TREE_WIDTH]; COLS] = [
             [1040.0, 0.0, 0.0, 0.0],
             [0.0, 65504.0, 16.0, 0.0],
@@ -764,19 +800,55 @@ mod tests {
             [0.0, -65504.0, -16.0, 0.0],
             [1024.0, 1008.0, 0.0, 0.0],
             [1024.0, 992.0, 0.0, 0.0],
-            [0.0, -16.0 * tiny, tiny, 0.0],
+            [0.0, -16.0 * t, t, 0.0],
+            [t, 0.0, 0.0, 0.0],
+            [0.0, t, -t, 0.0],
+            [0.0, 1023.0 * t, t, 0.0],
+            [0.0, -1023.0 * t, -t, 0.0],
+            [-t, 0.0, 0.0, 0.0],
+            [1040.0, -65504.0, 0.0, 0.0],
+            [1039.0, 0.0, 0.0, 0.0],
+            [0.0, 65504.0, -65504.0, 0.0],
         ];
-        let b = tile(TREE_WIDTH, |c, t| columns[c][t]);
+        let b = tile(TREE_WIDTH, |c, k| Fp16::from_f32(columns[c][k]));
         let inf = f32::INFINITY;
-        let want = [inf, inf, 65504.0, -inf, -inf, inf, 65504.0, -15.0 * tiny];
+        let min_normal = f32::powi(2.0, -14);
+        let want = [
+            inf,
+            inf,
+            65504.0,
+            -inf,
+            -inf,
+            inf,
+            65504.0,
+            -15.0 * t,
+            63.0 * t,
+            0.0,
+            min_normal,
+            -min_normal,
+            -63.0 * t,
+            inf,
+            65472.0,
+            0.0,
+        ];
         assert_eq!(tile_dot_impl(NumericsMode::PaperRounded, &a, &b), want);
-        check_copies(&a, &b, "65520 ties");
+        check_copies(&a, &b, "65520 ties and subnormals");
+        // A NaN activation makes every column NaN.
+        let nan_a = [Fp16::NAN, a[1], a[2], a[3]];
+        for variant in copies_here() {
+            let got = wide::tile_dot(variant, NumericsMode::PaperRounded, &nan_a, &b);
+            assert!(
+                got.iter().all(|x| x.is_nan()),
+                "{}: {got:?}",
+                variant.name()
+            );
+        }
 
-        let specials: Vec<f32> = frontier_values().iter().map(|x| x.to_f32()).collect();
+        let specials = frontier_values();
         // Factors whose products land on either side of 65504 and 65520
         // (63.96875·1024 = 65504, 64·1024 = 65536, 1.0009766·65504 →
         // ∞, 0.99951172·65504 → 65472) and whose sums cross there too.
-        let big_a = [
+        let big_a = halves(&[
             63.0,
             63.968_75,
             64.0,
@@ -785,10 +857,10 @@ mod tests {
             1.000_976_6,
             2.0,
             0.5,
-        ];
-        let big_b = [
+        ]);
+        let big_b = halves(&[
             1040.0, 1039.0, 1024.0, 1025.0, 65504.0, 65472.0, 32752.0, 16.0, 15.992_188, 8.0,
-        ];
+        ]);
         let nans = [0x7e00u16, 0xfe00, 0x7c01, 0x7fff];
         let kinds = [
             "any bits",
@@ -805,81 +877,153 @@ mod tests {
         // one activation in 64 a NaN.
         let operand = |lcg: &mut Lcg, kind: usize, activation: bool| {
             let r = lcg.next_u32();
-            let sign = if r >> 31 == 1 { -1.0 } else { 1.0 };
-            let pick = |xs: &[f32]| sign * xs[(r >> 8) as usize % xs.len()];
+            let sign = (r >> 16) as u16 & 0x8000;
+            let pick =
+                |xs: &[Fp16]| Fp16::from_bits(sign ^ xs[(r >> 8) as usize % xs.len()].to_bits());
             match kind {
-                0 => Fp16::from_bits(r as u16).to_f32(),
-                1 => Fp16::from_bits(r as u16 & 0xbfff).to_f32(),
+                0 => Fp16::from_bits(r as u16),
+                1 => Fp16::from_bits(r as u16 & 0xbfff),
                 2 => specials[r as usize % specials.len()],
                 3 if activation => pick(&big_a),
                 3 => pick(&big_b),
-                4 => sign * Fp16::from_bits(0x0400 + r as u16 % 0x2000).to_f32(),
+                4 => Fp16::from_bits(sign | (0x0400 + r as u16 % 0x2000)),
                 _ if activation && r.is_multiple_of(64) => {
-                    Fp16::from_bits(nans[(r >> 8) as usize % nans.len()]).to_f32()
+                    Fp16::from_bits(nans[(r >> 8) as usize % nans.len()])
                 }
-                _ => Fp16::from_bits(r as u16 & 0xbfff).to_f32(),
+                _ => Fp16::from_bits(r as u16 & 0xbfff),
             }
         };
         let mut lcg = Lcg(0x2545_f491_4f6c_dd1d);
         for k in (4..=512).step_by(4) {
             for (kind, what) in kinds.iter().enumerate() {
-                let a: Vec<f32> = (0..k).map(|_| operand(&mut lcg, kind, true)).collect();
-                let h: Vec<f32> = (0..k * COLS)
+                let a: Vec<Fp16> = (0..k).map(|_| operand(&mut lcg, kind, true)).collect();
+                let h: Vec<Fp16> = (0..k * COLS)
                     .map(|_| operand(&mut lcg, kind, false))
                     .collect();
-                let q: Vec<u32> = (0..k * COLS).map(|_| lcg.next_u32() % 16).collect();
-                let halves = tile(k, |c, t| h[t * COLS + c]);
-                let codes = tile(k, |c, t| (1024 + q[t * COLS + c]) as f32);
-                check_copies(&a, &halves, what);
+                let q: Vec<u16> = (0..k * COLS).map(|_| lcg.next_u32() as u16 % 16).collect();
+                let any = tile(k, |c, t| h[t * COLS + c]);
+                let codes = tile(k, |c, t| biased(q[t * COLS + c]));
+                check_copies(&a, &any, what);
                 check_copies(&a, &codes, &format!("{what} codes"));
             }
         }
     }
 
-    /// The F16C conversion pair alone equals [`round16`] on the inputs
-    /// of [`round16_matches_pack_rne_on_every_frontier`]. Each `x`
-    /// enters as the product `1·x` of an otherwise-zero chunk, so its
-    /// column returns `+0 + round(x)`: the accumulator's +0 start hides
-    /// the sign of a zero result, in every copy alike.
-    #[test]
-    fn f16c_round_matches_round16_on_every_frontier() {
-        if !wide::Variant::Avx2F16c.runs_here() {
-            eprintln!("no F16C on this host: nothing to compare");
-            return;
-        }
-        let a = [1.0, 0.0, 0.0, 0.0];
-        let inputs: Vec<f32> = rounding_frontier_inputs()
-            .into_iter()
-            .map(f32::from_bits)
-            .filter(|x| !x.is_nan())
-            .collect();
-        for xs in inputs.chunks(COLS) {
-            let b = tile(TREE_WIDTH, |c, t| match xs.get(c) {
-                Some(&x) if t == 0 => x,
-                _ => 0.0,
+    /// One product per column through every copy: activation `x` against
+    /// column `c`'s operand `b[c]` enters as the only non-zero product of
+    /// a chunk, so the column returns `+0 + round(x·b[c])` (the
+    /// accumulator's +0 start hides the sign of a zero result, in every
+    /// copy alike).
+    fn check_products(x: Fp16, b: &[Fp16]) {
+        let a = [x, Fp16::ZERO, Fp16::ZERO, Fp16::ZERO];
+        for operands in b.chunks(COLS) {
+            let rows = tile(TREE_WIDTH, |c, t| match operands.get(c) {
+                Some(&v) if t == 0 => v,
+                _ => Fp16::ZERO,
             });
-            let got = wide::tile_dot(wide::Variant::Avx2F16c, NumericsMode::PaperRounded, &a, &b);
-            for (&x, g) in xs.iter().zip(got) {
-                assert_eq!(
-                    g.to_bits(),
-                    (0.0 + round16(x)).to_bits(),
-                    "x = {x:e} ({:#010x})",
-                    x.to_bits()
-                );
+            for variant in copies_here() {
+                let got = wide::tile_dot(variant, NumericsMode::PaperRounded, &a, &rows);
+                for (&v, g) in operands.iter().zip(got) {
+                    let want = 0.0 + round16(x.to_f32() * v.to_f32());
+                    assert!(
+                        same(g, want),
+                        "{} {:#06x} × {:#06x}: {g} vs {want}",
+                        variant.name(),
+                        x.to_bits(),
+                        v.to_bits()
+                    );
+                }
             }
         }
     }
 
-    /// A host with AVX2 and F16C runs the F16C copy, so a silent
-    /// fallback to a slower copy fails here.
+    /// Every copy's product rounding equals [`round16`] for every
+    /// activation against every operand value the gather produces for
+    /// the PacQ flow (`1024 + code`, both precisions' codes) and the
+    /// packed-k flows (`q − z` for every code and zero point). The
+    /// standard flow's operands are arbitrary fp16 values, covered by
+    /// the frontier and random pairs of
+    /// [`every_copy_adds_and_multiplies_frontier_and_random_pairs`].
     #[test]
-    fn kernel_variant_names_the_f16c_copy_when_the_host_has_f16c() {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("f16c")
-        {
-            assert_eq!(kernel_variant(), "avx2+f16c");
+    fn every_copy_multiplies_every_activation_by_every_gathered_operand() {
+        let mut operands: Vec<Fp16> = (0..16).map(biased).collect();
+        operands.extend((-15..=15).map(|d| Fp16::from_f32(d as f32)));
+        for x in Fp16::all_values() {
+            check_products(x, &operands);
         }
+    }
+
+    /// Every copy's fp16 add and multiply equal [`round16`] of the f32
+    /// result on the frontier pairs and a million random pairs. The add
+    /// of `p` and `q` is the tree's left sum `1·p + 1·q` of an
+    /// otherwise-zero chunk.
+    #[test]
+    fn every_copy_adds_and_multiplies_frontier_and_random_pairs() {
+        let frontier = frontier_values();
+        let mut pairs: Vec<(Fp16, Fp16)> = frontier
+            .iter()
+            .flat_map(|&p| frontier.iter().map(move |&q| (p, q)))
+            .collect();
+        let mut lcg = Lcg(7);
+        pairs.extend((0..1_000_000).map(|_| {
+            let r = lcg.next_u32();
+            (Fp16::from_bits(r as u16), Fp16::from_bits((r >> 16) as u16))
+        }));
+        let one = Fp16::from_f32(1.0);
+        let a = [one, one, Fp16::ZERO, Fp16::ZERO];
+        for chunk in pairs.chunks(COLS) {
+            let rows = tile(TREE_WIDTH, |c, t| match (chunk.get(c), t) {
+                (Some(&(p, _)), 0) => p,
+                (Some(&(_, q)), 1) => q,
+                _ => Fp16::ZERO,
+            });
+            for variant in copies_here() {
+                let got = wide::tile_dot(variant, NumericsMode::PaperRounded, &a, &rows);
+                for (&(p, q), g) in chunk.iter().zip(got) {
+                    let want = 0.0 + round16(p.to_f32() + q.to_f32());
+                    assert!(
+                        same(g, want),
+                        "{} {:#06x} + {:#06x}: {g} vs {want}",
+                        variant.name(),
+                        p.to_bits(),
+                        q.to_bits()
+                    );
+                }
+            }
+        }
+        for &x in &frontier {
+            check_products(x, &frontier);
+        }
+        for chunk in pairs[frontier.len() * frontier.len()..].chunks(COLS) {
+            let operands: Vec<Fp16> = chunk.iter().map(|&(_, q)| q).collect();
+            check_products(chunk[0].0, &operands);
+        }
+    }
+
+    /// [`kernel_variant`] names the fastest copy this host can run, from
+    /// the CPU features read here independently of [`wide::Variant`], so
+    /// a silent fallback to a slower copy fails.
+    #[test]
+    fn kernel_variant_names_the_fastest_copy_this_host_can_run() {
+        #[cfg(target_arch = "x86_64")]
+        let fastest = {
+            use std::arch::is_x86_feature_detected as has;
+            let f16c = has!("avx2") && has!("f16c");
+            let fp16 =
+                has!("avx512f") && has!("avx512vl") && has!("avx512bw") && has!("avx512fp16");
+            if f16c && fp16 {
+                "avx512fp16"
+            } else if f16c {
+                "avx2+f16c"
+            } else if has!("avx2") {
+                "avx2"
+            } else {
+                "baseline"
+            }
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let fastest = "baseline";
+        assert_eq!(kernel_variant(), fastest);
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::groups::GroupShape;
 use crate::rtn::QuantizedMatrix;
 use core::fmt;
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::{PackedWord, WeightPrecision};
+use pacq_fp16::batch::{self, Job, TileRow, TileSums};
+use pacq_fp16::{Fp16, NumericsMode, PackedWord, WeightPrecision};
 
 /// The dimension along which weights are packed (the `y` of `P(B_x)_y`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,42 +99,12 @@ impl PackedMatrix {
             }
         };
 
-        // Words are built straight from the row-major codes: a code's
-        // biased value lands in its lane's bit field.
-        let bits = precision.bits() as usize;
-        let biased = |c: i8| (c as i32 + precision.bias()) as u16;
-        let words: Vec<PackedWord> = match pack_dim {
-            // Each word is `lanes` adjacent codes of one row.
-            PackDim::N => q
-                .codes()
-                .chunks_exact(lanes)
-                .map(|run| {
-                    let word = run
-                        .iter()
-                        .enumerate()
-                        .fold(0u16, |w, (lane, &c)| w | biased(c) << (bits * lane));
-                    PackedWord::from_bits(word)
-                })
-                .collect(),
-            // Each word row accumulates `lanes` code rows, one lane each,
-            // into a per-column word (`n.max(1)`: an n = 0 matrix has no
-            // words, but chunk sizes must be non-zero).
-            PackDim::K => {
-                let n = n.max(1);
-                let mut acc = vec![0u16; word_rows * word_cols];
-                for (wrow, rows) in acc
-                    .chunks_exact_mut(n)
-                    .zip(q.codes().chunks_exact(lanes * n))
-                {
-                    for (lane, row) in rows.chunks_exact(n).enumerate() {
-                        for (w, &c) in wrow.iter_mut().zip(row) {
-                            *w |= biased(c) << (bits * lane);
-                        }
-                    }
-                }
-                acc.into_iter().map(PackedWord::from_bits).collect()
-            }
-        };
+        let words = batch::dispatch(PackWords {
+            codes: q.codes(),
+            pack_dim,
+            precision,
+            n,
+        });
 
         Ok(PackedMatrix {
             precision,
@@ -203,6 +174,16 @@ impl PackedMatrix {
         self.words[row * self.word_cols + col]
     }
 
+    /// The packed words of grid row `row`, in column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    #[inline]
+    pub fn word_row(&self, row: usize) -> &[PackedWord] {
+        &self.words[row * self.word_cols..(row + 1) * self.word_cols]
+    }
+
     /// The signed code of logical weight `(k, n)` read out of its word.
     pub fn code(&self, k: usize, n: usize) -> i8 {
         let lanes = self.precision.lanes();
@@ -258,6 +239,83 @@ impl PackedMatrix {
     pub fn storage_bits(&self) -> u64 {
         self.words.len() as u64 * 16 + self.scales.len() as u64 * 16
     }
+}
+
+/// The word loops of [`PackedMatrix::pack`], built straight from the
+/// row-major codes: a code's biased value lands in its lane's bit field.
+/// A [`Job`], so the loops compile for the host's widest vectors; every
+/// copy computes the same words.
+struct PackWords<'a> {
+    codes: &'a [i8],
+    pack_dim: PackDim,
+    precision: WeightPrecision,
+    n: usize,
+}
+
+impl Job for PackWords<'_> {
+    type Output = Vec<PackedWord>;
+
+    #[inline(always)]
+    fn run(self, _: impl Fn(NumericsMode, &[Fp16], &[TileRow]) -> TileSums) -> Vec<PackedWord> {
+        let PackWords {
+            codes,
+            pack_dim,
+            precision,
+            n,
+        } = self;
+        match (pack_dim, precision) {
+            // Each word is `lanes` adjacent codes of one row.
+            (PackDim::N, WeightPrecision::Int4) => pack_runs::<4>(codes),
+            (PackDim::N, WeightPrecision::Int2) => pack_runs::<8>(codes),
+            // Each word row accumulates `lanes` code rows, one lane each,
+            // into a per-column word (`n.max(1)`: an n = 0 matrix has no
+            // words, but chunk sizes must be non-zero).
+            (PackDim::K, _) => {
+                let (lanes, bits) = (precision.lanes(), precision.bits() as usize);
+                let n = n.max(1);
+                let mut acc = vec![0u16; codes.len() / lanes];
+                for (wrow, rows) in acc.chunks_exact_mut(n).zip(codes.chunks_exact(lanes * n)) {
+                    for (lane, row) in rows.chunks_exact(n).enumerate() {
+                        for (w, &c) in wrow.iter_mut().zip(row) {
+                            *w |= ((c as i32 + precision.bias()) as u16) << (bits * lane);
+                        }
+                    }
+                }
+                acc.into_iter().map(PackedWord::from_bits).collect()
+            }
+        }
+    }
+}
+
+/// Packs every run of `LANES` adjacent codes into one word, lane `l`
+/// holding the biased code in bits `[b·l, b·(l + 1))`. A run's code bytes
+/// are read as one integer and biased at once: a code lies in
+/// `[−2^(b−1), 2^(b−1))` and the bias is `2^(b−1)`, so the biased code is
+/// the code's low `b` bits with the top one flipped, and no byte carries
+/// into the next. Each field then shifts down to its lane. (Adding the
+/// bias lane by lane does not vectorize.)
+#[inline(always)]
+fn pack_runs<const LANES: usize>(codes: &[i8]) -> Vec<PackedWord> {
+    let bits = const { 16 / LANES };
+    let field = (1u64 << bits) - 1;
+    let (runs, _) = codes.as_chunks::<LANES>();
+    // A loop, not `map().collect()`: the body must inline into the
+    // dispatched copy.
+    let mut words = vec![PackedWord::default(); runs.len()];
+    for (word, run) in words.iter_mut().zip(runs) {
+        let x = run
+            .iter()
+            .rev()
+            .fold(0u64, |x, &c| x << 8 | u64::from(c as u8));
+        let x = (x & const { ((1 << (16 / LANES)) - 1) * (u64::MAX / 255) })
+            ^ const { (1 << (16 / LANES - 1)) * (u64::MAX / 255) };
+        let mut fields = 0;
+        for lane in 0..LANES {
+            fields |= (x >> (lane * (8 - bits))) & (field << (bits * lane));
+        }
+        *word = PackedWord::from_bits(fields as u16);
+    }
+    words
 }
 
 impl fmt::Display for PackedMatrix {
@@ -339,6 +397,28 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Both directions round-trip at both precisions on odd shapes: the
+    /// extent along the packing dimension is an odd number of words, the
+    /// other extent odd (or a single row or column).
+    #[test]
+    fn both_directions_unpack_to_the_codes_at_odd_shapes() {
+        for precision in [WeightPrecision::Int4, WeightPrecision::Int2] {
+            let lanes = precision.lanes();
+            for (words, other) in [(1, 1), (3, 7), (5, 13), (7, 1), (1, 9)] {
+                for dim in [PackDim::N, PackDim::K] {
+                    let (k, n) = match dim {
+                        PackDim::N => (other, words * lanes),
+                        PackDim::K => (words * lanes, other),
+                    };
+                    let q = quantized(k, n, precision);
+                    let p = PackedMatrix::pack(&q, dim).expect("packs");
+                    assert_eq!(p.total_words(), k * n / lanes, "{precision} {k}x{n} {dim}");
+                    assert_eq!(p.unpack().codes(), q.codes(), "{precision} {k}x{n} {dim}");
                 }
             }
         }

@@ -18,7 +18,8 @@ use crate::groups::GroupShape;
 use crate::matrix::MatrixF32;
 use core::fmt;
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::WeightPrecision;
+use pacq_fp16::batch::{self, Job, TileRow, TileSums};
+use pacq_fp16::{Fp16, NumericsMode, WeightPrecision};
 use rayon::prelude::*;
 
 /// Scale/zero-point scheme of the RTN quantizer.
@@ -131,7 +132,14 @@ impl RtnQuantizer {
         let finite: Vec<bool> = blocks
             .into_par_iter()
             .map(|((w, codes), (scales, zero_points))| {
-                self.quantize_block(w, n_total, codes, scales, zero_points)
+                batch::dispatch(Block {
+                    quantizer: self,
+                    w,
+                    n: n_total,
+                    codes,
+                    scales,
+                    zero_points,
+                })
             })
             .collect();
         // A NaN weight would otherwise poison the group range silently.
@@ -150,69 +158,6 @@ impl RtnQuantizer {
             scales,
             zero_points,
         })
-    }
-
-    /// Quantizes one k-group block: the row-major weights `w` of up to
-    /// `k_size` rows of `n` columns into `codes`, and the block's
-    /// groups (one per run of `n_size` columns) into `scales` and
-    /// `zero_points`. Returns `false`, leaving the outputs unspecified,
-    /// when any weight is NaN or infinite.
-    ///
-    /// A running column-wise min/max over the rows gives every
-    /// column's range; each run of `n_size` columns reduces to its
-    /// group's scale and zero point, which are expanded back into one
-    /// per-column scale row and shift row so the coding pass is
-    /// elementwise over each row.
-    fn quantize_block(
-        &self,
-        w: &[f32],
-        n: usize,
-        codes: &mut [i8],
-        scales: &mut [f32],
-        zero_points: &mut [u8],
-    ) -> bool {
-        let mut lo = vec![f32::INFINITY; n];
-        let mut hi = vec![f32::NEG_INFINITY; n];
-        // `v · 0` is ±0 for a finite weight and NaN otherwise; NaN sticks.
-        let mut poison = vec![0f32; n];
-        for row in w.chunks_exact(n) {
-            for (((l, h), p), &v) in lo.iter_mut().zip(&mut hi).zip(&mut poison).zip(row) {
-                *l = if v < *l { v } else { *l };
-                *h = if v > *h { v } else { *h };
-                *p += v * 0.0;
-            }
-        }
-        if poison.iter().any(|p| p.is_nan()) {
-            return false;
-        }
-
-        // Reduce each column run to its group, then expand the group's
-        // scale and code shift back over the run (in place of the
-        // column ranges, which are no longer needed).
-        let bias = self.precision.bias();
-        let runs = lo
-            .chunks_mut(self.group.n_size)
-            .zip(hi.chunks_mut(self.group.n_size));
-        for ((run_lo, run_hi), (scale, zp)) in runs.zip(scales.iter_mut().zip(zero_points)) {
-            let l = run_lo.iter().fold(f32::INFINITY, |a, &b| a.min(b));
-            let h = run_hi.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            (*scale, *zp) = self.scale_and_zero_point(l, h);
-            run_lo.fill(*scale);
-            run_hi.fill((*zp as i32 - bias) as f32);
-        }
-        let (scale_row, shift_row) = (lo, hi);
-
-        // Round-to-nearest codes (stored signed; the hardware consumes
-        // `signed + bias` as the unsigned biased code).
-        let q_min = self.precision.min_value() as f32;
-        let q_pos = self.precision.max_value() as f32;
-        for (crow, wrow) in codes.chunks_exact_mut(n).zip(w.chunks_exact(n)) {
-            for (((c, &v), &s), &shift) in crow.iter_mut().zip(wrow).zip(&scale_row).zip(&shift_row)
-            {
-                *c = rtn_code(v / s, shift, q_min, q_pos);
-            }
-        }
-        true
     }
 
     /// The scale and zero point (unsigned code) of a group whose
@@ -243,6 +188,84 @@ impl RtnQuantizer {
     }
 }
 
+/// One k-group block of [`RtnQuantizer::quantize`]: the row-major
+/// weights `w` of up to `k_size` rows of `n` columns, quantized into
+/// `codes`, and the block's groups (one per run of `n_size` columns)
+/// into `scales` and `zero_points`. A [`Job`], so both passes compile
+/// for the host's widest vectors; every copy computes the same bits.
+struct Block<'a> {
+    quantizer: &'a RtnQuantizer,
+    w: &'a [f32],
+    n: usize,
+    codes: &'a mut [i8],
+    scales: &'a mut [f32],
+    zero_points: &'a mut [u8],
+}
+
+impl Job for Block<'_> {
+    /// `false`, leaving the outputs unspecified, when any weight is NaN
+    /// or infinite.
+    type Output = bool;
+
+    /// A running column-wise min/max over the rows gives every
+    /// column's range; each run of `n_size` columns reduces to its
+    /// group's scale and zero point, which are expanded back into one
+    /// per-column scale row and shift row so the coding pass is
+    /// elementwise over each row.
+    #[inline(always)]
+    fn run(self, _: impl Fn(NumericsMode, &[Fp16], &[TileRow]) -> TileSums) -> bool {
+        let Block {
+            quantizer,
+            w,
+            n,
+            codes,
+            scales,
+            zero_points,
+        } = self;
+        let mut lo = vec![f32::INFINITY; n];
+        let mut hi = vec![f32::NEG_INFINITY; n];
+        // `v · 0` is ±0 for a finite weight and NaN otherwise; NaN sticks.
+        let mut poison = vec![0f32; n];
+        for row in w.chunks_exact(n) {
+            for (((l, h), p), &v) in lo.iter_mut().zip(&mut hi).zip(&mut poison).zip(row) {
+                *l = if v < *l { v } else { *l };
+                *h = if v > *h { v } else { *h };
+                *p += v * 0.0;
+            }
+        }
+        if poison.iter().any(|p| p.is_nan()) {
+            return false;
+        }
+
+        // Reduce each column run to its group, then expand the group's
+        // scale and code shift back over the run (in place of the
+        // column ranges, which are no longer needed).
+        let (precision, n_size) = (quantizer.precision, quantizer.group.n_size);
+        let bias = precision.bias();
+        let runs = lo.chunks_mut(n_size).zip(hi.chunks_mut(n_size));
+        for ((run_lo, run_hi), (scale, zp)) in runs.zip(scales.iter_mut().zip(zero_points)) {
+            let l = run_lo.iter().fold(f32::INFINITY, |a, &b| a.min(b));
+            let h = run_hi.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+            (*scale, *zp) = quantizer.scale_and_zero_point(l, h);
+            run_lo.fill(*scale);
+            run_hi.fill((*zp as i32 - bias) as f32);
+        }
+        let (scale_row, shift_row) = (lo, hi);
+
+        // Round-to-nearest codes (stored signed; the hardware consumes
+        // `signed + bias` as the unsigned biased code).
+        let q_min = precision.min_value() as f32;
+        let q_pos = precision.max_value() as f32;
+        for (crow, wrow) in codes.chunks_exact_mut(n).zip(w.chunks_exact(n)) {
+            for (((c, &v), &s), &shift) in crow.iter_mut().zip(wrow).zip(&scale_row).zip(&shift_row)
+            {
+                *c = rtn_code(v / s, shift, q_min, q_pos);
+            }
+        }
+        true
+    }
+}
+
 /// 1.5·2²³: adding it to an f32 of magnitude below 2²² rounds that
 /// value to an integer (round-half-even) and leaves the integer, in
 /// two's complement, in the low mantissa bits.
@@ -263,7 +286,7 @@ const ROUND_LIMIT: f32 = 64.0;
 /// saturated. The magic add rounds `|x|` half to even; a tie that went
 /// down (`|x| − r` exactly ½) then steps up, which is round half away
 /// from zero once `x`'s sign is restored.
-#[inline]
+#[inline(always)]
 fn rtn_code(x: f32, shift: f32, lo: f32, hi: f32) -> i8 {
     // Plain compare-selects (single `minps`/`maxps`): NaN becomes the
     // limit here and is masked to code 0 at the end.

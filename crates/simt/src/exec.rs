@@ -16,11 +16,11 @@
 //!   across the rayon pool with `par_chunks_mut`, visits the columns in
 //!   `COL_TILE` blocks (PacQ: one packed-word column at a time) and
 //!   feeds each row through the structural DP units.
-//! * The batched backend (`run_tiled`) converts all `m` activation
-//!   rows to f32 once, then fans out over `pacq_fp16::batch::COLS`-wide
-//!   column tiles: each job gathers its tile's `[k][COLS]` f32 operand
-//!   once, straight from the packed words, and one `batch::tile_dot`
-//!   call per row and k-segment yields `COLS` outputs. Jobs return
+//! * The batched backend (`run_tiled`) fans out over
+//!   `pacq_fp16::batch::COLS`-wide column tiles: each job gathers its
+//!   tile's `[k][COLS]` fp16 operand once, straight from the packed
+//!   words, and one kernel call per row and k-segment yields `COLS`
+//!   outputs from the row's fp16 activations. Jobs return
 //!   `[rows][COLS]` blocks that are scattered into the output after
 //!   the join; with fewer tiles than workers, a tile's rows are split
 //!   over several jobs. Each worker's scratch is one tile, never a
@@ -34,12 +34,14 @@
 
 use crate::config::Architecture;
 use pacq_error::{PacqError, PacqResult};
-use pacq_fp16::batch::{self, TileRow, COLS};
+use pacq_fp16::batch::{self, Job, TileRow, TileSums, COLS};
 use pacq_fp16::{
-    Backend, BaselineDpUnit, Fp16, NumericsMode, PackedWord, ParallelDpUnit, MAX_LANES,
+    Backend, BaselineDpUnit, Fp16, NumericsMode, PackedWord, ParallelDpUnit, WeightPrecision,
+    MAX_LANES,
 };
 use pacq_quant::{MatrixF16, MatrixF32, PackDim, PackedMatrix};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Executes a GEMM functionally on the given architecture through the
 /// scalar reference datapaths (shorthand for [`execute_with_backend`]
@@ -73,11 +75,12 @@ pub fn execute(
 ///
 /// [`Backend::Scalar`] walks every element through the structural
 /// datapath models; [`Backend::Batched`] runs every flow through the
-/// one f32 column-tile kernel of `pacq_fp16::batch` (f32 activations,
-/// branch-free fp16 rounding, lane products `A × (1024 + code)` by
-/// arithmetic); the flows differ only in the gathered operand and the
-/// epilogue. Both backends preserve the per-element accumulation order
-/// whatever work they distribute, so they are bit-identical — the
+/// one column-tile kernel of `pacq_fp16::batch` (fp16 activations and
+/// operand tiles, fp16 rounding by native lanes or branch-free bit
+/// arithmetic, lane products `A × (1024 + code)` by arithmetic); the
+/// flows differ only in the gathered operand and the epilogue. Both
+/// backends preserve the per-element accumulation order whatever work
+/// they distribute, so they are bit-identical — the
 /// three-way equivalence suite in `tests/parallel_equivalence.rs` pins
 /// scalar ≡ rayon ≡ batched on every flow.
 ///
@@ -368,7 +371,7 @@ fn run_pacq(
 #[derive(Debug, Clone, Copy)]
 enum TileFlow {
     /// StandardDequant: gathers the fp16-dequantized weight
-    /// `round16((q − z)·s)`; one segment spans all of k.
+    /// `(q − z)·s`, rounded to fp16; one segment spans all of k.
     Standard,
     /// PackedK and input-stationary: gathers the exact `q − z`; each
     /// segment sum is scaled and accumulated in f64.
@@ -381,17 +384,19 @@ enum TileFlow {
 /// The batched backend of every flow: one pass of the
 /// `pacq_fp16::batch` column-tile kernel per `(row, segment, tile)`.
 ///
-/// All `m` activation rows are widened to f32 once (and, for PacQ,
-/// their Σ A once per segment) before the fan-out. The jobs are the
-/// output's [`COLS`]-wide column tiles: a job gathers its tile's
-/// `[k][COLS]` f32 operand once, straight from the packed words, and
-/// streams every row through it into an `[m][COLS]` block; the blocks
-/// are scattered into the output after the join. When there are fewer
-/// tiles than workers, each tile's rows are split over several jobs
-/// (each then returns a block of its rows) so small-n shapes keep
-/// their parallelism. The segment order and
-/// every per-element accumulation order are the scalar flows', so the
-/// result is bit-identical to them.
+/// Activations stay fp16 (the kernel widens on load, or computes in
+/// fp16 lanes); for PacQ, every row's Σ A is taken once per segment
+/// before the fan-out. The jobs are the output's [`COLS`]-wide column
+/// tiles: a job gathers its tile's `[k][COLS]` fp16 operand once,
+/// straight from the packed words, and streams every row through it
+/// into an `[m][COLS]` block; the blocks are scattered into the output
+/// after the join. When there are fewer tiles than workers, each tile's
+/// rows are split over several jobs (each then returns a block of its
+/// rows) so small-n shapes keep their parallelism. Each job runs
+/// through `batch::dispatch`, so its gather and epilogue compile for
+/// the same target features as the kernel copy it calls. The segment
+/// order and every per-element accumulation order are the scalar
+/// flows', so the result is bit-identical to them.
 ///
 /// `seg` is the k-extent of one accumulation segment; it divides `k`.
 fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -> MatrixF32 {
@@ -400,18 +405,10 @@ fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -
     if m == 0 || n == 0 || k == 0 {
         return out;
     }
-    let precision = packed.precision();
-    let (bias, offset) = (
-        f64::from(precision.bias()),
-        f64::from(precision.fp_offset()),
-    );
-    let segs = k / seg;
-    let mut af = vec![0f32; m * k];
-    for (r, dst) in af.chunks_exact_mut(k).enumerate() {
-        batch::widen_into(a.row(r), dst);
-    }
     let sums: Vec<f64> = match flow {
-        TileFlow::Pacq(_) => af.chunks_exact(seg).map(batch::activation_sum).collect(),
+        TileFlow::Pacq(_) => (0..m)
+            .flat_map(|r| a.row(r).chunks_exact(seg).map(batch::activation_sum))
+            .collect(),
         _ => Vec::new(),
     };
 
@@ -427,68 +424,28 @@ fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -
     // zero points per group k-segment.
     let scratch = || {
         (
-            vec![[0f32; COLS]; k],
+            vec![[0u16; COLS]; k],
             vec![[0f32; COLS]; groups],
             vec![[0f32; COLS]; groups],
         )
     };
-    let blocks: Vec<Vec<TileRow>> = jobs
+    let sums = &sums;
+    let blocks: Vec<Vec<TileSums>> = jobs
         .clone()
         .into_par_iter()
         .map_init(scratch, |(tile, scales, zps), (j0, r0)| {
-            gather_tile(
+            batch::dispatch(TileJob {
+                flow,
+                a,
                 packed,
+                sums,
+                seg,
                 j0,
-                COLS.min(n - j0),
+                rows: r0..(r0 + part).min(m),
                 tile,
                 scales,
                 zps,
-                |q, z, s| match flow {
-                    TileFlow::Standard => batch::round16((q - z) * s),
-                    TileFlow::PackedK => q - z,
-                    TileFlow::Pacq(_) => 1024.0 + q,
-                },
-            );
-            (r0..(r0 + part).min(m))
-                .map(|r| {
-                    let arow = &af[r * k..(r + 1) * k];
-                    let segments = arow.chunks_exact(seg).zip(tile.chunks_exact(seg));
-                    match flow {
-                        TileFlow::Standard => {
-                            batch::tile_dot(NumericsMode::PaperRounded, arow, tile)
-                        }
-                        TileFlow::PackedK => {
-                            let mut acc = [0f64; COLS];
-                            for ((x, w), sc) in segments.zip(scales.iter()) {
-                                let sum = batch::tile_dot(NumericsMode::PaperRounded, x, w);
-                                for ((acc, &v), &s) in acc.iter_mut().zip(&sum).zip(sc) {
-                                    *acc += f64::from(v) * f64::from(s);
-                                }
-                            }
-                            acc.map(|v| v as f32)
-                        }
-                        TileFlow::Pacq(numerics) => {
-                            let mut dst = [0f32; COLS];
-                            let row_sums = &sums[r * segs..(r + 1) * segs];
-                            for (((x, w), (sc, zp)), &sum_a) in
-                                segments.zip(scales.iter().zip(zps.iter())).zip(row_sums)
-                            {
-                                let lane = batch::tile_dot(numerics, x, w);
-                                // Eq. (1) recovery, then the zero-point
-                                // shift (bias − z)·Σ A, with the f32 cast
-                                // between them exactly as the scalar flow.
-                                for (col, d) in dst.iter_mut().enumerate() {
-                                    let rec = (f64::from(lane[col]) - offset * sum_a) as f32;
-                                    *d += (f64::from(rec) + (bias - f64::from(zp[col])) * sum_a)
-                                        as f32
-                                        * sc[col];
-                                }
-                            }
-                            dst
-                        }
-                    }
-                })
-                .collect()
+            })
         })
         .collect();
 
@@ -502,53 +459,115 @@ fn run_tiled(flow: TileFlow, a: &MatrixF16, packed: &PackedMatrix, seg: usize) -
     out
 }
 
-/// Gathers output columns `j0..j0 + cols` of `packed` into `tile`
-/// straight from the packed words: `tile[t][c] = operand(q, z, s)` for
-/// weight `(t, j0 + c)`, with `q` its biased code and `z`, `s` its
-/// group's zero point and scale (all as f32). `scales` and `zps` receive
-/// `s` and `z` per group k-segment. Columns from `cols` on are padding:
-/// they hold `operand(0, 0, 0)` and are never stored.
+/// One job of [`run_tiled`]: gather column tile `j0` into the worker's
+/// scratch, then run `rows` through it.
+struct TileJob<'a> {
+    flow: TileFlow,
+    a: &'a MatrixF16,
+    packed: &'a PackedMatrix,
+    /// Σ A per row and segment (PacQ only).
+    sums: &'a [f64],
+    seg: usize,
+    j0: usize,
+    rows: Range<usize>,
+    tile: &'a mut [TileRow],
+    scales: &'a mut [[f32; COLS]],
+    zps: &'a mut [[f32; COLS]],
+}
+
+impl Job for TileJob<'_> {
+    type Output = Vec<TileSums>;
+
+    #[inline(always)]
+    fn run(
+        self,
+        tile_dot: impl Fn(NumericsMode, &[Fp16], &[TileRow]) -> TileSums,
+    ) -> Vec<TileSums> {
+        let TileJob {
+            flow,
+            a,
+            packed,
+            sums,
+            seg,
+            j0,
+            rows,
+            tile,
+            scales,
+            zps,
+        } = self;
+        let precision = packed.precision();
+        let (bias, offset) = (
+            f64::from(precision.bias()),
+            f64::from(precision.fp_offset()),
+        );
+        let segs = packed.k() / seg;
+        gather_tile(packed, j0, tile, scales, zps, flow);
+        // A loop, not `map().collect()`: the body must inline into the
+        // dispatched copy.
+        let mut block = Vec::with_capacity(rows.len());
+        for r in rows {
+            let arow = a.row(r);
+            let segments = arow.chunks_exact(seg).zip(tile.chunks_exact(seg));
+            let out = match flow {
+                TileFlow::Standard => tile_dot(NumericsMode::PaperRounded, arow, tile),
+                TileFlow::PackedK => {
+                    let mut acc = [0f64; COLS];
+                    for ((x, w), sc) in segments.zip(scales.iter()) {
+                        let sum = tile_dot(NumericsMode::PaperRounded, x, w);
+                        for ((acc, &v), &s) in acc.iter_mut().zip(&sum).zip(sc) {
+                            *acc += f64::from(v) * f64::from(s);
+                        }
+                    }
+                    acc.map(|v| v as f32)
+                }
+                TileFlow::Pacq(numerics) => {
+                    let mut dst = [0f32; COLS];
+                    let row_sums = &sums[r * segs..(r + 1) * segs];
+                    for (((x, w), (sc, zp)), &sum_a) in
+                        segments.zip(scales.iter().zip(zps.iter())).zip(row_sums)
+                    {
+                        let lane = tile_dot(numerics, x, w);
+                        // Eq. (1) recovery, then the zero-point shift
+                        // (bias − z)·Σ A, with the f32 cast between them
+                        // exactly as the scalar flow.
+                        for (col, d) in dst.iter_mut().enumerate() {
+                            let rec = (f64::from(lane[col]) - offset * sum_a) as f32;
+                            *d += (f64::from(rec) + (bias - f64::from(zp[col])) * sum_a) as f32
+                                * sc[col];
+                        }
+                    }
+                    dst
+                }
+            };
+            block.push(out);
+        }
+        block
+    }
+}
+
+/// Gathers output columns `j0..` of `packed` into `tile` straight from
+/// the packed words: `tile[t][c]` is the fp16 bits of `flow`'s operand
+/// for weight `(t, j0 + c)` with biased code `q` and group zero point `z`
+/// and scale `s`: `(q − z)·s` rounded to fp16 (standard), the exact
+/// `q − z` (packed-k) or the exact `1024 + q` (PacQ). Each is
+/// `(q + o)·u` for a per-column offset `o` and factor `u`, so one
+/// vectorized pass through `batch::pack_rne` builds them all. `scales`
+/// and `zps` receive `s` and `z` per group k-segment. Columns past n are
+/// padding: they hold the operand of `q = z = s = 0` and are never
+/// stored.
+#[inline(always)]
 fn gather_tile(
     packed: &PackedMatrix,
     j0: usize,
-    cols: usize,
     tile: &mut [TileRow],
-    scales: &mut [TileRow],
-    zps: &mut [TileRow],
-    operand: impl Fn(f32, f32, f32) -> f32,
+    scales: &mut [[f32; COLS]],
+    zps: &mut [[f32; COLS]],
+    flow: TileFlow,
 ) {
-    let precision = packed.precision();
-    let lanes = precision.lanes();
-    let bits = precision.bits();
-    let mask = (1u16 << bits) - 1;
-    let code =
-        |w: PackedWord, lane: usize| f32::from((w.to_bits() >> (bits as usize * lane)) & mask);
-    for row in tile.iter_mut() {
-        row[cols..].fill(0.0);
-    }
-    match packed.pack_dim() {
-        // `j0` and `cols` are whole words here: n is a multiple of the
-        // lane count, and so is COLS.
-        PackDim::N => {
-            for (t, row) in tile.iter_mut().enumerate() {
-                for (wc, lanes_out) in row[..cols].chunks_exact_mut(lanes).enumerate() {
-                    let w = packed.word(t, j0 / lanes + wc);
-                    for (lane, v) in lanes_out.iter_mut().enumerate() {
-                        *v = code(w, lane);
-                    }
-                }
-            }
-        }
-        PackDim::K => {
-            for (wr, rows) in tile.chunks_exact_mut(lanes).enumerate() {
-                for c in 0..cols {
-                    let w = packed.word(wr, j0 + c);
-                    for (lane, row) in rows.iter_mut().enumerate() {
-                        row[c] = code(w, lane);
-                    }
-                }
-            }
-        }
+    let cols = COLS.min(packed.n() - j0);
+    match packed.precision() {
+        WeightPrecision::Int4 => gather_codes::<4>(packed, j0, cols, tile),
+        WeightPrecision::Int2 => gather_codes::<8>(packed, j0, cols, tile),
     }
     let gk = packed.group().k_size;
     for (g, (rows, (sc, zp))) in tile
@@ -564,9 +583,60 @@ fn gather_tile(
                 (0.0, 0.0)
             };
         }
+        let (offset, factor): ([f32; COLS], [f32; COLS]) = match flow {
+            TileFlow::Standard => (zp.map(|z| -z), *sc),
+            TileFlow::PackedK => (zp.map(|z| -z), [1.0; COLS]),
+            TileFlow::Pacq(_) => ([1024.0; COLS], [1.0; COLS]),
+        };
         for row in rows {
-            for ((v, &z), &s) in row.iter_mut().zip(&*zp).zip(&*sc) {
-                *v = operand(*v, z, s);
+            for c in 0..COLS {
+                let v = (f32::from(row[c]) + offset[c]) * factor[c];
+                row[c] = batch::pack_rne(v).to_bits();
+            }
+        }
+    }
+}
+
+/// Fills `tile[t][c]` with the biased code of weight `(t, j0 + c)` for
+/// `LANES` codes per packed word, and 0 for the padding columns from
+/// `cols` on. A tile row is whole words along n (`j0` and `cols` are
+/// multiples of the lane count there), and `LANES` rows are one word row
+/// along k.
+#[inline(always)]
+fn gather_codes<const LANES: usize>(
+    packed: &PackedMatrix,
+    j0: usize,
+    cols: usize,
+    tile: &mut [TileRow],
+) {
+    let bits = 16 / LANES;
+    let mask = (1u16 << bits) - 1;
+    // The words a tile row (n) or word row (k) reads, zero-padded.
+    let load = |words: &[PackedWord]| {
+        let mut out = [0u16; COLS];
+        for (o, w) in out.iter_mut().zip(words) {
+            *o = w.to_bits();
+        }
+        out
+    };
+    match packed.pack_dim() {
+        PackDim::N => {
+            let words = j0 / LANES..(j0 + cols) / LANES;
+            for (t, row) in tile.iter_mut().enumerate() {
+                let w = load(&packed.word_row(t)[words.clone()]);
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = (w[c / LANES] >> (bits * (c % LANES))) & mask;
+                }
+            }
+        }
+        PackDim::K => {
+            for (wr, rows) in tile.chunks_exact_mut(LANES).enumerate() {
+                let w = load(&packed.word_row(wr)[j0..j0 + cols]);
+                for (lane, row) in rows.iter_mut().enumerate() {
+                    for (v, &w) in row.iter_mut().zip(&w) {
+                        *v = (w >> (bits * lane)) & mask;
+                    }
+                }
             }
         }
     }
