@@ -1,17 +1,17 @@
 //! Declarative architecture templates for the PacQ simulator.
 //!
-//! A `pacq-arch/v1` template is a small TOML (or JSON) document that
-//! fully describes one simulated machine: memory hierarchy, datapath,
-//! clock and dataflow. [`ArchTemplate`] parses, validates and renders
-//! templates, derives the simulator's `SmConfig` / `EnergyModel` /
-//! `Architecture` objects from them, and computes the content digest
-//! that binds every derived artifact (cache entries, sweep checkpoints,
-//! run manifests) back to the exact template that produced it.
+//! A `pacq-arch/v2` template is a small JSON document that describes
+//! one simulated machine: memory hierarchy, datapath and clock. The
+//! dataflow is not part of it; `--arch` picks that on every command.
+//! [`ArchTemplate`] parses, validates and renders templates, derives the
+//! simulator's `SmConfig` / `EnergyModel` from them, and computes the
+//! content digest that binds every derived artifact (cache entries,
+//! checkpoints, run manifests) back to the exact template that produced
+//! it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod template;
-pub mod toml;
 
-pub use template::{ArchTemplate, Dataflow, MemLevel, Packing, TEMPLATE_SCHEMA};
+pub use template::{ArchTemplate, TEMPLATE_SCHEMA};

@@ -1,137 +1,51 @@
-//! The `pacq-arch/v1` architecture template: a declarative description
-//! of one machine design point, following FactorFlow's declarative
+//! The `pacq-arch/v2` architecture template: a declarative JSON
+//! description of one machine, following FactorFlow's declarative
 //! memory-hierarchy idiom and LLMCompass's
 //! `read_architecture_template → compile_and_simulate` split.
 //!
 //! A template names the memory hierarchy (per-level capacities, optional
-//! explicit access energies, DRAM bandwidth), the datapath (DP width,
-//! adder-tree duplication, tensor-core counts, clock), and the dataflow
-//! triple (weight- or output-stationary movement, packing direction,
-//! dequantization) that selects one of the three simulated
-//! architectures. Everything downstream — `SmConfig`, `EnergyModel`,
-//! `Architecture` — is *derived* from the template, and the template's
-//! content digest travels with every derived result (cache keys,
+//! explicit access energies, DRAM bandwidth) and the datapath (DP width,
+//! adder-tree duplication, tensor-core counts, clock). It does not name
+//! a dataflow: the paper holds the machine fixed and varies the dataflow,
+//! so `--arch` picks the dataflow on every command, template or not.
+//! The template's [`SmConfig`] and [`EnergyModel`] price every report,
+//! and its content digest travels with every derived result (cache keys,
 //! checkpoint bindings, run manifests), so an edited template can never
 //! satisfy a stale artifact.
 //!
 //! All schema violations are typed [`PacqError::Template`] errors
 //! (exit code 9). See DESIGN.md §18.
 
-use core::fmt;
-
-use crate::toml::parse_toml;
 use pacq_energy::{MemoryKind, SramModel};
 use pacq_error::{PacqError, PacqResult};
-use pacq_simt::{Architecture, EnergyModel, SmConfig};
+use pacq_simt::{EnergyModel, SmConfig};
 use pacq_trace::Json;
 
 /// The schema identifier every template must declare.
-pub const TEMPLATE_SCHEMA: &str = "pacq-arch/v1";
+pub const TEMPLATE_SCHEMA: &str = "pacq-arch/v2";
 
-/// Tile-movement dataflow of the design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dataflow {
-    /// Weight-stationary (the standard-dequant and packed-k baselines).
-    WeightStationary,
-    /// Output-stationary (the PacQ flow).
-    OutputStationary,
-    /// Input-stationary: the activation tile held in the tensor-core
-    /// buffers across the n loop, packed-B words and C partial sums
-    /// streaming.
-    InputStationary,
-}
+/// The key of every level's optional access energy.
+const ENERGY: &str = "access_energy_pj_per_word16";
 
-impl Dataflow {
-    fn token(self) -> &'static str {
-        match self {
-            Dataflow::WeightStationary => "ws",
-            Dataflow::OutputStationary => "os",
-            Dataflow::InputStationary => "is",
-        }
-    }
-}
-
-impl fmt::Display for Dataflow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-/// Which matrix extent packed weight words run along (§III of the
-/// paper: `P(B_x)_k` vs `P(B_x)_n`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Packing {
-    /// Packed along the reduction dimension (baselines).
-    AlongK,
-    /// Packed along the output dimension (PacQ).
-    AlongN,
-}
-
-impl Packing {
-    fn token(self) -> &'static str {
-        match self {
-            Packing::AlongK => "k",
-            Packing::AlongN => "n",
-        }
-    }
-}
-
-impl fmt::Display for Packing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.token())
-    }
-}
-
-/// One on-chip memory level: a capacity plus an optional explicit
-/// access energy overriding the capacity-derived analytical formula.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemLevel {
-    /// Capacity in bytes.
-    pub capacity_bytes: u64,
-    /// Explicit pJ per 16-bit access; `None` derives from capacity.
-    pub access_energy_pj_per_word16: Option<f64>,
-}
-
-/// A parsed, decodable `pacq-arch/v1` template. Construct via
-/// [`ArchTemplate::parse`] (TOML or JSON) or the committed-equivalent
-/// builders [`ArchTemplate::volta_like`] / [`ArchTemplate::pacq`], then
-/// call [`ArchTemplate::validate`] before deriving simulator objects.
+/// A parsed `pacq-arch/v2` template: the machine it describes, its name,
+/// the per-level access energies it declares and its audit tolerance.
+/// Construct via [`ArchTemplate::load`] (or [`ArchTemplate::parse`] then
+/// [`ArchTemplate::validate`]) or [`ArchTemplate::volta_like`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchTemplate {
     /// Human-readable design-point name (letters, digits, `-`, `_`).
     pub name: String,
-    /// Tile-movement dataflow.
-    pub dataflow: Dataflow,
-    /// Weight packing direction.
-    pub packing: Packing,
-    /// Whether weights are dequantized to FP16 before the tensor cores.
-    pub dequant: bool,
-    /// Tensor cores per SM.
-    pub tensor_cores: usize,
-    /// DP units per tensor core.
-    pub dp_units_per_tc: usize,
-    /// Dot-product unit width (4, 8 or 16).
-    pub dp_width: usize,
-    /// Adder-tree duplication (1, 2 or 4).
-    pub adder_tree_duplication: usize,
-    /// General-core unpack+dequant throughput, weights per cycle.
-    pub dequant_weights_per_cycle: f64,
-    /// Clock frequency in Hz.
-    pub clock_hz: f64,
-    /// Register-file level.
-    pub register_file: MemLevel,
-    /// Shared-L1 level.
-    pub l1: MemLevel,
-    /// Per-buffer operand-buffer capacity in bits.
-    pub operand_buffer_bits: u64,
-    /// Operand buffers per tensor core.
-    pub operand_buffers: usize,
-    /// Explicit operand-buffer access energy (pJ per 16-bit word).
-    pub operand_buffer_energy_pj_per_word16: Option<f64>,
-    /// DRAM bandwidth in bytes per SM cycle (`inf` = unbounded).
-    pub dram_bytes_per_cycle: f64,
-    /// Explicit DRAM access energy (pJ per 16-bit word).
-    pub dram_energy_pj_per_word16: Option<f64>,
+    /// The machine: datapath, capacities, clock and DRAM bandwidth.
+    pub config: SmConfig,
+    /// Explicit register-file access energy, pJ per 16-bit word; `None`
+    /// derives it from the capacity.
+    pub register_file_pj: Option<f64>,
+    /// Explicit shared-L1 access energy, pJ per 16-bit word.
+    pub l1_pj: Option<f64>,
+    /// Explicit operand-buffer access energy, pJ per 16-bit word.
+    pub operand_buffer_pj: Option<f64>,
+    /// Explicit DRAM access energy, pJ per 16-bit word.
+    pub dram_pj: Option<f64>,
     /// Declared tolerance for the `pacq audit --activity` cross-check
     /// (maximum relative error between analytic and activity-derived
     /// multiplier energy). `None` leaves the audit's default in force.
@@ -139,69 +53,23 @@ pub struct ArchTemplate {
 }
 
 impl ArchTemplate {
-    /// The committed-equivalent of the hardcoded Table I machine under
-    /// the standard dequantization flow ([`SmConfig::volta_like`] plus
-    /// the default per-level energies, bit for bit).
+    /// The template of the hardcoded Table I machine
+    /// ([`SmConfig::volta_like`] with the capacity-derived energies),
+    /// the content of the committed `examples/arch/volta_like.json`.
     pub fn volta_like() -> ArchTemplate {
         ArchTemplate {
             name: "volta-like".to_string(),
-            dataflow: Dataflow::WeightStationary,
-            packing: Packing::AlongK,
-            dequant: true,
-            tensor_cores: 8,
-            dp_units_per_tc: 4,
-            dp_width: 4,
-            adder_tree_duplication: 2,
-            dequant_weights_per_cycle: 8.0,
-            clock_hz: 400.0e6,
-            register_file: MemLevel {
-                capacity_bytes: 256 * 1024,
-                access_energy_pj_per_word16: None,
-            },
-            l1: MemLevel {
-                capacity_bytes: 96 * 1024,
-                access_energy_pj_per_word16: None,
-            },
-            operand_buffer_bits: 3072,
-            operand_buffers: 2,
-            operand_buffer_energy_pj_per_word16: None,
-            dram_bytes_per_cycle: f64::INFINITY,
-            dram_energy_pj_per_word16: None,
+            config: SmConfig::volta_like(),
+            register_file_pj: None,
+            l1_pj: None,
+            operand_buffer_pj: None,
+            dram_pj: None,
             activity_tolerance: None,
         }
     }
 
-    /// The committed-equivalent PacQ design point: the same Table I
-    /// machine, but output-stationary with weights packed along n and no
-    /// dequantization (the paper evaluates PacQ as a drop-in datapath on
-    /// the Volta-like SM).
-    pub fn pacq() -> ArchTemplate {
-        ArchTemplate {
-            name: "pacq".to_string(),
-            dataflow: Dataflow::OutputStationary,
-            packing: Packing::AlongN,
-            dequant: false,
-            ..ArchTemplate::volta_like()
-        }
-    }
-
-    /// The committed-equivalent input-stationary design point: the Table I
-    /// machine with `P(B_x)_k` packing but the activation tile held across
-    /// the n loop — the third stationarity class the `pacq-arch/v1` schema
-    /// names, between `P(B_x)_k` (A-refetch pathology) and PacQ.
-    pub fn input_stationary() -> ArchTemplate {
-        ArchTemplate {
-            name: "input-stationary".to_string(),
-            dataflow: Dataflow::InputStationary,
-            packing: Packing::AlongK,
-            dequant: false,
-            ..ArchTemplate::volta_like()
-        }
-    }
-
-    /// Parses a template from TOML or JSON text (sniffed: a document
-    /// whose first non-space byte is `{` is JSON). `context` names the
-    /// input (typically the file path) in every error.
+    /// Parses a template from JSON text. `context` names the input
+    /// (typically the file path) in every error.
     ///
     /// # Errors
     ///
@@ -210,13 +78,63 @@ impl ArchTemplate {
     /// type mismatches. Parsing does *not* validate the design point —
     /// call [`ArchTemplate::validate`] (or [`ArchTemplate::load`]).
     pub fn parse(text: &str, context: &str) -> PacqResult<ArchTemplate> {
-        let doc = if text.trim_start().starts_with('{') {
-            Json::parse(text)
-                .map_err(|e| PacqError::template(context, format!("JSON syntax: {e}")))?
-        } else {
-            parse_toml(text, context)?
+        let doc = Json::parse(text)
+            .map_err(|e| PacqError::template(context, format!("JSON syntax: {e}")))?;
+        let root = Table::root(
+            &doc,
+            context,
+            &["schema", "name", "compute", "memory", "audit"],
+        )?;
+        let schema = root.string("schema")?;
+        if schema != TEMPLATE_SCHEMA {
+            return Err(root.fail(format!(
+                "schema must be \"{TEMPLATE_SCHEMA}\", got \"{schema}\""
+            )));
+        }
+        let compute = root.table(
+            "compute",
+            &[
+                "tensor_cores",
+                "dp_units_per_tc",
+                "dp_width",
+                "adder_tree_duplication",
+                "dequant_weights_per_cycle",
+                "clock_hz",
+            ],
+        )?;
+        let memory = root.table("memory", &["register_file", "l1", "operand_buffer", "dram"])?;
+        let rf = memory.table("register_file", &["capacity_bytes", ENERGY])?;
+        let l1 = memory.table("l1", &["capacity_bytes", ENERGY])?;
+        let buffer = memory.table("operand_buffer", &["capacity_bits", "count", ENERGY])?;
+        let dram = memory.table("dram", &["bandwidth_bytes_per_cycle", ENERGY])?;
+        // `audit` is optional: absent means the audit defaults apply.
+        let activity_tolerance = match doc.get("audit") {
+            Some(_) => root
+                .table("audit", &["activity_tolerance"])?
+                .optional("activity_tolerance")?,
+            None => None,
         };
-        Self::from_doc(&doc, context)
+        Ok(ArchTemplate {
+            name: root.string("name")?.to_string(),
+            config: SmConfig {
+                tensor_cores: compute.count("tensor_cores")?,
+                dp_units_per_tc: compute.count("dp_units_per_tc")?,
+                dp_width: compute.count("dp_width")?,
+                adder_tree_duplication: compute.count("adder_tree_duplication")?,
+                operand_buffer_bits: buffer.uint("capacity_bits")?,
+                operand_buffers: buffer.count("count")?,
+                register_file_bytes: rf.uint("capacity_bytes")?,
+                l1_bytes: l1.uint("capacity_bytes")?,
+                dequant_weights_per_cycle: compute.number("dequant_weights_per_cycle")?,
+                clock_hz: compute.number("clock_hz")?,
+                dram_bytes_per_cycle: dram.number("bandwidth_bytes_per_cycle")?,
+            },
+            register_file_pj: rf.optional(ENERGY)?,
+            l1_pj: l1.optional(ENERGY)?,
+            operand_buffer_pj: buffer.optional(ENERGY)?,
+            dram_pj: dram.optional(ENERGY)?,
+            activity_tolerance,
+        })
     }
 
     /// [`ArchTemplate::parse`] followed by [`ArchTemplate::validate`] —
@@ -231,168 +149,7 @@ impl ArchTemplate {
         Ok(template)
     }
 
-    /// Decodes a parsed value tree, rejecting unknown keys everywhere
-    /// (a typo'd key must never be silently ignored — it would change
-    /// the simulated machine without changing the digest... of the
-    /// template the author *thought* they wrote).
-    fn from_doc(doc: &Json, context: &str) -> PacqResult<ArchTemplate> {
-        let fail = |message: String| -> PacqError { PacqError::template(context, message) };
-        expect_keys(
-            doc,
-            "",
-            &[
-                "schema", "name", "dataflow", "packing", "dequant", "compute", "memory", "audit",
-            ],
-            context,
-        )?;
-        let schema = str_of(doc, "", "schema", context)?;
-        if schema != TEMPLATE_SCHEMA {
-            return Err(fail(format!(
-                "schema must be \"{TEMPLATE_SCHEMA}\", got \"{schema}\""
-            )));
-        }
-        let name = str_of(doc, "", "name", context)?.to_string();
-        let dataflow = match str_of(doc, "", "dataflow", context)? {
-            "ws" => Dataflow::WeightStationary,
-            "os" => Dataflow::OutputStationary,
-            "is" => Dataflow::InputStationary,
-            other => {
-                return Err(fail(format!(
-                    "dataflow must be ws, os or is, got `{other}`"
-                )))
-            }
-        };
-        let packing = match str_of(doc, "", "packing", context)? {
-            "k" => Packing::AlongK,
-            "n" => Packing::AlongN,
-            other => return Err(fail(format!("packing must be k or n, got `{other}`"))),
-        };
-        let dequant = bool_of(doc, "", "dequant", context)?;
-
-        let compute = section_of(doc, "compute", context)?;
-        expect_keys(
-            compute,
-            "compute.",
-            &[
-                "tensor_cores",
-                "dp_units_per_tc",
-                "dp_width",
-                "adder_tree_duplication",
-                "dequant_weights_per_cycle",
-                "clock_hz",
-            ],
-            context,
-        )?;
-        let memory = section_of(doc, "memory", context)?;
-        expect_keys(
-            memory,
-            "memory.",
-            &["register_file", "l1", "operand_buffer", "dram"],
-            context,
-        )?;
-        let rf = section_of(memory, "register_file", context)?;
-        let l1 = section_of(memory, "l1", context)?;
-        let buffer = section_of(memory, "operand_buffer", context)?;
-        let dram = section_of(memory, "dram", context)?;
-        expect_keys(
-            rf,
-            "memory.register_file.",
-            &["capacity_bytes", "access_energy_pj_per_word16"],
-            context,
-        )?;
-        expect_keys(
-            l1,
-            "memory.l1.",
-            &["capacity_bytes", "access_energy_pj_per_word16"],
-            context,
-        )?;
-        expect_keys(
-            buffer,
-            "memory.operand_buffer.",
-            &["capacity_bits", "count", "access_energy_pj_per_word16"],
-            context,
-        )?;
-        expect_keys(
-            dram,
-            "memory.dram.",
-            &["bandwidth_bytes_per_cycle", "access_energy_pj_per_word16"],
-            context,
-        )?;
-        // `[audit]` is optional: absent means the audit defaults apply.
-        let activity_tolerance = if doc.get("audit").is_some() {
-            let audit = section_of(doc, "audit", context)?;
-            expect_keys(audit, "audit.", &["activity_tolerance"], context)?;
-            opt_num_of(audit, "audit.", "activity_tolerance", context)?
-        } else {
-            None
-        };
-
-        Ok(ArchTemplate {
-            name,
-            dataflow,
-            packing,
-            dequant,
-            tensor_cores: uint_of(compute, "compute.", "tensor_cores", context)? as usize,
-            dp_units_per_tc: uint_of(compute, "compute.", "dp_units_per_tc", context)? as usize,
-            dp_width: uint_of(compute, "compute.", "dp_width", context)? as usize,
-            adder_tree_duplication: uint_of(compute, "compute.", "adder_tree_duplication", context)?
-                as usize,
-            dequant_weights_per_cycle: num_of(
-                compute,
-                "compute.",
-                "dequant_weights_per_cycle",
-                context,
-            )?,
-            clock_hz: num_of(compute, "compute.", "clock_hz", context)?,
-            register_file: MemLevel {
-                capacity_bytes: uint_of(rf, "memory.register_file.", "capacity_bytes", context)?,
-                access_energy_pj_per_word16: opt_num_of(
-                    rf,
-                    "memory.register_file.",
-                    "access_energy_pj_per_word16",
-                    context,
-                )?,
-            },
-            l1: MemLevel {
-                capacity_bytes: uint_of(l1, "memory.l1.", "capacity_bytes", context)?,
-                access_energy_pj_per_word16: opt_num_of(
-                    l1,
-                    "memory.l1.",
-                    "access_energy_pj_per_word16",
-                    context,
-                )?,
-            },
-            operand_buffer_bits: uint_of(
-                buffer,
-                "memory.operand_buffer.",
-                "capacity_bits",
-                context,
-            )?,
-            operand_buffers: uint_of(buffer, "memory.operand_buffer.", "count", context)? as usize,
-            operand_buffer_energy_pj_per_word16: opt_num_of(
-                buffer,
-                "memory.operand_buffer.",
-                "access_energy_pj_per_word16",
-                context,
-            )?,
-            dram_bytes_per_cycle: num_of(
-                dram,
-                "memory.dram.",
-                "bandwidth_bytes_per_cycle",
-                context,
-            )?,
-            dram_energy_pj_per_word16: opt_num_of(
-                dram,
-                "memory.dram.",
-                "access_energy_pj_per_word16",
-                context,
-            )?,
-            activity_tolerance,
-        })
-    }
-
-    /// Validates the design point: the dataflow triple must name a
-    /// simulated architecture, the datapath domains must hold
+    /// Validates the design point: the datapath domains must hold
     /// ([`SmConfig::validate`]), every declared energy must be positive
     /// and finite, and the resolved per-level energies must respect the
     /// hierarchy ordering `operand buffer < RF < L1 < DRAM` the
@@ -403,50 +160,46 @@ impl ArchTemplate {
     /// Returns [`PacqError::Template`] naming the first violated rule.
     pub fn validate(&self, context: &str) -> PacqResult<()> {
         let fail = |message: String| -> PacqError { PacqError::template(context, message) };
+        let c = &self.config;
         if self.name.is_empty()
             || !self
                 .name
                 .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+                .all(|ch| ch.is_ascii_alphanumeric() || ch == '-' || ch == '_')
         {
             return Err(fail(format!(
                 "name `{}` must be non-empty [A-Za-z0-9_-]",
                 self.name
             )));
         }
-        self.architecture().map_err(|e| match e {
-            PacqError::Template { message, .. } => PacqError::template(context, message),
-            other => other,
-        })?;
-        self.sm_config()
-            .validate()
-            .map_err(|e| fail(format!("datapath: {e}")))?;
-        if !(self.clock_hz > 0.0 && self.clock_hz.is_finite()) {
+        c.validate().map_err(|e| fail(format!("datapath: {e}")))?;
+        if !(c.clock_hz > 0.0 && c.clock_hz.is_finite()) {
             return Err(fail(format!(
                 "compute.clock_hz must be positive and finite, got {}",
-                self.clock_hz
+                c.clock_hz
             )));
         }
         // NaN must fail too, hence the negated comparison.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(self.dram_bytes_per_cycle > 0.0) {
+        if !(c.dram_bytes_per_cycle > 0.0) {
             return Err(fail(format!(
-                "memory.dram.bandwidth_bytes_per_cycle must be positive (inf = unbounded), got {}",
-                self.dram_bytes_per_cycle
+                "memory.dram.bandwidth_bytes_per_cycle must be positive (\"inf\" = unbounded), \
+                 got {}",
+                c.dram_bytes_per_cycle
             )));
         }
-        if self.operand_buffer_bits < 8 || !self.operand_buffer_bits.is_multiple_of(8) {
+        if c.operand_buffer_bits < 8 || !c.operand_buffer_bits.is_multiple_of(8) {
             return Err(fail(format!(
                 "memory.operand_buffer.capacity_bits must be a positive multiple of 8, got {}",
-                self.operand_buffer_bits
+                c.operand_buffer_bits
             )));
         }
-        if self.operand_buffers == 0 {
+        if c.operand_buffers == 0 {
             return Err(fail(
                 "memory.operand_buffer.count must be non-zero".to_string(),
             ));
         }
-        if self.register_file.capacity_bytes == 0 || self.l1.capacity_bytes == 0 {
+        if c.register_file_bytes == 0 || c.l1_bytes == 0 {
             return Err(fail(
                 "memory.register_file and memory.l1 capacities must be non-zero".to_string(),
             ));
@@ -485,49 +238,6 @@ impl ArchTemplate {
         Ok(())
     }
 
-    /// The simulated architecture this template's dataflow triple
-    /// selects.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PacqError::Template`] when the triple matches none of
-    /// the three implemented design points.
-    pub fn architecture(&self) -> PacqResult<Architecture> {
-        use Dataflow::*;
-        use Packing::*;
-        match (self.dataflow, self.packing, self.dequant) {
-            (WeightStationary, AlongK, true) => Ok(Architecture::StandardDequant),
-            (WeightStationary, AlongK, false) => Ok(Architecture::PackedK),
-            (OutputStationary, AlongN, false) => Ok(Architecture::Pacq),
-            (InputStationary, AlongK, false) => Ok(Architecture::InputStationary),
-            (df, p, dq) => Err(PacqError::template(
-                "ArchTemplate::architecture",
-                format!(
-                    "no simulated architecture has dataflow={df}, packing={p}, dequant={dq}; \
-                     supported triples: (ws,k,true)=standard-dequant, (ws,k,false)=packed-k, \
-                     (os,n,false)=pacq, (is,k,false)=input-stationary"
-                ),
-            )),
-        }
-    }
-
-    /// The machine configuration this template describes.
-    pub fn sm_config(&self) -> SmConfig {
-        SmConfig {
-            tensor_cores: self.tensor_cores,
-            dp_units_per_tc: self.dp_units_per_tc,
-            dp_width: self.dp_width,
-            adder_tree_duplication: self.adder_tree_duplication,
-            operand_buffer_bits: self.operand_buffer_bits,
-            operand_buffers: self.operand_buffers,
-            register_file_bytes: self.register_file.capacity_bytes,
-            l1_bytes: self.l1.capacity_bytes,
-            dequant_weights_per_cycle: self.dequant_weights_per_cycle,
-            clock_hz: self.clock_hz,
-            dram_bytes_per_cycle: self.dram_bytes_per_cycle,
-        }
-    }
-
     /// The per-level energy model: declared access energies where the
     /// template gives them, the capacity-derived analytical defaults
     /// everywhere else — so a template with no overrides prices
@@ -542,217 +252,99 @@ impl ArchTemplate {
             Some(e) => SramModel::with_access_energy(kind, capacity, e),
             None => Ok(SramModel::new(kind, capacity)),
         };
-        let rf = level(
-            MemoryKind::RegisterFile,
-            self.register_file.capacity_bytes,
-            self.register_file.access_energy_pj_per_word16,
-        )?;
-        let l1 = level(
-            MemoryKind::Cache,
-            self.l1.capacity_bytes,
-            self.l1.access_energy_pj_per_word16,
-        )?;
-        let buffer = level(
-            MemoryKind::OperandBuffer,
-            self.operand_buffer_bits / 8,
-            self.operand_buffer_energy_pj_per_word16,
-        )?;
-        let dram = level(MemoryKind::Dram, 0, self.dram_energy_pj_per_word16)?;
+        let c = &self.config;
         Ok(EnergyModel::with_levels(
-            rf,
-            l1,
-            dram,
-            buffer,
-            self.clock_hz,
+            level(
+                MemoryKind::RegisterFile,
+                c.register_file_bytes,
+                self.register_file_pj,
+            )?,
+            level(MemoryKind::Cache, c.l1_bytes, self.l1_pj)?,
+            level(MemoryKind::Dram, 0, self.dram_pj)?,
+            level(
+                MemoryKind::OperandBuffer,
+                c.operand_buffer_bits / 8,
+                self.operand_buffer_pj,
+            )?,
+            c.clock_hz,
         ))
     }
 
-    /// The canonical TOML rendering: fixed key order, numbers in Rust's
-    /// shortest round-trip form (`inf` for unbounded DRAM), optional
-    /// keys present only when set. [`ArchTemplate::parse`] of the
-    /// rendering reproduces the template exactly — the digest is taken
-    /// over this text, so reformatting a template file never changes
-    /// its identity but any content edit does.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let push = |out: &mut String, line: String| {
-            out.push_str(&line);
-            out.push('\n');
-        };
-        push(&mut out, format!("schema = \"{TEMPLATE_SCHEMA}\""));
-        push(&mut out, format!("name = \"{}\"", self.name));
-        push(&mut out, format!("dataflow = \"{}\"", self.dataflow));
-        push(&mut out, format!("packing = \"{}\"", self.packing));
-        push(&mut out, format!("dequant = {}", self.dequant));
-        push(&mut out, String::new());
-        push(&mut out, "[compute]".to_string());
-        push(&mut out, format!("tensor_cores = {}", self.tensor_cores));
-        push(
-            &mut out,
-            format!("dp_units_per_tc = {}", self.dp_units_per_tc),
-        );
-        push(&mut out, format!("dp_width = {}", self.dp_width));
-        push(
-            &mut out,
-            format!("adder_tree_duplication = {}", self.adder_tree_duplication),
-        );
-        push(
-            &mut out,
-            format!(
-                "dequant_weights_per_cycle = {}",
-                render_num(self.dequant_weights_per_cycle)
-            ),
-        );
-        push(
-            &mut out,
-            format!("clock_hz = {}", render_num(self.clock_hz)),
-        );
-        push(&mut out, String::new());
-        push(&mut out, "[memory.register_file]".to_string());
-        push(
-            &mut out,
-            format!("capacity_bytes = {}", self.register_file.capacity_bytes),
-        );
-        if let Some(e) = self.register_file.access_energy_pj_per_word16 {
-            push(
-                &mut out,
-                format!("access_energy_pj_per_word16 = {}", render_num(e)),
-            );
-        }
-        push(&mut out, String::new());
-        push(&mut out, "[memory.l1]".to_string());
-        push(
-            &mut out,
-            format!("capacity_bytes = {}", self.l1.capacity_bytes),
-        );
-        if let Some(e) = self.l1.access_energy_pj_per_word16 {
-            push(
-                &mut out,
-                format!("access_energy_pj_per_word16 = {}", render_num(e)),
-            );
-        }
-        push(&mut out, String::new());
-        push(&mut out, "[memory.operand_buffer]".to_string());
-        push(
-            &mut out,
-            format!("capacity_bits = {}", self.operand_buffer_bits),
-        );
-        push(&mut out, format!("count = {}", self.operand_buffers));
-        if let Some(e) = self.operand_buffer_energy_pj_per_word16 {
-            push(
-                &mut out,
-                format!("access_energy_pj_per_word16 = {}", render_num(e)),
-            );
-        }
-        push(&mut out, String::new());
-        push(&mut out, "[memory.dram]".to_string());
-        push(
-            &mut out,
-            format!(
-                "bandwidth_bytes_per_cycle = {}",
-                render_num(self.dram_bytes_per_cycle)
-            ),
-        );
-        if let Some(e) = self.dram_energy_pj_per_word16 {
-            push(
-                &mut out,
-                format!("access_energy_pj_per_word16 = {}", render_num(e)),
-            );
-        }
-        if let Some(t) = self.activity_tolerance {
-            push(&mut out, String::new());
-            push(&mut out, "[audit]".to_string());
-            push(&mut out, format!("activity_tolerance = {}", render_num(t)));
-        }
-        out
-    }
-
-    /// The JSON rendering of the same content (unbounded values render
-    /// as the string `"inf"`, since JSON has no infinity literal).
-    /// Parses back identically via [`ArchTemplate::parse`].
-    pub fn render_json(&self) -> String {
-        let num = |v: f64| -> Json {
-            if v.is_infinite() && v > 0.0 {
-                Json::Str("inf".to_string())
+    /// The canonical form: the template as a JSON document in schema key
+    /// order, optional keys present only when set, the unbounded DRAM
+    /// bandwidth spelled `"inf"` (JSON has no infinity literal).
+    /// [`ArchTemplate::parse`] of its rendering reproduces the template
+    /// exactly.
+    pub fn to_json(&self) -> Json {
+        let num = |v: f64| {
+            if v == f64::INFINITY {
+                Json::from("inf")
             } else {
                 Json::Num(v)
             }
         };
-        let level = |capacity_key: &str, capacity: u64, energy: Option<f64>| -> Json {
-            let mut o = Json::object();
-            o.set(capacity_key, capacity as f64);
+        let with_energy = |mut level: Json, energy: Option<f64>| {
             if let Some(e) = energy {
-                o.set("access_energy_pj_per_word16", num(e));
+                level.set(ENERGY, num(e));
             }
-            o
+            level
         };
+        let c = &self.config;
         let mut compute = Json::object();
-        compute.set("tensor_cores", self.tensor_cores as f64);
-        compute.set("dp_units_per_tc", self.dp_units_per_tc as f64);
-        compute.set("dp_width", self.dp_width as f64);
-        compute.set("adder_tree_duplication", self.adder_tree_duplication as f64);
-        compute.set(
-            "dequant_weights_per_cycle",
-            num(self.dequant_weights_per_cycle),
+        compute
+            .set("tensor_cores", c.tensor_cores)
+            .set("dp_units_per_tc", c.dp_units_per_tc)
+            .set("dp_width", c.dp_width)
+            .set("adder_tree_duplication", c.adder_tree_duplication)
+            .set(
+                "dequant_weights_per_cycle",
+                num(c.dequant_weights_per_cycle),
+            )
+            .set("clock_hz", num(c.clock_hz));
+        let (mut rf, mut l1, mut buffer, mut dram) = (
+            Json::object(),
+            Json::object(),
+            Json::object(),
+            Json::object(),
         );
-        compute.set("clock_hz", num(self.clock_hz));
-        let mut buffer = level(
-            "capacity_bits",
-            self.operand_buffer_bits,
-            self.operand_buffer_energy_pj_per_word16,
-        );
-        // `count` sits between capacity and the optional energy key.
-        if let Json::Obj(entries) = &mut buffer {
-            entries.insert(
-                1,
-                ("count".to_string(), Json::Num(self.operand_buffers as f64)),
-            );
-        }
-        let mut dram = Json::object();
-        dram.set("bandwidth_bytes_per_cycle", num(self.dram_bytes_per_cycle));
-        if let Some(e) = self.dram_energy_pj_per_word16 {
-            dram.set("access_energy_pj_per_word16", num(e));
-        }
+        rf.set("capacity_bytes", c.register_file_bytes);
+        l1.set("capacity_bytes", c.l1_bytes);
+        buffer
+            .set("capacity_bits", c.operand_buffer_bits)
+            .set("count", c.operand_buffers);
+        dram.set("bandwidth_bytes_per_cycle", num(c.dram_bytes_per_cycle));
         let mut memory = Json::object();
-        memory.set(
-            "register_file",
-            level(
-                "capacity_bytes",
-                self.register_file.capacity_bytes,
-                self.register_file.access_energy_pj_per_word16,
-            ),
-        );
-        memory.set(
-            "l1",
-            level(
-                "capacity_bytes",
-                self.l1.capacity_bytes,
-                self.l1.access_energy_pj_per_word16,
-            ),
-        );
-        memory.set("operand_buffer", buffer);
-        memory.set("dram", dram);
+        memory
+            .set("register_file", with_energy(rf, self.register_file_pj))
+            .set("l1", with_energy(l1, self.l1_pj))
+            .set(
+                "operand_buffer",
+                with_energy(buffer, self.operand_buffer_pj),
+            )
+            .set("dram", with_energy(dram, self.dram_pj));
         let mut doc = Json::object();
-        doc.set("schema", TEMPLATE_SCHEMA);
-        doc.set("name", self.name.as_str());
-        doc.set("dataflow", self.dataflow.token());
-        doc.set("packing", self.packing.token());
-        doc.set("dequant", self.dequant);
-        doc.set("compute", compute);
-        doc.set("memory", memory);
+        doc.set("schema", TEMPLATE_SCHEMA)
+            .set("name", self.name.as_str())
+            .set("compute", compute)
+            .set("memory", memory);
         if let Some(t) = self.activity_tolerance {
             let mut audit = Json::object();
             audit.set("activity_tolerance", num(t));
             doc.set("audit", audit);
         }
-        doc.render()
+        doc
     }
 
-    /// The template's content digest: 32 hex characters over the
-    /// canonical rendering. This is the identity folded into cache keys
-    /// (`tpl:<digest>` in the runner's arch id), checkpoint bindings
-    /// and run manifests — any content edit changes it; reformatting,
-    /// comments and TOML-vs-JSON syntax do not.
+    /// The canonical text: [`Json::render`] of [`ArchTemplate::to_json`].
+    pub fn render(&self) -> String {
+        self.to_json().render()
+    }
+
+    /// The template's content digest: 32 hex characters, two FNV-1a
+    /// hashes of the canonical text. This is the identity folded into
+    /// cache keys (`tpl:<digest>` in the runner's arch id), checkpoint
+    /// bindings and run manifests — any content edit changes it;
+    /// whitespace and key order do not.
     pub fn digest(&self) -> String {
         let text = self.render();
         format!(
@@ -760,17 +352,6 @@ impl ArchTemplate {
             fnv1a(text.as_bytes(), 0xcbf2_9ce4_8422_2325),
             fnv1a(text.as_bytes(), 0x6c62_272e_07bb_0142)
         )
-    }
-}
-
-/// Renders a number in Rust's shortest round-trip form, with TOML's
-/// `inf` literal for the unbounded-DRAM sentinel (f64→text→f64 is
-/// bit-exact for finite values under this formatting).
-fn render_num(v: f64) -> String {
-    if v.is_infinite() && v > 0.0 {
-        "inf".to_string()
-    } else {
-        format!("{v}")
     }
 }
 
@@ -783,199 +364,221 @@ fn fnv1a(bytes: &[u8], offset_basis: u64) -> u64 {
     h
 }
 
-/// Rejects any key of `doc` outside `allowed` (prefix names the
-/// section in errors) and requires `doc` to be a table.
-fn expect_keys(doc: &Json, prefix: &str, allowed: &[&str], context: &str) -> PacqResult<()> {
-    let Json::Obj(entries) = doc else {
-        return Err(PacqError::template(
+/// One object of a template document and its dotted path, for reading
+/// typed values with errors that name the full key.
+struct Table<'d> {
+    doc: &'d Json,
+    path: String,
+    context: &'d str,
+}
+
+impl<'d> Table<'d> {
+    /// The document root, which must be an object holding only `allowed`
+    /// keys.
+    fn root(doc: &'d Json, context: &'d str, allowed: &[&str]) -> PacqResult<Table<'d>> {
+        let root = Table {
+            doc,
+            path: String::new(),
             context,
-            format!("`{}` must be a table/object", prefix.trim_end_matches('.')),
-        ));
-    };
-    for (key, _) in entries {
-        if !allowed.contains(&key.as_str()) {
-            return Err(PacqError::template(
-                context,
-                format!(
-                    "unknown key `{prefix}{key}` (allowed: {})",
-                    allowed.join(", ")
-                ),
-            ));
+        };
+        root.check_keys(allowed)?;
+        Ok(root)
+    }
+
+    fn fail(&self, message: String) -> PacqError {
+        PacqError::template(self.context, message)
+    }
+
+    /// The dotted path of `key` in this table.
+    fn name(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
         }
     }
-    Ok(())
-}
 
-fn field<'d>(doc: &'d Json, prefix: &str, key: &str, context: &str) -> PacqResult<&'d Json> {
-    doc.get(key).ok_or_else(|| {
-        PacqError::template(context, format!("missing required key `{prefix}{key}`"))
-    })
-}
-
-fn section_of<'d>(doc: &'d Json, key: &str, context: &str) -> PacqResult<&'d Json> {
-    let v = field(doc, "", key, context)?;
-    if !v.is_obj() {
-        return Err(PacqError::template(
-            context,
-            format!("`{key}` must be a table/object"),
-        ));
+    /// Rejects a non-object and any key outside `allowed` or given twice
+    /// (a typo'd or repeated key must never be silently ignored: it would
+    /// change the simulated machine without changing the digest of the
+    /// template the author thought they wrote).
+    fn check_keys(&self, allowed: &[&str]) -> PacqResult<()> {
+        let Json::Obj(entries) = self.doc else {
+            return Err(self.fail(format!("`{}` must be an object", self.path)));
+        };
+        for (i, (key, _)) in entries.iter().enumerate() {
+            if !allowed.contains(&key.as_str()) {
+                return Err(self.fail(format!(
+                    "unknown key `{}` (allowed: {})",
+                    self.name(key),
+                    allowed.join(", ")
+                )));
+            }
+            if entries[..i].iter().any(|(k, _)| k == key) {
+                return Err(self.fail(format!("duplicate key `{}`", self.name(key))));
+            }
+        }
+        Ok(())
     }
-    Ok(v)
-}
 
-fn str_of<'d>(doc: &'d Json, prefix: &str, key: &str, context: &str) -> PacqResult<&'d str> {
-    field(doc, prefix, key, context)?
-        .as_str()
-        .ok_or_else(|| PacqError::template(context, format!("`{prefix}{key}` must be a string")))
-}
-
-fn bool_of(doc: &Json, prefix: &str, key: &str, context: &str) -> PacqResult<bool> {
-    match field(doc, prefix, key, context)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(PacqError::template(
-            context,
-            format!("`{prefix}{key}` must be true or false"),
-        )),
+    fn field(&self, key: &str) -> PacqResult<&'d Json> {
+        self.doc
+            .get(key)
+            .ok_or_else(|| self.fail(format!("missing required key `{}`", self.name(key))))
     }
-}
 
-/// A number, with the string `"inf"` accepted as positive infinity (the
-/// JSON spelling of TOML's `inf` literal).
-fn num_of(doc: &Json, prefix: &str, key: &str, context: &str) -> PacqResult<f64> {
-    match field(doc, prefix, key, context)? {
-        Json::Num(n) => Ok(*n),
-        Json::Str(s) if s == "inf" || s == "+inf" => Ok(f64::INFINITY),
-        _ => Err(PacqError::template(
-            context,
-            format!("`{prefix}{key}` must be a number (or \"inf\")"),
-        )),
+    /// The required sub-object `key`, holding only `allowed` keys.
+    fn table(&self, key: &str, allowed: &[&str]) -> PacqResult<Table<'d>> {
+        let table = Table {
+            doc: self.field(key)?,
+            path: self.name(key),
+            context: self.context,
+        };
+        table.check_keys(allowed)?;
+        Ok(table)
     }
-}
 
-fn opt_num_of(doc: &Json, prefix: &str, key: &str, context: &str) -> PacqResult<Option<f64>> {
-    if doc.get(key).is_none() {
-        return Ok(None);
+    fn string(&self, key: &str) -> PacqResult<&'d str> {
+        self.field(key)?
+            .as_str()
+            .ok_or_else(|| self.fail(format!("`{}` must be a string", self.name(key))))
     }
-    num_of(doc, prefix, key, context).map(Some)
-}
 
-/// A non-negative integer stored as a JSON number (exact below 2^53 —
-/// far above any plausible capacity or unit count).
-fn uint_of(doc: &Json, prefix: &str, key: &str, context: &str) -> PacqResult<u64> {
-    let n = num_of(doc, prefix, key, context)?;
-    if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64) {
-        return Err(PacqError::template(
-            context,
-            format!("`{prefix}{key}` must be a non-negative integer, got {n}"),
-        ));
+    /// A number, with the string `"inf"` accepted as positive infinity.
+    fn number(&self, key: &str) -> PacqResult<f64> {
+        match self.field(key)? {
+            Json::Num(n) => Ok(*n),
+            Json::Str(s) if s == "inf" => Ok(f64::INFINITY),
+            _ => Err(self.fail(format!(
+                "`{}` must be a number (or \"inf\")",
+                self.name(key)
+            ))),
+        }
     }
-    Ok(n as u64)
+
+    fn optional(&self, key: &str) -> PacqResult<Option<f64>> {
+        match self.doc.get(key) {
+            Some(_) => self.number(key).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// A non-negative integer stored as a JSON number (exact below 2^53 —
+    /// far above any plausible capacity or unit count).
+    fn uint(&self, key: &str) -> PacqResult<u64> {
+        let n = self.number(key)?;
+        if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64) {
+            return Err(self.fail(format!(
+                "`{}` must be a non-negative integer, got {n}",
+                self.name(key)
+            )));
+        }
+        Ok(n as u64)
+    }
+
+    fn count(&self, key: &str) -> PacqResult<usize> {
+        self.uint(key).map(|n| n as usize)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn example(name: &str) -> String {
+        let path = format!("{}/../../examples/arch/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+    }
+
     #[test]
     fn builtin_templates_reproduce_the_hardcoded_configs_bit_for_bit() {
-        for (template, arch) in [
-            (ArchTemplate::volta_like(), Architecture::StandardDequant),
-            (ArchTemplate::pacq(), Architecture::Pacq),
-            (
-                ArchTemplate::input_stationary(),
-                Architecture::InputStationary,
-            ),
-        ] {
-            template.validate("builtin").unwrap();
-            assert_eq!(template.sm_config(), SmConfig::volta_like());
-            assert_eq!(template.architecture().unwrap(), arch);
-            let derived = EnergyModel::new(&SmConfig::volta_like());
-            assert_eq!(
-                template.energy_model().unwrap().energy_canonical(),
-                derived.energy_canonical(),
-                "no-override template energies must equal the capacity-derived defaults"
-            );
-        }
+        let template = ArchTemplate::volta_like();
+        template.validate("builtin").unwrap();
+        assert_eq!(template.config, SmConfig::volta_like());
+        let derived = EnergyModel::new(&SmConfig::volta_like());
+        assert_eq!(
+            template.energy_model().unwrap().energy_canonical(),
+            derived.energy_canonical(),
+            "no-override template energies must equal the capacity-derived defaults"
+        );
     }
 
     #[test]
     fn committed_examples_reproduce_the_builders_digest_stably() {
-        // The committed examples/arch/*.toml files are the user-facing
-        // spelling of the builtin design points: each must parse, equal
-        // its builder bit for bit, and round-trip through the canonical
-        // rendering without moving the digest.
-        for (file, builder) in [
-            ("volta_like.toml", ArchTemplate::volta_like()),
-            ("pacq.toml", ArchTemplate::pacq()),
-            ("input_stationary.toml", ArchTemplate::input_stationary()),
-        ] {
-            let path = format!("{}/../../examples/arch/{file}", env!("CARGO_MANIFEST_DIR"));
-            let text = std::fs::read_to_string(&path).unwrap();
-            let parsed = ArchTemplate::parse(&text, &path).unwrap();
-            parsed.validate(&path).unwrap();
-            assert_eq!(parsed, builder, "{file} drifted from its builder");
-            assert_eq!(parsed.digest(), builder.digest());
-            let reparsed = ArchTemplate::parse(&parsed.render(), &path).unwrap();
-            assert_eq!(reparsed.digest(), parsed.digest(), "{file} digest unstable");
-            assert_eq!(
-                parsed.architecture().unwrap(),
-                builder.architecture().unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn toml_and_json_renderings_round_trip_and_share_a_digest() {
-        let mut t = ArchTemplate::pacq();
-        t.l1.access_energy_pj_per_word16 = Some(2.5);
-        let from_toml = ArchTemplate::parse(&t.render(), "toml").unwrap();
-        let from_json = ArchTemplate::parse(&t.render_json(), "json").unwrap();
-        assert_eq!(from_toml, t);
-        assert_eq!(from_json, t);
-        assert_eq!(from_toml.digest(), t.digest());
-        assert_eq!(from_json.digest(), t.digest());
+        // The committed example is the builder's canonical text, byte for
+        // byte: it parses back to the builder and keeps its digest.
+        let text = example("volta_like.json");
+        let parsed = ArchTemplate::load(&text, "volta_like.json").unwrap();
+        assert_eq!(parsed, ArchTemplate::volta_like());
+        assert_eq!(text, parsed.render(), "volta_like.json is not canonical");
+        assert_eq!(parsed.digest(), ArchTemplate::volta_like().digest());
     }
 
     #[test]
     fn digest_tracks_content_not_formatting() {
         let t = ArchTemplate::volta_like();
-        let mut commented = String::from("# a reformatted copy\n");
-        commented.push_str(&t.render().replace("\n\n", "\n\n# section\n"));
-        let reparsed = ArchTemplate::parse(&commented, "test").unwrap();
-        assert_eq!(reparsed.digest(), t.digest());
+        // Whitespace and key order are not content.
+        let squeezed = t.to_json().render_line();
+        let reordered = t
+            .render()
+            .replacen(
+                "\"schema\": \"pacq-arch/v2\",\n  \"name\": \"volta-like\",",
+                "\"name\": \"volta-like\",\n  \"schema\": \"pacq-arch/v2\",",
+                1,
+            )
+            .replacen(
+                "\"capacity_bits\": 3072,\n      \"count\": 2",
+                "\"count\": 2, \"capacity_bits\": 3072",
+                1,
+            );
+        assert_ne!(reordered, t.render());
+        for text in [squeezed, reordered] {
+            let reparsed = ArchTemplate::parse(&text, "test").unwrap();
+            assert_eq!(reparsed, t);
+            assert_eq!(reparsed.digest(), t.digest());
+        }
 
-        let mut edited = t.clone();
-        edited.l1.access_energy_pj_per_word16 = Some(
+        // One access energy, one capacity: different machines.
+        let mut energy = t.clone();
+        energy.l1_pj = Some(
             EnergyModel::new(&SmConfig::volta_like()).levels()[2].energy_per_word16_pj() + 1.0,
         );
-        assert_ne!(edited.digest(), t.digest());
+        let mut capacity = t.clone();
+        capacity.config.l1_bytes += 1024;
+        for edited in [energy, capacity] {
+            assert_ne!(edited.digest(), t.digest());
+        }
     }
 
     #[test]
     fn audit_tolerance_round_trips_and_moves_the_digest() {
-        let mut t = ArchTemplate::pacq();
+        let mut t = ArchTemplate::volta_like();
         t.activity_tolerance = Some(0.5);
         t.validate("test").unwrap();
-        let from_toml = ArchTemplate::parse(&t.render(), "toml").unwrap();
-        let from_json = ArchTemplate::parse(&t.render_json(), "json").unwrap();
-        assert_eq!(from_toml, t);
-        assert_eq!(from_json, t);
-        assert!(t.render().contains("[audit]\nactivity_tolerance = 0.5"));
+        assert_eq!(ArchTemplate::parse(&t.render(), "json").unwrap(), t);
+        assert!(
+            t.render()
+                .contains("\"audit\": {\n    \"activity_tolerance\": 0.5\n  }"),
+            "{}",
+            t.render()
+        );
         assert_ne!(
             t.digest(),
-            ArchTemplate::pacq().digest(),
+            ArchTemplate::volta_like().digest(),
             "pinning a tolerance is a content edit"
         );
-        // An empty `[audit]` table is allowed and means "defaults".
-        let text = format!("{}\n[audit]\n", ArchTemplate::pacq().render());
-        let parsed = ArchTemplate::parse(&text, "toml").unwrap();
+        // An empty `audit` object is allowed and means "defaults".
+        let text = ArchTemplate::volta_like()
+            .render()
+            .replacen("\n}", ",\n  \"audit\": {}\n}", 1);
+        let parsed = ArchTemplate::parse(&text, "json").unwrap();
         assert_eq!(parsed.activity_tolerance, None);
-        assert_eq!(parsed.digest(), ArchTemplate::pacq().digest());
+        assert_eq!(parsed.digest(), ArchTemplate::volta_like().digest());
     }
 
     #[test]
     fn audit_section_rejects_unknown_keys_and_bad_tolerances() {
-        let mut t = ArchTemplate::pacq();
+        let mut t = ArchTemplate::volta_like();
         t.activity_tolerance = Some(0.5);
         let typo = t.render().replace("activity_tolerance", "activity_tol");
         let err = ArchTemplate::parse(&typo, "test").unwrap_err();
@@ -990,83 +593,70 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_triple_maps_onto_the_four_architectures() {
-        let mut t = ArchTemplate::volta_like();
-        assert_eq!(t.architecture().unwrap(), Architecture::StandardDequant);
-        t.dequant = false;
-        assert_eq!(t.architecture().unwrap(), Architecture::PackedK);
-        t.dataflow = Dataflow::InputStationary;
-        assert_eq!(t.architecture().unwrap(), Architecture::InputStationary);
-        t.dataflow = Dataflow::OutputStationary;
-        t.packing = Packing::AlongN;
-        assert_eq!(t.architecture().unwrap(), Architecture::Pacq);
-        // Unsupported triples are typed template errors naming the
-        // supported set — (is,k,false) is in it, the exit-9 stub gone.
-        t.dequant = true; // (os, n, true)
-        let err = t.architecture().unwrap_err();
-        assert_eq!(err.exit_code(), 9);
-        assert!(
-            err.to_string().contains("(is,k,false)=input-stationary"),
-            "{err}"
-        );
-        // (is, n, false) is NOT implemented: input-stationary movement
-        // needs the k-packed words that align with the held A tile.
-        t.dataflow = Dataflow::InputStationary;
-        t.dequant = false;
-        assert_eq!(t.architecture().unwrap_err().exit_code(), 9);
-    }
-
-    #[test]
     fn validation_rejects_inconsistent_hierarchies() {
         // An L1 cheaper than the register file breaks the RF < L1 < DRAM
         // ordering the dataflow analysis rests on.
-        let mut t = ArchTemplate::pacq();
-        t.l1.access_energy_pj_per_word16 = Some(0.001);
+        let mut t = ArchTemplate::volta_like();
+        t.l1_pj = Some(0.001);
         let err = t.validate("test").unwrap_err();
         assert_eq!(err.exit_code(), 9, "{err}");
         assert!(err.to_string().contains("hierarchy"), "{err}");
 
-        let mut t = ArchTemplate::pacq();
-        t.dp_width = 5;
+        let mut t = ArchTemplate::volta_like();
+        t.config.dp_width = 5;
         let err = t.validate("test").unwrap_err();
         assert_eq!(err.exit_code(), 9, "{err}");
         assert!(err.to_string().contains("dp_width"), "{err}");
 
-        let mut t = ArchTemplate::pacq();
-        t.register_file.access_energy_pj_per_word16 = Some(-1.0);
+        let mut t = ArchTemplate::volta_like();
+        t.register_file_pj = Some(-1.0);
         assert_eq!(t.validate("test").unwrap_err().exit_code(), 9);
 
-        let mut t = ArchTemplate::pacq();
-        t.clock_hz = f64::NAN;
+        let mut t = ArchTemplate::volta_like();
+        t.config.clock_hz = f64::NAN;
         assert_eq!(t.validate("test").unwrap_err().exit_code(), 9);
 
-        let mut t = ArchTemplate::pacq();
+        let mut t = ArchTemplate::volta_like();
         t.name = "bad name!".to_string();
         assert_eq!(t.validate("test").unwrap_err().exit_code(), 9);
     }
 
     #[test]
     fn unknown_and_missing_keys_are_rejected_with_the_context() {
-        let mut text = ArchTemplate::volta_like().render();
-        text.push_str("\n[memory.l2]\ncapacity_bytes = 1\n");
-        let err = ArchTemplate::parse(&text, "examples/arch/x.toml").unwrap_err();
-        assert_eq!(err.exit_code(), 9);
-        assert!(err.to_string().contains("memory.l2"), "{err}");
-        assert!(err.to_string().contains("examples/arch/x.toml"), "{err}");
-
-        let missing = "schema = \"pacq-arch/v1\"\nname = \"x\"\n";
-        let err = ArchTemplate::parse(missing, "test").unwrap_err();
-        assert_eq!(err.exit_code(), 9);
-        assert!(err.to_string().contains("dataflow"), "{err}");
-
-        let wrong_schema = ArchTemplate::volta_like()
-            .render()
-            .replace("pacq-arch/v1", "pacq-arch/v2");
-        assert_eq!(
-            ArchTemplate::parse(&wrong_schema, "test")
-                .unwrap_err()
-                .exit_code(),
-            9
+        let text = ArchTemplate::volta_like().render();
+        let typed = |text: &str, want: &str| {
+            let err = ArchTemplate::parse(text, "examples/arch/x.json").unwrap_err();
+            assert_eq!(err.exit_code(), 9, "{err}");
+            assert!(err.to_string().contains(want), "{err}");
+            assert!(err.to_string().contains("examples/arch/x.json"), "{err}");
+        };
+        // An extra level, a dropped key, a repeated key.
+        typed(
+            &text.replacen(
+                "\"l1\": {",
+                "\"l2\": {\"capacity_bytes\": 1},\n\"l1\": {",
+                1,
+            ),
+            "memory.l2",
         );
+        typed(
+            &text.replacen("\"dp_width\": 4,", "", 1),
+            "missing required key `compute.dp_width`",
+        );
+        typed(
+            &text.replacen("\"dp_width\": 4,", "\"dp_width\": 4, \"dp_width\": 8,", 1),
+            "duplicate key `compute.dp_width`",
+        );
+        // The retired dataflow keys are unknown keys now.
+        typed(
+            &text.replacen("\"compute\"", "\"dataflow\": \"os\",\n  \"compute\"", 1),
+            "unknown key `dataflow`",
+        );
+        // The old schema, and a TOML document, are template errors too.
+        typed(
+            &text.replace("pacq-arch/v2", "pacq-arch/v1"),
+            "pacq-arch/v2",
+        );
+        typed("schema = \"pacq-arch/v2\"\nname = \"x\"\n", "JSON syntax");
     }
 }

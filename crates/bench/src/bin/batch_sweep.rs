@@ -16,7 +16,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("batch_sweep")?;
+    let metrics = pacq_bench::init("batch_sweep", pacq_bench::MACHINE_FLAGS)?;
     let mut out = banner(
         "Batch sweep (extension)",
         "EDP reduction and speedup vs batch size (n4096 k4096, INT4)",

@@ -12,7 +12,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig10")?;
+    let metrics = pacq_bench::init("fig10", pacq_bench::MACHINE_FLAGS)?;
     let mut out = banner(
         "Figure 10",
         "normalized EDP: Standard vs P(B_x)_k vs PacQ (Llama2-7B shapes, batch 16)",

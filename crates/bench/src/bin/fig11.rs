@@ -12,7 +12,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig11")?;
+    let metrics = pacq_bench::init("fig11", pacq_bench::MACHINE_FLAGS)?;
     let mut out = banner(
         "Figure 11",
         "adder-tree duplication ablation (PacQ DP-4, m16n16k16)",

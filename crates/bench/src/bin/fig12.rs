@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig12")?;
+    let metrics = pacq_bench::init("fig12", pacq_bench::MACHINE_FLAGS)?;
     let mut out = banner(
         "Figure 12",
         "(a) DP unit size study; (b) PacQ vs Mix-GEMM (m16n16k16, thr/watt)",

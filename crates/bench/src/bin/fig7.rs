@@ -12,7 +12,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig7")?;
+    let metrics = pacq_bench::init("fig7", pacq_bench::MACHINE_FLAGS)?;
     let mut out = banner(
         "Figure 7",
         "register-file accesses and speedup, PacQ vs P(B_x)_k (m16n16k16)",

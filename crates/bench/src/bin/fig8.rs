@@ -12,7 +12,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig8")?;
+    let metrics = pacq_bench::init("fig8", "")?;
     let mut out = banner(
         "Figure 8",
         "throughput/watt of the parallel FP-INT units vs FP16 baselines",

@@ -10,7 +10,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig9")?;
+    let metrics = pacq_bench::init("fig9", "")?;
     let mut out = banner(
         "Figure 9",
         "power breakdown of the parallel units (reused vs new)",

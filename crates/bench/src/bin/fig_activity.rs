@@ -18,7 +18,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig_activity")?;
+    let metrics = pacq_bench::init("fig_activity", "")?;
     let mut out = banner(
         "Activity calibration (extension)",
         "toggle-priced multiplier energy vs the calibrated constants",

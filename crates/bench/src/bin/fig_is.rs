@@ -25,7 +25,7 @@ fn main() -> std::process::ExitCode {
 const ARCHS: [Architecture; 4] = Architecture::ALL;
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("fig_is")?;
+    let metrics = pacq_bench::init("fig_is", pacq_bench::MACHINE_FLAGS)?;
     let mut out = banner(
         "Dataflow stationarity",
         "normalized EDP: ws (std, P(B_x)_k) vs is vs os/PacQ (Llama2-7B shapes)",

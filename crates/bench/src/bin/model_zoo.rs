@@ -13,7 +13,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("model_zoo")?;
+    let metrics = pacq_bench::init("model_zoo", pacq_bench::MACHINE_FLAGS)?;
     let mut out = banner(
         "Model zoo (extension)",
         "per-block totals across models (batch 16)",

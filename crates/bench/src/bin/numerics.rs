@@ -26,7 +26,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("numerics")?;
+    let metrics = pacq_bench::init("numerics", "")?;
     let mut out = banner(
         "Numerics study (extension)",
         "GEMM error of the PacQ datapath: rounded biased products vs wide products",
@@ -47,12 +47,7 @@ fn run() -> pacq::PacqResult<String> {
                 let a = MatrixF32::from_fn(8, k, |m, kk| base_a.get(m, kk) * act_scale).to_f16();
 
                 let group = GroupShape::along_k(64.min(k));
-                let mk = |mode| {
-                    GemmRunner::new()
-                        .with_group(group)
-                        .with_numerics(mode)
-                        .with_cache_opt(metrics.cache())
-                };
+                let mk = |mode| GemmRunner::new().with_group(group).with_numerics(mode);
 
                 let p_n =
                     mk(NumericsMode::Wide).quantize_and_pack(&w, precision, Architecture::Pacq)?;

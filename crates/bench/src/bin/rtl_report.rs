@@ -14,7 +14,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("rtl_report")?;
+    let metrics = pacq_bench::init("rtl_report", "")?;
     let mut out = banner(
         "RTL report (extension)",
         "gate-level netlists of the Table I multipliers",

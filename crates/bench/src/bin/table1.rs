@@ -12,7 +12,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("table1")?;
+    let metrics = pacq_bench::init("table1", "")?;
     let mut out = banner(
         "Table I",
         "configuration of PacQ and the baselines",

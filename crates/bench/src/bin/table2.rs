@@ -19,7 +19,7 @@ fn main() -> std::process::ExitCode {
 }
 
 fn run() -> pacq::PacqResult<String> {
-    let metrics = pacq_bench::init("table2")?;
+    let metrics = pacq_bench::init("table2", "")?;
     let mut out = banner(
         "Table II",
         "RTN PTQ quality: k-only vs [n,k] quantization groups (W4A16)",

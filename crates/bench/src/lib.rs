@@ -3,9 +3,9 @@
 //! One binary per table/figure of the paper (run them with
 //! `cargo run -p pacq-bench --release --bin figN`). This library hosts
 //! [`init`], which gives every binary the `pacq` argument grammar and
-//! global run knobs (`--jobs`, `--metrics`, `--cache`, `--hot`,
-//! `--arch-template`, each as `--f V` or `--f=V`), plus small shared
-//! formatting helpers.
+//! run knobs (`--jobs` and `--metrics` everywhere; `--cache`, `--hot`
+//! and `--arch-template` where the binary simulates a machine; each as
+//! `--f V` or `--f=V`), plus small shared formatting helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,11 +25,16 @@ pub struct Metrics {
     knobs: pacq::cli::Knobs,
 }
 
+/// The flags a binary that prices reports on a [`Metrics::runner`]
+/// passes to [`init`]: the report store and the machine template.
+pub const MACHINE_FLAGS: &str = "--cache --hot --arch-template";
+
 /// Parses the process arguments of a figure/table binary through the
-/// shared grammar and applies the global run knobs exactly as `pacq`
-/// does (`--jobs`, `--metrics`, `--cache` with `--hot`,
-/// `--arch-template`, and the `PACQ_JOBS` env spelling).
-/// Any other argument is a usage error naming it and the binary.
+/// shared grammar and applies the run knobs exactly as `pacq` does: the
+/// global `--jobs` (with its `PACQ_JOBS` env spelling) and `--metrics`,
+/// plus the binary's own `flags` (empty, or [`MACHINE_FLAGS`]). Any
+/// other argument is a usage error naming it and the binary, so a flag
+/// the binary would ignore never looks accepted.
 ///
 /// # Errors
 ///
@@ -38,9 +43,9 @@ pub struct Metrics {
 /// without `--cache`; an I/O error (exit code 6) when the cache
 /// directory cannot be created; a template error (exit code 9) when
 /// `--arch-template` names a file that does not validate.
-pub fn init(binary: &'static str) -> pacq::PacqResult<Metrics> {
+pub fn init(binary: &'static str, flags: &str) -> pacq::PacqResult<Metrics> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let accepted = format!("{} --arch-template", pacq::cli::GLOBAL_FLAGS);
+    let accepted = format!("{} {flags}", pacq::cli::GLOBAL_FLAGS);
     let args = pacq::args::Args::parse(&argv, binary, &accepted)?;
     if let Some(extra) = args.positionals().next() {
         return Err(pacq::args::does_not_apply(extra, binary));
@@ -59,12 +64,6 @@ pub fn init(binary: &'static str) -> pacq::PacqResult<Metrics> {
 }
 
 impl Metrics {
-    /// The report cache to attach to runners (`--cache DIR`, with any
-    /// `--hot N` tier), if any.
-    pub fn cache(&self) -> Option<std::sync::Arc<pacq::ReportCache>> {
-        self.knobs.cache.clone()
-    }
-
     /// A [`pacq::GemmRunner`] carrying every shared knob of this run
     /// ([`pacq::cli::Knobs::runner`]).
     ///

@@ -127,13 +127,37 @@ fn figure_binaries_take_the_pacq_knobs_and_nothing_else() {
         "{stderr}"
     );
     exits(env!("CARGO_BIN_EXE_table1"), &["--frobnicate", "x"], 2);
+    // A binary that prices no report on the run's machine reads neither
+    // the store nor a template, so it refuses both instead of printing
+    // the builtin machine under a template's name.
+    for (name, bin) in [
+        ("fig8", env!("CARGO_BIN_EXE_fig8")),
+        ("fig9", fig9),
+        ("fig_activity", env!("CARGO_BIN_EXE_fig_activity")),
+        ("numerics", env!("CARGO_BIN_EXE_numerics")),
+        ("rtl_report", env!("CARGO_BIN_EXE_rtl_report")),
+        ("table1", env!("CARGO_BIN_EXE_table1")),
+        ("table2", env!("CARGO_BIN_EXE_table2")),
+    ] {
+        for flag in ["--cache", "--hot", "--arch-template"] {
+            let stderr = exits(bin, &[flag, "x"], 2);
+            assert!(
+                stderr.contains(&format!("`{flag}` does not apply to `{name}`")),
+                "{stderr}"
+            );
+        }
+    }
     // --hot mounts a tier in front of --cache, exactly as on `pacq`.
-    assert!(exits(fig9, &["--hot", "4"], 2).contains("--cache"));
-    let dir = std::env::temp_dir().join(format!("pacq-fig9-hot-{}", std::process::id()));
-    exits(fig9, &["--cache", &dir.to_string_lossy(), "--hot=4"], 0);
+    let fig7 = env!("CARGO_BIN_EXE_fig7");
+    assert!(exits(fig7, &["--hot", "4"], 2).contains("--cache"));
+    // An explicit worker count and a store run a figure clean.
+    let dir = std::env::temp_dir().join(format!("pacq-fig7-hot-{}", std::process::id()));
+    exits(
+        fig7,
+        &["--jobs", "2", "--cache", &dir.to_string_lossy(), "--hot=4"],
+        0,
+    );
     let _ = std::fs::remove_dir_all(&dir);
-    // An explicit worker count runs a figure clean.
-    exits(env!("CARGO_BIN_EXE_fig7"), &["--jobs", "2"], 0);
 }
 
 /// A figure binary's `--metrics` manifest is schema-valid, names the

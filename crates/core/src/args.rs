@@ -14,7 +14,9 @@
 //!   looks accepted.
 //!
 //! Values stay strings here; every typed validator lives with the knob
-//! it validates and runs on every occurrence ([`Args::last`]).
+//! it validates and runs on every occurrence ([`Args::last`]). The one
+//! exception is [`validate_count`], the positive-count rule every count
+//! flag shares.
 
 use pacq_error::{PacqError, PacqResult};
 
@@ -52,6 +54,32 @@ fn lists(accepted: &str, flag: &str) -> bool {
 /// or positional an entry point does not take.
 pub fn does_not_apply(token: &str, entry: &str) -> PacqError {
     PacqError::usage(format!("`{token}` does not apply to `{entry}`"))
+}
+
+/// The one validator of a positive count: `--jobs` and `PACQ_JOBS`,
+/// `--hot`, serve's `--rate`/`--burst`/`--max-clients` and loadgen's
+/// counts. Surrounding whitespace is tolerated, the digits must be plain
+/// (no sign — `+4` is a typo, not a count — and no decimal point), zero
+/// is rejected, and the count is capped at the caller's `max`. `source`
+/// names the spelling in the error message.
+///
+/// # Errors
+///
+/// Returns [`PacqError::Usage`] naming `source` for any other input.
+pub fn validate_count(raw: &str, source: &str, max: u64) -> PacqResult<u64> {
+    let text = raw.trim();
+    if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(PacqError::usage(format!(
+            "invalid {source} value `{raw}` (want a plain positive integer)"
+        )));
+    }
+    match text.parse::<u64>() {
+        Ok(0) => Err(PacqError::usage(format!("{source} must be at least 1"))),
+        Ok(n) if n <= max => Ok(n),
+        _ => Err(PacqError::usage(format!(
+            "{source} must be at most {max}, got `{raw}`"
+        ))),
+    }
 }
 
 /// One argv token after parsing.

@@ -31,45 +31,51 @@ pacq — PacQ hyper-asymmetric GEMM simulator (DAC 2025 reproduction)
 USAGE:
   pacq analyze --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
                [--group g128|g256|g32x4|g64x4|gK] [--dup 1|2|4] [--width 4|8|16]
-               [--json]
+               [--json] [--cache DIR [--hot N]] [--arch-template FILE]
   pacq compare --shape mMnNkK [--precision int4|int2] [--group ...] [--dup ...]
-               [--width ...]
+               [--width ...] [--cache DIR [--hot N]] [--arch-template FILE]
   pacq dse --shape mMnNkK [--param axis=v1,v2,...]... [--pareto]
-           [--shard i/N] [--checkpoint FILE]
+           [--shard i/N] [--checkpoint FILE] [--cache DIR [--hot N]]
+           [--arch-template FILE]
   pacq exec --shape mMnNkK [--arch std|packedk|is|pacq] [--precision int4|int2]
-            [--group ...] [--dup ...] [--width ...] [--check]
+            [--group ...] [--check]
   pacq cache stats|clear|verify --cache DIR
   pacq audit [--activity] [--tolerance X] [--activity-scale S]
+             [--cache DIR [--hot N]] [--arch-template FILE]
   pacq trace --out trace.json [--arch ...] [--precision ...] [--dup ...] [--width ...]
+             [--arch-template FILE]
   pacq serve (--port N | --stdio) [--rate N] [--burst N] [--max-clients N]
+             [--cache DIR [--hot N]]
   pacq loadgen (--addr HOST:PORT | --ready-log FILE | --spawn)
                [--requests N] [--clients N] [--window N] [--unique N]
-               [--sample N]
+               [--sample N] [--cache DIR [--hot N]]
   pacq help
 
 Every command also accepts --jobs N (worker threads for grids and
 functional execution; defaults to the PACQ_JOBS environment variable,
-then the host parallelism; results are bit-identical at any job count),
---metrics PATH (write a machine-readable JSON run manifest, schema
-pacq-metrics/v1 — see DESIGN.md §11), --cache DIR (a content-addressed
-on-disk report cache: repeated analyses of the same point become
-lookups, bit-identical to fresh runs — see DESIGN.md §12), and
---hot N (with --cache: a bounded in-memory LRU hot tier of N entries in
-front of the disk store; hits are bit-identical and tallied separately
-as cache.hot_hits/hot_misses/hot_evictions — see DESIGN.md §15).
+then the host parallelism; results are bit-identical at any job count)
+and --metrics PATH (write a machine-readable JSON run manifest, schema
+pacq-metrics/v1 — see DESIGN.md §11).
 
-analyze, compare, dse, exec and trace also accept
---arch-template FILE: a declarative pacq-arch/v1 architecture template
-(TOML or JSON, see DESIGN.md §18) replacing the builtin Volta-like
-machine — memory hierarchy capacities and access energies, datapath
-widths, clock and dataflow all come from the file, and the template's
-content digest is folded into every cache key, checkpoint binding and
-run manifest, so editing the template invalidates stale artifacts with
-typed errors. The template pins the dataflow, so --arch conflicts with
-it. Committed examples: examples/arch/volta_like.toml (the hardcoded
-Table I machine, bit for bit), examples/arch/pacq.toml and
-examples/arch/input_stationary.toml (dataflow = \"is\": the activation
-tile held in the tensor-core buffers across the n loop).
+The commands that price reports also accept --cache DIR (a
+content-addressed on-disk report cache: repeated analyses of the same
+point become lookups, bit-identical to fresh runs — see DESIGN.md §12)
+and --hot N (with --cache: a bounded in-memory LRU hot tier of N
+entries in front of the disk store; hits are bit-identical and tallied
+separately as cache.hot_hits/hot_misses/hot_evictions — see DESIGN.md
+§15). `pacq cache` takes --cache alone.
+
+analyze, compare, dse and trace also accept --arch-template FILE: a
+declarative pacq-arch/v2 architecture template (JSON, see DESIGN.md
+§18) replacing the builtin Volta-like machine — memory hierarchy
+capacities and access energies, datapath widths and clock all come
+from the file. The template describes only the machine: --arch (or
+dse's --param arch=) still picks the dataflow, PacQ by default. The
+template's content digest is folded into every cache key, checkpoint
+binding and run manifest, so editing the template invalidates stale
+artifacts with typed errors. The committed example
+examples/arch/volta_like.json is the hardcoded Table I machine, bit for
+bit.
 
 `pacq dse` grid-searches design points over the template (or builtin)
 machine. It takes only n and k from --shape; the batches (the m
@@ -89,17 +95,19 @@ rankings stay complete (otherwise they are flagged partial).
 
 Every value flag is spelled --f V or --f=V. A flag a command does not
 use is a usage error naming the flag and the command, never silently
-ignored. The figure binaries (pacq-bench) take the global flags above
-and --arch-template under the same rules.
+ignored. The figure binaries (pacq-bench) take --jobs and --metrics
+under the same rules; those that simulate a machine also take --cache,
+--hot and --arch-template.
 
 `pacq exec` functionally executes one GEMM through the bit-accurate
-datapath on deterministic synthetic data, printing a result digest and
-throughput of the batched column-tile kernel. With --check it also runs
-the scalar reference datapath on the same inputs, asserts the results
-are bit-identical, and reports the batched-over-scalar speedup (also
-recorded in the --metrics manifest). Each operand (m x k activations,
-k x n weights, m x n results) is capped at 2^26 elements; a larger
-shape is rejected (exit 4) before anything is allocated.
+DP-4 datapath of the builtin machine on deterministic synthetic data
+(so it takes no --dup, --width or --arch-template), printing a result
+digest and throughput of the batched column-tile kernel. With --check
+it also runs the scalar reference datapath on the same inputs, asserts
+the results are bit-identical, and reports the batched-over-scalar
+speedup (also recorded in the --metrics manifest). Each operand (m x k
+activations, k x n weights, m x n results) is capped at 2^26 elements;
+a larger shape is rejected (exit 4) before anything is allocated.
 
 `pacq audit` cross-checks the analytic dataflow engine against the
 event-driven per-octet replay on a grid of shapes (including ragged,
@@ -142,10 +150,10 @@ cycling --unique distinct evaluation points (repeats exercise the
 cache tiers). The target is --addr HOST:PORT, --ready-log FILE (polls
 a server log for the pacq-serve/v1 ready frame, as written by
 `pacq serve --port 0`), or --spawn (an in-process server sharing this
-invocation's --cache/--hot). Every request must be answered
-exactly once (lost replies are a typed error); the first --sample
-unique points are re-evaluated in process and must match the served
-bytes exactly. Latency p50/p95/p99, a log2 histogram, and throughput
+invocation's --cache/--hot, which apply only with --spawn). Every
+request must be answered exactly once (lost replies are a typed
+error); the first --sample unique points are re-evaluated in process
+and must match the served bytes exactly. Latency p50/p95/p99, a log2 histogram, and throughput
 go to stdout and the --metrics manifest. See DESIGN.md §16.
 
 EXAMPLES:
@@ -158,24 +166,31 @@ fn err(msg: impl Into<String>) -> PacqError {
     PacqError::usage(msg)
 }
 
-/// The run knobs every entry point accepts ([`Knobs`]); machine-simulating
-/// entry points also accept `--arch-template`.
-pub const GLOBAL_FLAGS: &str = "--metrics --cache --hot --jobs";
+/// The run knobs every entry point accepts.
+pub const GLOBAL_FLAGS: &str = "--metrics --jobs";
+
+/// Every run knob [`Knobs`] resolves: [`GLOBAL_FLAGS`] plus the store
+/// and the template, which only the entry points that read them list.
+/// A run manifest's invocation record leaves all of them out.
+const RUN_KNOBS: &str = "--metrics --cache --hot --jobs --arch-template";
 
 /// Every `pacq` command, each followed by the flags it accepts besides
-/// [`GLOBAL_FLAGS`]. Commands that simulate no machine (`cache`,
-/// `serve`, `loadgen`) do not list `--arch-template`: silently ignoring
-/// it would misattribute their output to the template.
+/// [`GLOBAL_FLAGS`]. Only the commands that read the report store list
+/// `--cache --hot`, and only those that simulate a machine list
+/// `--arch-template`: a flag nothing reads would misattribute the
+/// output to it.
 const COMMANDS: [&str; 9] = [
-    "analyze --shape --arch --precision --group --dup --width --json --arch-template",
-    "compare --shape --precision --group --dup --width --arch-template",
-    "dse --shape --param --shard --checkpoint --pareto --arch-template",
-    "exec --shape --arch --precision --group --dup --width --check --arch-template",
-    "cache",
-    "audit --activity --tolerance --activity-scale --arch-template",
+    "analyze --shape --arch --precision --group --dup --width --json --cache --hot \
+     --arch-template",
+    "compare --shape --precision --group --dup --width --cache --hot --arch-template",
+    "dse --shape --param --shard --checkpoint --pareto --cache --hot --arch-template",
+    "exec --shape --arch --precision --group --check",
+    "cache --cache",
+    "audit --activity --tolerance --activity-scale --cache --hot --arch-template",
     "trace --arch --precision --dup --width --out --arch-template",
-    "serve --port --stdio --rate --burst --max-clients",
-    "loadgen --addr --ready-log --spawn --requests --clients --window --unique --sample",
+    "serve --port --stdio --rate --burst --max-clients --cache --hot",
+    "loadgen --addr --ready-log --spawn --requests --clients --window --unique --sample \
+     --cache --hot",
 ];
 
 /// The flags `pacq <command>` accepts besides [`GLOBAL_FLAGS`]; `None`
@@ -218,7 +233,7 @@ impl Knobs {
         let jobs = args.last("--jobs", |v| par::validate_jobs(v, "--jobs"))?;
         let env_jobs = par::validated_env_jobs()?;
         let hot = args.last("--hot", |v| {
-            crate::serve::validate_serve_count(v, "--hot", MAX_HOT_ENTRIES)
+            crate::args::validate_count(v, "--hot", MAX_HOT_ENTRIES)
         })?;
         let template = args.last("--arch-template", load_arch_template)?;
         let cache = match (args.values("--cache").last(), hot) {
@@ -258,7 +273,7 @@ impl Knobs {
         let mut runner = GemmRunner::new().with_cache_opt(self.cache.clone());
         if let Some(t) = &self.template {
             runner = runner
-                .with_config(t.sm_config())
+                .with_config(t.config)
                 .with_energy_model(t.energy_model()?)
                 .with_template_digest(t.digest());
         }
@@ -283,7 +298,7 @@ impl Knobs {
         let Some(path) = &self.metrics else {
             return Ok(());
         };
-        let invocation = args.without(&format!("{GLOBAL_FLAGS} --arch-template"));
+        let invocation = args.without(RUN_KNOBS);
         let mut manifest = RunManifest::new(binary, &invocation)
             .with_jobs(jobs)
             .with_effective_jobs(rayon::current_num_threads())
@@ -383,15 +398,13 @@ fn dispatch(command: &str, args: &Args, knobs: &Knobs) -> PacqResult<String> {
     }
 }
 
-/// Parsed design-point options. `arch`, `dup` and `width` stay `None`
-/// until the user passes the flag — the effective value depends on
-/// whether an architecture template is in play (the template's datapath
-/// must not be silently clobbered by a hardcoded default), so resolution
-/// happens in [`resolve_arch`] / [`runner_for`].
+/// Parsed design-point options. `dup` and `width` stay `None` until the
+/// user passes the flag — the template's datapath must not be silently
+/// clobbered by a hardcoded default, so [`runner_for`] resolves them.
 struct Options {
     shape: GemmShape,
     precision: WeightPrecision,
-    arch: Option<Architecture>,
+    arch: Architecture,
     group: GroupShape,
     dup: Option<usize>,
     width: Option<usize>,
@@ -407,7 +420,9 @@ fn parse_options(args: &Args, require_shape: bool) -> PacqResult<Options> {
         precision: args
             .last("--precision", parse_precision)?
             .unwrap_or(WeightPrecision::Int4),
-        arch: args.last("--arch", parse_arch)?,
+        arch: args
+            .last("--arch", parse_arch)?
+            .unwrap_or(Architecture::Pacq),
         group: args
             .last("--group", parse_group)?
             .unwrap_or(GroupShape::G128),
@@ -418,25 +433,6 @@ fn parse_options(args: &Args, require_shape: bool) -> PacqResult<Options> {
         return Err(err("--shape is required (e.g. --shape m16n4096k4096)"));
     }
     Ok(opts)
-}
-
-/// The architecture a single-point command simulates: the `--arch` flag
-/// without a template, the template's dataflow with one (an explicit
-/// `--arch` then conflicts — the template pins the dataflow), PacQ when
-/// neither says.
-fn resolve_arch(
-    arch: Option<Architecture>,
-    template: Option<&ArchTemplate>,
-) -> PacqResult<Architecture> {
-    match (arch, template) {
-        (Some(_), Some(_)) => Err(err(
-            "--arch conflicts with --arch-template: the template's dataflow/packing/dequant \
-             triple pins the architecture",
-        )),
-        (Some(a), None) => Ok(a),
-        (None, Some(t)) => t.architecture(),
-        (None, None) => Ok(Architecture::Pacq),
-    }
 }
 
 /// Parses the paper's `mMnNkK` shape notation.
@@ -597,7 +593,7 @@ pub const EXEC_MAX_ELEMENTS: u64 = 1 << 26;
 /// inputs, asserts bit-identity, and reports the speedup.
 fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let opts = parse_options(args, true)?;
-    let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
+    let arch = opts.arch;
     let _span = pacq_trace::span("cli.exec");
     let (m, n, k) = (opts.shape.m, opts.shape.n, opts.shape.k);
     for (what, rows, cols) in [("activation", m, k), ("weight", k, n), ("result", m, n)] {
@@ -678,9 +674,8 @@ fn exec(args: &Args, knobs: &Knobs) -> PacqResult<String> {
 
 fn analyze(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let opts = parse_options(args, true)?;
-    let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
     let runner = runner_for(&opts, knobs)?;
-    let report = runner.analyze(arch, Workload::new(opts.shape, opts.precision))?;
+    let report = runner.analyze(opts.arch, Workload::new(opts.shape, opts.precision))?;
     if args.has("--json") {
         Ok(report_json(&report))
     } else {
@@ -691,8 +686,7 @@ fn analyze(args: &Args, knobs: &Knobs) -> PacqResult<String> {
 fn compare(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let opts = parse_options(args, true)?;
     // With a template, compare runs all three dataflows on the
-    // template's *machine* (capacities, datapath, energies) — the
-    // template's own dataflow triple picks none of them out.
+    // template's machine (capacities, datapath, energies).
     let runner = runner_for(&opts, knobs)?;
     let wl = Workload::new(opts.shape, opts.precision);
     let cmp = Comparison::new(vec![
@@ -1201,7 +1195,7 @@ fn audit_roofline(n: usize, k: usize, bits: u32) -> PacqResult<u64> {
 /// JSON (1 trace microsecond = 1 SM cycle).
 fn trace(args: &Args, knobs: &Knobs) -> PacqResult<String> {
     let opts = parse_options(args, false)?;
-    let arch = resolve_arch(opts.arch, knobs.template.as_ref())?;
+    let arch = opts.arch;
     let out = args
         .values("--out")
         .last()
@@ -1509,9 +1503,9 @@ mod tests {
 
     #[test]
     fn audit_activity_takes_the_template_tolerance() {
-        let mut template = pacq_arch::ArchTemplate::pacq();
+        let mut template = pacq_arch::ArchTemplate::volta_like();
         template.activity_tolerance = Some(0.001);
-        let path = tmp_path("audit-template").replace(".json", ".toml");
+        let path = tmp_path("audit-template");
         std::fs::write(&path, template.render()).unwrap();
         // The pinned (absurdly tight) tolerance governs the check.
         let e = run(&with("audit --activity --arch-template", &[&path])).unwrap_err();
@@ -1735,6 +1729,15 @@ mod tests {
             ("compare", SHAPE, "--arch pacq"),
             ("compare", SHAPE, "--json"),
             ("exec", SHAPE, "--json"),
+            // Execution is fixed DP-4 on the builtin machine.
+            ("exec", SHAPE, "--dup 4"),
+            ("exec", SHAPE, "--width 16"),
+            ("exec", SHAPE, "--arch-template t.json"),
+            // Neither reads the report store.
+            ("exec", SHAPE, "--cache d"),
+            ("exec", SHAPE, "--hot 4"),
+            ("trace", "--out t.json", "--cache d"),
+            ("trace", "--out t.json", "--hot 4"),
             ("trace", "--out t.json", "--shape m16n16k16"),
             ("trace", "--out t.json", "--group g64"),
         ] {
@@ -1747,6 +1750,19 @@ mod tests {
                 "{command} {flag}: {err}"
             );
         }
+        // loadgen reads the store only for the server it spawns; the
+        // refusal comes before any connection is tried.
+        let dir = tmp_dir("loadgen-store");
+        for target in ["--addr 127.0.0.1:1", "--ready-log never.log"] {
+            let err = run(&with(&format!("loadgen {target} --cache"), &[&dir])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{target}: {err}");
+            assert!(
+                err.to_string()
+                    .contains("`--cache` does not apply to `pacq loadgen` without --spawn"),
+                "{target}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1914,32 +1930,26 @@ mod tests {
 
     fn write_template(tag: &str, text: &str) -> String {
         let mut p = std::env::temp_dir();
-        p.push(format!("pacq-cli-tpl-{}-{tag}.toml", std::process::id()));
+        p.push(format!("pacq-cli-tpl-{}-{tag}.json", std::process::id()));
         std::fs::write(&p, text).unwrap();
         p.to_string_lossy().into_owned()
     }
 
     #[test]
     fn arch_template_flag_reproduces_the_builtin_machine() {
+        // The template names the machine and --arch the dataflow; the
+        // two compose, and without --arch the dataflow is PacQ, template
+        // or not.
         let path = write_template("volta", &crate::ArchTemplate::volta_like().render());
-        let builtin = run(&argv("analyze --shape m16n256k256 --arch std")).expect("builtin runs");
-        let templated = run(&with(
-            "analyze --shape m16n256k256 --arch-template",
-            &[&path],
-        ))
-        .expect("runs");
-        assert_eq!(
-            builtin, templated,
-            "the volta-like template must reproduce the hardcoded report bit for bit"
-        );
-        // The template pins the dataflow: --arch conflicts.
-        let conflict = with(
-            "analyze --shape m16n256k256 --arch pacq --arch-template",
-            &[&path],
-        );
-        let err = run(&conflict).unwrap_err();
-        assert!(err.is_usage(), "{err}");
-        assert!(err.to_string().contains("pins"), "{err}");
+        for arch in ["", " --arch std", " --arch is"] {
+            let cmd = format!("analyze --shape m16n256k256{arch}");
+            let builtin = run(&argv(&cmd)).expect("builtin runs");
+            let templated = run(&with(&format!("{cmd} --arch-template"), &[&path])).expect("runs");
+            assert_eq!(
+                builtin, templated,
+                "`{cmd}`: the volta-like template must reproduce the hardcoded report"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1947,20 +1957,26 @@ mod tests {
     fn arch_template_errors_are_typed() {
         // Missing file: I/O error, exit 6.
         let err = run(&argv(
-            "analyze --shape m16n16k16 --arch-template /nonexistent/x.toml",
+            "analyze --shape m16n16k16 --arch-template /nonexistent/x.json",
         ))
         .unwrap_err();
         assert_eq!(err.exit_code(), 6, "{err}");
-        // Broken template: typed template error, exit 9, naming the file.
-        let path = write_template("broken", "schema = \"pacq-arch/v1\"\nname = \"x\"\n");
-        let err = run(&with(
-            "analyze --shape m16n16k16",
-            &[&format!("--arch-template={path}")],
-        ))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 9, "{err}");
-        assert!(err.to_string().contains(&path), "{err}");
-        std::fs::remove_file(&path).ok();
+        // A broken template and a TOML document: typed template
+        // errors, exit 9, naming the file.
+        for (tag, text) in [
+            ("broken", "{\"schema\": \"pacq-arch/v2\", \"name\": \"x\"}"),
+            ("toml", "schema = \"pacq-arch/v2\"\nname = \"x\"\n"),
+        ] {
+            let path = write_template(tag, text);
+            let err = run(&with(
+                "analyze --shape m16n16k16",
+                &[&format!("--arch-template={path}")],
+            ))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 9, "{tag}: {err}");
+            assert!(err.to_string().contains(&path), "{err}");
+            std::fs::remove_file(&path).ok();
+        }
         // Commands with no machine to describe reject the flag.
         let path = write_template("volta2", &crate::ArchTemplate::volta_like().render());
         let err = run(&with("audit --arch-template", &[&path])).unwrap_err();
@@ -1989,7 +2005,7 @@ mod tests {
 
         // Edit one access energy: same SmConfig, different machine.
         let mut edited = template.clone();
-        edited.l1.access_energy_pj_per_word16 = Some(3.5);
+        edited.l1_pj = Some(3.5);
         std::fs::write(&path, edited.render()).unwrap();
         let err = run(&grid_args(&path)).unwrap_err();
         assert_eq!(err.exit_code(), 4, "{err}");

@@ -78,9 +78,9 @@ pub use serve::{ServeOptions, ServeSummary, Server};
 // `--checkpoint`; DESIGN.md §12).
 pub use pacq_cache::{CacheKey, CacheStats, ReportCache, Shard, SweepCheckpoint, VerifyOutcome};
 
-// The declarative architecture-template layer (`pacq-arch/v1`,
+// The declarative architecture-template layer (`pacq-arch/v2`,
 // `--arch-template`, `pacq dse`; DESIGN.md §18).
-pub use pacq_arch::{ArchTemplate, Dataflow, Packing, TEMPLATE_SCHEMA};
+pub use pacq_arch::{ArchTemplate, TEMPLATE_SCHEMA};
 
 // The workspace-wide typed error layer (DESIGN.md §10).
 pub use pacq_error::{PacqError, PacqResult};

@@ -29,12 +29,13 @@
 //! server), `--ready-log FILE` (poll a server's stdout log for its
 //! ready frame, as `tests/serve_load.rs` does), or `--spawn` (bind an
 //! in-process [`Server`] on an ephemeral port, sharing this invocation's
-//! `--cache`/`--hot`, and drain it when the run ends).
+//! `--cache`/`--hot`, and drain it when the run ends). `--cache` and
+//! `--hot` apply only to `--spawn`.
 
-use crate::args::Args;
+use crate::args::{validate_count, Args};
 use crate::dse::DseJob;
 use crate::runner::GemmRunner;
-use crate::serve::{validate_serve_count, ServeOptions, Server};
+use crate::serve::{ServeOptions, Server};
 use pacq_cache::ReportCache;
 use pacq_error::{PacqError, PacqResult};
 use pacq_fp16::WeightPrecision;
@@ -357,7 +358,7 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
     }
     let count = |flag: &str, default: u64, max: u64| -> PacqResult<u64> {
         Ok(args
-            .last(flag, |v| validate_serve_count(v, flag, max))?
+            .last(flag, |v| validate_count(v, flag, max))?
             .unwrap_or(default))
     };
     let requests = count("--requests", DEFAULT_REQUESTS, MAX_REQUESTS)?;
@@ -370,6 +371,12 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
             "loadgen wants a target: --addr HOST:PORT, --ready-log FILE or --spawn",
         ));
     };
+    if cache.is_some() && !matches!(target, Target::Spawn) {
+        return Err(usage(
+            "`--cache` does not apply to `pacq loadgen` without --spawn: a server found by \
+             --addr or --ready-log prices from its own store",
+        ));
+    }
     let clients = clients.min(requests).max(1);
     // Sampling more points than the mix holds would wait forever on
     // captures that cannot happen; pin instead of erroring.

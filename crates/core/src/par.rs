@@ -7,7 +7,8 @@
 //! order unchanged, so the job count only affects wall-clock time —
 //! results are bit-identical at any setting (DESIGN.md §9).
 
-use pacq_error::{PacqError, PacqResult};
+use crate::args::validate_count;
+use pacq_error::PacqResult;
 use rayon::ThreadPoolBuilder;
 
 /// Environment variable consulted when no explicit job count is given.
@@ -18,37 +19,17 @@ pub const JOBS_ENV: &str = "PACQ_JOBS";
 /// instead of asking the thread-pool for forty thousand stacks.
 pub const MAX_JOBS: usize = 512;
 
-/// The one validator behind both spellings of the knob (`--jobs N` and
-/// `PACQ_JOBS=N`): surrounding whitespace is tolerated, the digits must
-/// be plain (no sign — `+4` is a typo, not a count), zero is rejected,
-/// and the count is capped at [`MAX_JOBS`]. `source` names the spelling
-/// in the error message.
+/// `--jobs N` and `PACQ_JOBS=N`, through the shared
+/// [`validate_count`] with the [`MAX_JOBS`] cap. `source` names the
+/// spelling in the error message.
 ///
 /// # Errors
 ///
-/// Returns [`PacqError::Usage`] naming `source` for any other input.
+/// Returns [`PacqError::Usage`](pacq_error::PacqError::Usage) naming
+/// `source` for anything but a plain positive integer at most
+/// [`MAX_JOBS`].
 pub fn validate_jobs(raw: &str, source: &str) -> PacqResult<usize> {
-    let v = raw.trim();
-    let plain_digits = !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit());
-    let n: usize = if plain_digits {
-        v.parse()
-            .map_err(|_| PacqError::usage(format!("invalid {source} value `{raw}`")))?
-    } else {
-        return Err(PacqError::usage(format!(
-            "invalid {source} value `{raw}` (want a plain positive integer)"
-        )));
-    };
-    if n == 0 {
-        return Err(PacqError::usage(format!(
-            "{source} must be at least 1 (omit it for the host default)"
-        )));
-    }
-    if n > MAX_JOBS {
-        return Err(PacqError::usage(format!(
-            "{source} must be at most {MAX_JOBS}, got {n}"
-        )));
-    }
-    Ok(n)
+    validate_count(raw, source, MAX_JOBS as u64).map(|n| n as usize)
 }
 
 /// Installs the global worker count and returns the effective value:
@@ -68,10 +49,10 @@ pub fn configure_jobs(jobs: Option<usize>) -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`PacqError::Usage`] when the variable is set but is not a
-/// plain positive integer at most [`MAX_JOBS`] (zero included — a zero
-/// worker count is meaningless as user input; omit the variable for the
-/// host default).
+/// Returns [`PacqError::Usage`](pacq_error::PacqError::Usage) when the
+/// variable is set but is not a plain positive integer at most
+/// [`MAX_JOBS`] (zero included — a zero worker count is meaningless as
+/// user input; omit the variable for the host default).
 pub fn validated_env_jobs() -> PacqResult<Option<usize>> {
     let Ok(raw) = std::env::var(JOBS_ENV) else {
         return Ok(None);

@@ -38,7 +38,7 @@
 //!   Supervisors should send the frame (or close stdin) rather than
 //!   SIGKILL.
 
-use crate::args::Args;
+use crate::args::{validate_count, Args};
 use crate::cli;
 use crate::dse::DseJob;
 use crate::runner::GemmRunner;
@@ -920,28 +920,6 @@ pub fn serve_stdio(
 // CLI entry point
 // ---------------------------------------------------------------------
 
-/// Validates a serve counting flag (`--rate`, `--burst`,
-/// `--max-clients`): trimmed, plain ASCII digits only (no sign, no
-/// decimal point), at least 1, at most `max`. Same discipline as the
-/// shared `--jobs` validator in `par.rs` — `source` names the flag so
-/// the one-line diagnostic is self-locating.
-pub fn validate_serve_count(raw: &str, source: &str, max: u64) -> PacqResult<u64> {
-    let text = raw.trim();
-    let plain_number = !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit());
-    if !plain_number {
-        return Err(PacqError::usage(format!(
-            "{source} expects a positive integer, got `{raw}`"
-        )));
-    }
-    match text.parse::<u64>() {
-        Ok(0) => Err(PacqError::usage(format!("{source} must be at least 1"))),
-        Ok(n) if n <= max => Ok(n),
-        _ => Err(PacqError::usage(format!(
-            "{source} accepts at most {max}, got `{raw}`"
-        ))),
-    }
-}
-
 /// `pacq serve (--port N | --stdio) [--rate N] [--burst N]
 /// [--max-clients N]` — validates the serve flags and runs the matching
 /// lifecycle until drained.
@@ -957,7 +935,7 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
             .map_err(|_| usage("--port expects 0..65535"))
     })?;
     let stdio = args.has("--stdio");
-    let count = |flag: &str, max: u64| args.last(flag, |v| validate_serve_count(v, flag, max));
+    let count = |flag: &str, max: u64| args.last(flag, |v| validate_count(v, flag, max));
     let rate = count("--rate", 1_000_000)?.unwrap_or(0);
     let burst = count("--burst", 1_000_000)?;
     let max_clients = count("--max-clients", 10_000)?.unwrap_or(0) as usize;
@@ -1010,6 +988,9 @@ pub fn run_cli(args: &Args, cache: Option<Arc<ReportCache>>) -> PacqResult<Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    // The serve counts' boundary test below predates the shared
+    // validator and still names it by its old serve-side name.
+    use crate::args::validate_count as validate_serve_count;
     use std::io::Cursor;
 
     fn parse(text: &str) -> PacqResult<Request> {

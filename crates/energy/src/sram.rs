@@ -105,7 +105,7 @@ impl SramModel {
 
     /// Creates a model with an **explicit** per-word16 access energy,
     /// overriding the capacity-derived analytical formula. This is the
-    /// constructor the `pacq-arch/v1` template layer uses when a level
+    /// constructor the `pacq-arch/v2` template layer uses when a level
     /// declares `access_energy_pj_per_word16`: CACTI-style numbers from
     /// another technology node can be dropped in without re-deriving
     /// the base coefficients.

@@ -133,11 +133,11 @@ pub enum PacqError {
         /// The burst allowance (bucket capacity) that was exhausted.
         burst: u64,
     },
-    /// A declarative architecture template (`pacq-arch/v1`) failed
-    /// validation: wrong schema tag, a malformed or unknown field, an
+    /// A declarative architecture template (`pacq-arch/v2`) failed to
+    /// parse or validate: text that is not JSON, a wrong schema tag, a
+    /// malformed, unknown or repeated field, an illegal datapath, or an
     /// inconsistent memory hierarchy (e.g. an L1 cheaper to read than
-    /// the register file), or a dataflow/packing combination the
-    /// simulator does not model. Produced by `pacq_arch::ArchTemplate`;
+    /// the register file). Produced by `pacq_arch::ArchTemplate`;
     /// the CLI maps it to exit code 9.
     Template {
         /// The template file or API that rejected the input.
@@ -342,7 +342,7 @@ mod tests {
         let limited = PacqError::RateLimited { rate: 10, burst: 4 };
         assert_eq!(protocol.exit_code(), 8);
         assert_eq!(limited.exit_code(), 8);
-        let template = PacqError::template("arch.toml", "schema must be pacq-arch/v1");
+        let template = PacqError::template("arch.json", "schema must be pacq-arch/v2");
         assert_eq!(template.exit_code(), 9);
         assert_eq!(template.class(), "template");
         assert!(!template.is_usage());

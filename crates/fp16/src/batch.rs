@@ -266,9 +266,9 @@ pub fn tile_dot(numerics: NumericsMode, a: &[Fp16], b: &[TileRow]) -> TileSums {
 /// Which compiled copy of [`tile_dot`] (and of every [`dispatch`]ed
 /// [`Job`]) this host runs, fastest first: `"avx512fp16"` (products and
 /// adder tree in native fp16 lanes), `"avx2+f16c"` (f32 lanes, every
-/// fp16 rounding done by the F16C conversion pair), `"avx2"` (f32 lanes,
-/// rounding by [`round16`]) or `"baseline"` (the default target, SSE2 on
-/// x86-64). All four are bit-identical on every non-NaN result.
+/// fp16 rounding done by the F16C conversion pair) or `"baseline"` (the
+/// default target, SSE2 on x86-64, rounding by [`round16`]). All three
+/// are bit-identical on every non-NaN result.
 pub fn kernel_variant() -> &'static str {
     wide::Variant::detect().name()
 }
@@ -1015,8 +1015,6 @@ mod tests {
                 "avx512fp16"
             } else if f16c {
                 "avx2+f16c"
-            } else if has!("avx2") {
-                "avx2"
             } else {
                 "baseline"
             }

@@ -2,7 +2,7 @@
 //! kernel.
 //!
 //! The default x86-64 target guarantees only SSE2. [`run`] chooses among
-//! four copies ([`Variant`]) of the kernel, and of any other [`Job`]
+//! three copies ([`Variant`]) of the kernel, and of any other [`Job`]
 //! that wants the widest vectors the host has:
 //!
 //! * **`avx512fp16`** — [`crate::dp::NumericsMode::PaperRounded`] in native fp16
@@ -18,17 +18,15 @@
 //!   every fp16 rounding is the conversion pair `vcvtps2ph` then
 //!   `vcvtph2ps`, two instructions in place of `round16`'s bit
 //!   manipulation.
-//! * **`avx2`** — [`crate::batch`]'s `tile_dot_impl` compiled inside a
-//!   `#[target_feature(enable = "avx2")]` function, for hosts with AVX2
-//!   but no F16C.
-//! * **`baseline`** — the same source for the default target, on every
-//!   other host and target.
+//! * **`baseline`** — [`crate::batch`]'s `tile_dot_impl` for the default
+//!   target, on every other host and target. Every x86-64-v3 CPU has
+//!   F16C, so an AVX2 host without it is too rare for a copy of its own.
 //!
 //! `Wide` mode has nothing to round and runs `tile_dot_impl` in every
 //! copy, compiled for that copy's features.
 //!
 //! The copy is picked per call from the standard library's cached
-//! CPU-feature checks. All four are bit-identical on every non-NaN
+//! CPU-feature checks. All three are bit-identical on every non-NaN
 //! result: the operation order is the code's (four products, the tree
 //! with every sum rounded, the f32 accumulate), Rust never contracts
 //! `a * b + c` into an FMA, and every rounding is round-to-nearest-even.
@@ -55,8 +53,6 @@ use crate::dp::NumericsMode;
 pub(crate) enum Variant {
     /// The default target (SSE2 on x86-64).
     Baseline,
-    /// `tile_dot_impl` with AVX2 enabled.
-    Avx2,
     /// The F16C conversion-pair kernel for `PaperRounded`.
     Avx2F16c,
     /// The native fp16-lane kernel for `PaperRounded`.
@@ -66,18 +62,13 @@ pub(crate) enum Variant {
 impl Variant {
     /// Every copy, slowest first.
     #[cfg(test)]
-    pub(crate) const ALL: [Variant; 4] = [
-        Variant::Baseline,
-        Variant::Avx2,
-        Variant::Avx2F16c,
-        Variant::Avx512Fp16,
-    ];
+    pub(crate) const ALL: [Variant; 3] =
+        [Variant::Baseline, Variant::Avx2F16c, Variant::Avx512Fp16];
 
     /// The copy's name, as `pacq exec` prints it.
     pub(crate) fn name(self) -> &'static str {
         match self {
             Variant::Baseline => "baseline",
-            Variant::Avx2 => "avx2",
             Variant::Avx2F16c => "avx2+f16c",
             Variant::Avx512Fp16 => "avx512fp16",
         }
@@ -92,7 +83,6 @@ impl Variant {
             let f16c = has!("avx2") && has!("f16c");
             match self {
                 Variant::Baseline => true,
-                Variant::Avx2 => has!("avx2"),
                 Variant::Avx2F16c => f16c,
                 Variant::Avx512Fp16 => {
                     f16c && has!("avx512f")
@@ -110,7 +100,7 @@ impl Variant {
 
     /// The fastest copy this host can execute.
     pub(crate) fn detect() -> Variant {
-        [Variant::Avx512Fp16, Variant::Avx2F16c, Variant::Avx2]
+        [Variant::Avx512Fp16, Variant::Avx2F16c]
             .into_iter()
             .find(|v| v.runs_here())
             .unwrap_or(Variant::Baseline)
@@ -125,15 +115,14 @@ pub(crate) fn run<J: Job>(variant: Variant, job: J) -> J::Output {
     if variant != Variant::Baseline && variant.runs_here() {
         // SAFETY: each arm calls the target-feature function of its own
         // variant, and `runs_here` just confirmed that this host has
-        // every feature that function enables: `x86::avx2` enables AVX2;
-        // `x86::f16c` AVX2 and F16C; `x86::fp16` AVX2, F16C, AVX512F,
-        // AVX512VL, AVX512BW and AVX512-FP16.
+        // every feature that function enables: `x86::f16c` enables AVX2
+        // and F16C; `x86::fp16` AVX2, F16C, AVX512F, AVX512VL, AVX512BW
+        // and AVX512-FP16.
         #[allow(unsafe_code)]
         return unsafe {
             match variant {
                 Variant::Avx512Fp16 => x86::fp16(job),
-                Variant::Avx2F16c => x86::f16c(job),
-                Variant::Avx2 | Variant::Baseline => x86::avx2(job),
+                Variant::Avx2F16c | Variant::Baseline => x86::f16c(job),
             }
         };
     }
@@ -166,12 +155,6 @@ mod x86 {
         _mm512_add_ps, _mm512_castps512_ps256, _mm512_castps_pd, _mm512_cvtxph_ps,
         _mm512_extractf64x4_pd, _mm512_setzero_ps, _mm_extract_ps, _mm_set1_epi16, _mm_setr_epi16,
     };
-
-    /// `job` compiled with AVX2 enabled, `tile_dot_impl` as its kernel.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn avx2<J: Job>(job: J) -> J::Output {
-        job.run(tile_dot_impl)
-    }
 
     /// `job` compiled with AVX2 and F16C enabled, the conversion-pair
     /// kernel for `PaperRounded`.

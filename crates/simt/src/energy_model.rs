@@ -78,7 +78,7 @@ impl EnergyModel {
     }
 
     /// Builds the model from **explicit** per-level SRAM models — the
-    /// constructor the `pacq-arch/v1` template layer uses when a
+    /// constructor the `pacq-arch/v2` template layer uses when a
     /// template overrides per-level access energies. [`EnergyModel::new`]
     /// is exactly `with_levels` over the capacity-derived defaults, so a
     /// template that declares no energy overrides prices bit-identically

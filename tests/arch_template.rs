@@ -1,35 +1,36 @@
-//! Integration and property tests for the `pacq-arch/v1` declarative
+//! Integration and property tests for the `pacq-arch/v2` declarative
 //! architecture-template layer (DESIGN.md §18):
 //!
-//! - parse → render → parse is the identity, for TOML and JSON alike,
-//!   over generated templates (proptest);
-//! - every committed example under `examples/arch/` parses, validates,
-//!   and reproduces the corresponding hardcoded builder bit for bit;
-//! - the volta-like and PacQ templates reproduce the hardcoded
-//!   configs' GemmReports bit-identically through `pacq exec --check`
-//!   (the batched kernel, checked against the scalar reference);
+//! - parse → render → parse is the identity over generated templates,
+//!   and whitespace never moves the digest (proptest);
+//! - the committed `examples/arch/volta_like.json` parses, validates,
+//!   and reproduces the hardcoded machine bit for bit;
+//! - that template reproduces the hardcoded reports through `pacq
+//!   analyze` on every dataflow `--arch` picks;
 //! - editing a template's content (even one access energy) changes its
 //!   digest and therefore every derived cache key — two machines that
 //!   price differently can never share a cache entry.
 
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pacq::{
-    ArchTemplate, Architecture, Dataflow, GemmRunner, GemmShape, Packing, ReportCache, Workload,
-};
-use pacq_arch::MemLevel;
+use pacq::{ArchTemplate, Architecture, GemmRunner, GemmShape, ReportCache, SmConfig, Workload};
 use pacq_fp16::WeightPrecision;
 use proptest::prelude::*;
 
-/// Path of a committed example template.
-fn example(name: &str) -> String {
-    format!("{}/../../examples/arch/{name}", env!("CARGO_MANIFEST_DIR"))
+/// Path of the committed example template.
+fn example() -> String {
+    format!(
+        "{}/../../examples/arch/volta_like.json",
+        env!("CARGO_MANIFEST_DIR")
+    )
 }
 
-fn read_example(name: &str) -> String {
-    let path = example(name);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+fn load_example() -> ArchTemplate {
+    let path = example();
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    ArchTemplate::load(&text, &path).expect("volta_like.json validates")
 }
 
 /// A unique scratch directory per case (cases run concurrently).
@@ -46,54 +47,26 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 // ---------------------------------------------------------------------
-// Committed examples.
+// The committed example.
 // ---------------------------------------------------------------------
 
 #[test]
 fn committed_examples_validate_and_reproduce_the_builders() {
-    let volta = ArchTemplate::load(&read_example("volta_like.toml"), "volta_like.toml")
-        .expect("volta_like.toml validates");
+    let volta = load_example();
     assert_eq!(volta, ArchTemplate::volta_like());
     assert_eq!(volta.digest(), ArchTemplate::volta_like().digest());
-    assert_eq!(volta.architecture().unwrap(), Architecture::StandardDequant);
-
-    let pacq =
-        ArchTemplate::load(&read_example("pacq.toml"), "pacq.toml").expect("pacq.toml validates");
-    assert_eq!(pacq, ArchTemplate::pacq());
-    assert_eq!(pacq.architecture().unwrap(), Architecture::Pacq);
-    assert_ne!(pacq.digest(), volta.digest());
-
-    let is = ArchTemplate::load(
-        &read_example("input_stationary.toml"),
-        "input_stationary.toml",
-    )
-    .expect("input_stationary.toml validates");
-    assert_eq!(is, ArchTemplate::input_stationary());
-    assert_eq!(is.architecture().unwrap(), Architecture::InputStationary);
-    assert_ne!(is.digest(), volta.digest());
-    assert_ne!(is.digest(), pacq.digest());
     // Round-trip digest stability through the canonical rendering.
-    let rendered = ArchTemplate::load(&is.render(), "is-rendered").unwrap();
-    assert_eq!(rendered.digest(), is.digest());
-
-    // The JSON twin is the *same design point* as the TOML rendering:
-    // identical template, identical digest, despite the different
-    // surface syntax.
-    let json = ArchTemplate::load(&read_example("volta_like.json"), "volta_like.json")
-        .expect("volta_like.json validates");
-    assert_eq!(json, volta);
-    assert_eq!(json.digest(), volta.digest());
+    let rendered = ArchTemplate::load(&volta.render(), "rendered").unwrap();
+    assert_eq!(rendered.digest(), volta.digest());
 }
 
 #[test]
 fn committed_examples_derive_the_hardcoded_machine() {
-    let volta = ArchTemplate::load(&read_example("volta_like.toml"), "volta_like.toml").unwrap();
-    let cfg = volta.sm_config();
-    assert_eq!(cfg.tensor_cores, pacq::SmConfig::volta_like().tensor_cores);
-    assert_eq!(cfg.dp_width, pacq::SmConfig::volta_like().dp_width);
+    let volta = load_example();
+    assert_eq!(volta.config, SmConfig::volta_like());
     // The derived energy model prices exactly like the default one.
     let derived = volta.energy_model().expect("derives");
-    let builtin = pacq::EnergyModel::new(&pacq::SmConfig::volta_like());
+    let builtin = pacq::EnergyModel::new(&SmConfig::volta_like());
     assert_eq!(derived.energy_canonical(), builtin.energy_canonical());
 }
 
@@ -101,39 +74,33 @@ fn committed_examples_derive_the_hardcoded_machine() {
 // Bit-identical reports through the CLI.
 // ---------------------------------------------------------------------
 
-/// The result digests `pacq exec` prints — the bit-identity witness
-/// for the computed output matrix, free of wall-clock noise.
-fn digests(out: &str) -> Vec<&str> {
-    out.split("digest ")
-        .skip(1)
-        .filter_map(|t| t.split([',', ')', ' ']).next())
-        .collect()
-}
-
+/// `pacq analyze --shape m16n4096k4096 --arch X`, with and without the
+/// committed template, prints the same bytes for every dataflow: the
+/// template names the machine, `--arch` the dataflow.
 #[test]
-fn templates_reproduce_hardcoded_reports_through_exec_check() {
-    for (tpl, arch) in [
-        ("volta_like.toml", "std"),
-        ("pacq.toml", "pacq"),
-        ("input_stationary.toml", "is"),
-    ] {
-        let run = |extra: [String; 2]| {
-            let mut argv: Vec<String> = "exec --shape m16n32k128 --group g32 --check"
-                .split(' ')
-                .map(String::from)
-                .collect();
-            argv.extend(extra);
-            let out = pacq::cli::run(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
-            assert!(out.contains("check OK"), "{out}");
-            out
-        };
-        let builtin = run(["--arch".to_string(), arch.to_string()]);
-        let templated = run(["--arch-template".to_string(), example(tpl)]);
-        assert!(!digests(&builtin).is_empty(), "{builtin}");
+fn templates_reproduce_hardcoded_reports_through_analyze() {
+    let analyze = |extra: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_pacq"))
+            .args(["analyze", "--shape", "m16n4096k4096"])
+            .args(extra)
+            .env_remove("PACQ_JOBS")
+            .output()
+            .expect("spawn pacq");
+        assert!(
+            output.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        String::from_utf8(output.stdout).expect("UTF-8 stdout")
+    };
+    let path = example();
+    for arch in Architecture::ALL {
+        let builtin = analyze(&["--arch", arch.token()]);
+        assert!(builtin.contains("total cycles"), "{builtin}");
+        let templated = analyze(&["--arch", arch.token(), "--arch-template", &path]);
         assert_eq!(
-            digests(&builtin),
-            digests(&templated),
-            "{tpl} must reproduce the hardcoded result bit for bit\nbuiltin: {builtin}\ntemplated: {templated}"
+            builtin, templated,
+            "--arch {arch:?}: the template must reproduce the hardcoded report"
         );
     }
 }
@@ -150,7 +117,7 @@ fn templates_with_different_energies_never_share_a_cache_entry() {
 
     let runner_for = |tpl: &ArchTemplate| {
         GemmRunner::new()
-            .with_config(tpl.sm_config())
+            .with_config(tpl.config)
             .with_energy_model(tpl.energy_model().expect("derives"))
             .with_template_digest(tpl.digest())
             .with_cache(Arc::clone(&cache))
@@ -158,7 +125,7 @@ fn templates_with_different_energies_never_share_a_cache_entry() {
 
     let original = ArchTemplate::volta_like();
     let mut edited = original.clone();
-    edited.l1.access_energy_pj_per_word16 = Some(3.5);
+    edited.l1_pj = Some(3.5);
     assert_ne!(original.digest(), edited.digest());
 
     let a = runner_for(&original)
@@ -212,18 +179,6 @@ fn template_digest_distinguishes_builtin_from_templated_identity() {
 // Property tests: round-trips and digest stability.
 // ---------------------------------------------------------------------
 
-fn any_dataflow() -> impl Strategy<Value = Dataflow> {
-    prop_oneof![
-        Just(Dataflow::WeightStationary),
-        Just(Dataflow::OutputStationary),
-        Just(Dataflow::InputStationary),
-    ]
-}
-
-fn any_packing() -> impl Strategy<Value = Packing> {
-    prop_oneof![Just(Packing::AlongK), Just(Packing::AlongN)]
-}
-
 fn any_energy() -> impl Strategy<Value = Option<f64>> {
     prop_oneof![
         Just(None),
@@ -232,71 +187,60 @@ fn any_energy() -> impl Strategy<Value = Option<f64>> {
 }
 
 /// Generated templates cover the whole schema surface, including
-/// combinations `validate` would reject — parse/render must round-trip
-/// any schema-conformant document, valid design point or not.
+/// machines `validate` would reject — parse/render must round-trip any
+/// schema-conformant document, valid design point or not.
 fn any_template() -> impl Strategy<Value = ArchTemplate> {
     (
         (
             (0u32..10_000).prop_map(|i| format!("design_{i}")),
-            any_dataflow(),
-            any_packing(),
-            prop_oneof![Just(true), Just(false)],
             1usize..32,
             1usize..16,
-        ),
-        (
             prop_oneof![Just(4usize), Just(8), Just(16), Just(3)],
             prop_oneof![Just(1usize), Just(2), Just(4), Just(5)],
             1u32..64,
+        ),
+        (
             1u64..1_048_576,
             1u64..1_048_576,
             8u64..65_536,
-        ),
-        (
             1usize..8,
             prop_oneof![Just(f64::INFINITY), (1u32..4096).prop_map(f64::from)],
+        ),
+        (
             any_energy(),
             any_energy(),
             any_energy(),
-            // Nested pair: the tuple-strategy impls cap at six slots.
-            (
-                any_energy(),
-                prop_oneof![
-                    Just(None),
-                    (1u32..100).prop_map(|x| Some(f64::from(x) / 10.0))
-                ],
-            ),
+            any_energy(),
+            prop_oneof![
+                Just(None),
+                (1u32..100).prop_map(|x| Some(f64::from(x) / 10.0))
+            ],
         ),
     )
         .prop_map(
             |(
-                (name, dataflow, packing, dequant, tc, dp),
-                (width, dup, dwpc, rf, l1, buf_bits),
-                (bufs, dram_bw, rf_e, l1_e, buf_e, (dram_e, activity_tolerance)),
+                (name, tc, dp, width, dup, dwpc),
+                (rf, l1, buf_bits, bufs, dram_bw),
+                (rf_e, l1_e, buf_e, dram_e, activity_tolerance),
             )| ArchTemplate {
                 name,
-                dataflow,
-                packing,
-                dequant,
-                tensor_cores: tc,
-                dp_units_per_tc: dp,
-                dp_width: width,
-                adder_tree_duplication: dup,
-                dequant_weights_per_cycle: f64::from(dwpc),
-                clock_hz: 400.0e6,
-                register_file: MemLevel {
-                    capacity_bytes: rf,
-                    access_energy_pj_per_word16: rf_e,
+                config: SmConfig {
+                    tensor_cores: tc,
+                    dp_units_per_tc: dp,
+                    dp_width: width,
+                    adder_tree_duplication: dup,
+                    operand_buffer_bits: buf_bits - buf_bits % 8,
+                    operand_buffers: bufs,
+                    register_file_bytes: rf,
+                    l1_bytes: l1,
+                    dequant_weights_per_cycle: f64::from(dwpc),
+                    clock_hz: 400.0e6,
+                    dram_bytes_per_cycle: dram_bw,
                 },
-                l1: MemLevel {
-                    capacity_bytes: l1,
-                    access_energy_pj_per_word16: l1_e,
-                },
-                operand_buffer_bits: buf_bits - buf_bits % 8,
-                operand_buffers: bufs,
-                operand_buffer_energy_pj_per_word16: buf_e,
-                dram_bytes_per_cycle: dram_bw,
-                dram_energy_pj_per_word16: dram_e,
+                register_file_pj: rf_e,
+                l1_pj: l1_e,
+                operand_buffer_pj: buf_e,
+                dram_pj: dram_e,
                 activity_tolerance,
             },
         )
@@ -305,44 +249,35 @@ fn any_template() -> impl Strategy<Value = ArchTemplate> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// TOML: parse(render(t)) == t, and the digest survives.
-    #[test]
-    fn toml_rendering_round_trips(tpl in any_template()) {
-        let text = tpl.render();
-        let back = ArchTemplate::parse(&text, "prop.toml").expect("round-trip parses");
-        prop_assert_eq!(&back, &tpl);
-        prop_assert_eq!(back.digest(), tpl.digest());
-    }
-
-    /// JSON: parse(render_json(t)) == t, and the digest equals the
-    /// TOML digest — identity is content, not syntax.
+    /// parse(render(t)) == t, and the digest survives.
     #[test]
     fn json_rendering_round_trips(tpl in any_template()) {
-        let text = tpl.render_json();
-        let back = ArchTemplate::parse(&text, "prop.json").expect("round-trip parses");
+        let back = ArchTemplate::parse(&tpl.render(), "prop.json").expect("round-trip parses");
         prop_assert_eq!(&back, &tpl);
         prop_assert_eq!(back.digest(), tpl.digest());
     }
 
-    /// Injected TOML noise (comments, blank lines) never changes the
-    /// parsed template or its digest.
+    /// Whitespace noise (the one-line rendering, extra blank lines and
+    /// indentation) never changes the parsed template or its digest.
     #[test]
     fn formatting_noise_is_identity_neutral(tpl in any_template(), seed in 0u8..8) {
-        let text = tpl.render();
-        let noisy: String = text
+        let noisy: String = tpl
+            .render()
             .lines()
             .enumerate()
             .map(|(i, l)| {
                 if i as u8 % 4 == seed % 4 {
-                    format!("{l}   # noise\n\n")
+                    format!("\t{l}   \n\n")
                 } else {
                     format!("{l}\n")
                 }
             })
             .collect();
-        let back = ArchTemplate::parse(&noisy, "noisy.toml").expect("still parses");
-        prop_assert_eq!(&back, &tpl);
-        prop_assert_eq!(back.digest(), tpl.digest());
+        for text in [noisy, tpl.to_json().render_line()] {
+            let back = ArchTemplate::parse(&text, "noisy.json").expect("still parses");
+            prop_assert_eq!(&back, &tpl);
+            prop_assert_eq!(back.digest(), tpl.digest());
+        }
     }
 
     /// Any single-field content change moves the digest.
@@ -351,17 +286,16 @@ proptest! {
         let base = tpl.digest();
         let mut cases: Vec<ArchTemplate> = Vec::new();
         let mut t = tpl.clone();
-        t.tensor_cores += 1;
+        t.config.tensor_cores += 1;
         cases.push(t);
         let mut t = tpl.clone();
-        t.register_file.capacity_bytes += 8;
+        t.config.register_file_bytes += 8;
         cases.push(t);
         let mut t = tpl.clone();
-        t.l1.access_energy_pj_per_word16 =
-            Some(tpl.l1.access_energy_pj_per_word16.unwrap_or(0.0) + 0.25);
+        t.l1_pj = Some(tpl.l1_pj.unwrap_or(0.0) + 0.25);
         cases.push(t);
         let mut t = tpl.clone();
-        t.dequant = !tpl.dequant;
+        t.activity_tolerance = Some(tpl.activity_tolerance.unwrap_or(0.0) + 0.5);
         cases.push(t);
         for edited in cases {
             prop_assert_ne!(edited.digest(), base.clone());

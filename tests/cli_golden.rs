@@ -88,7 +88,7 @@ const GRID_ARGS: [&str; 4] = ["dse", "--shape", SHAPE, "--pareto"];
 /// names the template instead of the builtin machine.
 #[test]
 fn builtin_equivalent_template_reproduces_the_grid() {
-    let template = ["--arch-template", "examples/arch/volta_like.toml"];
+    let template = ["--arch-template", "examples/arch/volta_like.json"];
     let out = pacq(&[&GRID_ARGS[..], &template].concat());
     let (rows, tally) = out.trim_end().rsplit_once('\n').expect("a tally line");
     let (golden_rows, golden_tally) = GRID.trim_end().rsplit_once('\n').expect("a tally line");
@@ -418,7 +418,7 @@ fn sharded_template_grid_is_identical_cold_and_warm() {
     let dir = std::env::temp_dir().join(format!("pacq-cli-shards-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = dir.join("store").to_string_lossy().into_owned();
-    let template = "examples/arch/pacq.toml";
+    let template = "examples/arch/volta_like.json";
     let digest = pacq::cli::load_arch_template(&workspace_root().join(template).to_string_lossy())
         .expect("committed template validates")
         .digest();

@@ -191,7 +191,7 @@ fn cache_keys_and_dse_job_ids_are_pinned() {
 
 /// The same pin for a non-default design point (DP-8, dup 4,
 /// `g[32,4]`) derived from two base machines: the builtin one and the
-/// `examples/arch/pacq.toml` template, whose digest replaces `builtin`
+/// `examples/arch/volta_like.json` template, whose digest replaces `builtin`
 /// in the architecture identity. A derivation that dropped the point's
 /// width, dup or group — or the base's template — would change these
 /// strings.
@@ -207,7 +207,7 @@ fn non_default_point_cache_keys_are_pinned() {
     use Architecture::{InputStationary, PackedK, Pacq, StandardDequant};
     use WeightPrecision::{Int2, Int4};
     let path = format!(
-        "{}/../../examples/arch/pacq.toml",
+        "{}/../../examples/arch/volta_like.json",
         env!("CARGO_MANIFEST_DIR")
     );
     let templated = Knobs {
@@ -220,7 +220,7 @@ fn non_default_point_cache_keys_are_pinned() {
     .unwrap();
     let bases = [
         (GemmRunner::new(), "builtin"),
-        (templated, "tpl:19160e7e2afb1c15a000091acb0b6c5a"),
+        (templated, "tpl:44cbbe60a6f0999cd2096b6979e7dba1"),
     ];
     for (base, source) in &bases {
         for (arch, a) in [
